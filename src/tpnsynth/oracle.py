@@ -5,31 +5,22 @@ semantics, never touching the reachability graph or the product fixpoints
 of the main checker. Exponential; intended for nets within the documented
 limits (roughly: 6 places, 6 transitions, interval bounds up to 10).
 
-Unbounded operator intervals are handled by capping accumulated time at
-the operator's saturation point and pruning a path once it revisits a
-(state, capped time) pair it has already seen: for existential untils a
-cycle cannot create progress, and for universal untils a reachable cycle
-avoiding the target is itself a refuting path.
+Both untils share one depth-first path walk with an explicit stack, so path
+depth is bounded by memory rather than by the interpreter's recursion
+limit. Accumulated time is capped at the operator interval's saturation
+class H (``TimeInterval.horizon``), past which membership in the interval no
+longer changes, and a path is cut once it revisits a (state, capped time)
+pair already on it: for existential untils a cycle cannot create progress,
+and for universal untils a reachable cycle avoiding the target is itself a
+refuting path.
 """
 
 from __future__ import annotations
 
-import sys
-
 from .errors import OracleError
-from .petri import INF, ConcreteNet
+from .petri import ConcreteNet
 from .semantics import Delay, initial_state, successors
-from .tctl import (
-    AU,
-    EU,
-    Formula,
-    Implies,
-    Not,
-    Prop,
-    compile_gmec,
-    desugar,
-    max_finite_bound,
-)
+from .tctl import AU, EU, Formula, Implies, Not, Prop, compile_gmec, desugar
 
 
 def brute_force_check(
@@ -37,18 +28,29 @@ def brute_force_check(
 ) -> bool:
     """True iff the initial state satisfies the formula.
 
-    ``horizon`` must cover every finite bound in the formula, otherwise the
-    evaluation could silently truncate and an OracleError is raised instead.
+    ``horizon`` must cover the saturation class of every until interval in
+    the formula, otherwise the evaluation could silently truncate and an
+    OracleError is raised instead.
     """
-    needed = max_finite_bound(phi) + 1
+    core = desugar(phi, leadsto)
+    needed = _needed_horizon(core)
     if horizon < needed:
         raise OracleError(
             f"horizon {horizon} too small to decide: formula needs {needed}"
         )
-    core = desugar(phi, leadsto)
-    if sys.getrecursionlimit() < 100_000:
-        sys.setrecursionlimit(100_000)  # path DFS depth is states x horizon
     return _holds(n, initial_state(n), core)
+
+
+def _needed_horizon(phi) -> int:
+    if isinstance(phi, Not):
+        return _needed_horizon(phi.sub)
+    if isinstance(phi, Implies):
+        return max(_needed_horizon(phi.left), _needed_horizon(phi.right))
+    if isinstance(phi, (EU, AU)):
+        return max(
+            phi.interval.horizon, _needed_horizon(phi.left), _needed_horizon(phi.right)
+        )
+    return 1
 
 
 def _holds(n: ConcreteNet, state, phi) -> bool:
@@ -58,66 +60,48 @@ def _holds(n: ConcreteNet, state, phi) -> bool:
         return not _holds(n, state, phi.sub)
     if isinstance(phi, Implies):
         return (not _holds(n, state, phi.left)) or _holds(n, state, phi.right)
-    if isinstance(phi, EU):
-        return _exists_until(n, state, phi)
-    if isinstance(phi, AU):
-        return _all_until(n, state, phi)
+    if isinstance(phi, (EU, AU)):
+        return _until(n, state, phi)
     raise OracleError(f"not in core form: {phi!r}")
 
 
-def _saturation(iv) -> int:
-    hi = iv.int_high()
-    if hi == INF:
-        return max(iv.int_low(), 0) + 1
-    return max(hi + 1, 1)
+def _until(n: ConcreteNet, start, phi) -> bool:
+    """Some path (EU) or every maximal path (AU) from ``start`` reaches the
+    right operand inside the interval, with the left operand holding at
+    every earlier position. A dead end without the target counts as false
+    under either quantifier."""
+    universal = isinstance(phi, AU)
+    iv = phi.interval
+    cap = iv.horizon
+    on_path = set()
+    stack = []  # (state, capped time, successor iterator) per open position
 
-
-def _exists_until(n: ConcreteNet, start, phi: EU) -> bool:
-    cap = _saturation(phi.interval)
-    in_interval = lambda t: phi.interval.contains(t) or (
-        t >= cap and phi.interval.int_high() == INF
-    )
-
-    def walk(state, t, seen):
-        if in_interval(t) and _holds(n, state, phi.right):
+    def visit(state, t):
+        """The position's verdict, or None once it is pushed onto the stack
+        to be decided by its successors."""
+        if iv.contains(t) and _holds(n, state, phi.right):
             return True
-        if not _holds(n, state, phi.left):
-            return False
-        key = (state, min(t, cap))
-        if key in seen:
-            return False  # looping without reaching the target
-        seen = seen | {key}
-        for label, nxt in successors(n, state):
-            t2 = t + (label.amount if isinstance(label, Delay) else 0)
-            if walk(nxt, t2, seen):
-                return True
-        return False
-
-    return walk(start, 0, frozenset())
-
-
-def _all_until(n: ConcreteNet, start, phi: AU) -> bool:
-    cap = _saturation(phi.interval)
-    in_interval = lambda t: phi.interval.contains(t) or (
-        t >= cap and phi.interval.int_high() == INF
-    )
-
-    def walk(state, t, seen):
-        if in_interval(t) and _holds(n, state, phi.right):
-            return True
-        if not _holds(n, state, phi.left):
-            return False
-        key = (state, min(t, cap))
-        if key in seen:
-            return False  # a maximal path may loop here forever
-        seen = seen | {key}
+        if not _holds(n, state, phi.left) or (state, t) in on_path:
+            return False  # left operand broken, or looping without the target
         succ = successors(n, state)
         if not succ:
             return False  # finite maximal path without the target
-        for label, nxt in succ:
-            t2 = t + (label.amount if isinstance(label, Delay) else 0)
-            if not walk(nxt, t2, seen):
-                return False
-        return True
+        on_path.add((state, t))
+        stack.append((state, t, iter(succ)))
+        return None
 
-    return walk(start, 0, frozenset())
+    got = visit(start, 0)
+    if got is not None:
+        return got
+    while stack:
+        state, t, succ = stack[-1]
+        step = next(succ, None)
+        if step is None:  # every successor agreed with the quantifier's default
+            stack.pop()
+            on_path.remove((state, t))
+            continue
+        label, nxt = step
+        got = visit(nxt, min(t + label.amount, cap) if isinstance(label, Delay) else t)
+        if got is not None and got != universal:
+            return got  # a witness path for E, a refuting path for A
+    return universal

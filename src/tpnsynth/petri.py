@@ -16,6 +16,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -28,7 +29,14 @@ INF = math.inf
 Marking = tuple  # tuple[int, ...] aligned with Net.places
 Valuation = Mapping[str, int]
 
-RELATIONS = ("<", "<=", "=", ">=", ">")
+# the one comparison table for linear parameter constraints and GMEC atoms
+RELATIONS = {
+    "<": operator.lt,
+    "<=": operator.le,
+    "=": operator.eq,
+    ">=": operator.ge,
+    ">": operator.gt,
+}
 
 
 @dataclass(frozen=True)
@@ -70,6 +78,14 @@ class TimeInterval:
 
     def contains(self, x: int) -> bool:
         return self.int_low() <= x and x <= self.int_high()
+
+    @property
+    def horizon(self) -> int:
+        """Saturation class H: for every elapsed time c >= H, ``contains(c)``
+        equals ``unbounded``, so time counters may be capped at H."""
+        if self.unbounded:
+            return self.int_low() + 1
+        return max(self.int_high() + 1, 1)
 
     def is_empty(self) -> bool:
         return not self.unbounded and self.int_low() > self.int_high()
@@ -176,15 +192,7 @@ class LinearConstraint:
             if p not in v:
                 raise InputError(f"valuation missing parameter {p!r}")
             total += c * v[p]
-        if self.rel == "<":
-            return total < self.bound
-        if self.rel == "<=":
-            return total <= self.bound
-        if self.rel == "=":
-            return total == self.bound
-        if self.rel == ">=":
-            return total >= self.bound
-        return total > self.bound
+        return RELATIONS[self.rel](total, self.bound)
 
     def params(self) -> set:
         return {p for p, _ in self.coeffs}

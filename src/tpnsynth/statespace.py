@@ -7,23 +7,21 @@ makes two builds of the same net produce identical graphs.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 
 from .errors import InputError, KBoundError
 from .petri import ConcreteNet, validate_net
-from .semantics import Delay, initial_state, successors
+from .semantics import initial_state, successors
 
 
 @dataclass(frozen=True)
 class ExploreLimits:
     k_bound: int = 8
     max_states: int = 1_000_000
-    max_horizon: float = math.inf  # cap on accumulated delay along BFS paths
 
     def __post_init__(self):
-        if self.k_bound < 1 or self.max_states < 1 or self.max_horizon < 1:
+        if self.k_bound < 1 or self.max_states < 1:
             raise InputError("exploration limits must be positive")
 
 
@@ -47,8 +45,8 @@ def build(n: ConcreteNet, lim: ExploreLimits = ExploreLimits()) -> ReachGraph:
     """BFS closure of the successor relation from the initial state.
 
     A marking exceeding ``k_bound`` raises KBoundError with the partial
-    graph attached; hitting ``max_states`` (or the delay horizon) returns a
-    graph flagged ``complete=False``.
+    graph attached; hitting ``max_states`` returns a graph flagged
+    ``complete=False``.
     """
     diags = validate_net(n)
     if diags:
@@ -63,7 +61,6 @@ def build(n: ConcreteNet, lim: ExploreLimits = ExploreLimits()) -> ReachGraph:
     index = {s0: 0}
     states = [s0]
     succ = [None]
-    depth = [0]  # accumulated delay along the BFS tree path
     graph = ReachGraph(n, states, succ)
     queue = deque([0])
     complete = True
@@ -71,10 +68,6 @@ def build(n: ConcreteNet, lim: ExploreLimits = ExploreLimits()) -> ReachGraph:
         i = queue.popleft()
         outs = []
         for label, s2 in successors(n, states[i]):
-            is_delay = isinstance(label, Delay)
-            if is_delay and depth[i] >= lim.max_horizon:
-                complete = False
-                continue
             j = index.get(s2)
             if j is None:
                 if any(x > lim.k_bound for x in s2.marking):
@@ -93,7 +86,6 @@ def build(n: ConcreteNet, lim: ExploreLimits = ExploreLimits()) -> ReachGraph:
                 index[s2] = j
                 states.append(s2)
                 succ.append(None)
-                depth.append(depth[i] + (1 if is_delay else 0))
                 queue.append(j)
             outs.append((label, j))
         succ[i] = outs

@@ -17,7 +17,7 @@ from typing import Mapping
 from .errors import InputError, KBoundError, TpnError
 from .petri import Net, ParamDomain, domain_contains, instantiate
 from .statespace import ExploreLimits, build
-from .tctl import Formula, check
+from .tctl import Formula, check, check_formula_places
 
 
 @dataclass(frozen=True)
@@ -38,6 +38,7 @@ class SynthesisProblem:
         for p, (lo, hi) in self.box.items():
             if lo < 0 or lo > hi:
                 raise InputError(f"bad box range for {p!r}: {lo}..{hi}")
+        check_formula_places(self.formula, self.net)
 
 
 @dataclass

@@ -3,9 +3,10 @@ and the model checker over a reachability graph.
 
 Checking works per temporal operator on a product of graph nodes with an
 elapsed-time counter: unit-delay edges increment the counter, firing edges
-preserve it, and all values at or beyond H = (largest finite bound in the
-operator's interval) + 1 collapse into one saturation class. This is exact
-for the integer semantics.
+preserve it, and all values at or beyond the interval's saturation class
+H (``TimeInterval.horizon``) collapse into one class. Membership in the
+interval is the same for every time >= H, so this is exact for the integer
+semantics, and the accepting classes are one contiguous range.
 
 Until is position-based: ``E phi U_I psi`` holds when some path reaches a
 psi-state at an accumulated time inside I with phi true at every strictly
@@ -24,14 +25,12 @@ from .errors import (
     IncompleteGraphError,
     InputError,
 )
-from .petri import INF, ConcreteNet, TimeInterval
+from .petri import INF, RELATIONS, ConcreteNet, Net, TimeInterval
 from .semantics import Delay
 from .statespace import ReachGraph
 
 # ---------------------------------------------------------------------------
 # GMEC: boolean combinations of linear token-count constraints
-
-GMEC_RELATIONS = ("<", "<=", "=", ">=", ">")
 
 
 @dataclass(frozen=True)
@@ -57,50 +56,39 @@ TRUE_GMEC = Atom((), ">=", 0)
 FALSE_GMEC = Atom((), ">", 0)
 
 
-def eval_gmec(m, phi: Gmec) -> bool:
-    """Evaluate against a place->count mapping."""
-    if isinstance(phi, Atom):
-        total = 0
-        for place, coeff in phi.coeffs:
-            if place not in m:
-                raise InputError(f"marking has no place {place!r}")
-            total += coeff * m[place]
-        return _compare(total, phi.rel, phi.bound)
-    if phi.op == "and":
-        return eval_gmec(m, phi.left) and eval_gmec(m, phi.right)
-    if phi.op == "or":
-        return eval_gmec(m, phi.left) or eval_gmec(m, phi.right)
-    return (not eval_gmec(m, phi.left)) or eval_gmec(m, phi.right)
+def compile_gmec(net: Optional[ConcreteNet], phi: Gmec):
+    """Closure evaluating the constraint on a marking.
 
-
-def _compare(total, rel, bound) -> bool:
-    if rel == "<":
-        return total < bound
-    if rel == "<=":
-        return total <= bound
-    if rel == "=":
-        return total == bound
-    if rel == ">=":
-        return total >= bound
-    return total > bound
-
-
-def compile_gmec(net: ConcreteNet, phi: Gmec):
-    """Closure evaluating the constraint on dense marking tuples."""
+    With a net, markings are dense tuples and each place becomes its index
+    in ``net.places``; with ``net=None`` they are place->count mappings
+    keyed by the place name itself.
+    """
     if isinstance(phi, Atom):
         pairs = []
         for place, coeff in phi.coeffs:
-            if place not in net.place_index:
+            if net is None:
+                pairs.append((place, coeff))
+            elif place in net.place_index:
+                pairs.append((net.place_index[place], coeff))
+            else:
                 raise InputError(f"unknown place {place!r} in formula")
-            pairs.append((net.place_index[place], coeff))
-        rel, bound = phi.rel, phi.bound
-        return lambda m: _compare(sum(c * m[i] for i, c in pairs), rel, bound)
+        rel, bound = RELATIONS[phi.rel], phi.bound
+        return lambda m: rel(sum(c * m[k] for k, c in pairs), bound)
     left, right = compile_gmec(net, phi.left), compile_gmec(net, phi.right)
     if phi.op == "and":
         return lambda m: left(m) and right(m)
     if phi.op == "or":
         return lambda m: left(m) or right(m)
     return lambda m: (not left(m)) or right(m)
+
+
+def eval_gmec(m, phi: Gmec) -> bool:
+    """Evaluate against a place->count mapping."""
+    holds = compile_gmec(None, phi)
+    try:
+        return holds(m)
+    except KeyError as exc:
+        raise InputError(f"marking has no place {exc.args[0]!r}") from None
 
 
 def gmec_places(phi: Gmec) -> set:
@@ -239,25 +227,11 @@ def formula_places(phi: Formula) -> set:
     raise InputError(f"not a formula: {phi!r}")
 
 
-def max_finite_bound(phi: Formula) -> int:
-    """Largest finite endpoint appearing in any interval of the formula."""
-    if isinstance(phi, Prop):
-        return 0
-    if isinstance(phi, Not):
-        return max_finite_bound(phi.sub)
-    if isinstance(phi, Implies):
-        return max(max_finite_bound(phi.left), max_finite_bound(phi.right))
-    if isinstance(phi, (EU, AU)):
-        own = 0 if phi.interval.unbounded else phi.interval.high
-        own = max(own, phi.interval.low)
-        return max(own, max_finite_bound(phi.left), max_finite_bound(phi.right))
-    if isinstance(phi, (EF, AF, EG, AG)):
-        own = 0 if phi.interval.unbounded else phi.interval.high
-        own = max(own, phi.interval.low)
-        return max(own, max_finite_bound(phi.sub))
-    if isinstance(phi, LeadsTo):
-        return 0 if phi.interval.unbounded else phi.interval.high
-    raise InputError(f"not a formula: {phi!r}")
+def check_formula_places(phi: Formula, net: Net) -> None:
+    """Raise InputError when the formula names a place the net lacks."""
+    unknown = formula_places(phi) - set(net.places)
+    if unknown:
+        raise InputError(f"formula references unknown places {sorted(unknown)}")
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +464,7 @@ class _Parser:
             coeffs[place] = coeffs.get(place, 0) + sign * coeff
             first = False
         t = self.next()
-        if t[0] not in GMEC_RELATIONS:
+        if t[0] not in RELATIONS:
             raise FormulaSyntaxError("expected a comparison relation", pos=t[2])
         rel = t[0]
         bound = self.expect("INT")[1]
@@ -541,7 +515,7 @@ def format_formula(phi: Formula) -> str:
 def format_gmec(g: Gmec) -> str:
     if isinstance(g, Atom):
         if not g.coeffs:
-            return "true" if _compare(0, g.rel, g.bound) else "false"
+            return "true" if RELATIONS[g.rel](0, g.bound) else "false"
         parts = []
         for k, (place, coeff) in enumerate(g.coeffs):
             mag = abs(coeff)
@@ -563,22 +537,6 @@ def format_gmec(g: Gmec) -> str:
 class Verdict:
     holds: bool
     witness: Optional[list] = None  # StepLabels from the initial state
-
-
-def _interval_classes(iv: TimeInterval):
-    """(H, membership) where classes are 0..H and H stands for >= H."""
-    lo, hi = iv.int_low(), iv.int_high()
-    if hi == INF:
-        horizon = max(lo, 0) + 1
-    else:
-        horizon = max(hi + 1, 1)
-
-    def member(c: int) -> bool:
-        if c >= horizon:
-            return hi == INF
-        return lo <= c and (hi == INF or c <= hi)
-
-    return horizon, member
 
 
 class _Checker:
@@ -614,27 +572,27 @@ class _Checker:
         self.memo[phi] = out
         return out
 
-    def _horizon(self, iv: TimeInterval) -> int:
-        h, _ = _interval_classes(iv)
+    def _classes(self, iv: TimeInterval):
+        """(H, accepting classes): elapsed-time classes are 0..H with H
+        standing for every time >= H, and the classes inside the interval
+        form one contiguous range."""
+        h = iv.horizon
         if h > self.max_horizon:
             raise HorizonError(
                 f"formula horizon {h} exceeds the product limit {self.max_horizon}"
             )
-        return h
+        return h, range(iv.int_low(), min(iv.int_high(), h) + 1)
 
     def _eu(self, satphi, iv, satpsi) -> frozenset:
-        H = self._horizon(iv)
-        _, member = _interval_classes(iv)
+        H, accept = self._classes(iv)
         width = H + 1
         marked = bytearray(self.n * width)
         queue = deque()
-        accept_classes = [c for c in range(width) if member(c)]
         for v in satpsi:
             base = v * width
-            for c in accept_classes:
-                if not marked[base + c]:
-                    marked[base + c] = 1
-                    queue.append((v, c))
+            for c in accept:
+                marked[base + c] = 1
+                queue.append((v, c))
         while queue:
             v, c = queue.popleft()
             for u in self.fire_preds[v]:
@@ -654,23 +612,18 @@ class _Checker:
         return frozenset(v for v in range(self.n) if marked[v * width])
 
     def _au(self, satphi, iv, satpsi) -> frozenset:
-        H = self._horizon(iv)
-        _, member = _interval_classes(iv)
+        H, accept = self._classes(iv)
         width = H + 1
         marked = bytearray(self.n * width)
-        counts = [0] * (self.n * width)
-        for v in range(self.n):
-            deg = len(self.g.succ[v])
-            base = v * width
-            for c in range(width):
-                counts[base + c] = deg
+        counts = []  # unresolved successors per (node, class)
+        for outs in self.g.succ:
+            counts += [len(outs)] * width
         queue = deque()
         for v in satpsi:
             base = v * width
-            for c in range(width):
-                if member(c) and not marked[base + c]:
-                    marked[base + c] = 1
-                    queue.append((v, c))
+            for c in accept:
+                marked[base + c] = 1
+                queue.append((v, c))
         while queue:
             v, c = queue.popleft()
             preds = [(u, c) for u in self.fire_preds[v]]
@@ -695,15 +648,13 @@ class _Checker:
         good = self.sat(phi)
         if self.g.initial not in good:
             return None
-        H = self._horizon(phi.interval)
-        _, member = _interval_classes(phi.interval)
-        width = H + 1
+        H, accept = self._classes(phi.interval)
         start = (self.g.initial, 0)
         parent = {start: None}
         queue = deque([start])
         while queue:
             v, c = queue.popleft()
-            if v in satpsi and member(c):
+            if v in satpsi and c in accept:
                 labels = []
                 cur = (v, c)
                 while parent[cur] is not None:
@@ -737,9 +688,7 @@ def check(
     """
     if not g.complete:
         raise IncompleteGraphError("refusing to check an incomplete graph")
-    unknown = formula_places(phi) - set(n.places)
-    if unknown:
-        raise InputError(f"formula references unknown places {sorted(unknown)}")
+    check_formula_places(phi, n)
     core = desugar(phi, leadsto)
     checker = _Checker(g, max_horizon)
     holds = g.initial in checker.sat(core)

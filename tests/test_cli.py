@@ -127,6 +127,18 @@ class TestSynthCli:
         )
         assert out.splitlines() == ["td", "1", "2", "3"]
 
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_unknown_formula_place_exit_two(self, tmp_path, capsys, fmt):
+        path = tmp_path / "p.tpnet"
+        path.write_text(PARAM_NET)
+        code, out, err = run(
+            capsys, "synth", str(path), "--formula-text", "EF[0,inf] M(NOPE)=1",
+            "--box", "td=1..2", "--jobs", "1", "--format", fmt,
+        )
+        assert code == 2
+        assert out == ""
+        assert "NOPE" in err
+
 
 class TestCompose:
     def test_compose_writes_transformed_net(self, net_file, tmp_path, capsys):

@@ -21,7 +21,7 @@ from tpnsynth import (
     newly_enabled_set,
     validate_net,
 )
-from tpnsynth.petri import Net, ParamExpr, fire_marking
+from tpnsynth.petri import INF, Net, ParamExpr, fire_marking
 
 from _gen import random_concrete_net
 
@@ -274,6 +274,25 @@ def test_interval_contains_agrees_with_enumeration(lo, extra, closed_right):
     for x in range(0, hi + 2):
         expected = lo <= x <= (hi if closed_right else hi - 1)
         assert iv.contains(x) == expected
+
+
+@st.composite
+def time_intervals(draw):
+    low = draw(st.integers(0, 20))
+    high = draw(st.one_of(st.just(INF), st.integers(low, low + 20)))
+    return TimeInterval(low, high, draw(st.booleans()), draw(st.booleans()))
+
+
+@given(time_intervals())
+@settings(max_examples=200)
+def test_interval_horizon_saturates_membership(iv):
+    h = iv.horizon
+    assert h >= 1
+    for c in [*range(h, h + 10), 10**9]:
+        assert iv.contains(c) == iv.unbounded
+    # below the horizon the contained classes form the range the checker seeds
+    inside = [c for c in range(h + 1) if iv.contains(c)]
+    assert inside == list(range(iv.int_low(), min(iv.int_high(), h) + 1))
 
 
 def test_param_expr_requires_exactly_one_payload():

@@ -175,12 +175,6 @@ class TestStatesSatisfying:
         assert states_satisfying(g, parse_gmec("M(p1) + M(p2) = 1")) == set(range(len(g)))
 
 
-def test_horizon_cap_truncates_delays(net_a):
-    g = build(net_a, ExploreLimits(max_horizon=1))
-    assert not g.complete
-    assert len(g) < 5
-
-
 def test_partial_graph_on_k_bound_is_usable():
     net = instantiate(
         make_net([("p1", 0)], {"t": {"post": {"p1": 1}, "interval": (1, 1)}}), {}

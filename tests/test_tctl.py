@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -15,6 +16,7 @@ from tpnsynth import (
     InputError,
     LeadsTo,
     Not,
+    OracleError,
     Prop,
     TimeInterval,
     brute_force_check,
@@ -77,6 +79,10 @@ class TestEvalGmec:
             g = random_gmec(rng, places)
             m = {p: rng.randint(0, 3) for p in places}
             assert eval_gmec(m, g) == slow_eval(m, g)
+
+    def test_missing_place_raises(self):
+        with pytest.raises(InputError):
+            eval_gmec({"p1": 1}, parse_gmec("M(p1) + M(p2) >= 1"))
 
 
 class TestParseGmec:
@@ -308,6 +314,30 @@ class TestDifferentialOracle:
                 assert check(net, g, phi).holds == expected
                 pairs += 1
         assert pairs >= 150
+
+
+class TestOracleWalk:
+    def test_until_deeper_than_the_recursion_limit(self):
+        # one token under a [0,1200] window: the path that keeps delaying is
+        # 1200 positions deep, past the interpreter's default recursion limit
+        net = instantiate(
+            make_net([("p", 1)], {"t": {"pre": {"p": 1}, "interval": (0, 1200)}}), {}
+        )
+        g = build(net)
+        limit = sys.getrecursionlimit()
+        assert limit < 1200
+        for text in ("AF[0,1200](M(p)=0)", "E (M(p)=1) U[1200,1200] (M(p)=1)"):
+            phi = parse_formula(text)
+            assert check(net, g, phi).holds
+            assert brute_force_check(net, phi, horizon=1201)
+        assert sys.getrecursionlimit() == limit
+
+    def test_horizon_guard_follows_open_endpoint(self, net_a):
+        # [0,5) contains at most 4, so its saturation class is 5
+        phi = parse_formula("EF[0,5)(M(p2)>=1)")
+        assert brute_force_check(net_a, phi, horizon=5)
+        with pytest.raises(OracleError):
+            brute_force_check(net_a, phi, horizon=4)
 
 
 class TestLeadsToModes:
