@@ -237,17 +237,21 @@ def cmd_synth(ns, argv, started):
         for v in result.satisfying:
             writer.writerow([v[p] for p in params])
         print(buf.getvalue(), end="")
-        return EXIT_OK
-    payload = result.to_jsonable()
-    report = _report(argv, inputs, payload, started)
-    lines = [
-        f"explored {result.explored} valuations, {len(result.satisfying)} satisfying",
-        f"summary: {result.summary} (box-exact: {result.box_exact})",
-    ]
-    if result.failures:
-        lines.append(f"failures: {len(result.failures)} (first: {result.failures[0]})")
-    _emit(report, ns.format, lines)
-    return EXIT_OK
+        for v, err in result.failures:
+            where = ",".join(f"{p}={v[p]}" for p in params)
+            print(f"failure: {where}: {err}", file=sys.stderr)
+    else:
+        payload = result.to_jsonable()
+        report = _report(argv, inputs, payload, started)
+        lines = [
+            f"explored {result.explored} valuations, {len(result.satisfying)} satisfying",
+            f"summary: {result.summary} (box-exact: {result.box_exact})",
+        ]
+        if result.failures:
+            lines.append(f"failures: {len(result.failures)} (first: {result.failures[0]})")
+        _emit(report, ns.format, lines)
+    # a valuation cut short by a resource cap leaves the set incomplete
+    return EXIT_LIMIT if result.failures else EXIT_OK
 
 
 def cmd_compose(ns, argv, started):

@@ -1,12 +1,22 @@
 """Token-count constraints (GMEC), timed CTL formulas, their text parsers,
 and the model checker over a reachability graph.
 
-Checking works per temporal operator on a product of graph nodes with an
-elapsed-time counter: unit-delay edges increment the counter, firing edges
-preserve it, and all values at or beyond the interval's saturation class
-H (``TimeInterval.horizon``) collapse into one class. Membership in the
+Checking works per temporal operator over the graph, whose fire edges take
+no time and whose delay edges take one unit. An until whose interval starts
+at a closed 0 (``[0,b]``, ``[0,b)``, ``[0,inf)``) is decided by one backward
+labelling pass in O(V+E), whatever b is: EU by earliest arrival (a 0-1 BFS
+from the psi-nodes through phi-nodes) and AU by latest arrival (a node
+resolves once all its successors have, and a node that never resolves --
+on or leading to a psi-avoiding cycle, a dead end, or outside phi -- counts
+as infinite). A node holds when its arrival time is at most b.
+
+Any other interval falls back to a product of graph nodes with an
+elapsed-time counter: delay edges increment the counter, fire edges
+preserve it, and all values at or beyond the interval's saturation class H
+(``TimeInterval.horizon``) collapse into one class. Membership in the
 interval is the same for every time >= H, so this is exact for the integer
-semantics, and the accepting classes are one contiguous range.
+semantics, and the accepting classes are one contiguous range. Only this
+product is bounded by ``max_horizon``.
 
 Until is position-based: ``E phi U_I psi`` holds when some path reaches a
 psi-state at an accumulated time inside I with phi true at every strictly
@@ -41,6 +51,10 @@ class Atom:
     coeffs: tuple  # tuple[(place, int), ...]
     rel: str
     bound: int
+
+    def __post_init__(self):
+        if self.rel not in RELATIONS:
+            raise InputError(f"unknown relation {self.rel!r} in token-count constraint")
 
 
 @dataclass(frozen=True)
@@ -563,14 +577,72 @@ class _Checker:
             out = frozenset(range(self.n)) - self.sat(phi.sub)
         elif isinstance(phi, Implies):
             out = (frozenset(range(self.n)) - self.sat(phi.left)) | self.sat(phi.right)
-        elif isinstance(phi, EU):
-            out = self._eu(self.sat(phi.left), phi.interval, self.sat(phi.right))
-        elif isinstance(phi, AU):
-            out = self._au(self.sat(phi.left), phi.interval, self.sat(phi.right))
+        elif isinstance(phi, (EU, AU)):
+            exists = isinstance(phi, EU)
+            out = self.until(exists, self.sat(phi.left), phi.interval, self.sat(phi.right))
         else:
             raise InputError(f"not in core form: {phi!r}")
         self.memo[phi] = out
         return out
+
+    def until(self, exists: bool, satphi, iv: TimeInterval, satpsi) -> frozenset:
+        """Nodes satisfying E (exists) or A phi U_iv psi: labelling when the
+        interval starts at a closed 0, the time product otherwise."""
+        if iv.int_low() == 0:
+            arrival = (self._earliest if exists else self._latest)(satphi, satpsi)
+            b = iv.int_high()
+            return frozenset(v for v, t in enumerate(arrival) if t is not None and t <= b)
+        return (self._eu if exists else self._au)(satphi, iv, satpsi)
+
+    def _earliest(self, satphi, satpsi) -> list:
+        """Least elapsed time from each node to a psi-node along a path whose
+        earlier positions satisfy phi (None when there is none): a backward
+        0-1 BFS with fire edges weighing 0 and delay edges 1."""
+        dist = [None] * self.n
+        queue = deque()
+        for v in satpsi:
+            dist[v] = 0
+            queue.append((0, v))
+        while queue:
+            d, v = queue.popleft()
+            if d > dist[v]:
+                continue
+            for preds, w, push in (
+                (self.fire_preds[v], 0, queue.appendleft),
+                (self.delay_preds[v], 1, queue.append),
+            ):
+                for u in preds:
+                    if u in satphi and (dist[u] is None or d + w < dist[u]):
+                        dist[u] = d + w
+                        push((d + w, u))
+        return dist
+
+    def _latest(self, satphi, satpsi) -> list:
+        """Greatest elapsed time before every path from a node reaches a
+        psi-node, with phi at each earlier position (None when some path
+        never does): a non-psi phi-node with successors resolves once all
+        its out-edges lead to resolved nodes."""
+        latest = [None] * self.n
+        counts = [len(outs) for outs in self.g.succ]  # unresolved out-edges
+        worst = [0] * self.n
+        queue = deque()
+        for v in satpsi:
+            latest[v] = 0
+            queue.append(v)
+        while queue:
+            v = queue.popleft()
+            for preds, w in ((self.fire_preds[v], 0), (self.delay_preds[v], 1)):
+                t = latest[v] + w
+                for u in preds:
+                    if latest[u] is not None:
+                        continue
+                    counts[u] -= 1
+                    if t > worst[u]:
+                        worst[u] = t
+                    if counts[u] == 0 and u in satphi:
+                        latest[u] = worst[u]
+                        queue.append(u)
+        return latest
 
     def _classes(self, iv: TimeInterval):
         """(H, accepting classes): elapsed-time classes are 0..H with H
@@ -648,13 +720,14 @@ class _Checker:
         good = self.sat(phi)
         if self.g.initial not in good:
             return None
-        H, accept = self._classes(phi.interval)
+        iv = phi.interval
+        H = iv.horizon
         start = (self.g.initial, 0)
         parent = {start: None}
         queue = deque([start])
         while queue:
             v, c = queue.popleft()
-            if v in satpsi and c in accept:
+            if v in satpsi and iv.contains(c):
                 labels = []
                 cur = (v, c)
                 while parent[cur] is not None:

@@ -3,6 +3,8 @@
 import random
 
 from tpnsynth import INF, TimeInterval, instantiate, make_net
+from tpnsynth.semantics import Delay, Fire
+from tpnsynth.statespace import ReachGraph
 from tpnsynth.tctl import (
     AF,
     AG,
@@ -65,6 +67,27 @@ def random_walk_states(rng: random.Random, net, steps=25):
         _, s = rng.choice(succ)
         out.append(s)
     return out
+
+
+def step_graph(succ) -> ReachGraph:
+    """A graph over placeholder states; ``succ`` lists (label, target) per
+    node. Unlike graphs of nets, these may have dead ends."""
+    return ReachGraph(None, [None] * len(succ), succ)
+
+
+def random_step_graph(rng: random.Random, max_nodes=10, max_out=3, p_delay=0.4):
+    """Random fire/delay graph with self-loops, parallel edges, zero-time
+    cycles and dead ends."""
+    n = rng.randint(1, max_nodes)
+    return step_graph(
+        [
+            [
+                (Delay() if rng.random() < p_delay else Fire("t"), rng.randrange(n))
+                for _ in range(rng.randint(0, max_out))
+            ]
+            for _ in range(n)
+        ]
+    )
 
 
 def random_gmec(rng: random.Random, places, depth=2):

@@ -127,6 +127,29 @@ class TestSynthCli:
         )
         assert out.splitlines() == ["td", "1", "2", "3"]
 
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_failed_valuations_exit_three(self, tmp_path, capsys, fmt):
+        # td=1 explores 3 states and holds; td=2 needs 4 and hits the cap
+        path = tmp_path / "p.tpnet"
+        path.write_text(PARAM_NET)
+        code, out, err = run(
+            capsys, "synth", str(path), "--formula-text", "EF[0,inf](M(p2)>=1)",
+            "--box", "td=1..2", "--jobs", "1", "--max-states", "3", "--format", fmt,
+        )
+        assert code == 3
+        if fmt == "json":
+            result = json.loads(out)["result"]
+            assert result["satisfying"] == [{"td": 1}]
+            assert [f["valuation"] for f in result["failures"]] == [{"td": 2}]
+        elif fmt == "csv":
+            assert out.splitlines() == ["td", "1"]
+            assert err.splitlines() == [
+                "failure: td=2: IncompleteGraphError: refusing to check an incomplete graph"
+            ]
+        else:
+            assert "1 satisfying" in out
+            assert "failures: 1" in out
+
     @pytest.mark.parametrize("fmt", ["text", "csv"])
     def test_unknown_formula_place_exit_two(self, tmp_path, capsys, fmt):
         path = tmp_path / "p.tpnet"

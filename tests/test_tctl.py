@@ -31,10 +31,11 @@ from tpnsynth import (
     replay,
 )
 from tpnsynth.petri import INF
+from tpnsynth.semantics import Delay, Fire
 from tpnsynth.statespace import ExploreLimits
-from tpnsynth.tctl import TRUE_GMEC, Implies, desugar
+from tpnsynth.tctl import TRUE_GMEC, Implies, _Checker, desugar
 
-from _gen import random_concrete_net, random_formula
+from _gen import random_concrete_net, random_formula, random_step_graph, step_graph
 
 
 class TestEvalGmec:
@@ -83,6 +84,10 @@ class TestEvalGmec:
     def test_missing_place_raises(self):
         with pytest.raises(InputError):
             eval_gmec({"p1": 1}, parse_gmec("M(p1) + M(p2) >= 1"))
+
+    def test_unknown_relation_rejected(self):
+        with pytest.raises(InputError, match="!="):
+            Atom((("p1", 1),), "!=", 1)
 
 
 class TestParseGmec:
@@ -340,6 +345,83 @@ class TestOracleWalk:
             brute_force_check(net_a, phi, horizon=4)
 
 
+F, D = Fire("t"), Delay()
+ZERO_TO = [TimeInterval(0, 0), TimeInterval(0, 3), TimeInterval(0, 3, True, False), TimeInterval(0, INF)]
+
+
+def _until_all(ch, exists, phi, psi):
+    """The labelled result for every interval in ZERO_TO."""
+    return [ch.until(exists, phi, iv, psi) for iv in ZERO_TO]
+
+
+class TestLabelledUntil:
+    def test_agrees_with_product_on_random_graphs(self):
+        rng = random.Random(71)
+        cases = 0
+        for _ in range(250):
+            g = random_step_graph(rng)
+            ch = _Checker(g, 10_000)
+            nodes = range(len(g))
+            for _ in range(4):
+                phi = frozenset(v for v in nodes if rng.random() < 0.7)
+                psi = frozenset(v for v in nodes if rng.random() < 0.25)
+                b = rng.randint(0, 6)
+                for iv in (
+                    TimeInterval(0, b),
+                    TimeInterval(0, b, True, False),
+                    TimeInterval(0, 0),
+                    TimeInterval(0, INF),
+                ):
+                    assert ch.until(True, phi, iv, psi) == ch._eu(phi, iv, psi)
+                    assert ch.until(False, phi, iv, psi) == ch._au(phi, iv, psi)
+                    cases += 2
+        assert cases == 8000
+
+    def test_agrees_with_product_on_net_graphs(self):
+        rng = random.Random(73)
+        for net, g in _graphs_for(rng, 15, max_places=3, max_transitions=3, max_bound=4):
+            ch = _Checker(g, 10_000)
+            for _ in range(6):
+                phi = frozenset(v for v in range(len(g)) if rng.random() < 0.8)
+                psi = frozenset(v for v in range(len(g)) if rng.random() < 0.15)
+                iv = TimeInterval(0, rng.randint(0, 8)) if rng.random() < 0.7 else TimeInterval(0, INF)
+                assert ch.until(True, phi, iv, psi) == ch._eu(phi, iv, psi)
+                assert ch.until(False, phi, iv, psi) == ch._au(phi, iv, psi)
+
+    def test_au_fails_on_zero_time_cycle_avoiding_psi(self):
+        # 0 and 1 fire back and forth forever; only a delay from 0 reaches 2
+        ch = _Checker(step_graph([[(F, 1), (D, 2)], [(F, 0)], [(D, 2)]]), 10_000)
+        phi, psi = frozenset({0, 1}), frozenset({2})
+        assert ch._latest(phi, psi) == [None, None, 0]
+        assert _until_all(ch, False, phi, psi) == [frozenset({2})] * 4
+        assert _until_all(ch, True, phi, psi) == [frozenset({2})] + [frozenset({0, 1, 2})] * 3
+
+    def test_au_fails_on_delay_cycle_avoiding_psi(self):
+        ch = _Checker(step_graph([[(D, 1), (F, 2)], [(D, 0)], [(D, 2)]]), 10_000)
+        phi, psi = frozenset({0, 1}), frozenset({2})
+        assert ch._latest(phi, psi) == [None, None, 0]
+        assert _until_all(ch, False, phi, psi) == [frozenset({2})] * 4
+
+    def test_au_fails_at_dead_end(self):
+        # 1 has no successors; 0 may delay into it or fire into psi-node 2
+        ch = _Checker(step_graph([[(D, 1), (F, 2)], [], [(D, 2)]]), 10_000)
+        phi, psi = frozenset({0, 1}), frozenset({2})
+        assert ch._latest(phi, psi) == [None, None, 0]
+        assert _until_all(ch, False, phi, psi) == [frozenset({2})] * 4
+        assert ch._au(phi, TimeInterval(0, INF), psi) == frozenset({2})
+
+    def test_eu_crosses_fire_edges_after_a_delay(self):
+        # from 3, one delay reaches psi-node 4 in one hop, three fires reach
+        # it at time 0; 0 delays into 3 first, so its earliest arrival is 1
+        succ = [[(D, 3)], [(F, 4)], [(F, 1)], [(F, 2), (D, 4)], [(D, 4)]]
+        ch = _Checker(step_graph(succ), 10_000)
+        phi, psi = frozenset(range(4)), frozenset({4})
+        assert ch._earliest(phi, psi) == [1, 0, 0, 0, 0]
+        assert ch.until(True, phi, TimeInterval(0, 0), psi) == frozenset({1, 2, 3, 4})
+        assert ch.until(True, phi, TimeInterval(0, 1), psi) == frozenset(range(5))
+        assert ch._eu(phi, TimeInterval(0, 0), psi) == frozenset({1, 2, 3, 4})
+
+
 class TestLeadsToModes:
     def test_paper_reading_differs_from_default(self, net_a):
         # antecedent holds initially, consequent is unreachable: the
@@ -359,11 +441,18 @@ class TestLeadsToModes:
 
 class TestHorizonGuards:
     def test_product_horizon_overflow(self, net_a):
+        # only an interval with a positive lower bound reaches the product
         from tpnsynth import HorizonError
 
         g = build(net_a)
         with pytest.raises(HorizonError):
-            check(net_a, g, parse_formula("EF[0,50000](M(p2)>=1)"), max_horizon=1000)
+            check(net_a, g, parse_formula("EF[1,50000](M(p2)>=1)"), max_horizon=1000)
+
+    def test_labelled_until_ignores_horizon_limit(self, net_a):
+        g = build(net_a)
+        v = check(net_a, g, parse_formula("EF[0,50000](M(p2)>=1)"), max_horizon=1000)
+        assert v.holds
+        assert replay(net_a, v.witness)[-1].marking == (0, 1)
 
     def test_states_satisfying_rejects_unknown_place(self, net_a):
         from tpnsynth import states_satisfying
