@@ -30,8 +30,8 @@ _SECTIONS = ("pre", "post", "read", "inhibit", "interval")
 
 def parse_net(text: str) -> Net:
     name = None
-    places, params, constraints = [], [], []
-    transitions = {}
+    places, params, constraints, domain_lines = [], [], [], []
+    transitions, trans_lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -47,7 +47,7 @@ def parse_net(text: str) -> Net:
                 raise NetSyntaxError("place needs a name", lineno)
             tokens = 0
             if len(rest) == 2:
-                if not rest[1].isdigit():
+                if not rest[1].isdecimal():
                     raise NetSyntaxError("initial tokens must be a natural number", lineno)
                 tokens = int(rest[1])
             elif len(rest) > 2:
@@ -63,6 +63,7 @@ def parse_net(text: str) -> Net:
             params.append(rest[0])
         elif head == "domain":
             constraints.append(_parse_constraint(" ".join(rest), lineno))
+            domain_lines.append(lineno)
         elif head == "trans":
             if not rest or not _NAME.match(rest[0]):
                 raise NetSyntaxError("trans needs a name", lineno)
@@ -70,12 +71,16 @@ def parse_net(text: str) -> Net:
             if tname in transitions:
                 raise NetSyntaxError(f"duplicate transition {tname!r}", lineno)
             transitions[tname] = _parse_transition(rest[1:], lineno)
+            trans_lines[tname] = lineno
         else:
             raise NetSyntaxError(f"unknown directive {head!r}", lineno)
     if not places:
         raise NetSyntaxError("a net needs at least one place", 1)
     if not transitions:
         raise NetSyntaxError("a net needs at least one transition", 1)
+    _check_references(
+        {p for p, _ in places}, set(params), transitions, trans_lines, zip(constraints, domain_lines)
+    )
     try:
         net = make_net(places, transitions, parameters=params, constraints=constraints)
     except InputError as exc:
@@ -86,6 +91,28 @@ def parse_net(text: str) -> Net:
 def parse_net_file(path) -> Net:
     with open(path) as fh:
         return parse_net(fh.read())
+
+
+def _check_references(places, params, transitions, lines, domain):
+    """Reject, at its line, a transition or domain constraint that names
+    an undeclared place or parameter, or a literal interval low > high."""
+    for t, spec in transitions.items():
+        if t in places:
+            raise NetSyntaxError(f"transition {t!r} has the name of a place", lines[t])
+        for section in _SECTIONS[:-1]:
+            for p in spec[section]:
+                if p not in places:
+                    raise NetSyntaxError(f"{section} arc references unknown place {p!r}", lines[t])
+        lo, hi = spec["interval"]
+        for b in (lo, hi):
+            if isinstance(b, str) and b not in params:
+                raise NetSyntaxError(f"unknown parameter {b!r} in interval", lines[t])
+        if isinstance(lo, int) and isinstance(hi, int) and lo > hi:
+            raise NetSyntaxError("interval low exceeds high", lines[t])
+    for c, lineno in domain:
+        unknown = c.params() - params
+        if unknown:
+            raise NetSyntaxError(f"unknown parameters {sorted(unknown)} in domain", lineno)
 
 
 def _parse_transition(words, lineno):

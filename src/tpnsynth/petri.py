@@ -186,13 +186,22 @@ class LinearConstraint:
         items = tuple((p, Fraction(c)) for p, c in coeffs.items())
         return cls(items, rel, Fraction(bound))
 
+    @cached_property
+    def _scaled(self):
+        """Coefficients and bound times the LCM of their denominators, so
+        that integer valuations are compared exactly in integers."""
+        scale = math.lcm(self.bound.denominator, *(c.denominator for _, c in self.coeffs))
+        coeffs = tuple((p, int(c * scale)) for p, c in self.coeffs)
+        return coeffs, int(self.bound * scale), RELATIONS[self.rel]
+
     def evaluate(self, v: Valuation) -> bool:
-        total = Fraction(0)
-        for p, c in self.coeffs:
+        coeffs, bound, rel = self._scaled
+        total = 0
+        for p, c in coeffs:
             if p not in v:
                 raise InputError(f"valuation missing parameter {p!r}")
             total += c * v[p]
-        return RELATIONS[self.rel](total, self.bound)
+        return rel(total, bound)
 
     def params(self) -> set:
         return {p for p, _ in self.coeffs}
@@ -242,6 +251,10 @@ class Net:
     def transition_index(self):
         return {t: i for i, t in enumerate(self.transitions)}
 
+    @cached_property
+    def steps(self) -> "StepTable":
+        return StepTable(self)
+
     def marking(self, tokens: Mapping[str, int]) -> Marking:
         """Dense marking tuple from a sparse place->count mapping."""
         for p in tokens:
@@ -257,6 +270,56 @@ class Net:
 class ConcreteNet(Net):
     """A net whose intervals are concrete TimeIntervals; parameters and
     domain are empty."""
+
+
+class StepTable:
+    """Sparse per-transition arcs of a net, computed once per net
+    (``Net.steps``) and shared by every enabledness test and firing.
+
+    ``np`` and ``nt`` count the places and transitions. Per transition t,
+    indexed by position in ``net.transitions``:
+
+    * ``need[t]``: (place, max(pre, read)) pairs with a positive weight;
+    * ``inhibit[t]``: (place, threshold) pairs of its inhibitor arcs;
+    * ``delta[t]``: (place, post - pre) pairs where the change is nonzero;
+    * ``affected[t]``: sorted indices of t itself and of every transition
+      whose guard reads a place in ``delta[t]``; firing t can change the
+      enabledness of no other transition;
+    * ``low[t]``/``high[t]``: the static interval bounds of a concrete net,
+      -1 standing for an infinite high (both None for a parametric net).
+    """
+
+    def __init__(self, n: Net):
+        self.np, self.nt = len(n.places), len(n.transitions)
+        places = range(self.np)
+        self.need = tuple(
+            tuple((p, max(pre[p], read[p])) for p in places if pre[p] or read[p])
+            for pre, read in zip(n.pre, n.read)
+        )
+        self.inhibit = tuple(tuple((p, w[p]) for p in places if w[p]) for w in n.inhibit)
+        self.delta = tuple(
+            tuple((p, post[p] - pre[p]) for p in places if post[p] != pre[p])
+            for pre, post in zip(n.pre, n.post)
+        )
+        reads = [{p for p, _ in need + inh} for need, inh in zip(self.need, self.inhibit)]
+        self.affected = tuple(
+            tuple(u for u, r in enumerate(reads) if u == t or any(p in r for p, _ in delta))
+            for t, delta in enumerate(self.delta)
+        )
+        if all(isinstance(iv, TimeInterval) for iv in n.intervals):
+            self.low = tuple(iv.low for iv in n.intervals)
+            self.high = tuple(-1 if iv.unbounded else iv.high for iv in n.intervals)
+        else:
+            self.low = self.high = None
+
+    def enabled(self, m, t: int) -> bool:
+        for p, w in self.need[t]:
+            if m[p] < w:
+                return False
+        for p, w in self.inhibit[t]:
+            if m[p] >= w:
+                return False
+        return True
 
 
 def _dense(weights: Optional[Mapping[str, int]], places, what: str, trans: str):
@@ -327,6 +390,24 @@ def domain_contains(d: ParamDomain, v: Valuation) -> bool:
     return d.contains(v)
 
 
+def implicit_domain(n: Net) -> ParamDomain:
+    """The net's domain plus low <= high for every parametric interval: a
+    valuation outside it has no instance (``instantiate`` raises
+    IllFormedIntervalError), just as one outside the declared domain."""
+    extra = []
+    for iv in n.intervals:
+        if not isinstance(iv, ParamInterval) or iv.high is None:
+            continue
+        coeffs = {}
+        for e, sign in ((iv.high, 1), (iv.low, -1)):
+            if e.param is not None:
+                coeffs[e.param] = coeffs.get(e.param, 0) + sign
+        if any(coeffs.values()):
+            bound = (iv.low.value or 0) - (iv.high.value or 0)
+            extra.append(LinearConstraint.make(coeffs, ">=", bound))
+    return ParamDomain(n.domain.constraints + tuple(extra))
+
+
 def instantiate(n: Net, v: Valuation) -> ConcreteNet:
     """Evaluate every parametric interval at ``v``; structure is unchanged."""
     for p in n.parameters:
@@ -348,28 +429,20 @@ def instantiate(n: Net, v: Valuation) -> ConcreteNet:
     )
 
 
-def _enabled_idx(n: Net, m: Marking, ti: int) -> bool:
-    pre, read, inh = n.pre[ti], n.read[ti], n.inhibit[ti]
-    for i in range(len(m)):
-        if m[i] < pre[i] or m[i] < read[i]:
-            return False
-        w = inh[i]
-        if w and m[i] >= w:
-            return False
-    return True
-
-
 def enabled_set(n: Net, m: Marking) -> set:
     """Transitions enabled at m: m >= pre, m >= read, and every inhibitor
     place strictly below its threshold."""
     if len(m) != len(n.places):
         raise InputError("marking length does not match place count")
-    return {t for i, t in enumerate(n.transitions) if _enabled_idx(n, m, i)}
+    enabled = n.steps.enabled
+    return {t for i, t in enumerate(n.transitions) if enabled(m, i)}
 
 
 def fire_marking(n: Net, m: Marking, ti: int) -> Marking:
-    pre, post = n.pre[ti], n.post[ti]
-    return tuple(m[i] - pre[i] + post[i] for i in range(len(m)))
+    m2 = list(m)
+    for p, d in n.steps.delta[ti]:
+        m2[p] += d
+    return tuple(m2)
 
 
 def newly_enabled_set(n: Net, m: Marking, fired: str) -> set:
@@ -378,15 +451,16 @@ def newly_enabled_set(n: Net, m: Marking, fired: str) -> set:
     transition or not enabled at m."""
     if fired not in n.transition_index:
         raise InputError(f"unknown transition {fired!r}")
+    tab = n.steps
     fi = n.transition_index[fired]
-    if not _enabled_idx(n, m, fi):
+    if not tab.enabled(m, fi):
         raise PreconditionError(f"transition {fired!r} is not enabled at {m}")
     m2 = fire_marking(n, m, fi)
-    out = set()
-    for i, t in enumerate(n.transitions):
-        if _enabled_idx(n, m2, i) and (i == fi or not _enabled_idx(n, m, i)):
-            out.add(t)
-    return out
+    return {
+        n.transitions[u]
+        for u in tab.affected[fi]
+        if tab.enabled(m2, u) and (u == fi or not tab.enabled(m, u))
+    }
 
 
 def validate_net(n: Net) -> list:

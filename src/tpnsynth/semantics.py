@@ -5,6 +5,18 @@ interval (remaining low, remaining high) to every enabled transition.
 Successor generation emits unit delays only; a delay of d is the d-fold
 composition of unit steps, which reaches exactly the same states because
 elapse is additive.
+
+All stepping runs on packed keys over the net's step table
+(``petri.StepTable``, cached as ``net.steps``). A key is one flat int tuple:
+the marking, then each transition's remaining low bound, then each
+remaining high bound, with -1 for a disabled transition's slots and for an
+unbounded high. ``successor_keys`` is the one successor function: firing t
+applies its sparse marking delta and re-tests only the transitions whose
+guard reads a changed place, and a unit delay lowers every positive bound
+by one. The explorer (``statespace.build``) works on keys alone;
+``initial_state``, ``successors``, ``fire`` and ``elapse`` pack their State
+argument, step, and turn the resulting keys back into States with
+``materialise``, which shares one TimeInterval per distinct (low, high).
 """
 
 from __future__ import annotations
@@ -13,7 +25,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import PreconditionError, TimeOverrunError
-from .petri import INF, ConcreteNet, Marking, TimeInterval, _enabled_idx, fire_marking
+from .petri import INF, ConcreteNet, Marking, StepTable, TimeInterval
 
 
 @dataclass(frozen=True)
@@ -55,11 +67,7 @@ StepLabel = Union[Delay, Fire]
 
 
 def initial_state(n: ConcreteNet) -> State:
-    m = n.initial
-    clocks = tuple(
-        n.intervals[i] if _enabled_idx(n, m, i) else None for i in range(len(n.transitions))
-    )
-    return State(m, clocks)
+    return materialise(n.steps, [initial_key(n)])[0]
 
 
 def max_elapse(n: ConcreteNet, s: State):
@@ -77,11 +85,8 @@ def elapse(n: ConcreteNet, s: State, d: int) -> State:
         raise PreconditionError(f"delay must be a positive integer, got {d!r}")
     if d > max_elapse(n, s):
         raise TimeOverrunError(f"delay {d} exceeds max elapse {max_elapse(n, s)}")
-    clocks = tuple(
-        None if c is None else TimeInterval(max(0, c.low - d), c.high - d if c.high != INF else INF)
-        for c in s.clocks
-    )
-    return State(s.marking, clocks)
+    tab = n.steps
+    return materialise(tab, [_delay_key(tab, _key(s), d)])[0]
 
 
 def fireable_set(n: ConcreteNet, s: State) -> set:
@@ -89,38 +94,25 @@ def fireable_set(n: ConcreteNet, s: State) -> set:
     return {n.transitions[i] for i, c in enumerate(s.clocks) if c is not None and c.low == 0}
 
 
-def _fireable_idx(s: State):
-    return [i for i, c in enumerate(s.clocks) if c is not None and c.low == 0]
-
-
-def _fire_idx(n: ConcreteNet, s: State, ti: int) -> State:
-    m, m2 = s.marking, fire_marking(n, s.marking, ti)
-    clocks = []
-    for i in range(len(n.transitions)):
-        if not _enabled_idx(n, m2, i):
-            clocks.append(None)
-        elif i == ti or not _enabled_idx(n, m, i):
-            clocks.append(n.intervals[i])  # newly enabled: reset to static
-        else:
-            clocks.append(s.clocks[i])  # persistent: keep elapsed progress
-    return State(m2, tuple(clocks))
-
-
 def fire(n: ConcreteNet, s: State, t: str) -> State:
     ti = n.transition_index[t]
     c = s.clocks[ti]
     if c is None or c.low != 0:
         raise PreconditionError(f"transition {t!r} is not fireable")
-    return _fire_idx(n, s, ti)
+    tab = n.steps
+    return materialise(tab, [dict(successor_keys(tab, _key(s)))[ti]])[0]
 
 
 def successors(n: ConcreteNet, s: State):
     """Fire successors in transition order, then a unit delay if time may
     elapse. Ordering is part of the contract (graph building relies on it)."""
-    out = [(Fire(n.transitions[i]), _fire_idx(n, s, i)) for i in _fireable_idx(s)]
-    if max_elapse(n, s) >= 1:
-        out.append((Delay(1), elapse(n, s, 1)))
-    return out
+    tab = n.steps
+    steps = successor_keys(tab, _key(s))
+    states = materialise(tab, [k for _, k in steps])
+    return [
+        (Fire(n.transitions[ti]) if ti < tab.nt else Delay(1), s2)
+        for (ti, _), s2 in zip(steps, states)
+    ]
 
 
 def apply_label(n: ConcreteNet, s: State, label: StepLabel) -> State:
@@ -138,3 +130,78 @@ def replay(n: ConcreteNet, labels) -> list:
         s = apply_label(n, s, lab)
         trace.append(s)
     return trace
+
+
+# ---------------------------------------------------------------------------
+# Packed states (layout in the module docstring). Keys reached from
+# ``initial_key`` keep the invariant that a transition has a clock iff the
+# marking enables it; ``successor_keys`` relies on it.
+
+
+def initial_key(n: ConcreteNet) -> tuple:
+    tab, m = n.steps, n.initial
+    on = [tab.enabled(m, t) for t in range(tab.nt)]
+    lows = tuple(lo if e else -1 for lo, e in zip(tab.low, on))
+    highs = tuple(hi if e else -1 for hi, e in zip(tab.high, on))
+    return tuple(m) + lows + highs
+
+
+def successor_keys(tab: StepTable, key: tuple) -> list:
+    """(transition index, key) per successor of a key: fires in transition
+    order, then the unit delay, indexed by the transition count.
+
+    Firing t applies its marking delta and re-tests only ``affected[t]``:
+    no other transition's guard reads a changed place, so its clock stays.
+    """
+    lo0, nt = tab.np, tab.nt
+    hi0 = lo0 + nt
+    enabled, low, high = tab.enabled, tab.low, tab.high
+    out = []
+    for t in range(nt):
+        if key[lo0 + t]:  # disabled (-1) or still waiting
+            continue
+        k = list(key)
+        for p, d in tab.delta[t]:
+            k[p] += d
+        for u in tab.affected[t]:
+            if not enabled(k, u):
+                k[lo0 + u] = k[hi0 + u] = -1
+            elif u == t or k[lo0 + u] < 0:  # newly enabled: reset to static
+                k[lo0 + u] = low[u]
+                k[hi0 + u] = high[u]
+        out.append((t, tuple(k)))
+    if 0 not in key[hi0:]:
+        out.append((nt, _delay_key(tab, key)))
+    return out
+
+
+def _delay_key(tab: StepTable, key: tuple, d: int = 1) -> tuple:
+    """d time units pass: every bound drops by d, lows stop at 0. No
+    enabled high may be below d; the -1 slots stay as they are."""
+    p = tab.np
+    return key[:p] + tuple([x - d if x >= d else (x if x < 0 else 0) for x in key[p:]])
+
+
+def _key(s: State) -> tuple:
+    clocks = s.clocks
+    return (
+        tuple(s.marking)
+        + tuple([-1 if c is None else c.low for c in clocks])
+        + tuple([-1 if c is None or c.unbounded else c.high for c in clocks])
+    )
+
+
+def materialise(tab: StepTable, keys) -> list:
+    """One State per key; clocks with equal bounds share one TimeInterval."""
+    lo0, hi0 = tab.np, tab.np + tab.nt
+    clock = _Clocks().__getitem__
+    return [State(key[:lo0], tuple(map(clock, zip(key[lo0:hi0], key[hi0:])))) for key in keys]
+
+
+class _Clocks(dict):
+    """(low, high) slot pair -> interned TimeInterval, None when disabled."""
+
+    def __missing__(self, pair):
+        lo, hi = pair
+        iv = self[pair] = None if lo < 0 else TimeInterval(lo, INF if hi < 0 else hi)
+        return iv

@@ -3,16 +3,21 @@
 Breadth-first exploration with deterministic node numbering: the successor
 ordering contract (fires in transition order, then the unit delay) plus BFS
 makes two builds of the same net produce identical graphs.
+
+The search runs on packed keys (see ``semantics``): the BFS queue, the
+visited index and every hash are plain int tuples, and edge labels are one
+``Fire`` per transition and one ``Delay(1)``. States are materialised once,
+after the search (or when a k-bound violation ends it) and after the index
+is dropped, so a graph's ``states`` are ordinary ``State`` objects.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import InputError, KBoundError
 from .petri import ConcreteNet, validate_net
-from .semantics import initial_state, successors
+from .semantics import Delay, Fire, initial_key, materialise, successor_keys
 
 
 @dataclass(frozen=True)
@@ -51,46 +56,50 @@ def build(n: ConcreteNet, lim: ExploreLimits = ExploreLimits()) -> ReachGraph:
     diags = validate_net(n)
     if diags:
         raise InputError("; ".join(diags))
-    s0 = initial_state(n)
-    if any(x > lim.k_bound for x in s0.marking):
+    tab, np, k_bound = n.steps, len(n.places), lim.k_bound
+    k0 = initial_key(n)
+    if max(k0[:np], default=0) > k_bound:
         raise KBoundError(
-            f"initial marking exceeds k-bound {lim.k_bound}",
+            f"initial marking exceeds k-bound {k_bound}",
             partial=ReachGraph(n, [], [], complete=False),
-            marking=s0.marking,
+            marking=k0[:np],
         )
-    index = {s0: 0}
-    states = [s0]
+    labels = [Fire(t) for t in n.transitions] + [Delay(1)]
+    index = {k0: 0}
+    keys = [k0]
     succ = [None]
-    graph = ReachGraph(n, states, succ)
-    queue = deque([0])
     complete = True
-    while queue:
-        i = queue.popleft()
+    i = 0
+    while i < len(keys):
         outs = []
-        for label, s2 in successors(n, states[i]):
-            j = index.get(s2)
+        for ti, k2 in successor_keys(tab, keys[i]):
+            j = index.get(k2)
             if j is None:
-                if any(x > lim.k_bound for x in s2.marking):
-                    graph.succ[i] = outs
-                    graph.succ = [out if out is not None else [] for out in graph.succ]
-                    graph.complete = False
+                if max(k2[:np], default=0) > k_bound:
+                    succ[i] = outs
+                    del index
                     raise KBoundError(
-                        f"marking {s2.marking} exceeds k-bound {lim.k_bound}",
-                        partial=graph,
-                        marking=s2.marking,
+                        f"marking {k2[:np]} exceeds k-bound {k_bound}",
+                        partial=ReachGraph(
+                            n,
+                            materialise(tab, keys),
+                            [out if out is not None else [] for out in succ],
+                            complete=False,
+                        ),
+                        marking=k2[:np],
                     )
-                if len(states) >= lim.max_states:
+                if len(keys) >= lim.max_states:
                     complete = False
                     continue
-                j = len(states)
-                index[s2] = j
-                states.append(s2)
+                j = len(keys)
+                index[k2] = j
+                keys.append(k2)
                 succ.append(None)
-                queue.append(j)
-            outs.append((label, j))
+            outs.append((labels[ti], j))
         succ[i] = outs
-    graph.complete = complete
-    return graph
+        i += 1
+    del index
+    return ReachGraph(n, materialise(tab, keys), succ, complete=complete)
 
 
 def states_satisfying(g: ReachGraph, phi) -> set:

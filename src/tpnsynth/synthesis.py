@@ -2,9 +2,10 @@
 instantiated net, and summarize the satisfying set.
 
 Enumeration is exhaustive over the integer points of the box that satisfy
-the net's domain constraints; the case-study boxes are small enough that
-this is exact and fast. Sweeps are embarrassingly parallel; results are
-merged in enumeration order so the output is independent of worker count.
+the net's domain constraints and give every interval low <= high; the
+case-study boxes are small enough that this is exact and fast. Sweeps are
+embarrassingly parallel; results are merged in enumeration order so the
+output is independent of worker count.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import InputError, KBoundError, TpnError
-from .petri import Net, ParamDomain, domain_contains, instantiate
+from .petri import Net, ParamDomain, domain_contains, implicit_domain, instantiate
 from .statespace import ExploreLimits, build
 from .tctl import Formula, check, check_formula_places
 
@@ -89,7 +90,7 @@ def _worker(args):
 
 
 def synthesize(p: SynthesisProblem, jobs: int = 1) -> SynthesisResult:
-    vals = list(enumerate_valuations(p.net.domain, p.box, order=p.net.parameters))
+    vals = list(enumerate_valuations(implicit_domain(p.net), p.box, order=p.net.parameters))
     satisfying, failures = [], []
     if jobs > 1 and len(vals) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

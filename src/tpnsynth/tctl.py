@@ -191,9 +191,9 @@ def lor(a: Formula, b: Formula) -> Formula:
     return Implies(Not(a), b)
 
 
-def _check_leadsto_interval(iv: TimeInterval):
+def _check_leadsto_interval(iv: TimeInterval, pos=None):
     if iv.low != 0 or not iv.left_closed:
-        raise FormulaSyntaxError("response interval must start at a closed 0")
+        raise FormulaSyntaxError("response interval must start at a closed 0", pos)
 
 
 def desugar(phi: Formula, leadsto: str = "ag") -> Formula:
@@ -204,7 +204,11 @@ def desugar(phi: Formula, leadsto: str = "ag") -> Formula:
     if isinstance(phi, Not):
         return Not(desugar(phi.sub, leadsto))
     if isinstance(phi, Implies):
-        return Implies(desugar(phi.left, leadsto), desugar(phi.right, leadsto))
+        left, right = desugar(phi.left, leadsto), desugar(phi.right, leadsto)
+        if isinstance(left, Prop) and isinstance(right, Prop):
+            # one constraint, as the parser reads `a => b` between constraints
+            return Prop(BoolOp("implies", left.gmec, right.gmec))
+        return Implies(left, right)
     if isinstance(phi, EU):
         return EU(desugar(phi.left, leadsto), phi.interval, desugar(phi.right, leadsto))
     if isinstance(phi, AU):
@@ -274,9 +278,9 @@ def _tokenize(text: str):
                 break
         if matched:
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             toks.append(("INT", int(text[i:j]), i))
             i = j
@@ -352,7 +356,7 @@ class _Parser:
         if t[0] == "-->":
             self.next()
             iv = self.interval()
-            _check_leadsto_interval(iv)
+            _check_leadsto_interval(iv, t[2])
             right = self.disjunction()
             if left[0] != "g" or right[0] != "g":
                 raise FormulaSyntaxError(

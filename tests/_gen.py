@@ -1,9 +1,10 @@
 """Random net and formula generators shared by the property tests."""
 
 import random
+from collections import deque
 
-from tpnsynth import INF, TimeInterval, instantiate, make_net
-from tpnsynth.semantics import Delay, Fire
+from tpnsynth import INF, ExploreLimits, KBoundError, TimeInterval, instantiate, make_net
+from tpnsynth.semantics import Delay, Fire, State
 from tpnsynth.statespace import ReachGraph
 from tpnsynth.tctl import (
     AF,
@@ -67,6 +68,75 @@ def random_walk_states(rng: random.Random, net, steps=25):
         _, s = rng.choice(succ)
         out.append(s)
     return out
+
+
+def reference_build(n, lim=ExploreLimits()) -> ReachGraph:
+    """The dense explorer kept as a reference: every enabledness test scans
+    every place, states are dataclasses throughout, and nothing is shared
+    with the library's step table."""
+
+    def enabled(m, ti):
+        return all(
+            m[i] >= n.pre[ti][i]
+            and m[i] >= n.read[ti][i]
+            and not (n.inhibit[ti][i] and m[i] >= n.inhibit[ti][i])
+            for i in range(len(m))
+        )
+
+    def fire(s, ti):
+        m = s.marking
+        m2 = tuple(m[i] - n.pre[ti][i] + n.post[ti][i] for i in range(len(m)))
+        clocks = tuple(
+            None if not enabled(m2, i)
+            else n.intervals[i] if i == ti or not enabled(m, i)
+            else s.clocks[i]
+            for i in range(len(n.transitions))
+        )
+        return State(m2, clocks)
+
+    def elapse1(s):
+        clocks = tuple(
+            None if c is None else TimeInterval(max(0, c.low - 1), c.high - 1 if c.high != INF else INF)
+            for c in s.clocks
+        )
+        return State(s.marking, clocks)
+
+    def successors(s):
+        out = [
+            (Fire(n.transitions[i]), fire(s, i))
+            for i, c in enumerate(s.clocks)
+            if c is not None and c.low == 0
+        ]
+        if all(c is None or c.high >= 1 for c in s.clocks):
+            out.append((Delay(1), elapse1(s)))
+        return out
+
+    s0 = State(n.initial, tuple(iv if enabled(n.initial, i) else None for i, iv in enumerate(n.intervals)))
+    if any(x > lim.k_bound for x in s0.marking):
+        raise KBoundError("initial", partial=ReachGraph(n, [], [], complete=False), marking=s0.marking)
+    index, states, succ, queue = {s0: 0}, [s0], [None], deque([0])
+    complete = True
+    while queue:
+        i = queue.popleft()
+        outs = []
+        for label, s2 in successors(states[i]):
+            j = index.get(s2)
+            if j is None:
+                if any(x > lim.k_bound for x in s2.marking):
+                    succ[i] = outs
+                    partial = ReachGraph(n, states, [o if o is not None else [] for o in succ], complete=False)
+                    raise KBoundError("k-bound", partial=partial, marking=s2.marking)
+                if len(states) >= lim.max_states:
+                    complete = False
+                    continue
+                j = len(states)
+                index[s2] = j
+                states.append(s2)
+                succ.append(None)
+                queue.append(j)
+            outs.append((label, j))
+        succ[i] = outs
+    return ReachGraph(n, states, succ, complete=complete)
 
 
 def step_graph(succ) -> ReachGraph:
@@ -136,3 +206,24 @@ def random_formula(rng: random.Random, places, depth=2, max_bound=6):
     hi = rng.randint(0, max_bound)
     resp = TimeInterval(0, INF) if rng.random() < 0.3 else TimeInterval(0, hi)
     return LeadsTo(random_gmec(rng, places, 1), resp, random_gmec(rng, places, 1))
+
+
+MUTATION_ALPHABET = "()[],*+-<>=&|!#:./ \n\t0123456789_EAUFGMinfpqt²é\x00"
+
+
+def mutate_text(rng: random.Random, text: str, edits=3) -> str:
+    """``text`` after 1..edits random single-character deletions,
+    insertions and swaps of neighbours."""
+    for _ in range(rng.randint(1, edits)):
+        op = rng.choice(["delete", "insert", "swap"]) if len(text) > 1 else "insert"
+        if op == "insert":
+            i = rng.randrange(len(text) + 1)
+            text = text[:i] + rng.choice(MUTATION_ALPHABET) + text[i:]
+        elif op == "delete":
+            i = rng.randrange(len(text))
+            text = text[:i] + text[i + 1 :]
+        else:
+            i = rng.randrange(len(text) - 1)
+            text = text[:i] + text[i + 1] + text[i] + text[i + 2 :]
+    return text
+

@@ -18,6 +18,14 @@ domain td >= 1
 trans t1 pre p1 post p2 interval [td,td]
 """
 
+TWO_PARAM_NET = """
+place p1 1
+place p2 0
+param a
+param b
+trans t1 pre p1 post p2 interval [a,b]
+"""
+
 PRODUCER = """
 place p1 0
 trans t post p1 interval [1,1]
@@ -149,6 +157,23 @@ class TestSynthCli:
         else:
             assert "1 satisfying" in out
             assert "failures: 1" in out
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_ill_formed_interval_points_are_outside_the_domain(self, tmp_path, capsys, fmt):
+        # a=2, b=1 gives t1 the interval [2,1]: no instance, so no failure
+        path = tmp_path / "ab.tpnet"
+        path.write_text(TWO_PARAM_NET)
+        code, out, err = run(
+            capsys, "synth", str(path), "--formula-text", "EF[0,inf](M(p2)>=1)",
+            "--box", "a=1..2", "--box", "b=1..1", "--jobs", "1", "--format", fmt,
+        )
+        assert code == 0
+        assert err == ""
+        if fmt == "csv":
+            assert out.splitlines() == ["a,b", "1,1"]
+        else:
+            assert "explored 1 valuations, 1 satisfying" in out
+            assert "failures" not in out
 
     @pytest.mark.parametrize("fmt", ["text", "csv"])
     def test_unknown_formula_place_exit_two(self, tmp_path, capsys, fmt):

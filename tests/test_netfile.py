@@ -1,10 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tpnsynth import InputError, NetSyntaxError, make_net
+from tpnsynth import NetSyntaxError, make_net
 from tpnsynth.netfile import parse_net, serialize_net
 from tpnsynth.petri import LinearConstraint
+
+from _gen import mutate_text
 
 NET_A_DOC = """
 # minimal two-place net
@@ -66,8 +70,9 @@ trans t pre a*2 post b read c inhibit b*3 interval [0,inf)
             parse_net("place p 1\ntrans t pre p")
 
     def test_undeclared_parameter_rejected(self):
-        with pytest.raises(InputError):
+        with pytest.raises(NetSyntaxError) as exc:
             parse_net("place p 1\ntrans t pre p interval [td,td]")
+        assert exc.value.line == 2
 
     def test_rational_coefficients(self):
         net = parse_net(
@@ -126,6 +131,15 @@ class TestRoundTrip:
             net = random_parametric_net(rng)
             again = parse_net(serialize_net(net))
             assert again == net
+
+    @settings(max_examples=200, deadline=None)
+    @given(rng=st.randoms(use_true_random=False))
+    def test_mutated_text_raises_only_line_numbered_syntax_errors(self, rng):
+        text = mutate_text(rng, serialize_net(random_parametric_net(rng)))
+        try:
+            parse_net(text)
+        except NetSyntaxError as exc:
+            assert exc.line is not None
 
     def test_serialization_is_stable(self):
         rng = random.Random(73)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,7 @@ from tpnsynth import (
     newly_enabled_set,
     validate_net,
 )
-from tpnsynth.petri import INF, Net, ParamExpr, fire_marking
+from tpnsynth.petri import INF, RELATIONS, Net, ParamExpr, fire_marking, implicit_domain
 
 from _gen import random_concrete_net
 
@@ -56,7 +57,48 @@ class TestConstraints:
         assert not eval_constraint(c, {"x": 4})
 
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        coeffs=st.dictionaries(
+            st.sampled_from("abc"), st.fractions(-6, 6, max_denominator=12), min_size=1
+        ),
+        rel=st.sampled_from(sorted(RELATIONS)),
+        v=st.fixed_dictionaries({p: st.integers(0, 30) for p in "abc"}),
+        bound=st.one_of(st.none(), st.fractions(-60, 60, max_denominator=12)),
+    )
+    def test_integer_evaluation_matches_fractions(self, coeffs, rel, v, bound):
+        total = sum(Fraction(c) * v[p] for p, c in coeffs.items())
+        if bound is None:  # land on the boundary, where = and <= are decided
+            bound = total
+        c = lc(coeffs, rel, bound)
+        assert c.evaluate(v) == RELATIONS[rel](total, Fraction(bound))
+
+
 class TestDomain:
+    def test_implicit_domain_is_where_instances_exist(self):
+        net = make_net(
+            [("p", 1)],
+            {
+                "t1": {"pre": {"p": 1}, "interval": ("a", "b")},
+                "t2": {"pre": {"p": 1}, "interval": ("a", 5)},
+                "t3": {"pre": {"p": 1}, "interval": (3, "b")},
+                "t4": {"pre": {"p": 1}, "interval": ("a", "a")},
+                "t5": {"pre": {"p": 1}, "interval": ("b", None)},
+            },
+            parameters=["a", "b"],
+            constraints=[lc({"a": 1, "b": 1}, "<=", 12)],
+        )
+        d = implicit_domain(net)
+        for a in range(9):
+            for b in range(9):
+                v = {"a": a, "b": b}
+                try:
+                    instantiate(net, v)
+                    ok = True
+                except (DomainError, IllFormedIntervalError):
+                    ok = False
+                assert d.contains(v) == ok
+
     def test_empty_domain_contains_everything(self):
         assert domain_contains(ParamDomain(), {"x": 5})
 

@@ -3,6 +3,8 @@ import random
 from collections import deque
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tpnsynth import (
     ExploreLimits,
@@ -20,7 +22,7 @@ from tpnsynth import (
 from tpnsynth.petri import INF
 from tpnsynth.semantics import Delay, elapse, fireable_set, fire
 
-from _gen import random_concrete_net
+from _gen import random_concrete_net, reference_build
 
 
 class TestBuild:
@@ -158,6 +160,29 @@ class TestBuild:
                 continue
             assert seen == set(g.states)
             done += 1
+
+
+def _outcome(builder, net, lim):
+    try:
+        g = builder(net, lim)
+    except KBoundError as exc:
+        g = exc.partial
+        return g.states, g.succ, g.complete, exc.marking
+    return g.states, g.succ, g.complete, None
+
+
+class TestMatchesReferenceBuilder:
+    """The packed explorer returns the dense reference builder's graph:
+    same states in the same BFS order, same labelled edges, same cap
+    behaviour (k-bound partial graphs and max_states truncation)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k_bound=st.integers(1, 4), max_states=st.integers(1, 40))
+    def test_same_graph(self, seed, k_bound, max_states):
+        net = random_concrete_net(random.Random(seed), max_places=5, max_transitions=5)
+        assume(any(any(w) for w in net.read + net.inhibit))
+        for lim in (ExploreLimits(k_bound=k_bound, max_states=3000), ExploreLimits(k_bound, max_states)):
+            assert _outcome(build, net, lim) == _outcome(reference_build, net, lim)
 
 
 class TestStatesSatisfying:

@@ -2,6 +2,8 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tpnsynth import (
     EF,
@@ -35,7 +37,7 @@ from tpnsynth.semantics import Delay, Fire
 from tpnsynth.statespace import ExploreLimits
 from tpnsynth.tctl import TRUE_GMEC, Implies, _Checker, desugar
 
-from _gen import random_concrete_net, random_formula, random_step_graph, step_graph
+from _gen import mutate_text, random_concrete_net, random_formula, random_step_graph, step_graph
 
 
 class TestEvalGmec:
@@ -180,6 +182,29 @@ class TestParseFormula:
         for _ in range(150):
             phi = random_formula(rng, ["p0", "p1"], depth=2)
             assert parse_formula(format_formula(phi)) == lift(phi)
+
+
+class TestParserProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(rng=st.randoms(use_true_random=False), depth=st.integers(0, 3))
+    def test_format_parse_round_trip_up_to_desugaring(self, rng, depth):
+        phi = random_formula(rng, ["p0", "p1", "p2"], depth=depth)
+        assert desugar(parse_formula(format_formula(phi))) == desugar(phi)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rng=st.randoms(use_true_random=False))
+    def test_mutated_text_raises_only_positioned_syntax_errors(self, rng):
+        text = mutate_text(rng, format_formula(random_formula(rng, ["p0", "p1"], depth=2)))
+        try:
+            parse_formula(text)
+        except FormulaSyntaxError as exc:
+            assert exc.pos is not None
+
+    @pytest.mark.parametrize("text", ["EF[0,3](M(p0) >= 1²)", "(M(p0)>=1) -->(0,3] (M(p1)>=1)"])
+    def test_pinned_malformed_text(self, text):
+        with pytest.raises(FormulaSyntaxError) as exc:
+            parse_formula(text)
+        assert exc.value.pos is not None
 
 
 class TestCheckNetA:
