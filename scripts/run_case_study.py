@@ -1,6 +1,7 @@
 """End-to-end circadian case study: reproduces every published number the
 reconstruction can reach and reports reconstructed-vs-expected where it
-cannot. Runs in a few minutes single-threaded; see --jobs.
+cannot. Runs in about 2 s single-threaded on a 2-core x86 VM with
+Python 3.11 (it reports "done in 1.2s" to "done in 2.0s"); see --jobs.
 
   python scripts/run_case_study.py [--jobs N] [--quick]
 """

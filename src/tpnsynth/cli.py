@@ -65,10 +65,19 @@ def _emit(report, fmt, text_lines):
             print(line)
 
 
+def _nat(text: str, message: str) -> int:
+    """``text`` as an int when it is ASCII decimal digits (``str.isdigit``
+    alone also accepts digits such as ``²`` that ``int`` refuses)."""
+    if not (text.isascii() and text.isdigit()):
+        raise InputError(message)
+    return int(text)
+
+
 def _limits(ns) -> ExploreLimits:
     max_states = ns.max_states
     if max_states is None:
-        max_states = int(os.environ.get("TPNSYNTH_MAX_STATES", 1_000_000))
+        env = os.environ.get("TPNSYNTH_MAX_STATES", "1000000")
+        max_states = _nat(env, f"TPNSYNTH_MAX_STATES must be a natural number, got {env!r}")
     return ExploreLimits(k_bound=ns.k_bound, max_states=max_states)
 
 
@@ -77,9 +86,7 @@ def _valuation(pairs):
     for item in pairs or []:
         for part in item.split(","):
             name, _, value = part.partition("=")
-            if not value or not value.lstrip("-").isdigit():
-                raise InputError(f"bad valuation entry {part!r}, expected name=nat")
-            v[name.strip()] = int(value)
+            v[name.strip()] = _nat(value, f"bad valuation entry {part!r}, expected name=nat")
     return v
 
 
@@ -91,10 +98,9 @@ def _parse_box(items):
     box = {}
     for item in items or []:
         name, _, rng = item.partition("=")
-        lo, sep, hi = rng.partition("..")
-        if not sep or not lo.isdigit() or not hi.isdigit():
-            raise InputError(f"bad box entry {item!r}, expected name=lo..hi")
-        box[name.strip()] = (int(lo), int(hi))
+        lo, _, hi = rng.partition("..")  # no ".." leaves hi empty
+        message = f"bad box entry {item!r}, expected name=lo..hi"
+        box[name.strip()] = (_nat(lo, message), _nat(hi, message))
     return box
 
 

@@ -42,7 +42,8 @@ class IncompleteGraphError(TpnError):
 
 
 class HorizonError(TpnError):
-    """A formula's time horizon exceeds the configured product limit."""
+    """An until interval's lower bound exceeds the checker's delay-layer
+    limit (``max_horizon``)."""
 
 
 class OracleError(TpnError):

@@ -1,9 +1,10 @@
 """Brute-force reference checker used as an independent oracle.
 
 Evaluates formulas by enumerating unit-step paths directly over the
-semantics, never touching the reachability graph or the product fixpoints
-of the main checker. Exponential; intended for nets within the documented
-limits (roughly: 6 places, 6 transitions, interval bounds up to 10).
+semantics, never touching the reachability graph or the arrival labelling
+and delay layers of the main checker. Exponential; intended for nets
+within the documented limits (roughly: 6 places, 6 transitions, interval
+bounds up to 10).
 
 Both untils share one depth-first path walk with an explicit stack, so path
 depth is bounded by memory rather than by the interpreter's recursion

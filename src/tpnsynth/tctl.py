@@ -2,21 +2,24 @@
 and the model checker over a reachability graph.
 
 Checking works per temporal operator over the graph, whose fire edges take
-no time and whose delay edges take one unit. An until whose interval starts
-at a closed 0 (``[0,b]``, ``[0,b)``, ``[0,inf)``) is decided by one backward
-labelling pass in O(V+E), whatever b is: EU by earliest arrival (a 0-1 BFS
-from the psi-nodes through phi-nodes) and AU by latest arrival (a node
-resolves once all its successors have, and a node that never resolves --
-on or leading to a psi-avoiding cycle, a dead end, or outside phi -- counts
-as infinite). A node holds when its arrival time is at most b.
+no time and whose delay edges take one unit, in O((a+1)(V+E)) for an
+interval whose least integer is a, whatever its upper bound. An until
+whose interval starts at a closed 0 (``[0,b]``, ``[0,b)``, ``[0,inf)``) is
+one backward labelling pass: EU by earliest arrival (a 0-1 BFS from the
+psi-nodes through phi-nodes) and AU by latest arrival (a node resolves once
+all its successors have, and a node that never resolves -- on or leading
+to a psi-avoiding cycle, a dead end, or outside phi -- counts as infinite).
+A node holds when its arrival time is at most b.
 
-Any other interval falls back to a product of graph nodes with an
-elapsed-time counter: delay edges increment the counter, fire edges
-preserve it, and all values at or beyond the interval's saturation class H
-(``TimeInterval.horizon``) collapse into one class. Membership in the
-interval is the same for every time >= H, so this is exact for the integer
-semantics, and the accepting classes are one contiguous range. Only this
-product is bounded by ``max_horizon``.
+Any other interval, with integers a..b (b may be inf), is the closed-0
+until over ``[0, b-a]`` behind a delay layers. Each delay adds exactly one
+unit, so a path whose psi-position lies at time t >= a has a first
+position at time a; every earlier position precedes the psi-position and
+satisfies phi, and the rest of the path is a closed-0 until over the
+shifted interval. One layer is a pre-image: the phi-nodes from which some
+(E) or every (A) path crosses fire edges through phi-nodes and then takes
+one delay edge into the layer below. ``max_horizon`` bounds a, the number
+of layers.
 
 Until is position-based: ``E phi U_I psi`` holds when some path reaches a
 psi-state at an accumulated time inside I with phi true at every strictly
@@ -308,6 +311,7 @@ class _Parser:
     def __init__(self, text: str):
         self.toks = _tokenize(text)
         self.i = 0
+        self.formula_pos = None  # column of the first temporal or negation token
 
     def peek(self, k=0):
         return self.toks[min(self.i + k, len(self.toks) - 1)]
@@ -323,9 +327,11 @@ class _Parser:
             raise FormulaSyntaxError(f"expected {kind!r}, got {t[1]!r}", pos=t[2])
         return t
 
-    def at_name(self, word):
-        t = self.peek()
-        return t[0] == "NAME" and t[1] == word
+    def lifts(self, t):
+        """Consume ``t``, a token that lifts the text to the formula level."""
+        if self.formula_pos is None:
+            self.formula_pos = t[2]
+        self.next()
 
     # -- entry points
 
@@ -334,7 +340,9 @@ class _Parser:
         self.expect("EOF")
         kind, val = node
         if kind != "g":
-            raise FormulaSyntaxError("temporal or negation operators are not allowed here")
+            raise FormulaSyntaxError(
+                "temporal or negation operators are not allowed here", self.formula_pos
+            )
         return val
 
     def parse_formula(self) -> Formula:
@@ -354,7 +362,7 @@ class _Parser:
                 return ("g", BoolOp("implies", left[1], right[1]))
             return ("f", Implies(_to_formula(left), _to_formula(right)))
         if t[0] == "-->":
-            self.next()
+            self.lifts(t)
             iv = self.interval()
             _check_leadsto_interval(iv, t[2])
             right = self.disjunction()
@@ -390,10 +398,10 @@ class _Parser:
     def unary(self):
         t = self.peek()
         if t[0] == "!":
-            self.next()
+            self.lifts(t)
             return ("f", Not(_to_formula(self.unary())))
         if t[0] == "NAME" and t[1] in ("EF", "AF", "EG", "AG"):
-            self.next()
+            self.lifts(t)
             iv = self.interval()
             sub = _to_formula(self.unary())
             cls = {"EF": EF, "AF": AF, "EG": EG, "AG": AG}[t[1]]
@@ -408,7 +416,7 @@ class _Parser:
         return ("g", self.atom())
 
     def until(self, quantifier):
-        self.next()
+        self.lifts(self.peek())
         bracketed = self.peek()[0] == "["
         if bracketed:
             self.next()
@@ -590,13 +598,20 @@ class _Checker:
         return out
 
     def until(self, exists: bool, satphi, iv: TimeInterval, satpsi) -> frozenset:
-        """Nodes satisfying E (exists) or A phi U_iv psi: labelling when the
-        interval starts at a closed 0, the time product otherwise."""
-        if iv.int_low() == 0:
-            arrival = (self._earliest if exists else self._latest)(satphi, satpsi)
-            b = iv.int_high()
-            return frozenset(v for v, t in enumerate(arrival) if t is not None and t <= b)
-        return (self._eu if exists else self._au)(satphi, iv, satpsi)
+        """Nodes satisfying E (exists) or A phi U_iv psi: the closed-0 until
+        over ``[0, int_high - a]`` with ``a = iv.int_low()``, behind ``a``
+        delay layers."""
+        a = iv.int_low()
+        if a > self.max_horizon:
+            raise HorizonError(
+                f"interval lower bound {a} exceeds the delay-layer limit {self.max_horizon}"
+            )
+        arrival = (self._earliest if exists else self._latest)(satphi, satpsi)
+        span = iv.int_high() - a
+        out = frozenset(v for v, t in enumerate(arrival) if t is not None and t <= span)
+        for _ in range(a):
+            out = self._before_delay(exists, satphi, out)
+        return out
 
     def _earliest(self, satphi, satpsi) -> list:
         """Least elapsed time from each node to a psi-node along a path whose
@@ -648,74 +663,22 @@ class _Checker:
                         queue.append(u)
         return latest
 
-    def _classes(self, iv: TimeInterval):
-        """(H, accepting classes): elapsed-time classes are 0..H with H
-        standing for every time >= H, and the classes inside the interval
-        form one contiguous range."""
-        h = iv.horizon
-        if h > self.max_horizon:
-            raise HorizonError(
-                f"formula horizon {h} exceeds the product limit {self.max_horizon}"
-            )
-        return h, range(iv.int_low(), min(iv.int_high(), h) + 1)
-
-    def _eu(self, satphi, iv, satpsi) -> frozenset:
-        H, accept = self._classes(iv)
-        width = H + 1
-        marked = bytearray(self.n * width)
-        queue = deque()
-        for v in satpsi:
-            base = v * width
-            for c in accept:
-                marked[base + c] = 1
-                queue.append((v, c))
-        while queue:
-            v, c = queue.popleft()
-            for u in self.fire_preds[v]:
-                if u in satphi and not marked[u * width + c]:
-                    marked[u * width + c] = 1
-                    queue.append((u, c))
-            pred_classes = []
-            if c >= 1:
-                pred_classes.append(c - 1)
-            if c == H:
-                pred_classes.append(H)
-            for pc in pred_classes:
-                for u in self.delay_preds[v]:
-                    if u in satphi and not marked[u * width + pc]:
-                        marked[u * width + pc] = 1
-                        queue.append((u, pc))
-        return frozenset(v for v in range(self.n) if marked[v * width])
-
-    def _au(self, satphi, iv, satpsi) -> frozenset:
-        H, accept = self._classes(iv)
-        width = H + 1
-        marked = bytearray(self.n * width)
-        counts = []  # unresolved successors per (node, class)
-        for outs in self.g.succ:
-            counts += [len(outs)] * width
-        queue = deque()
-        for v in satpsi:
-            base = v * width
-            for c in accept:
-                marked[base + c] = 1
-                queue.append((v, c))
-        while queue:
-            v, c = queue.popleft()
-            preds = [(u, c) for u in self.fire_preds[v]]
-            if c >= 1:
-                preds += [(u, c - 1) for u in self.delay_preds[v]]
-            if c == H:
-                preds += [(u, H) for u in self.delay_preds[v]]
-            for u, pc in preds:
-                idx = u * width + pc
-                if marked[idx]:
-                    continue
-                counts[idx] -= 1
-                if counts[idx] == 0 and u in satphi and self.g.succ[u]:
-                    marked[idx] = 1
-                    queue.append((u, pc))
-        return frozenset(v for v in range(self.n) if marked[v * width])
+    def _before_delay(self, exists: bool, satphi, target) -> frozenset:
+        """Phi-nodes from which some (E) or every (A) path crosses fire edges
+        through phi-nodes and then takes one delay edge into ``target``: a
+        node resolves once one (E) or all (A) of its out-edges are resolved,
+        so under A a dead end, a zero-time cycle or a delay edge outside
+        ``target`` never resolves."""
+        counts = [1 if exists else len(outs) for outs in self.g.succ]
+        resolved = []
+        sources = [u for w in target for u in self.delay_preds[w]]  # one per resolved edge
+        while sources:
+            u = sources.pop()
+            counts[u] -= 1
+            if counts[u] == 0 and u in satphi:
+                resolved.append(u)
+                sources += self.fire_preds[u]
+        return frozenset(resolved)
 
     def witness_eu(self, phi: EU) -> Optional[list]:
         """Shortest label path showing the existential until at the initial
@@ -762,6 +725,9 @@ def check(
     Returns a witness trace for a holding top-level existential until (EF
     included) and a counterexample trace for a failing top-level universal
     invariant (AG and the response operator in its default reading).
+    ``max_horizon`` bounds the least integer of every until interval, which
+    is the number of delay layers in front of its closed-0 labelling; a
+    larger one raises HorizonError. Upper bounds are not limited.
     """
     if not g.complete:
         raise IncompleteGraphError("refusing to check an incomplete graph")

@@ -160,6 +160,65 @@ def random_step_graph(rng: random.Random, max_nodes=10, max_out=3, p_delay=0.4):
     )
 
 
+def product_until(g: ReachGraph, exists: bool, satphi, iv: TimeInterval, satpsi) -> frozenset:
+    """The checker's former (node, elapsed class) product, kept as the until
+    reference: delay edges increment a time counter, fire edges keep it,
+    and every time at or beyond the interval's saturation class H
+    (``TimeInterval.horizon``) shares class H."""
+    n = len(g.states)
+    fire_preds = [[] for _ in range(n)]
+    delay_preds = [[] for _ in range(n)]
+    for u, outs in enumerate(g.succ):
+        for label, v in outs:
+            (delay_preds if isinstance(label, Delay) else fire_preds)[v].append(u)
+    H = iv.horizon
+    accept = range(iv.int_low(), min(iv.int_high(), H) + 1)
+    width = H + 1
+    marked = bytearray(n * width)
+    queue = deque()
+    for v in satpsi:
+        for c in accept:
+            marked[v * width + c] = 1
+            queue.append((v, c))
+    if exists:
+        while queue:
+            v, c = queue.popleft()
+            for u in fire_preds[v]:
+                if u in satphi and not marked[u * width + c]:
+                    marked[u * width + c] = 1
+                    queue.append((u, c))
+            pred_classes = []
+            if c >= 1:
+                pred_classes.append(c - 1)
+            if c == H:
+                pred_classes.append(H)
+            for pc in pred_classes:
+                for u in delay_preds[v]:
+                    if u in satphi and not marked[u * width + pc]:
+                        marked[u * width + pc] = 1
+                        queue.append((u, pc))
+        return frozenset(v for v in range(n) if marked[v * width])
+    counts = []  # unresolved successors per (node, class)
+    for outs in g.succ:
+        counts += [len(outs)] * width
+    while queue:
+        v, c = queue.popleft()
+        preds = [(u, c) for u in fire_preds[v]]
+        if c >= 1:
+            preds += [(u, c - 1) for u in delay_preds[v]]
+        if c == H:
+            preds += [(u, H) for u in delay_preds[v]]
+        for u, pc in preds:
+            idx = u * width + pc
+            if marked[idx]:
+                continue
+            counts[idx] -= 1
+            if counts[idx] == 0 and u in satphi and g.succ[u]:
+                marked[idx] = 1
+                queue.append((u, pc))
+    return frozenset(v for v in range(n) if marked[v * width])
+
+
 def random_gmec(rng: random.Random, places, depth=2):
     if depth == 0 or rng.random() < 0.5:
         k = rng.randint(1, min(2, len(places)))

@@ -69,6 +69,24 @@ class TestExitCodes:
         code, _, _ = run(capsys, "check", net_file, "--formula-text", "EF[0,1](M(p2)>=1)", "-v", "x=oops")
         assert code == 2
 
+    @pytest.mark.parametrize("value", ["²", "-1", "--1", " 1", ""])
+    def test_valuation_other_than_ascii_digits_exit_two(self, tmp_path, capsys, value):
+        path = tmp_path / "param.tpnet"
+        path.write_text(PARAM_NET)
+        code, _, err = run(capsys, "check", str(path), "--formula-text", "EF[0,3](M(p2)>=1)", "-v", f"td={value}")
+        assert code == 2
+        assert "bad valuation entry" in err
+
+    @pytest.mark.parametrize("box", ["td=²..3", "td=1..³", "td=1", "td=-1..3"])
+    def test_box_other_than_ascii_digits_exit_two(self, tmp_path, capsys, box):
+        path = tmp_path / "param.tpnet"
+        path.write_text(PARAM_NET)
+        code, _, err = run(
+            capsys, "synth", str(path), "--formula-text", "EF[0,inf](M(p2)>=1)", "--box", box, "--jobs", "1"
+        )
+        assert code == 2
+        assert "bad box entry" in err
+
     def test_k_bound_violation_exit_three(self, tmp_path, capsys):
         path = tmp_path / "producer.tpnet"
         path.write_text(PRODUCER)
@@ -213,6 +231,13 @@ class TestEnvLimit:
         monkeypatch.setenv("TPNSYNTH_MAX_STATES", "2")
         code, _, err = run(capsys, "graph", net_file)
         assert code == 3
+
+    @pytest.mark.parametrize("value", ["abc", "²", "-5", ""])
+    def test_max_states_env_other_than_ascii_digits_exit_two(self, net_file, capsys, monkeypatch, value):
+        monkeypatch.setenv("TPNSYNTH_MAX_STATES", value)
+        code, _, err = run(capsys, "check", net_file, "--formula-text", "EF[0,3](M(p2)>=1)")
+        assert code == 2
+        assert "TPNSYNTH_MAX_STATES" in err
 
 
 class TestShippedModel:

@@ -37,7 +37,14 @@ from tpnsynth.semantics import Delay, Fire
 from tpnsynth.statespace import ExploreLimits
 from tpnsynth.tctl import TRUE_GMEC, Implies, _Checker, desugar
 
-from _gen import mutate_text, random_concrete_net, random_formula, random_step_graph, step_graph
+from _gen import (
+    mutate_text,
+    product_until,
+    random_concrete_net,
+    random_formula,
+    random_step_graph,
+    step_graph,
+)
 
 
 class TestEvalGmec:
@@ -115,6 +122,20 @@ class TestParseGmec:
     def test_syntax_error_carries_position(self):
         with pytest.raises(FormulaSyntaxError):
             parse_gmec("M(x) >= ")
+
+    @pytest.mark.parametrize(
+        "text, pos",
+        [
+            ("EF[0,1](M(p)>=1)", 0),
+            ("M(a)>=1 & !(M(b)>=1)", 10),
+            ("M(a)>=1 -->[0,1] M(b)>=1", 8),
+            ("M(EF)>=1 | E (M(a)>=1) U[0,1] (M(b)>=1)", 11),
+        ],
+    )
+    def test_temporal_rejected_at_first_offending_token(self, text, pos):
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse_gmec(text)
+        assert err.value.pos == pos
 
 
 class TestParseFormula:
@@ -379,28 +400,43 @@ def _until_all(ch, exists, phi, psi):
     return [ch.until(exists, phi, iv, psi) for iv in ZERO_TO]
 
 
+def _intervals(rng):
+    """Closed-0 intervals, then intervals with a positive lower bound: open
+    and closed ends, [a,a] and [a,inf)."""
+    a = rng.randint(1, 5)
+    b = rng.randint(a, 7)
+    zero = [TimeInterval(0, b), TimeInterval(0, b, True, False), TimeInterval(0, 0), TimeInterval(0, INF)]
+    positive = [
+        TimeInterval(a, b),
+        TimeInterval(a, b, False, True),
+        TimeInterval(a, b, True, False),
+        TimeInterval(a, b, False, False),
+        TimeInterval(a, a),
+        TimeInterval(a, INF),
+        TimeInterval(a, INF, False, False),
+        TimeInterval(0, b, False, True),
+        TimeInterval(b, b),
+        TimeInterval(b, INF),
+    ]
+    return zero + positive
+
+
 class TestLabelledUntil:
     def test_agrees_with_product_on_random_graphs(self):
         rng = random.Random(71)
-        cases = 0
-        for _ in range(250):
+        shifted = 0
+        for _ in range(260):
             g = random_step_graph(rng)
             ch = _Checker(g, 10_000)
             nodes = range(len(g))
             for _ in range(4):
                 phi = frozenset(v for v in nodes if rng.random() < 0.7)
                 psi = frozenset(v for v in nodes if rng.random() < 0.25)
-                b = rng.randint(0, 6)
-                for iv in (
-                    TimeInterval(0, b),
-                    TimeInterval(0, b, True, False),
-                    TimeInterval(0, 0),
-                    TimeInterval(0, INF),
-                ):
-                    assert ch.until(True, phi, iv, psi) == ch._eu(phi, iv, psi)
-                    assert ch.until(False, phi, iv, psi) == ch._au(phi, iv, psi)
-                    cases += 2
-        assert cases == 8000
+                for iv in _intervals(rng):
+                    for exists in (True, False):
+                        assert ch.until(exists, phi, iv, psi) == product_until(g, exists, phi, iv, psi)
+                        shifted += iv.int_low() > 0
+        assert shifted >= 20_000
 
     def test_agrees_with_product_on_net_graphs(self):
         rng = random.Random(73)
@@ -409,9 +445,9 @@ class TestLabelledUntil:
             for _ in range(6):
                 phi = frozenset(v for v in range(len(g)) if rng.random() < 0.8)
                 psi = frozenset(v for v in range(len(g)) if rng.random() < 0.15)
-                iv = TimeInterval(0, rng.randint(0, 8)) if rng.random() < 0.7 else TimeInterval(0, INF)
-                assert ch.until(True, phi, iv, psi) == ch._eu(phi, iv, psi)
-                assert ch.until(False, phi, iv, psi) == ch._au(phi, iv, psi)
+                for iv in rng.sample(_intervals(rng), 4):
+                    for exists in (True, False):
+                        assert ch.until(exists, phi, iv, psi) == product_until(g, exists, phi, iv, psi)
 
     def test_au_fails_on_zero_time_cycle_avoiding_psi(self):
         # 0 and 1 fire back and forth forever; only a delay from 0 reaches 2
@@ -429,22 +465,57 @@ class TestLabelledUntil:
 
     def test_au_fails_at_dead_end(self):
         # 1 has no successors; 0 may delay into it or fire into psi-node 2
-        ch = _Checker(step_graph([[(D, 1), (F, 2)], [], [(D, 2)]]), 10_000)
+        g = step_graph([[(D, 1), (F, 2)], [], [(D, 2)]])
+        ch = _Checker(g, 10_000)
         phi, psi = frozenset({0, 1}), frozenset({2})
         assert ch._latest(phi, psi) == [None, None, 0]
         assert _until_all(ch, False, phi, psi) == [frozenset({2})] * 4
-        assert ch._au(phi, TimeInterval(0, INF), psi) == frozenset({2})
+        assert product_until(g, False, phi, TimeInterval(0, INF), psi) == frozenset({2})
 
     def test_eu_crosses_fire_edges_after_a_delay(self):
         # from 3, one delay reaches psi-node 4 in one hop, three fires reach
         # it at time 0; 0 delays into 3 first, so its earliest arrival is 1
         succ = [[(D, 3)], [(F, 4)], [(F, 1)], [(F, 2), (D, 4)], [(D, 4)]]
-        ch = _Checker(step_graph(succ), 10_000)
+        g = step_graph(succ)
+        ch = _Checker(g, 10_000)
         phi, psi = frozenset(range(4)), frozenset({4})
         assert ch._earliest(phi, psi) == [1, 0, 0, 0, 0]
         assert ch.until(True, phi, TimeInterval(0, 0), psi) == frozenset({1, 2, 3, 4})
         assert ch.until(True, phi, TimeInterval(0, 1), psi) == frozenset(range(5))
-        assert ch._eu(phi, TimeInterval(0, 0), psi) == frozenset({1, 2, 3, 4})
+        assert product_until(g, True, phi, TimeInterval(0, 0), psi) == frozenset({1, 2, 3, 4})
+
+    def test_eu_needs_psi_inside_a_positive_lower_bound(self):
+        # a delay chain 0 -> 1 -> 2 -> 3, where 3 keeps delaying
+        ch = _Checker(step_graph([[(D, 1)], [(D, 2)], [(D, 3)], [(D, 3)]]), 10_000)
+        every = frozenset(range(4))
+        early = frozenset({0, 1})  # psi at times 0 and 1 only
+        assert 0 not in ch.until(True, every, TimeInterval(2, 2), early)
+        assert 0 in ch.until(True, every, TimeInterval(1, 1), early)
+        late = frozenset({3})  # psi from time 3 on
+        assert 0 not in ch.until(True, every, TimeInterval(2, 2), late)
+        assert 0 in ch.until(True, every, TimeInterval(3, 3), late)
+        # psi at time 2, but the node that delays into it at time 1 is not phi
+        assert 0 in ch.until(True, every, TimeInterval(2, 2), frozenset({2}))
+        assert 0 not in ch.until(True, frozenset({0, 2, 3}), TimeInterval(2, 2), frozenset({2}))
+
+    def test_au_fails_on_zero_time_cycle_before_the_lower_bound(self):
+        # at time 1, node 1 may fire to 2 and back forever; its delay reaches
+        # psi-node 3 at time 2
+        succ = [[(D, 1)], [(F, 2), (D, 3)], [(F, 1)], [(D, 3)]]
+        ch = _Checker(step_graph(succ), 10_000)
+        phi, psi = frozenset(range(3)), frozenset({3})
+        assert 0 not in ch.until(False, phi, TimeInterval(2, 3), psi)
+        assert 0 in ch.until(True, phi, TimeInterval(2, 3), psi)
+        acyclic = _Checker(step_graph([[(D, 1)], [(F, 2), (D, 3)], [(D, 3)], [(D, 3)]]), 10_000)
+        assert 0 in acyclic.until(False, phi, TimeInterval(2, 3), psi)
+
+    def test_au_fails_at_dead_end_before_the_lower_bound(self):
+        # 0 may fire into dead end 1 at time 0 or delay into 2
+        ch = _Checker(step_graph([[(F, 1), (D, 2)], [], [(D, 2)]]), 10_000)
+        phi, psi = frozenset(range(3)), frozenset({1, 2})
+        assert 0 not in ch.until(False, phi, TimeInterval(1, INF), psi)
+        assert 0 in ch.until(True, phi, TimeInterval(1, INF), psi)
+        assert 0 in ch.until(False, phi, TimeInterval(0, INF), psi)
 
 
 class TestLeadsToModes:
@@ -465,13 +536,19 @@ class TestLeadsToModes:
 
 
 class TestHorizonGuards:
-    def test_product_horizon_overflow(self, net_a):
-        # only an interval with a positive lower bound reaches the product
+    def test_lower_bound_above_horizon_limit(self, net_a):
+        # max_horizon bounds the number of delay layers, the lower bound
         from tpnsynth import HorizonError
 
         g = build(net_a)
         with pytest.raises(HorizonError):
-            check(net_a, g, parse_formula("EF[1,50000](M(p2)>=1)"), max_horizon=1000)
+            check(net_a, g, parse_formula("EF[1001,1002](M(p2)>=1)"), max_horizon=1000)
+
+    def test_positive_lower_bound_within_horizon_limit(self, net_a):
+        g = build(net_a)
+        v = check(net_a, g, parse_formula("EF[1,50000](M(p2)>=1)"), max_horizon=1000)
+        assert v.holds
+        assert replay(net_a, v.witness)[-1].marking == (0, 1)
 
     def test_labelled_until_ignores_horizon_limit(self, net_a):
         g = build(net_a)
