@@ -15,9 +15,10 @@ shipped model file. Places P_X0/P_X1 encode component X being 0/1.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 from .errors import InputError
 from .petri import LinearConstraint, Net, TimeInterval, make_net
@@ -49,44 +50,38 @@ class EventFlag:
 
 @dataclass(frozen=True)
 class LightDuration:
-    """Replace the light-off switch by a fresh one with a set duration."""
+    """Replace the clock's light-off switch ``t_off`` by a fresh one,
+    ``t_star``, with a set duration."""
 
     duration: Bound
-    switch_off: str = "t_off"
-    light_on: str = "P_L1"
-    light_off: str = "P_L0"
 
 
 @dataclass(frozen=True)
 class NightLight:
-    """Three-phase perturbation of one night: dark for tau1, forced light
-    for tau2, dark again for tau3, then dawn is forced and the schedule
-    resumes. The natural light-on switch is inhibited while any night
-    phase is active, so the perturbed night is fully observer-driven.
+    """Three-phase perturbation of one night of the clock: dark for tau1,
+    forced light for tau2, dark again for tau3, then dawn is forced and the
+    schedule resumes. The natural light-on switch ``t_on`` is inhibited
+    while any night phase is active, so the perturbed night is fully
+    observer-driven.
 
-    When ``night_length`` is set, the domain gains tau1+tau2+tau3 = night.
+    The phases fill the 12-unit night: symbolic phases add the domain
+    constraint tau1+tau2+tau3 = 12 (less any literal phases), and literal
+    phases alone must sum to 12.
     """
 
     tau1: Bound
     tau2: Bound
     tau3: Bound
-    night_length: Optional[int] = 12
-    switch_on: str = "t_on"
-    light_on: str = "P_L1"
-    light_off: str = "P_L0"
 
 
 @dataclass(frozen=True)
 class JetLag:
-    """After ``normal`` time units of nominal behavior, hold the light on
-    for ``extended`` units (the off switch is inhibited and the release
-    forces the light back off), then resume."""
+    """After ``normal`` time units of nominal behavior, hold the clock's
+    light on for ``extended`` units (the off switch ``t_off`` is inhibited
+    and the release forces the light back off), then resume."""
 
     normal: int = 24
     extended: int = 30
-    switch_off: str = "t_off"
-    light_on: str = "P_L1"
-    light_off: str = "P_L0"
 
 
 @dataclass(frozen=True)
@@ -147,12 +142,16 @@ def apply_observer(n: Net, spec: ObserverSpec) -> Net:
     places, transitions, params, constraints = _net_spec(n)
     taken = set(n.places) | set(n.transitions)
 
-    def inhibit(t: str):
+    def arcs(t: str, kind: str) -> dict:
         if t not in transitions:
             raise InputError(f"unknown transition {t!r}")
+        return transitions[t].setdefault(kind, {})
+
+    def inhibit(t: str):
+        inh = arcs(t, "inhibit")
         p = _fresh(inhibitor_place(t), taken)
         places.append((p, 1))
-        transitions[t].setdefault("inhibit", {})[p] = 1
+        inh[p] = 1
 
     if isinstance(spec, InhibitTransition):
         inhibit(spec.transition)
@@ -160,64 +159,39 @@ def apply_observer(n: Net, spec: ObserverSpec) -> Net:
         for t in spec.transitions:
             inhibit(t)
     elif isinstance(spec, EventFlag):
-        t = spec.transition
-        if t not in transitions:
-            raise InputError(f"unknown transition {t!r}")
-        p = _fresh(flag_place(t), taken)
+        post, inh = arcs(spec.transition, "post"), arcs(spec.transition, "inhibit")
+        p = _fresh(flag_place(spec.transition), taken)
         places.append((p, 0))
-        transitions[t].setdefault("post", {})[p] = 1
-        transitions[t].setdefault("inhibit", {})[p] = 1
+        post[p] = inh[p] = 1
     elif isinstance(spec, LightDuration):
-        inhibit(spec.switch_off)
+        inhibit("t_off")
         t_star = _fresh("t_star", taken)
         d = _as_param(spec.duration, params)
-        transitions[t_star] = {
-            "pre": {spec.light_on: 1},
-            "post": {spec.light_off: 1},
-            "interval": (d, d),
-        }
+        transitions[t_star] = {"pre": {"P_L1": 1}, "post": {"P_L0": 1}, "interval": (d, d)}
     elif isinstance(spec, NightLight):
-        if spec.switch_on not in transitions:
-            raise InputError(f"unknown transition {spec.switch_on!r}")
+        dawn = arcs("t_on", "inhibit")
         names = [_fresh(p, taken) for p in ("p_night_wait", "p_night_lit", "p_night_late", "p_night_done")]
         places.extend([(names[0], 1), (names[1], 0), (names[2], 0), (names[3], 0)])
-        inh = transitions[spec.switch_on].setdefault("inhibit", {})
         for phase in names[:3]:
-            inh[phase] = 1  # the natural dawn is blocked while the observer runs
-        t1 = _as_param(spec.tau1, params)
-        t2 = _as_param(spec.tau2, params)
-        t3 = _as_param(spec.tau3, params)
-        transitions[_fresh("o_force_on", taken)] = {
-            "pre": {names[0]: 1, spec.light_off: 1},
-            "post": {names[1]: 1, spec.light_on: 1},
-            "interval": (t1, t1),
-        }
-        transitions[_fresh("o_force_off", taken)] = {
-            "pre": {names[1]: 1, spec.light_on: 1},
-            "post": {names[2]: 1, spec.light_off: 1},
-            "interval": (t2, t2),
-        }
-        # night ends: dawn is forced and the inhibition token set drains
-        transitions[_fresh("o_night_end", taken)] = {
-            "pre": {names[2]: 1, spec.light_off: 1},
-            "post": {names[3]: 1, spec.light_on: 1},
-            "interval": (t3, t3),
-        }
-        if spec.night_length is not None:
-            lit = sum(x for x in (spec.tau1, spec.tau2, spec.tau3) if isinstance(x, int))
-            sym = [x for x in (spec.tau1, spec.tau2, spec.tau3) if isinstance(x, str)]
-            if sym:
-                constraints.append(
-                    LinearConstraint.make({p: 1 for p in sym}, "=", Fraction(spec.night_length - lit))
-                )
-            elif lit != spec.night_length:
-                raise InputError(
-                    f"night phases sum to {lit}, expected {spec.night_length}"
-                )
+            dawn[phase] = 1  # the natural dawn is blocked while the observer runs
+        taus = (spec.tau1, spec.tau2, spec.tau3)
+        delays = [_as_param(x, params) for x in taus]
+        # light forced on, forced off, then the night ends: dawn is forced
+        # and the inhibition token set drains
+        steps = (("o_force_on", "P_L0", "P_L1"), ("o_force_off", "P_L1", "P_L0"), ("o_night_end", "P_L0", "P_L1"))
+        for k, ((name, light_from, light_to), d) in enumerate(zip(steps, delays)):
+            transitions[_fresh(name, taken)] = {
+                "pre": {names[k]: 1, light_from: 1},
+                "post": {names[k + 1]: 1, light_to: 1},
+                "interval": (d, d),
+            }
+        lit = sum(x for x in taus if isinstance(x, int))
+        sym = [x for x in taus if isinstance(x, str)]
+        if sym:
+            constraints.append(LinearConstraint.make(Counter(sym), "=", Fraction(12 - lit)))
+        elif lit != 12:
+            raise InputError(f"night phases sum to {lit}, expected 12")
     elif isinstance(spec, JetLag):
-        for p in (spec.light_on, spec.light_off):
-            if not any(q == p for q, _ in places):
-                raise InputError(f"unknown place {p!r}")
         names = [_fresh(p, taken) for p in ("p_jl_wait", "p_jl_hold", "p_jl_done")]
         places.extend([(names[0], 1), (names[1], 0), (names[2], 0)])
         transitions[_fresh("o_jl_start", taken)] = {
@@ -225,12 +199,10 @@ def apply_observer(n: Net, spec: ObserverSpec) -> Net:
             "post": {names[1]: 1},
             "interval": (spec.normal, spec.normal),
         }
-        if spec.switch_off not in transitions:
-            raise InputError(f"unknown transition {spec.switch_off!r}")
-        transitions[spec.switch_off].setdefault("inhibit", {})[names[1]] = 1
+        arcs("t_off", "inhibit")[names[1]] = 1
         transitions[_fresh("o_jl_release", taken)] = {
-            "pre": {names[1]: 1, spec.light_on: 1},
-            "post": {names[2]: 1, spec.light_off: 1},
+            "pre": {names[1]: 1, "P_L1": 1},
+            "post": {names[2]: 1, "P_L0": 1},
             "interval": (spec.extended, spec.extended),
         }
     else:
@@ -250,8 +222,11 @@ def apply_observers(n: Net, specs) -> Net:
 
 @dataclass(frozen=True)
 class ClockConfig:
-    """Delays (literal or parameter name) and initial component states for
+    """Delays (literal or parameter name) and the initial light state of
     the reconstructed clock. Defaults give the nominal 12h/12h light cycle.
+    The gene and the complex always start inactive (G=0, PC=0). A
+    parametric tau_on and tau_off are tied by tau_on + tau_off = 24, and a
+    parametric tau_g gets tau_g >= 1.
 
     Delay knobs, one per transition:
       tau_on   darkness duration (switch-on delay of t_on)
@@ -264,8 +239,6 @@ class ClockConfig:
     """
 
     light_start: str = "on"
-    gene_start: int = 0
-    protein_start: int = 0
     tau_on: Bound = 12
     tau_off: Bound = 12
     tau_01: Bound = 6
@@ -273,15 +246,10 @@ class ClockConfig:
     tau_b: Bound = 0
     tau_g: Bound = 1
     tau_a: Bound = 7
-    day_length: Optional[int] = 24  # constrains tau_on + tau_off when both parametric
-    gene_delay_min: Optional[int] = 1  # constrains tau_g when parametric
-    extra_constraints: tuple = ()
 
     def __post_init__(self):
         if self.light_start not in ("on", "off"):
             raise InputError("light_start must be 'on' or 'off'")
-        if self.gene_start not in (0, 1) or self.protein_start not in (0, 1):
-            raise InputError("component starts must be 0 or 1")
 
 
 def build_circadian_clock(cfg: ClockConfig = ClockConfig()) -> Net:
@@ -290,25 +258,19 @@ def build_circadian_clock(cfg: ClockConfig = ClockConfig()) -> Net:
     params: list = []
     for bound in (cfg.tau_on, cfg.tau_off, cfg.tau_01, cfg.tau_10, cfg.tau_b, cfg.tau_g, cfg.tau_a):
         _as_param(bound, params)
-    constraints = list(cfg.extra_constraints)
-    if (
-        cfg.day_length is not None
-        and isinstance(cfg.tau_on, str)
-        and isinstance(cfg.tau_off, str)
-    ):
-        constraints.append(
-            LinearConstraint.make({cfg.tau_on: 1, cfg.tau_off: 1}, "=", cfg.day_length)
-        )
-    if cfg.gene_delay_min is not None and isinstance(cfg.tau_g, str):
-        constraints.append(LinearConstraint.make({cfg.tau_g: 1}, ">=", cfg.gene_delay_min))
+    constraints = []
+    if isinstance(cfg.tau_on, str) and isinstance(cfg.tau_off, str):
+        constraints.append(LinearConstraint.make({cfg.tau_on: 1, cfg.tau_off: 1}, "=", 24))
+    if isinstance(cfg.tau_g, str):
+        constraints.append(LinearConstraint.make({cfg.tau_g: 1}, ">=", 1))
     light_on = 1 if cfg.light_start == "on" else 0
     places = [
         ("P_L0", 1 - light_on),
         ("P_L1", light_on),
-        ("P_G0", 1 - cfg.gene_start),
-        ("P_G1", cfg.gene_start),
-        ("P_PC0", 1 - cfg.protein_start),
-        ("P_PC1", cfg.protein_start),
+        ("P_G0", 1),
+        ("P_G1", 0),
+        ("P_PC0", 1),
+        ("P_PC1", 0),
     ]
     transitions = {
         # light oscillator
@@ -347,5 +309,3 @@ def build_circadian_clock(cfg: ClockConfig = ClockConfig()) -> Net:
     }
     return make_net(places, transitions, parameters=params, constraints=constraints)
 
-
-DARKNESS_START = ClockConfig(light_start="off")

@@ -23,7 +23,6 @@ from .errors import (
     IncompleteGraphError,
     InputError,
     KBoundError,
-    OracleError,
     TpnError,
 )
 from .netfile import parse_net_file, serialize_net
@@ -65,33 +64,57 @@ def _emit(report, fmt, text_lines):
             print(line)
 
 
-def _nat(text: str, message: str) -> int:
-    """``text`` as an int when it is ASCII decimal digits (``str.isdigit``
-    alone also accepts digits such as ``²`` that ``int`` refuses)."""
-    if not (text.isascii() and text.isdigit()):
+def _nat(text: str, message: str, least: int = 0) -> int:
+    """``text`` as an int of at least ``least`` when it is ASCII decimal
+    digits (``str.isdigit`` alone also accepts digits such as ``²`` that
+    ``int`` refuses)."""
+    if not (text.isascii() and text.isdigit()) or int(text) < least:
         raise InputError(message)
     return int(text)
+
+
+def _count(least: int):
+    """argparse type for the count flags, so a bad count is a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            return _nat(text, f"expected a whole number of at least {least}, got {text!r}", least)
+        except InputError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
 
 
 def _limits(ns) -> ExploreLimits:
     max_states = ns.max_states
     if max_states is None:
-        env = os.environ.get("TPNSYNTH_MAX_STATES", "1000000")
-        max_states = _nat(env, f"TPNSYNTH_MAX_STATES must be a natural number, got {env!r}")
+        env = os.environ.get("TPNSYNTH_MAX_STATES")
+        message = f"TPNSYNTH_MAX_STATES must be a natural number, got {env!r}"
+        max_states = ExploreLimits().max_states if env is None else _nat(env, message)
     return ExploreLimits(k_bound=ns.k_bound, max_states=max_states)
 
 
-def _valuation(pairs):
+def _put_once(mapping, name, value, what):
+    if name in mapping:
+        raise InputError(f"parameter {name!r} is given more than once in {what}")
+    mapping[name] = value
+
+
+def _valuation(pairs, params):
     v = {}
     for item in pairs or []:
         for part in item.split(","):
             name, _, value = part.partition("=")
-            v[name.strip()] = _nat(value, f"bad valuation entry {part!r}, expected name=nat")
+            value = _nat(value, f"bad valuation entry {part!r}, expected name=nat")
+            name = name.strip()
+            if name not in params:
+                raise InputError(f"valuation names {name!r}, which the net does not declare")
+            _put_once(v, name, value, "the valuation")
     return v
 
 
 def _concrete(net, ns):
-    return instantiate(net, _valuation(getattr(ns, "valuation", None)))
+    return instantiate(net, _valuation(ns.valuation, net.parameters))
 
 
 def _parse_box(items):
@@ -100,7 +123,7 @@ def _parse_box(items):
         name, _, rng = item.partition("=")
         lo, _, hi = rng.partition("..")  # no ".." leaves hi empty
         message = f"bad box entry {item!r}, expected name=lo..hi"
-        box[name.strip()] = (_nat(lo, message), _nat(hi, message))
+        _put_once(box, name.strip(), (_nat(lo, message), _nat(hi, message)), "--box")
     return box
 
 
@@ -279,12 +302,12 @@ def _build_parser():
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, with_limits=True):
+    def common(p, with_limits=True, formats=("text", "json")):
         p.add_argument("net", help="net file (.tpnet)")
-        p.add_argument("--format", choices=["text", "json", "csv"], default="text")
+        p.add_argument("--format", choices=formats, default="text")
         if with_limits:
-            p.add_argument("--k-bound", type=int, default=8)
-            p.add_argument("--max-states", type=int, default=None)
+            p.add_argument("--k-bound", type=_count(1), default=ExploreLimits().k_bound)
+            p.add_argument("--max-states", type=_count(1), default=None)
 
     p = sub.add_parser("validate", help="check a net file for structural problems")
     common(p, with_limits=False)
@@ -292,7 +315,7 @@ def _build_parser():
 
     p = sub.add_parser("simulate", help="print a random timed trace")
     common(p, with_limits=False)
-    p.add_argument("--steps", type=int, default=20)
+    p.add_argument("--steps", type=_count(0), default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--valuation", "-v", action="append", metavar="NAME=NAT")
     p.set_defaults(fn=cmd_simulate)
@@ -311,11 +334,11 @@ def _build_parser():
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("synth", help="synthesize satisfying integer valuations")
-    common(p)
+    common(p, formats=("text", "json", "csv"))
     p.add_argument("--formula", help="formula file (.tctl)")
     p.add_argument("--formula-text")
     p.add_argument("--box", action="append", metavar="NAME=LO..HI", required=True)
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=_count(1), default=os.cpu_count() or 1)
     p.add_argument("--leadsto", choices=["ag", "paper"], default="ag")
     p.set_defaults(fn=cmd_synth)
 
@@ -340,7 +363,7 @@ def main(argv=None) -> int:
     try:
         ns = parser.parse_args(argv)
         return ns.fn(ns, ["tpnsynth"] + argv, started)
-    except (KBoundError, IncompleteGraphError, HorizonError, OracleError) as exc:
+    except (KBoundError, IncompleteGraphError, HorizonError) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_LIMIT
     except (TpnError, FileNotFoundError, OSError) as exc:

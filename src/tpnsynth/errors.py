@@ -42,12 +42,13 @@ class IncompleteGraphError(TpnError):
 
 
 class HorizonError(TpnError):
-    """An until interval's lower bound exceeds the checker's delay-layer
-    limit (``max_horizon``)."""
+    """An until interval's lower bound exceeds the checker's fixed
+    delay-layer limit (``tctl.MAX_DELAY_LAYERS``)."""
 
 
 class OracleError(TpnError):
-    """The brute-force oracle cannot decide within its configured horizon."""
+    """The brute-force oracle was given a formula outside the core form it
+    evaluates."""
 
 
 class FormulaSyntaxError(InputError):

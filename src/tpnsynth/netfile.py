@@ -195,11 +195,9 @@ def _parse_constraint(text, lineno) -> LinearConstraint:
     return LinearConstraint.make(coeffs, rel, bound)
 
 
-def serialize_net(n: Net, name: str = None) -> str:
+def serialize_net(n: Net) -> str:
     """Canonical text rendering; parse_net(serialize_net(n)) == n."""
     out = []
-    if name:
-        out.append(f"net {name}")
     for p, tokens in zip(n.places, n.initial):
         out.append(f"place {p} {tokens}")
     for p in n.parameters:

@@ -13,7 +13,8 @@ class H (``TimeInterval.horizon``), past which membership in the interval no
 longer changes, and a path is cut once it revisits a (state, capped time)
 pair already on it: for existential untils a cycle cannot create progress,
 and for universal untils a reachable cycle avoiding the target is itself a
-refuting path.
+refuting path. Since every until works out its own cap, the oracle takes no
+horizon and has no limit to hit.
 """
 
 from __future__ import annotations
@@ -24,34 +25,11 @@ from .semantics import Delay, initial_state, successors
 from .tctl import AU, EU, Formula, Implies, Not, Prop, compile_gmec, desugar
 
 
-def brute_force_check(
-    n: ConcreteNet, phi: Formula, horizon: int, leadsto: str = "ag"
-) -> bool:
-    """True iff the initial state satisfies the formula.
-
-    ``horizon`` must cover the saturation class of every until interval in
-    the formula, otherwise the evaluation could silently truncate and an
-    OracleError is raised instead.
-    """
-    core = desugar(phi, leadsto)
-    needed = _needed_horizon(core)
-    if horizon < needed:
-        raise OracleError(
-            f"horizon {horizon} too small to decide: formula needs {needed}"
-        )
-    return _holds(n, initial_state(n), core)
-
-
-def _needed_horizon(phi) -> int:
-    if isinstance(phi, Not):
-        return _needed_horizon(phi.sub)
-    if isinstance(phi, Implies):
-        return max(_needed_horizon(phi.left), _needed_horizon(phi.right))
-    if isinstance(phi, (EU, AU)):
-        return max(
-            phi.interval.horizon, _needed_horizon(phi.left), _needed_horizon(phi.right)
-        )
-    return 1
+def brute_force_check(n: ConcreteNet, phi: Formula, leadsto: str = "ag") -> bool:
+    """True iff the initial state satisfies the formula. Each until caps
+    accumulated time at its own interval's saturation class, so no horizon
+    has to be supplied."""
+    return _holds(n, initial_state(n), desugar(phi, leadsto))
 
 
 def _holds(n: ConcreteNet, state, phi) -> bool:

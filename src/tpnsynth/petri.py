@@ -87,9 +87,6 @@ class TimeInterval:
             return self.int_low() + 1
         return max(self.int_high() + 1, 1)
 
-    def is_empty(self) -> bool:
-        return not self.unbounded and self.int_low() > self.int_high()
-
     def __str__(self):
         lo = "[" if self.left_closed else "("
         hi = "]" if self.right_closed else ")"

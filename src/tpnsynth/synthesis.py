@@ -10,6 +10,7 @@ output is independent of worker count.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -71,12 +72,12 @@ def enumerate_valuations(d: ParamDomain, box: Mapping[str, tuple], order=None):
             yield v
 
 
-def check_valuation(net: Net, formula: Formula, v, limits, leadsto="ag"):
+def check_valuation(p: SynthesisProblem, v):
     """(holds, error) for one valuation; exploration failures are data."""
     try:
-        concrete = instantiate(net, v)
-        graph = build(concrete, limits)
-        verdict = check(concrete, graph, formula, leadsto=leadsto)
+        concrete = instantiate(p.net, v)
+        graph = build(concrete, p.limits)
+        verdict = check(concrete, graph, p.formula, leadsto=p.leadsto)
         return verdict.holds, None
     except KBoundError as exc:
         return False, f"k-bound: {exc}"
@@ -84,21 +85,16 @@ def check_valuation(net: Net, formula: Formula, v, limits, leadsto="ag"):
         return False, f"{type(exc).__name__}: {exc}"
 
 
-def _worker(args):
-    net, formula, v, limits, leadsto = args
-    return v, check_valuation(net, formula, v, limits, leadsto)
-
-
 def synthesize(p: SynthesisProblem, jobs: int = 1) -> SynthesisResult:
     vals = list(enumerate_valuations(implicit_domain(p.net), p.box, order=p.net.parameters))
-    satisfying, failures = [], []
+    one = functools.partial(check_valuation, p)
     if jobs > 1 and len(vals) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            work = ((p.net, p.formula, v, p.limits, p.leadsto) for v in vals)
-            results = list(pool.map(_worker, work, chunksize=max(1, len(vals) // (4 * jobs))))
+            results = list(pool.map(one, vals, chunksize=max(1, len(vals) // (4 * jobs))))
     else:
-        results = [_worker((p.net, p.formula, v, p.limits, p.leadsto)) for v in vals]
-    for v, (holds, err) in results:
+        results = map(one, vals)
+    satisfying, failures = [], []
+    for v, (holds, err) in zip(vals, results):
         if err is not None:
             failures.append((v, err))
         elif holds:

@@ -18,8 +18,8 @@ position at time a; every earlier position precedes the psi-position and
 satisfies phi, and the rest of the path is a closed-0 until over the
 shifted interval. One layer is a pre-image: the phi-nodes from which some
 (E) or every (A) path crosses fire edges through phi-nodes and then takes
-one delay edge into the layer below. ``max_horizon`` bounds a, the number
-of layers.
+one delay edge into the layer below. ``MAX_DELAY_LAYERS`` bounds a, the
+number of layers, against a huge lower bound typed in by a user.
 
 Until is position-based: ``E phi U_I psi`` holds when some path reaches a
 psi-state at an accumulated time inside I with phi true at every strictly
@@ -558,6 +558,8 @@ def format_gmec(g: Gmec) -> str:
 # ---------------------------------------------------------------------------
 # Model checking
 
+MAX_DELAY_LAYERS = 100_000  # largest until lower bound a the checker accepts
+
 
 @dataclass
 class Verdict:
@@ -566,10 +568,9 @@ class Verdict:
 
 
 class _Checker:
-    def __init__(self, graph: ReachGraph, max_horizon: int):
+    def __init__(self, graph: ReachGraph):
         self.g = graph
         self.net = graph.net
-        self.max_horizon = max_horizon
         self.n = len(graph.states)
         self.memo = {}
         self.fire_preds = [[] for _ in range(self.n)]
@@ -602,9 +603,9 @@ class _Checker:
         over ``[0, int_high - a]`` with ``a = iv.int_low()``, behind ``a``
         delay layers."""
         a = iv.int_low()
-        if a > self.max_horizon:
+        if a > MAX_DELAY_LAYERS:
             raise HorizonError(
-                f"interval lower bound {a} exceeds the delay-layer limit {self.max_horizon}"
+                f"interval lower bound {a} exceeds the delay-layer limit {MAX_DELAY_LAYERS}"
             )
         arrival = (self._earliest if exists else self._latest)(satphi, satpsi)
         span = iv.int_high() - a
@@ -718,22 +719,22 @@ def check(
     g: ReachGraph,
     phi: Formula,
     leadsto: str = "ag",
-    max_horizon: int = 100_000,
 ) -> Verdict:
     """Decide whether the initial state satisfies the formula.
 
     Returns a witness trace for a holding top-level existential until (EF
     included) and a counterexample trace for a failing top-level universal
     invariant (AG and the response operator in its default reading).
-    ``max_horizon`` bounds the least integer of every until interval, which
-    is the number of delay layers in front of its closed-0 labelling; a
-    larger one raises HorizonError. Upper bounds are not limited.
+    The least integer of every until interval, which is the number of delay
+    layers in front of its closed-0 labelling, may be at most
+    ``MAX_DELAY_LAYERS``; a larger one raises HorizonError. Upper bounds are
+    not limited.
     """
     if not g.complete:
         raise IncompleteGraphError("refusing to check an incomplete graph")
     check_formula_places(phi, n)
     core = desugar(phi, leadsto)
-    checker = _Checker(g, max_horizon)
+    checker = _Checker(g)
     holds = g.initial in checker.sat(core)
     witness = None
     if isinstance(core, EU) and holds:

@@ -262,6 +262,10 @@ def random_formula(rng: random.Random, places, depth=2, max_bound=6):
         return EU(sub(), iv, sub())
     if roll < 0.92:
         return AU(sub(), iv, sub())
+    return random_response(rng, places, max_bound)
+
+
+def random_response(rng: random.Random, places, max_bound=6):
     hi = rng.randint(0, max_bound)
     resp = TimeInterval(0, INF) if rng.random() < 0.3 else TimeInterval(0, hi)
     return LeadsTo(random_gmec(rng, places, 1), resp, random_gmec(rng, places, 1))

@@ -5,6 +5,7 @@ from tpnsynth import (
     InputError,
     build,
     check,
+    domain_contains,
     instantiate,
     parse_formula,
 )
@@ -156,8 +157,6 @@ class TestClockModel:
     def test_bad_config_rejected(self):
         with pytest.raises(InputError):
             ClockConfig(light_start="dim")
-        with pytest.raises(InputError):
-            ClockConfig(gene_start=2)
 
 
 class TestKnockOut:
@@ -205,6 +204,15 @@ class TestNightLight:
         cfg = ClockConfig(light_start="off", tau_g=1, tau_a=7)
         net = apply_observer(build_circadian_clock(cfg), NightLight("t1", "t2", "t3"))
         assert any(c.params() == {"t1", "t2", "t3"} for c in net.domain.constraints)
+
+    def test_repeated_phase_parameter_counts_each_phase(self):
+        # t1 names two phases, so the night is 2*t1 + t2 = 12
+        cfg = ClockConfig(light_start="off", tau_g=1, tau_a=7)
+        net = apply_observer(build_circadian_clock(cfg), NightLight("t1", "t2", "t1"))
+        night = [c for c in net.domain.constraints if c.params() == {"t1", "t2"}]
+        assert [dict(c.coeffs) for c in night] == [{"t1": 2, "t2": 1}]
+        assert domain_contains(net.domain, {"t1": 4, "t2": 4})
+        assert not domain_contains(net.domain, {"t1": 6, "t2": 6})
 
     def test_literal_phases_must_fill_the_night(self):
         cfg = ClockConfig(light_start="off", tau_g=1, tau_a=7)

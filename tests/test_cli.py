@@ -87,6 +87,27 @@ class TestExitCodes:
         assert code == 2
         assert "bad box entry" in err
 
+    @pytest.mark.parametrize("entries", [["td=2,zz=3"], ["td=2,td=3"], ["td=2", "td=3"], ["zz=3"]])
+    def test_valuation_names_must_be_declared_once(self, tmp_path, capsys, entries):
+        path = tmp_path / "param.tpnet"
+        path.write_text(PARAM_NET)
+        flags = [x for entry in entries for x in ("-v", entry)]
+        code, out, err = run(capsys, "check", str(path), "--formula-text", "EF[0,3](M(p2)>=1)", *flags)
+        assert code == 2
+        assert out == ""
+        assert "td" in err or "zz" in err
+
+    def test_repeated_box_parameter_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "param.tpnet"
+        path.write_text(PARAM_NET)
+        code, out, err = run(
+            capsys, "synth", str(path), "--formula-text", "EF[0,3](M(p2)>=1)",
+            "--box", "td=1..3", "--box", "td=5..6", "--jobs", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert "'td'" in err
+
     def test_k_bound_violation_exit_three(self, tmp_path, capsys):
         path = tmp_path / "producer.tpnet"
         path.write_text(PRODUCER)
@@ -97,6 +118,67 @@ class TestExitCodes:
     def test_validate_ok(self, net_file, capsys):
         code, out, _ = run(capsys, "validate", net_file)
         assert code == 0 and "ok" in out
+
+
+class TestCountFlags:
+    SYNTH = ("synth", "--formula-text", "EF[0,3](M(p2)>=1)", "--box", "td=1..3")
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("simulate", "-v", "td=2", "--steps", "-3"),
+            ("simulate", "-v", "td=2", "--steps", "²"),
+            SYNTH + ("--jobs", "0"),
+            SYNTH + ("--jobs", "-2"),
+            SYNTH + ("--jobs", "x"),
+            ("check", "-v", "td=2", "--formula-text", "EF[0,3](M(p2)>=1)", "--k-bound", "0"),
+            ("check", "-v", "td=2", "--formula-text", "EF[0,3](M(p2)>=1)", "--k-bound", "-1"),
+            ("graph", "-v", "td=2", "--max-states", "0"),
+            ("graph", "-v", "td=2", "--max-states", "1e3"),
+        ],
+    )
+    def test_bad_count_exit_two(self, tmp_path, capsys, flags):
+        path = tmp_path / "param.tpnet"
+        path.write_text(PARAM_NET)
+        command, *rest = flags
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(path), *rest])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "whole number" in out.err
+
+    def test_zero_steps_is_an_empty_trace(self, tmp_path, capsys):
+        path = tmp_path / "param.tpnet"
+        path.write_text(PARAM_NET)
+        code, out, _ = run(capsys, "simulate", str(path), "-v", "td=2", "--steps", "0", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["result"]["trace"] == []
+
+    def test_limit_defaults_come_from_explore_limits(self, net_file, monkeypatch):
+        from tpnsynth.cli import _build_parser, _limits
+        from tpnsynth.statespace import ExploreLimits
+
+        monkeypatch.delenv("TPNSYNTH_MAX_STATES", raising=False)
+        ns = _build_parser().parse_args(["check", net_file])
+        assert _limits(ns) == ExploreLimits()
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("check", "--formula-text", "EF[0,3](M(p2)>=1)"),
+            ("graph",),
+            ("validate",),
+            ("simulate",),
+            ("compose", "--observer", "flag:t1"),
+        ],
+    )
+    def test_csv_format_only_on_synth(self, net_file, capsys, command):
+        name, *rest = command
+        with pytest.raises(SystemExit) as exc:
+            main([name, net_file, *rest, "--format", "csv"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestReports:

@@ -18,7 +18,6 @@ from tpnsynth import (
     InputError,
     LeadsTo,
     Not,
-    OracleError,
     Prop,
     TimeInterval,
     brute_force_check,
@@ -42,6 +41,7 @@ from _gen import (
     product_until,
     random_concrete_net,
     random_formula,
+    random_response,
     random_step_graph,
     step_graph,
 )
@@ -339,32 +339,32 @@ class TestDifferentialOracle:
             make_net([("p1", 0)], {"t": {"pre": {"p1": 1}, "interval": (0, 1)}}), {}
         )
         phi = parse_formula("AF[0,1](M(p1)>=1)")
-        assert not brute_force_check(net, phi, horizon=5)
+        assert not brute_force_check(net, phi)
         g = build(net)
         assert not check(net, g, phi).holds
 
     def test_net_a_examples(self, net_a):
-        assert brute_force_check(net_a, parse_formula("EF[2,3](M(p2)>=1)"), horizon=5)
-        assert not brute_force_check(net_a, parse_formula("EF[0,1](M(p2)>=1)"), horizon=5)
-
-    def test_horizon_guard(self, net_a):
-        from tpnsynth import OracleError
-
-        with pytest.raises(OracleError):
-            brute_force_check(net_a, parse_formula("EF[0,9](M(p2)>=1)"), horizon=5)
+        assert brute_force_check(net_a, parse_formula("EF[2,3](M(p2)>=1)"))
+        assert not brute_force_check(net_a, parse_formula("EF[0,1](M(p2)>=1)"))
 
     def test_agreement_on_random_nets_and_formulas(self):
-        rng = random.Random(67)
-        pairs = 0
+        # both readings of the response operator, on the same cases, plus
+        # one extra response formula per net from a separate stream
+        rng, extra = random.Random(67), random.Random(71)
+        pairs = responses = 0
         for net, g in _graphs_for(rng, 40, max_places=3, max_transitions=3, max_bound=3):
             if len(g) > 220:
                 continue
-            for _ in range(5):
-                phi = random_formula(rng, list(net.places), depth=1, max_bound=3)
-                expected = brute_force_check(net, phi, horizon=8)
-                assert check(net, g, phi).holds == expected
+            places = list(net.places)
+            phis = [random_formula(rng, places, depth=1, max_bound=3) for _ in range(5)]
+            for phi in phis + [random_response(extra, places, max_bound=3)]:
+                for leadsto in ("ag", "paper"):
+                    expected = brute_force_check(net, phi, leadsto=leadsto)
+                    assert check(net, g, phi, leadsto=leadsto).holds == expected
                 pairs += 1
-        assert pairs >= 150
+                responses += "-->" in format_formula(phi)
+        assert pairs >= 180
+        assert responses >= 40
 
 
 class TestOracleWalk:
@@ -380,15 +380,19 @@ class TestOracleWalk:
         for text in ("AF[0,1200](M(p)=0)", "E (M(p)=1) U[1200,1200] (M(p)=1)"):
             phi = parse_formula(text)
             assert check(net, g, phi).holds
-            assert brute_force_check(net, phi, horizon=1201)
+            assert brute_force_check(net, phi)
         assert sys.getrecursionlimit() == limit
 
-    def test_horizon_guard_follows_open_endpoint(self, net_a):
-        # [0,5) contains at most 4, so its saturation class is 5
-        phi = parse_formula("EF[0,5)(M(p2)>=1)")
-        assert brute_force_check(net_a, phi, horizon=5)
-        with pytest.raises(OracleError):
-            brute_force_check(net_a, phi, horizon=4)
+    def test_horizon_guard_follows_open_endpoint(self):
+        # p2 is marked from time 5 on; [0,5) contains at most 4, so its
+        # saturation class is 5 and capping time there must not reach it
+        net = instantiate(
+            make_net([("p1", 1), ("p2", 0)], {"t": {"pre": {"p1": 1}, "post": {"p2": 1}, "interval": (5, 5)}}),
+            {},
+        )
+        assert not brute_force_check(net, parse_formula("EF[0,5)(M(p2)>=1)"))
+        assert brute_force_check(net, parse_formula("EF[0,5](M(p2)>=1)"))
+        assert brute_force_check(net, parse_formula("AG[0,5)(M(p2)=0)"))
 
 
 F, D = Fire("t"), Delay()
@@ -427,7 +431,7 @@ class TestLabelledUntil:
         shifted = 0
         for _ in range(260):
             g = random_step_graph(rng)
-            ch = _Checker(g, 10_000)
+            ch = _Checker(g)
             nodes = range(len(g))
             for _ in range(4):
                 phi = frozenset(v for v in nodes if rng.random() < 0.7)
@@ -441,7 +445,7 @@ class TestLabelledUntil:
     def test_agrees_with_product_on_net_graphs(self):
         rng = random.Random(73)
         for net, g in _graphs_for(rng, 15, max_places=3, max_transitions=3, max_bound=4):
-            ch = _Checker(g, 10_000)
+            ch = _Checker(g)
             for _ in range(6):
                 phi = frozenset(v for v in range(len(g)) if rng.random() < 0.8)
                 psi = frozenset(v for v in range(len(g)) if rng.random() < 0.15)
@@ -451,14 +455,14 @@ class TestLabelledUntil:
 
     def test_au_fails_on_zero_time_cycle_avoiding_psi(self):
         # 0 and 1 fire back and forth forever; only a delay from 0 reaches 2
-        ch = _Checker(step_graph([[(F, 1), (D, 2)], [(F, 0)], [(D, 2)]]), 10_000)
+        ch = _Checker(step_graph([[(F, 1), (D, 2)], [(F, 0)], [(D, 2)]]))
         phi, psi = frozenset({0, 1}), frozenset({2})
         assert ch._latest(phi, psi) == [None, None, 0]
         assert _until_all(ch, False, phi, psi) == [frozenset({2})] * 4
         assert _until_all(ch, True, phi, psi) == [frozenset({2})] + [frozenset({0, 1, 2})] * 3
 
     def test_au_fails_on_delay_cycle_avoiding_psi(self):
-        ch = _Checker(step_graph([[(D, 1), (F, 2)], [(D, 0)], [(D, 2)]]), 10_000)
+        ch = _Checker(step_graph([[(D, 1), (F, 2)], [(D, 0)], [(D, 2)]]))
         phi, psi = frozenset({0, 1}), frozenset({2})
         assert ch._latest(phi, psi) == [None, None, 0]
         assert _until_all(ch, False, phi, psi) == [frozenset({2})] * 4
@@ -466,7 +470,7 @@ class TestLabelledUntil:
     def test_au_fails_at_dead_end(self):
         # 1 has no successors; 0 may delay into it or fire into psi-node 2
         g = step_graph([[(D, 1), (F, 2)], [], [(D, 2)]])
-        ch = _Checker(g, 10_000)
+        ch = _Checker(g)
         phi, psi = frozenset({0, 1}), frozenset({2})
         assert ch._latest(phi, psi) == [None, None, 0]
         assert _until_all(ch, False, phi, psi) == [frozenset({2})] * 4
@@ -477,7 +481,7 @@ class TestLabelledUntil:
         # it at time 0; 0 delays into 3 first, so its earliest arrival is 1
         succ = [[(D, 3)], [(F, 4)], [(F, 1)], [(F, 2), (D, 4)], [(D, 4)]]
         g = step_graph(succ)
-        ch = _Checker(g, 10_000)
+        ch = _Checker(g)
         phi, psi = frozenset(range(4)), frozenset({4})
         assert ch._earliest(phi, psi) == [1, 0, 0, 0, 0]
         assert ch.until(True, phi, TimeInterval(0, 0), psi) == frozenset({1, 2, 3, 4})
@@ -486,7 +490,7 @@ class TestLabelledUntil:
 
     def test_eu_needs_psi_inside_a_positive_lower_bound(self):
         # a delay chain 0 -> 1 -> 2 -> 3, where 3 keeps delaying
-        ch = _Checker(step_graph([[(D, 1)], [(D, 2)], [(D, 3)], [(D, 3)]]), 10_000)
+        ch = _Checker(step_graph([[(D, 1)], [(D, 2)], [(D, 3)], [(D, 3)]]))
         every = frozenset(range(4))
         early = frozenset({0, 1})  # psi at times 0 and 1 only
         assert 0 not in ch.until(True, every, TimeInterval(2, 2), early)
@@ -502,16 +506,16 @@ class TestLabelledUntil:
         # at time 1, node 1 may fire to 2 and back forever; its delay reaches
         # psi-node 3 at time 2
         succ = [[(D, 1)], [(F, 2), (D, 3)], [(F, 1)], [(D, 3)]]
-        ch = _Checker(step_graph(succ), 10_000)
+        ch = _Checker(step_graph(succ))
         phi, psi = frozenset(range(3)), frozenset({3})
         assert 0 not in ch.until(False, phi, TimeInterval(2, 3), psi)
         assert 0 in ch.until(True, phi, TimeInterval(2, 3), psi)
-        acyclic = _Checker(step_graph([[(D, 1)], [(F, 2), (D, 3)], [(D, 3)], [(D, 3)]]), 10_000)
+        acyclic = _Checker(step_graph([[(D, 1)], [(F, 2), (D, 3)], [(D, 3)], [(D, 3)]]))
         assert 0 in acyclic.until(False, phi, TimeInterval(2, 3), psi)
 
     def test_au_fails_at_dead_end_before_the_lower_bound(self):
         # 0 may fire into dead end 1 at time 0 or delay into 2
-        ch = _Checker(step_graph([[(F, 1), (D, 2)], [], [(D, 2)]]), 10_000)
+        ch = _Checker(step_graph([[(F, 1), (D, 2)], [], [(D, 2)]]))
         phi, psi = frozenset(range(3)), frozenset({1, 2})
         assert 0 not in ch.until(False, phi, TimeInterval(1, INF), psi)
         assert 0 in ch.until(True, phi, TimeInterval(1, INF), psi)
@@ -537,22 +541,22 @@ class TestLeadsToModes:
 
 class TestHorizonGuards:
     def test_lower_bound_above_horizon_limit(self, net_a):
-        # max_horizon bounds the number of delay layers, the lower bound
+        # MAX_DELAY_LAYERS bounds the number of delay layers, the lower bound
         from tpnsynth import HorizonError
 
         g = build(net_a)
         with pytest.raises(HorizonError):
-            check(net_a, g, parse_formula("EF[1001,1002](M(p2)>=1)"), max_horizon=1000)
+            check(net_a, g, parse_formula("EF[100001,100002](M(p2)>=1)"))
 
     def test_positive_lower_bound_within_horizon_limit(self, net_a):
         g = build(net_a)
-        v = check(net_a, g, parse_formula("EF[1,50000](M(p2)>=1)"), max_horizon=1000)
+        v = check(net_a, g, parse_formula("EF[1,50000](M(p2)>=1)"))
         assert v.holds
         assert replay(net_a, v.witness)[-1].marking == (0, 1)
 
     def test_labelled_until_ignores_horizon_limit(self, net_a):
         g = build(net_a)
-        v = check(net_a, g, parse_formula("EF[0,50000](M(p2)>=1)"), max_horizon=1000)
+        v = check(net_a, g, parse_formula("EF[0,50000](M(p2)>=1)"))
         assert v.holds
         assert replay(net_a, v.witness)[-1].marking == (0, 1)
 
@@ -580,10 +584,10 @@ class TestZenoLoop:
         for text in ("EF[1,1](M(p)>=1)", "AF[1,1](M(p)>=1)"):
             phi = parse_formula(text)
             assert not check(net, g, phi).holds
-            assert not brute_force_check(net, phi, horizon=4)
+            assert not brute_force_check(net, phi)
         tautology_now = parse_formula("AF[0,0](M(p)>=1)")
         assert check(net, g, tautology_now).holds
-        assert brute_force_check(net, tautology_now, horizon=4)
+        assert brute_force_check(net, tautology_now)
 
 
 class TestLeadsToCounterexample:
