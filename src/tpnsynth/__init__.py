@@ -23,7 +23,6 @@ from .petri import (
     LinearConstraint,
     Net,
     ParamDomain,
-    ParamExpr,
     ParamInterval,
     TimeInterval,
     domain_contains,

@@ -21,9 +21,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import InputError
-from .petri import LinearConstraint, Net, TimeInterval, make_net
-
-Bound = Union[int, str]  # literal delay or parameter name
+from .petri import Bound, LinearConstraint, Net, make_net, net_spec
 
 
 # ---------------------------------------------------------------------------
@@ -102,29 +100,6 @@ def inhibitor_place(transition: str) -> str:
     return f"p_inh_{transition}"
 
 
-def _net_spec(n: Net):
-    places = list(zip(n.places, n.initial))
-    transitions = {}
-    for i, t in enumerate(n.transitions):
-        spec = {}
-        for what, vecs in (("pre", n.pre), ("post", n.post), ("read", n.read), ("inhibit", n.inhibit)):
-            arcs = {p: w for p, w in zip(n.places, vecs[i]) if w > 0}
-            if arcs:
-                spec[what] = arcs
-        ival = n.intervals[i]
-        if isinstance(ival, TimeInterval):
-            lo, hi = ival.low, (None if ival.unbounded else ival.high)
-        else:
-            lo = ival.low.value if ival.low.param is None else ival.low.param
-            if ival.high is None:
-                hi = None
-            else:
-                hi = ival.high.value if ival.high.param is None else ival.high.param
-        spec["interval"] = (lo, hi)
-        transitions[t] = spec
-    return places, transitions, list(n.parameters), list(n.domain.constraints)
-
-
 def _fresh(name: str, taken) -> str:
     if name in taken:
         raise InputError(f"observer name {name!r} collides with an existing name")
@@ -139,7 +114,7 @@ def _as_param(bound: Bound, params: list):
 
 
 def apply_observer(n: Net, spec: ObserverSpec) -> Net:
-    places, transitions, params, constraints = _net_spec(n)
+    places, transitions, params, constraints = net_spec(n)
     taken = set(n.places) | set(n.transitions)
 
     def arcs(t: str, kind: str) -> dict:

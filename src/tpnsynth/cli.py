@@ -26,7 +26,7 @@ from .errors import (
     TpnError,
 )
 from .netfile import parse_net_file, serialize_net
-from .petri import instantiate, validate_net
+from .petri import NAME, instantiate, validate_net
 from .semantics import Delay, initial_state, successors
 from .statespace import ExploreLimits, build
 from .synthesis import SynthesisProblem, synthesize
@@ -141,12 +141,19 @@ _OBSERVERS = {
     "knockout": lambda a: biomodels.KnockOut(tuple(a)),
     "lightdur": lambda a: biomodels.LightDuration(_bound(a[0])),
     "nightlight": lambda a: biomodels.NightLight(_bound(a[0]), _bound(a[1]), _bound(a[2])),
-    "jetlag": lambda a: biomodels.JetLag(int(a[0]), int(a[1])),
+    "jetlag": lambda a: biomodels.JetLag(_delay(a[0]), _delay(a[1])),
 }
 
 
+def _delay(text):
+    return _nat(text, f"bad observer delay {text!r}, expected a natural number")
+
+
 def _bound(text):
-    return int(text) if text.isdigit() else text
+    """A parametric observer delay: a parameter name or a natural number."""
+    if NAME.fullmatch(text):
+        return text
+    return _nat(text, f"bad observer delay {text!r}, expected a natural number or a parameter name")
 
 
 def _parse_observer(spec: str):

@@ -9,9 +9,10 @@
                  interval [<lo>,<hi>]
 
 Arcs are place names with an optional ``*weight``; interval bounds are
-naturals or parameter names, the high bound may be ``inf``. Missing arc
-lists default to none, a missing domain to the empty constraint set. The
-full grammar lives in docs/formats.md.
+naturals or parameter names, the high bound may be ``inf``. An interval
+is closed, ``[lo,inf)`` excepted. Numbers are ASCII decimal digits.
+Missing arc lists default to none, a missing domain to the empty
+constraint set. The full grammar lives in docs/formats.md.
 """
 
 from __future__ import annotations
@@ -20,11 +21,12 @@ import re
 from fractions import Fraction
 
 from .errors import InputError, NetSyntaxError
-from .petri import LinearConstraint, Net, TimeInterval, make_net
+from .petri import NAME, LinearConstraint, Net, make_net, net_spec
 
-_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
-_ARC = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\*(\d+))?$")
-_INTERVAL = re.compile(r"\[([A-Za-z0-9_]+),([A-Za-z0-9_]+)[\]\)]$")
+_NAT = re.compile(r"[0-9]+")
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+_ARC = re.compile(rf"({NAME.pattern})(?:\*([0-9]+))?")
+_INTERVAL = re.compile(r"\[([A-Za-z0-9_]+),([A-Za-z0-9_]+)([\]\)])")
 _SECTIONS = ("pre", "post", "read", "inhibit", "interval")
 
 
@@ -43,11 +45,11 @@ def parse_net(text: str) -> Net:
                 raise NetSyntaxError("net takes exactly one name", lineno)
             name = rest[0]
         elif head == "place":
-            if not rest or not _NAME.match(rest[0]):
+            if not rest or not NAME.fullmatch(rest[0]):
                 raise NetSyntaxError("place needs a name", lineno)
             tokens = 0
             if len(rest) == 2:
-                if not rest[1].isdecimal():
+                if not _NAT.fullmatch(rest[1]):
                     raise NetSyntaxError("initial tokens must be a natural number", lineno)
                 tokens = int(rest[1])
             elif len(rest) > 2:
@@ -56,7 +58,7 @@ def parse_net(text: str) -> Net:
                 raise NetSyntaxError(f"duplicate place {rest[0]!r}", lineno)
             places.append((rest[0], tokens))
         elif head == "param":
-            if len(rest) != 1 or not _NAME.match(rest[0]):
+            if len(rest) != 1 or not NAME.fullmatch(rest[0]):
                 raise NetSyntaxError("param needs a single name", lineno)
             if rest[0] in params:
                 raise NetSyntaxError(f"duplicate parameter {rest[0]!r}", lineno)
@@ -65,7 +67,7 @@ def parse_net(text: str) -> Net:
             constraints.append(_parse_constraint(" ".join(rest), lineno))
             domain_lines.append(lineno)
         elif head == "trans":
-            if not rest or not _NAME.match(rest[0]):
+            if not rest or not NAME.fullmatch(rest[0]):
                 raise NetSyntaxError("trans needs a name", lineno)
             tname = rest[0]
             if tname in transitions:
@@ -134,7 +136,7 @@ def _parse_transition(words, lineno):
             continue
         if section is None:
             raise NetSyntaxError(f"unexpected token {w!r} in transition", lineno)
-        m = _ARC.match(w)
+        m = _ARC.fullmatch(w)
         if not m:
             raise NetSyntaxError(f"bad arc {w!r}", lineno)
         place, weight = m.group(1), int(m.group(2) or 1)
@@ -151,16 +153,28 @@ def _parse_transition(words, lineno):
 
 
 def _parse_interval(tok, lineno):
-    m = _INTERVAL.match(tok)
+    m = _INTERVAL.fullmatch(tok)
     if not m:
         raise NetSyntaxError(f"bad interval {tok!r}, expected [lo,hi]", lineno)
-    lo, hi = m.group(1), m.group(2)
-    low = int(lo) if lo.isdigit() else lo
+    lo, hi, close = m.groups()
     if hi == "inf":
-        high = None
-    else:
-        high = int(hi) if hi.isdigit() else hi
-    return (low, high)
+        return (_bound(lo), None)
+    if close == ")":
+        raise NetSyntaxError(f"bad interval {tok!r}: a finite high bound is closed with ']'", lineno)
+    return (_bound(lo), _bound(hi))
+
+
+def _bound(text):
+    return int(text) if _NAT.fullmatch(text) else text
+
+
+def _rational(text, what, lineno) -> Fraction:
+    if not _RATIONAL.fullmatch(text):
+        raise NetSyntaxError(f"bad {what} {text!r}", lineno)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise NetSyntaxError(f"bad {what} {text!r}", lineno) from None
 
 
 def _parse_constraint(text, lineno) -> LinearConstraint:
@@ -168,10 +182,7 @@ def _parse_constraint(text, lineno) -> LinearConstraint:
     if not m:
         raise NetSyntaxError("domain constraint needs a comparison", lineno)
     lhs, rel, rhs = m.group(1).strip(), m.group(2), m.group(3).strip()
-    try:
-        bound = Fraction(rhs)
-    except (ValueError, ZeroDivisionError):
-        raise NetSyntaxError(f"bad constraint bound {rhs!r}", lineno)
+    bound = _rational(rhs, "constraint bound", lineno)
     coeffs = {}
     for sign, term in re.findall(r"([+-]?)\s*([^+-]+)", lhs):
         term = term.strip()
@@ -180,14 +191,11 @@ def _parse_constraint(text, lineno) -> LinearConstraint:
         factor = Fraction(-1 if sign == "-" else 1)
         if "*" in term:
             coef, _, pname = term.partition("*")
-            try:
-                factor *= Fraction(coef.strip())
-            except (ValueError, ZeroDivisionError):
-                raise NetSyntaxError(f"bad coefficient {coef!r}", lineno)
+            factor *= _rational(coef.strip(), "coefficient", lineno)
             pname = pname.strip()
         else:
             pname = term
-        if not _NAME.match(pname):
+        if not NAME.fullmatch(pname):
             raise NetSyntaxError(f"bad parameter name {pname!r} in constraint", lineno)
         coeffs[pname] = coeffs.get(pname, Fraction(0)) + factor
     if not coeffs:
@@ -196,13 +204,11 @@ def _parse_constraint(text, lineno) -> LinearConstraint:
 
 
 def serialize_net(n: Net) -> str:
-    """Canonical text rendering; parse_net(serialize_net(n)) == n."""
-    out = []
-    for p, tokens in zip(n.places, n.initial):
-        out.append(f"place {p} {tokens}")
-    for p in n.parameters:
-        out.append(f"param {p}")
-    for c in n.domain.constraints:
+    """Canonical text rendering of ``net_spec(n)``; parse_net(serialize_net(n)) == n."""
+    places, transitions, params, constraints = net_spec(n)
+    out = [f"place {p} {tokens}" for p, tokens in places]
+    out += [f"param {p}" for p in params]
+    for c in constraints:
         terms = []
         for i, (p, coef) in enumerate(c.coeffs):
             mag = coef if (coef >= 0 or i == 0) else -coef
@@ -210,25 +216,13 @@ def serialize_net(n: Net) -> str:
             coef_txt = "" if mag == 1 else f"{mag}*"
             terms.append(f"{prefix}{coef_txt}{p}")
         out.append(f"domain {''.join(terms)} {c.rel} {c.bound}")
-    for i, t in enumerate(n.transitions):
+    for t, spec in transitions.items():
         parts = [f"trans {t}"]
-        for what, vecs in (("pre", n.pre), ("post", n.post), ("read", n.read), ("inhibit", n.inhibit)):
-            arcs = [
-                f"{p}" if w == 1 else f"{p}*{w}"
-                for p, w in zip(n.places, vecs[i])
-                if w > 0
-            ]
-            if arcs:
+        for what in ("pre", "post", "read", "inhibit"):
+            if what in spec:
+                arcs = (p if w == 1 else f"{p}*{w}" for p, w in spec[what].items())
                 parts.append(f"{what} {' '.join(arcs)}")
-        parts.append(f"interval {_format_interval(n.intervals[i])}")
+        lo, hi = spec["interval"]
+        parts.append(f"interval [{lo},{'inf)' if hi is None else f'{hi}]'}")
         out.append(" ".join(parts))
     return "\n".join(out) + "\n"
-
-
-def _format_interval(ival) -> str:
-    if isinstance(ival, TimeInterval):
-        hi = "inf)" if ival.unbounded else f"{ival.high}]"
-        return f"[{ival.low},{hi}"
-    lo = str(ival.low)
-    hi = "inf)" if ival.high is None else f"{ival.high}]"
-    return f"[{lo},{hi}"

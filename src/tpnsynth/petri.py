@@ -9,6 +9,9 @@ Conventions used throughout the package:
 * an inhibitor weight of 0 means "no inhibitor arc on this place"; where
   the weight w is positive the transition is blocked once the place holds
   w or more tokens;
+* a bound of a parametric interval (``Bound``) is a natural number (an
+  ``int``) or a parameter name (a ``str`` matching ``NAME``, the net
+  grammar's name rule);
 * parameters take natural-number values only, while constraint
   coefficients and bounds may be rational.
 """
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -28,6 +32,9 @@ INF = math.inf
 
 Marking = tuple  # tuple[int, ...] aligned with Net.places
 Valuation = Mapping[str, int]
+Bound = Union[int, str]  # a natural number or a parameter name
+
+NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")  # place, transition and parameter names
 
 # the one comparison table for linear parameter constraints and GMEC atoms
 RELATIONS = {
@@ -94,78 +101,49 @@ class TimeInterval:
         return f"{lo}{self.low},{high}{hi}"
 
 
-@dataclass(frozen=True)
-class ParamExpr:
-    """A literal natural number or a single parameter name."""
-
-    value: Optional[int] = None
-    param: Optional[str] = None
-
-    def __post_init__(self):
-        if (self.value is None) == (self.param is None):
-            raise InputError("ParamExpr must carry exactly one of a literal or a parameter")
-        if self.value is not None and (not isinstance(self.value, int) or self.value < 0):
-            raise InputError(f"literal bound must be a natural number, got {self.value!r}")
-
-    @classmethod
-    def lit(cls, n: int) -> "ParamExpr":
-        return cls(value=n)
-
-    @classmethod
-    def var(cls, name: str) -> "ParamExpr":
-        return cls(param=name)
-
-    def evaluate(self, v: Valuation) -> int:
-        if self.value is not None:
-            return self.value
-        if self.param not in v:
-            raise InputError(f"valuation missing parameter {self.param!r}")
-        return v[self.param]
-
-    def __str__(self):
-        return str(self.value) if self.value is not None else self.param
+def _check_bound(b) -> None:
+    if isinstance(b, str):
+        if not NAME.fullmatch(b):
+            raise InputError(f"interval bound {b!r} is not a parameter name")
+    elif not isinstance(b, int) or b < 0:
+        raise InputError(f"interval bound must be a natural number or a parameter name, got {b!r}")
 
 
 @dataclass(frozen=True)
 class ParamInterval:
-    """Parametric firing interval; ``high=None`` means unbounded."""
+    """Parametric static firing interval ``[low, high]``; ``high=None``
+    (``inf`` on construction) means the unbounded ``[low, inf)``."""
 
-    low: ParamExpr
-    high: Optional[ParamExpr]
+    low: Bound
+    high: Optional[Bound]
 
-    @classmethod
-    def make(cls, low, high) -> "ParamInterval":
-        """Build from ints, parameter names, or None/inf for the high end."""
-        return cls(_as_expr(low), None if high is None or high == INF else _as_expr(high))
+    def __post_init__(self):
+        if self.high == INF:
+            object.__setattr__(self, "high", None)
+        _check_bound(self.low)
+        if self.high is not None:
+            _check_bound(self.high)
 
     def evaluate(self, v: Valuation) -> TimeInterval:
-        lo = self.low.evaluate(v)
-        if self.high is None:
+        lo, hi = self.low, self.high
+        try:
+            if isinstance(lo, str):
+                lo = v[lo]
+            if isinstance(hi, str):
+                hi = v[hi]
+        except KeyError as exc:
+            raise InputError(f"valuation missing parameter {exc.args[0]!r}") from None
+        if hi is None:
             return TimeInterval(lo, INF)
-        hi = self.high.evaluate(v)
         if lo > hi:
-            raise IllFormedIntervalError(f"interval [{self.low},{self.high}] evaluates to [{lo},{hi}]")
+            raise IllFormedIntervalError(f"interval {self} evaluates to [{lo},{hi}]")
         return TimeInterval(lo, hi)
 
     def referenced_params(self) -> set:
-        out = set()
-        for e in (self.low, self.high):
-            if e is not None and e.param is not None:
-                out.add(e.param)
-        return out
+        return {b for b in (self.low, self.high) if isinstance(b, str)}
 
     def __str__(self):
-        return f"[{self.low},{self.high if self.high is not None else 'inf'}]"
-
-
-def _as_expr(x) -> ParamExpr:
-    if isinstance(x, ParamExpr):
-        return x
-    if isinstance(x, int):
-        return ParamExpr.lit(x)
-    if isinstance(x, str):
-        return ParamExpr.var(x)
-    raise InputError(f"cannot interpret {x!r} as an interval bound")
+        return f"[{self.low},{'inf' if self.high is None else self.high}]"
 
 
 @dataclass(frozen=True)
@@ -339,8 +317,8 @@ def make_net(
 
     ``places`` is a sequence of (name, initial_tokens); ``transitions`` maps
     each name to a dict with optional keys pre/post/read/inhibit (sparse
-    place->weight maps) and ``interval`` as a (low, high) pair where bounds
-    are ints, parameter names, or None/inf for an unbounded high end.
+    place->weight maps) and ``interval`` as a (low, high) pair of
+    ``ParamInterval`` bounds. ``net_spec`` is the inverse.
     """
     place_names = tuple(p for p, _ in places)
     if len(set(place_names)) != len(place_names):
@@ -355,7 +333,7 @@ def make_net(
         read.append(_dense(spec.get("read"), place_names, "read", t))
         inhibit.append(_dense(spec.get("inhibit"), place_names, "inhibit", t))
         lo, hi = spec.get("interval", (0, None))
-        ivals.append(ParamInterval.make(lo, hi))
+        ivals.append(ParamInterval(lo, hi))
     net = Net(
         places=place_names,
         transitions=names,
@@ -373,6 +351,24 @@ def make_net(
         raise InputError("; ".join(diags))
     return net
 
+
+def net_spec(n: Net):
+    """The inverse of ``make_net``: ``(places, transitions, parameters,
+    constraints)`` with only the nonzero arcs, so that
+    ``make_net(*net_spec(n)) == n``. The intervals of a concrete net come
+    back as their (closed or right-unbounded) bounds, so that
+    ``instantiate(make_net(*net_spec(c)), {}) == c``."""
+    transitions = {}
+    for i, t in enumerate(n.transitions):
+        spec = {}
+        for what, vecs in (("pre", n.pre), ("post", n.post), ("read", n.read), ("inhibit", n.inhibit)):
+            arcs = {p: w for p, w in zip(n.places, vecs[i]) if w}
+            if arcs:
+                spec[what] = arcs
+        iv = n.intervals[i]
+        spec["interval"] = (iv.low, None if iv.high is None or iv.high == INF else iv.high)
+        transitions[t] = spec
+    return list(zip(n.places, n.initial)), transitions, list(n.parameters), list(n.domain.constraints)
 
 
 # ---------------------------------------------------------------------------
@@ -395,12 +391,13 @@ def implicit_domain(n: Net) -> ParamDomain:
     for iv in n.intervals:
         if not isinstance(iv, ParamInterval) or iv.high is None:
             continue
-        coeffs = {}
-        for e, sign in ((iv.high, 1), (iv.low, -1)):
-            if e.param is not None:
-                coeffs[e.param] = coeffs.get(e.param, 0) + sign
+        coeffs, bound = {}, 0
+        for b, sign in ((iv.high, 1), (iv.low, -1)):
+            if isinstance(b, str):
+                coeffs[b] = coeffs.get(b, 0) + sign
+            else:
+                bound -= sign * b
         if any(coeffs.values()):
-            bound = (iv.low.value or 0) - (iv.high.value or 0)
             extra.append(LinearConstraint.make(coeffs, ">=", bound))
     return ParamDomain(n.domain.constraints + tuple(extra))
 
@@ -493,7 +490,7 @@ def validate_net(n: Net) -> list:
                     if p not in declared:
                         diags.append(f"transition {t!r}: unknown parameter {p!r} in interval")
                 lo, hi = ival.low, ival.high
-                if lo.value is not None and hi is not None and hi.value is not None and lo.value > hi.value:
+                if isinstance(lo, int) and isinstance(hi, int) and lo > hi:
                     diags.append(f"transition {t!r}: interval low exceeds high")
             elif isinstance(ival, TimeInterval):
                 if not isinstance(n, ConcreteNet):

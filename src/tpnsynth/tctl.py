@@ -281,9 +281,9 @@ def _tokenize(text: str):
                 break
         if matched:
             continue
-        if ch.isdecimal():
+        if "0" <= ch <= "9":  # ASCII only: isdecimal also takes digits such as "٣"
             j = i
-            while j < n and text[j].isdecimal():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             toks.append(("INT", int(text[i:j]), i))
             i = j

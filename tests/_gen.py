@@ -3,7 +3,7 @@
 import random
 from collections import deque
 
-from tpnsynth import INF, ExploreLimits, KBoundError, TimeInterval, instantiate, make_net
+from tpnsynth import INF, ExploreLimits, KBoundError, LinearConstraint, TimeInterval, instantiate, make_net
 from tpnsynth.semantics import Delay, Fire, State
 from tpnsynth.statespace import ReachGraph
 from tpnsynth.tctl import (
@@ -53,6 +53,43 @@ def random_concrete_net(
             "interval": (lo, hi),
         }
     return instantiate(make_net(places, transitions), {})
+
+
+def random_parametric_net(rng: random.Random):
+    n_places = rng.randint(1, 4)
+    places = [(f"p{i}", rng.randint(0, 2)) for i in range(n_places)]
+    params = [f"q{i}" for i in range(rng.randint(0, 2))]
+
+    def sparse(prob, maxw):
+        return {
+            f"p{i}": rng.randint(1, maxw)
+            for i in range(n_places)
+            if rng.random() < prob
+        }
+
+    def bound():
+        if params and rng.random() < 0.4:
+            return rng.choice(params)
+        return rng.randint(0, 5)
+
+    transitions = {}
+    for j in range(rng.randint(1, 4)):
+        lo = bound()
+        hi = None if rng.random() < 0.2 else bound()
+        if isinstance(lo, int) and isinstance(hi, int) and lo > hi:
+            lo, hi = hi, lo
+        transitions[f"t{j}"] = {
+            "pre": sparse(0.5, 2),
+            "post": sparse(0.5, 2),
+            "read": sparse(0.25, 1),
+            "inhibit": sparse(0.25, 2),
+            "interval": (lo, hi),
+        }
+    constraints = []
+    for p in params:
+        if rng.random() < 0.6:
+            constraints.append(LinearConstraint.make({p: 1}, rng.choice(["<=", ">=", "="]), rng.randint(0, 6)))
+    return make_net(places, transitions, parameters=params, constraints=constraints)
 
 
 def random_walk_states(rng: random.Random, net, steps=25):

@@ -16,9 +16,9 @@ PUBLIC_NAMES = {
     # oracle
     "brute_force_check",
     # petri
-    "INF", "ConcreteNet", "LinearConstraint", "Net", "ParamDomain", "ParamExpr",
-    "ParamInterval", "TimeInterval", "domain_contains", "enabled_set",
-    "eval_constraint", "instantiate", "make_net", "newly_enabled_set", "validate_net",
+    "INF", "ConcreteNet", "LinearConstraint", "Net", "ParamDomain", "ParamInterval",
+    "TimeInterval", "domain_contains", "enabled_set", "eval_constraint",
+    "instantiate", "make_net", "newly_enabled_set", "validate_net",
     # semantics
     "Delay", "Fire", "State", "apply_label", "elapse", "fire", "fireable_set",
     "initial_state", "max_elapse", "replay", "successors",

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -30,6 +31,8 @@ PRODUCER = """
 place p1 0
 trans t post p1 interval [1,1]
 """
+
+MODEL = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "models", "circadian.tpnet")
 
 
 @pytest.fixture
@@ -306,6 +309,22 @@ class TestCompose:
     def test_unknown_observer_kind(self, net_file, capsys):
         code, _, err = run(capsys, "compose", net_file, "--observer", "zap:t1")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["lightdur:2_4", "lightdur:٣", "lightdur:a-b", "jetlag:2_4,3_0", "jetlag:٣,30", "jetlag:td,30", "nightlight:4,4,٤"],
+    )
+    def test_observer_delay_other_than_ascii_digits_or_name_exit_two(self, tmp_path, capsys, spec):
+        out_path = tmp_path / "composed.tpnet"
+        code, _, err = run(capsys, "compose", MODEL, "--observer", spec, "-o", str(out_path))
+        assert code == 2 and "error:" in err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("spec", ["lightdur:5", "lightdur:td", "jetlag:24,30", "nightlight:t1,4,t3"])
+    def test_composed_net_passes_validate(self, tmp_path, capsys, spec):
+        out_path = str(tmp_path / "composed.tpnet")
+        assert run(capsys, "compose", MODEL, "--observer", spec, "-o", out_path)[0] == 0
+        assert run(capsys, "validate", out_path)[0] == 0
 
 
 class TestEnvLimit:

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tpnsynth import NetSyntaxError, make_net
+from tpnsynth import NetSyntaxError
 from tpnsynth.netfile import parse_net, serialize_net
 from tpnsynth.petri import LinearConstraint
 
-from _gen import mutate_text
+from _gen import mutate_text, random_parametric_net
 
 NET_A_DOC = """
 # minimal two-place net
@@ -74,6 +74,18 @@ trans t pre a*2 post b read c inhibit b*3 interval [0,inf)
             parse_net("place p 1\ntrans t pre p interval [td,td]")
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize("interval", ["[2,5)", "[td,5)", "[2,td)"])
+    def test_finite_high_bound_must_be_closed(self, interval):
+        with pytest.raises(NetSyntaxError) as exc:
+            parse_net(f"place p 1\nparam td\ntrans t pre p interval {interval}")
+        assert exc.value.line == 3
+
+    @pytest.mark.parametrize("close", [")", "]"])
+    def test_unbounded_high_may_close_either_way(self, close):
+        net = parse_net(f"place p 1\ntrans t pre p interval [2,inf{close}")
+        assert net.intervals[0].high is None
+        assert "interval [2,inf)" in serialize_net(net)
+
     def test_rational_coefficients(self):
         net = parse_net(
             """
@@ -85,43 +97,6 @@ trans t pre p interval [x,x]
         )
         c = net.domain.constraints[0]
         assert dict(c.coeffs)["x"] == LinearConstraint.make({"x": "1/2"}, "<=", 3).coeffs[0][1]
-
-
-def random_parametric_net(rng: random.Random):
-    n_places = rng.randint(1, 4)
-    places = [(f"p{i}", rng.randint(0, 2)) for i in range(n_places)]
-    params = [f"q{i}" for i in range(rng.randint(0, 2))]
-
-    def sparse(prob, maxw):
-        return {
-            f"p{i}": rng.randint(1, maxw)
-            for i in range(n_places)
-            if rng.random() < prob
-        }
-
-    def bound():
-        if params and rng.random() < 0.4:
-            return rng.choice(params)
-        return rng.randint(0, 5)
-
-    transitions = {}
-    for j in range(rng.randint(1, 4)):
-        lo = bound()
-        hi = None if rng.random() < 0.2 else bound()
-        if isinstance(lo, int) and isinstance(hi, int) and lo > hi:
-            lo, hi = hi, lo
-        transitions[f"t{j}"] = {
-            "pre": sparse(0.5, 2),
-            "post": sparse(0.5, 2),
-            "read": sparse(0.25, 1),
-            "inhibit": sparse(0.25, 2),
-            "interval": (lo, hi),
-        }
-    constraints = []
-    for p in params:
-        if rng.random() < 0.6:
-            constraints.append(LinearConstraint.make({p: 1}, rng.choice(["<=", ">=", "="]), rng.randint(0, 6)))
-    return make_net(places, transitions, parameters=params, constraints=constraints)
 
 
 class TestRoundTrip:
@@ -140,6 +115,23 @@ class TestRoundTrip:
             parse_net(text)
         except NetSyntaxError as exc:
             assert exc.line is not None
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("place p ٣\ntrans t pre p interval [0,1]", 1),
+            ("place p 1\ntrans t pre p*٣ interval [0,1]", 2),
+            ("place p 1\nparam a\ndomain ٣*a >= 1\ntrans t pre p interval [a,a]", 3),
+            ("place p 1\nparam a\ndomain a >= ٣\ntrans t pre p interval [a,a]", 3),
+            ("place p 1\nparam a\ndomain a >= 1_0\ntrans t pre p interval [a,a]", 3),
+            ("place p 1\ntrans t pre p interval [0,٣]", 2),
+        ],
+        ids=["tokens", "weight", "coefficient", "bound", "underscore", "interval"],
+    )
+    def test_pinned_numbers_other_than_ascii_digits(self, text, line):
+        with pytest.raises(NetSyntaxError) as exc:
+            parse_net(text)
+        assert exc.value.line == line
 
     def test_serialization_is_stable(self):
         rng = random.Random(73)

@@ -22,9 +22,9 @@ from tpnsynth import (
     newly_enabled_set,
     validate_net,
 )
-from tpnsynth.petri import INF, RELATIONS, Net, ParamExpr, fire_marking, implicit_domain
+from tpnsynth.petri import INF, RELATIONS, Net, fire_marking, implicit_domain, net_spec
 
-from _gen import random_concrete_net
+from _gen import random_concrete_net, random_parametric_net
 
 
 def lc(coeffs, rel, bound):
@@ -142,11 +142,11 @@ class TestIntervals:
         assert iv.int_low() == 2 and iv.int_high() == 3
 
     def test_param_interval_instantiation(self):
-        j = ParamInterval.make("td", "td")
+        j = ParamInterval("td", "td")
         assert j.evaluate({"td": 6}) == TimeInterval(6, 6)
 
     def test_param_interval_low_over_high(self):
-        j = ParamInterval.make(2, "t")
+        j = ParamInterval(2, "t")
         with pytest.raises(IllFormedIntervalError):
             j.evaluate({"t": 1})
 
@@ -284,7 +284,7 @@ class TestValidate:
             read=net.read,
             inhibit=net.inhibit,
             initial=net.initial,
-            intervals=(ParamInterval.make("tau_x", "tau_x"),),
+            intervals=(ParamInterval("tau_x", "tau_x"),),
             domain=net.domain,
         )
         assert any("unknown parameter" in d for d in validate_net(bad))
@@ -299,7 +299,7 @@ class TestValidate:
             read=net_a.read,
             inhibit=net_a.inhibit,
             initial=net_a.initial,
-            intervals=(ParamInterval.make(2, 3),),
+            intervals=(ParamInterval(2, 3),),
         )
         assert any("incomplete" in d for d in validate_net(bad))
 
@@ -337,8 +337,17 @@ def test_interval_horizon_saturates_membership(iv):
     assert inside == list(range(iv.int_low(), min(iv.int_high(), h) + 1))
 
 
-def test_param_expr_requires_exactly_one_payload():
-    with pytest.raises(InputError):
-        ParamExpr(value=1, param="x")
-    with pytest.raises(InputError):
-        ParamExpr()
+def test_param_interval_rejects_bad_bounds():
+    for low, high in [(-1, 3), (0, -2), (1.5, 3), (0, 2.0), (None, 3), ("2_4", "2_4"), ("a-b", 3), (0, "t\n")]:
+        with pytest.raises(InputError):
+            ParamInterval(low, high)
+    assert ParamInterval("tau_g", INF) == ParamInterval("tau_g", None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_net_spec_inverts_make_net(rng):
+    n = random_parametric_net(rng)
+    assert make_net(*net_spec(n)) == n
+    c = random_concrete_net(rng)
+    assert instantiate(make_net(*net_spec(c)), {}) == c

@@ -221,7 +221,9 @@ class TestParserProperties:
         except FormulaSyntaxError as exc:
             assert exc.pos is not None
 
-    @pytest.mark.parametrize("text", ["EF[0,3](M(p0) >= 1²)", "(M(p0)>=1) -->(0,3] (M(p1)>=1)"])
+    @pytest.mark.parametrize(
+        "text", ["EF[0,3](M(p0) >= 1²)", "(M(p0)>=1) -->(0,3] (M(p1)>=1)", "EF[0,٣](M(p)>=٣)", "EF[0,3](M(p)>=٣)"]
+    )
     def test_pinned_malformed_text(self, text):
         with pytest.raises(FormulaSyntaxError) as exc:
             parse_formula(text)
