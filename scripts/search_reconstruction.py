@@ -15,8 +15,11 @@ Run:  python scripts/search_reconstruction.py [--quick]
 
 import argparse
 import itertools
+import os
 import sys
 from multiprocessing import Pool
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 from tpnsynth import ExploreLimits, build, check, instantiate, make_net, parse_formula
 from tpnsynth.biomodels import EventFlag, apply_observer
@@ -128,8 +131,6 @@ def hard_filter(v):
                 return False
         return True
     except TpnError:
-        return False
-    except RecursionError:
         return False
 
 

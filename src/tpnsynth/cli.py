@@ -135,13 +135,13 @@ def _load_formula(ns):
     return parse_formula_file(ns.formula)
 
 
-_OBSERVERS = {
-    "inhibit": lambda a: biomodels.InhibitTransition(a[0]),
-    "flag": lambda a: biomodels.EventFlag(a[0]),
-    "knockout": lambda a: biomodels.KnockOut(tuple(a)),
-    "lightdur": lambda a: biomodels.LightDuration(_bound(a[0])),
-    "nightlight": lambda a: biomodels.NightLight(_bound(a[0]), _bound(a[1]), _bound(a[2])),
-    "jetlag": lambda a: biomodels.JetLag(_delay(a[0]), _delay(a[1])),
+_OBSERVERS = {  # kind: (argument count, None for one or more; builder)
+    "inhibit": (1, lambda a: biomodels.InhibitTransition(a[0])),
+    "flag": (1, lambda a: biomodels.EventFlag(a[0])),
+    "knockout": (None, lambda a: biomodels.KnockOut(tuple(a))),
+    "lightdur": (1, lambda a: biomodels.LightDuration(_bound(a[0]))),
+    "nightlight": (3, lambda a: biomodels.NightLight(_bound(a[0]), _bound(a[1]), _bound(a[2]))),
+    "jetlag": (2, lambda a: biomodels.JetLag(_delay(a[0]), _delay(a[1]))),
 }
 
 
@@ -161,10 +161,11 @@ def _parse_observer(spec: str):
     if kind not in _OBSERVERS:
         raise InputError(f"unknown observer kind {kind!r} (choose from {sorted(_OBSERVERS)})")
     args = [a.strip() for a in rest.split(",") if a.strip()]
-    try:
-        return _OBSERVERS[kind](args)
-    except (IndexError, ValueError):
-        raise InputError(f"bad observer arguments in {spec!r}")
+    count, make = _OBSERVERS[kind]
+    if (len(args) != count) if count else not args:
+        wanted = count or "at least 1"
+        raise InputError(f"observer {kind!r} takes {wanted} argument(s), got {len(args)} in {spec!r}")
+    return make(args)
 
 
 def _marking_json(net, marking):

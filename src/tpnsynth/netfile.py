@@ -60,6 +60,8 @@ def parse_net(text: str) -> Net:
         elif head == "param":
             if len(rest) != 1 or not NAME.fullmatch(rest[0]):
                 raise NetSyntaxError("param needs a single name", lineno)
+            if rest[0] == "inf":
+                raise NetSyntaxError("inf is reserved for an unbounded interval", lineno)
             if rest[0] in params:
                 raise NetSyntaxError(f"duplicate parameter {rest[0]!r}", lineno)
             params.append(rest[0])

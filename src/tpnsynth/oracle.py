@@ -1,8 +1,8 @@
 """Brute-force reference checker used as an independent oracle.
 
 Evaluates formulas by enumerating unit-step paths directly over the
-semantics, never touching the reachability graph or the arrival labelling
-and delay layers of the main checker. Exponential; intended for nets
+semantics, never touching the reachability graph or the delay-layer
+resolution of the main checker. Exponential; intended for nets
 within the documented limits (roughly: 6 places, 6 transitions, interval
 bounds up to 10).
 

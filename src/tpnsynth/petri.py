@@ -103,7 +103,7 @@ class TimeInterval:
 
 def _check_bound(b) -> None:
     if isinstance(b, str):
-        if not NAME.fullmatch(b):
+        if not NAME.fullmatch(b) or b == "inf":
             raise InputError(f"interval bound {b!r} is not a parameter name")
     elif not isinstance(b, int) or b < 0:
         raise InputError(f"interval bound must be a natural number or a parameter name, got {b!r}")

@@ -3,23 +3,28 @@ and the model checker over a reachability graph.
 
 Checking works per temporal operator over the graph, whose fire edges take
 no time and whose delay edges take one unit, in O((a+1)(V+E)) for an
-interval whose least integer is a, whatever its upper bound. An until
-whose interval starts at a closed 0 (``[0,b]``, ``[0,b)``, ``[0,inf)``) is
-one backward labelling pass: EU by earliest arrival (a 0-1 BFS from the
-psi-nodes through phi-nodes) and AU by latest arrival (a node resolves once
-all its successors have, and a node that never resolves -- on or leading
-to a psi-avoiding cycle, a dead end, or outside phi -- counts as infinite).
-A node holds when its arrival time is at most b.
+interval whose least integer is a, whatever its upper bound. Every until is
+decided by one backward counter resolution: a node needs one (E) or all (A)
+of its out-edges resolved, and once it has them and satisfies phi it
+resolves and passes that on to its predecessors. The psi-nodes, with what
+they resolve through fire edges, form delay layer 0; layer t+1 is what the
+delay edges into layer t resolve, the counts carrying over. Layers come in
+order of time, so layer t holds the nodes whose earliest (E) or latest (A)
+arrival at psi is t. A node that never resolves -- a dead end, on or leading
+to a psi-avoiding cycle, or outside phi -- never arrives. An until over
+``[0,b]`` holds at layers 0 to b.
 
-Any other interval, with integers a..b (b may be inf), is the closed-0
-until over ``[0, b-a]`` behind a delay layers. Each delay adds exactly one
-unit, so a path whose psi-position lies at time t >= a has a first
-position at time a; every earlier position precedes the psi-position and
-satisfies phi, and the rest of the path is a closed-0 until over the
-shifted interval. One layer is a pre-image: the phi-nodes from which some
-(E) or every (A) path crosses fire edges through phi-nodes and then takes
-one delay edge into the layer below. ``MAX_DELAY_LAYERS`` bounds a, the
-number of layers, against a huge lower bound typed in by a user.
+Any other interval, with integers a..b (b may be inf), is that until over
+``[0, b-a]`` behind a delay pre-images; no layer holds when b < a, as in
+``[a,a)``. Each delay adds exactly one unit, so a path whose psi-position
+lies at time t >= a has a first position at time a; every earlier position
+precedes the psi-position and satisfies phi, and the rest of the path is a
+closed-0 until over the shifted interval. One pre-image is the same
+resolution with fresh counts, started from the delay edges into the set
+below it: the phi-nodes from which some (E) or every (A) path crosses fire
+edges through phi-nodes and then takes one delay edge into that set.
+``MAX_DELAY_LAYERS`` bounds a, the number of pre-images, against a huge
+lower bound typed in by a user.
 
 Until is position-based: ``E phi U_I psi`` holds when some path reaches a
 psi-state at an accumulated time inside I with phi true at every strictly
@@ -38,7 +43,7 @@ from .errors import (
     IncompleteGraphError,
     InputError,
 )
-from .petri import INF, RELATIONS, ConcreteNet, Net, TimeInterval
+from .petri import INF, NAME, RELATIONS, ConcreteNet, Net, TimeInterval
 from .semantics import Delay
 from .statespace import ReachGraph
 
@@ -288,12 +293,10 @@ def _tokenize(text: str):
             toks.append(("INT", int(text[i:j]), i))
             i = j
             continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(("NAME", text[i:j], i))
-            i = j
+        name = NAME.match(text, i)  # ASCII only, as in nets
+        if name:
+            toks.append(("NAME", name.group(), i))
+            i = name.end()
             continue
         raise FormulaSyntaxError(f"unexpected character {ch!r}", pos=i)
     toks.append(("EOF", None, n))
@@ -599,87 +602,42 @@ class _Checker:
         return out
 
     def until(self, exists: bool, satphi, iv: TimeInterval, satpsi) -> frozenset:
-        """Nodes satisfying E (exists) or A phi U_iv psi: the closed-0 until
-        over ``[0, int_high - a]`` with ``a = iv.int_low()``, behind ``a``
-        delay layers."""
+        """Nodes satisfying E (exists) or A phi U_iv psi: delay layers 0 to
+        ``int_high - a`` of the closed-0 until, with ``a = iv.int_low()``,
+        behind ``a`` one-delay pre-images."""
         a = iv.int_low()
         if a > MAX_DELAY_LAYERS:
             raise HorizonError(
                 f"interval lower bound {a} exceeds the delay-layer limit {MAX_DELAY_LAYERS}"
             )
-        arrival = (self._earliest if exists else self._latest)(satphi, satpsi)
-        span = iv.int_high() - a
-        out = frozenset(v for v, t in enumerate(arrival) if t is not None and t <= span)
+        need = [1 if exists else len(outs) for outs in self.g.succ]
+        counts = need.copy()
+        for v in satpsi:
+            counts[v] = 0
+        layer = list(satpsi)
+        layer += self._resolve(satphi, counts, [u for v in satpsi for u in self.fire_preds[v]])
+        out, t, span = [], 0, iv.int_high() - a
+        while layer and t <= span:  # layer t: the nodes that arrive at psi at time t
+            out += layer
+            t += 1
+            layer = self._resolve(satphi, counts, [u for v in layer for u in self.delay_preds[v]])
         for _ in range(a):
-            out = self._before_delay(exists, satphi, out)
-        return out
+            out = self._resolve(satphi, need.copy(), [u for v in out for u in self.delay_preds[v]])
+        return frozenset(out)
 
-    def _earliest(self, satphi, satpsi) -> list:
-        """Least elapsed time from each node to a psi-node along a path whose
-        earlier positions satisfy phi (None when there is none): a backward
-        0-1 BFS with fire edges weighing 0 and delay edges 1."""
-        dist = [None] * self.n
-        queue = deque()
-        for v in satpsi:
-            dist[v] = 0
-            queue.append((0, v))
-        while queue:
-            d, v = queue.popleft()
-            if d > dist[v]:
-                continue
-            for preds, w, push in (
-                (self.fire_preds[v], 0, queue.appendleft),
-                (self.delay_preds[v], 1, queue.append),
-            ):
-                for u in preds:
-                    if u in satphi and (dist[u] is None or d + w < dist[u]):
-                        dist[u] = d + w
-                        push((d + w, u))
-        return dist
-
-    def _latest(self, satphi, satpsi) -> list:
-        """Greatest elapsed time before every path from a node reaches a
-        psi-node, with phi at each earlier position (None when some path
-        never does): a non-psi phi-node with successors resolves once all
-        its out-edges lead to resolved nodes."""
-        latest = [None] * self.n
-        counts = [len(outs) for outs in self.g.succ]  # unresolved out-edges
-        worst = [0] * self.n
-        queue = deque()
-        for v in satpsi:
-            latest[v] = 0
-            queue.append(v)
-        while queue:
-            v = queue.popleft()
-            for preds, w in ((self.fire_preds[v], 0), (self.delay_preds[v], 1)):
-                t = latest[v] + w
-                for u in preds:
-                    if latest[u] is not None:
-                        continue
-                    counts[u] -= 1
-                    if t > worst[u]:
-                        worst[u] = t
-                    if counts[u] == 0 and u in satphi:
-                        latest[u] = worst[u]
-                        queue.append(u)
-        return latest
-
-    def _before_delay(self, exists: bool, satphi, target) -> frozenset:
-        """Phi-nodes from which some (E) or every (A) path crosses fire edges
-        through phi-nodes and then takes one delay edge into ``target``: a
-        node resolves once one (E) or all (A) of its out-edges are resolved,
-        so under A a dead end, a zero-time cycle or a delay edge outside
-        ``target`` never resolves."""
-        counts = [1 if exists else len(outs) for outs in self.g.succ]
+    def _resolve(self, satphi, counts, sources) -> list:
+        """The phi-nodes that the out-edges in ``sources`` (one entry per
+        edge) resolve, directly or back through fire edges. ``counts[u]`` is
+        how many more of u's out-edges must resolve before u does; a node
+        resolves once, when it reaches 0."""
         resolved = []
-        sources = [u for w in target for u in self.delay_preds[w]]  # one per resolved edge
         while sources:
             u = sources.pop()
             counts[u] -= 1
             if counts[u] == 0 and u in satphi:
                 resolved.append(u)
                 sources += self.fire_preds[u]
-        return frozenset(resolved)
+        return resolved
 
     def witness_eu(self, phi: EU) -> Optional[list]:
         """Shortest label path showing the existential until at the initial
@@ -725,8 +683,8 @@ def check(
     Returns a witness trace for a holding top-level existential until (EF
     included) and a counterexample trace for a failing top-level universal
     invariant (AG and the response operator in its default reading).
-    The least integer of every until interval, which is the number of delay
-    layers in front of its closed-0 labelling, may be at most
+    The least integer of every until interval, which is the number of
+    one-delay pre-images in front of its delay layers, may be at most
     ``MAX_DELAY_LAYERS``; a larger one raises HorizonError. Upper bounds are
     not limited.
     """

@@ -320,6 +320,22 @@ class TestCompose:
         assert code == 2 and "error:" in err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize(
+        "spec",
+        ["flag:t_b,t_c", "flag:", "inhibit:t_a,t_b", "knockout:", "lightdur:5,6", "nightlight:4,4", "jetlag:30", "jetlag:30,6,1"],
+    )
+    def test_observer_argument_count_exit_two(self, tmp_path, capsys, spec):
+        out_path = tmp_path / "composed.tpnet"
+        code, _, err = run(capsys, "compose", MODEL, "--observer", spec, "-o", str(out_path))
+        assert code == 2 and "argument" in err
+        assert not out_path.exists()
+
+    def test_inf_is_no_observer_parameter(self, tmp_path, capsys):
+        out_path = tmp_path / "composed.tpnet"
+        code, _, err = run(capsys, "compose", MODEL, "--observer", "lightdur:inf", "-o", str(out_path))
+        assert code == 2 and "'inf'" in err
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("spec", ["lightdur:5", "lightdur:td", "jetlag:24,30", "nightlight:t1,4,t3"])
     def test_composed_net_passes_validate(self, tmp_path, capsys, spec):
         out_path = str(tmp_path / "composed.tpnet")

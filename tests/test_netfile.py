@@ -133,6 +133,12 @@ class TestRoundTrip:
             parse_net(text)
         assert exc.value.line == line
 
+    @pytest.mark.parametrize("interval", ["[inf,inf]", "[0,1]"])
+    def test_inf_is_no_parameter_name(self, interval):
+        with pytest.raises(NetSyntaxError) as exc:
+            parse_net(f"place p 1\nplace q 0\nparam inf\ntrans t pre p post q interval {interval}")
+        assert exc.value.line == 3
+
     def test_serialization_is_stable(self):
         rng = random.Random(73)
         net = random_parametric_net(rng)

@@ -338,7 +338,7 @@ def test_interval_horizon_saturates_membership(iv):
 
 
 def test_param_interval_rejects_bad_bounds():
-    for low, high in [(-1, 3), (0, -2), (1.5, 3), (0, 2.0), (None, 3), ("2_4", "2_4"), ("a-b", 3), (0, "t\n")]:
+    for low, high in [(-1, 3), (0, -2), (1.5, 3), (0, 2.0), (None, 3), ("2_4", "2_4"), ("a-b", 3), (0, "t\n"), ("inf", "inf"), (0, "inf")]:
         with pytest.raises(InputError):
             ParamInterval(low, high)
     assert ParamInterval("tau_g", INF) == ParamInterval("tau_g", None)

@@ -229,6 +229,14 @@ class TestParserProperties:
             parse_formula(text)
         assert exc.value.pos is not None
 
+    @pytest.mark.parametrize(
+        "text, pos", [("EF[0,3](M(p٣)>=3)", 11), ("EF[0,3](M(pé)>=3)", 11), ("EF[0,3](M(p)>=3) & M(ĳ)>=1", 21)]
+    )
+    def test_name_outside_the_net_grammar_fails_at_its_column(self, text, pos):
+        with pytest.raises(FormulaSyntaxError) as exc:
+            parse_formula(text)
+        assert exc.value.pos == pos
+
 
 class TestCheckNetA:
     def test_ef_within_window_with_witness(self, net_a):
@@ -459,14 +467,12 @@ class TestLabelledUntil:
         # 0 and 1 fire back and forth forever; only a delay from 0 reaches 2
         ch = _Checker(step_graph([[(F, 1), (D, 2)], [(F, 0)], [(D, 2)]]))
         phi, psi = frozenset({0, 1}), frozenset({2})
-        assert ch._latest(phi, psi) == [None, None, 0]
         assert _until_all(ch, False, phi, psi) == [frozenset({2})] * 4
         assert _until_all(ch, True, phi, psi) == [frozenset({2})] + [frozenset({0, 1, 2})] * 3
 
     def test_au_fails_on_delay_cycle_avoiding_psi(self):
         ch = _Checker(step_graph([[(D, 1), (F, 2)], [(D, 0)], [(D, 2)]]))
         phi, psi = frozenset({0, 1}), frozenset({2})
-        assert ch._latest(phi, psi) == [None, None, 0]
         assert _until_all(ch, False, phi, psi) == [frozenset({2})] * 4
 
     def test_au_fails_at_dead_end(self):
@@ -474,7 +480,6 @@ class TestLabelledUntil:
         g = step_graph([[(D, 1), (F, 2)], [], [(D, 2)]])
         ch = _Checker(g)
         phi, psi = frozenset({0, 1}), frozenset({2})
-        assert ch._latest(phi, psi) == [None, None, 0]
         assert _until_all(ch, False, phi, psi) == [frozenset({2})] * 4
         assert product_until(g, False, phi, TimeInterval(0, INF), psi) == frozenset({2})
 
@@ -485,7 +490,6 @@ class TestLabelledUntil:
         g = step_graph(succ)
         ch = _Checker(g)
         phi, psi = frozenset(range(4)), frozenset({4})
-        assert ch._earliest(phi, psi) == [1, 0, 0, 0, 0]
         assert ch.until(True, phi, TimeInterval(0, 0), psi) == frozenset({1, 2, 3, 4})
         assert ch.until(True, phi, TimeInterval(0, 1), psi) == frozenset(range(5))
         assert product_until(g, True, phi, TimeInterval(0, 0), psi) == frozenset({1, 2, 3, 4})
