@@ -1,7 +1,7 @@
 """End-to-end circadian case study: reproduces every published number the
 reconstruction can reach and reports reconstructed-vs-expected where it
-cannot. Runs in about 2 s single-threaded on a 2-core x86 VM with
-Python 3.11 (it reports "done in 1.2s" to "done in 2.0s"); see --jobs.
+cannot. Runs in about 1 s single-threaded on a 2-core x86 VM with
+Python 3.11 (it reports "done in 0.9s" to "done in 1.0s"); see --jobs.
 
   python scripts/run_case_study.py [--jobs N] [--quick]
 """
@@ -31,6 +31,7 @@ from tpnsynth.biomodels import (
     apply_observer,
     build_circadian_clock,
 )
+from tpnsynth.cli import _count, _cpus
 from tpnsynth.synthesis import SynthesisProblem, synthesize
 
 LIM = ExploreLimits(k_bound=2, max_states=200_000)
@@ -189,7 +190,7 @@ def jet_lag():
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    ap.add_argument("--jobs", type=_count(1), default=_cpus())
     ap.add_argument("--quick", action="store_true")
     ns = ap.parse_args()
     t0 = time.monotonic()

@@ -10,7 +10,7 @@ parametric-light signatures match the published elicitation results:
   flag(t_g) satisfiable at dark lengths [7,11] and 23 (any gene delay >= 1)
   flag(t_a) at delay 7 satisfiable at dark lengths {23, 24}
 
-Run:  python scripts/search_reconstruction.py [--quick]
+Run:  python scripts/search_reconstruction.py [--quick] [--jobs N]
 """
 
 import argparse
@@ -23,6 +23,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 from tpnsynth import ExploreLimits, build, check, instantiate, make_net, parse_formula
 from tpnsynth.biomodels import EventFlag, apply_observer
+from tpnsynth.cli import _count, _cpus
 from tpnsynth.errors import TpnError
 from tpnsynth.petri import LinearConstraint
 
@@ -162,7 +163,7 @@ def score(v):
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--quick", action="store_true", help="fix delays at their nominal values")
-    ap.add_argument("--jobs", type=int, default=4)
+    ap.add_argument("--jobs", type=_count(1), default=_cpus())
     ns = ap.parse_args()
     todo = list(variants(ns.quick))
     print(f"evaluating {len(todo)} structure variants", flush=True)

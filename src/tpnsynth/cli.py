@@ -85,6 +85,13 @@ def _count(least: int):
     return parse
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on, the default worker count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _limits(ns) -> ExploreLimits:
     max_states = ns.max_states
     if max_states is None:
@@ -135,7 +142,7 @@ def _load_formula(ns):
     return parse_formula_file(ns.formula)
 
 
-_OBSERVERS = {  # kind: (argument count, None for one or more; builder)
+_OBSERVERS = {  # kind: (argument count, None for any; constructor)
     "inhibit": (1, lambda a: biomodels.InhibitTransition(a[0])),
     "flag": (1, lambda a: biomodels.EventFlag(a[0])),
     "knockout": (None, lambda a: biomodels.KnockOut(tuple(a))),
@@ -160,11 +167,12 @@ def _parse_observer(spec: str):
     kind, _, rest = spec.partition(":")
     if kind not in _OBSERVERS:
         raise InputError(f"unknown observer kind {kind!r} (choose from {sorted(_OBSERVERS)})")
-    args = [a.strip() for a in rest.split(",") if a.strip()]
+    args = [a.strip() for a in rest.split(",")]  # at least one, maybe empty
+    if "" in args:
+        raise InputError(f"empty observer argument in {spec!r}")
     count, make = _OBSERVERS[kind]
-    if (len(args) != count) if count else not args:
-        wanted = count or "at least 1"
-        raise InputError(f"observer {kind!r} takes {wanted} argument(s), got {len(args)} in {spec!r}")
+    if count is not None and len(args) != count:
+        raise InputError(f"observer {kind!r} takes {count} argument(s), got {len(args)} in {spec!r}")
     return make(args)
 
 
@@ -346,7 +354,7 @@ def _build_parser():
     p.add_argument("--formula", help="formula file (.tctl)")
     p.add_argument("--formula-text")
     p.add_argument("--box", action="append", metavar="NAME=LO..HI", required=True)
-    p.add_argument("--jobs", type=_count(1), default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=_count(1), default=_cpus())
     p.add_argument("--leadsto", choices=["ag", "paper"], default="ag")
     p.set_defaults(fn=cmd_synth)
 

@@ -228,6 +228,8 @@ class Net:
 
     @cached_property
     def steps(self) -> "StepTable":
+        """The net's step table, built once; raises InputError when
+        ``validate_net`` finds the net ill formed."""
         return StepTable(self)
 
     def marking(self, tokens: Mapping[str, int]) -> Marking:
@@ -262,9 +264,16 @@ class StepTable:
       enabledness of no other transition;
     * ``low[t]``/``high[t]``: the static interval bounds of a concrete net,
       -1 standing for an infinite high (both None for a parametric net).
+
+    Only the bounds depend on a valuation: the table of every instance of a
+    parametric net (``instantiate``) shares the arcs of the net's own table,
+    which is built, and the net validated, once.
     """
 
     def __init__(self, n: Net):
+        diags = validate_net(n)
+        if diags:
+            raise InputError("; ".join(diags))
         self.np, self.nt = len(n.places), len(n.transitions)
         places = range(self.np)
         self.need = tuple(
@@ -282,10 +291,17 @@ class StepTable:
             for t, delta in enumerate(self.delta)
         )
         if all(isinstance(iv, TimeInterval) for iv in n.intervals):
-            self.low = tuple(iv.low for iv in n.intervals)
-            self.high = tuple(-1 if iv.unbounded else iv.high for iv in n.intervals)
+            self.low, self.high = _bounds(n.intervals)
         else:
             self.low = self.high = None
+
+    def instance(self, intervals) -> "StepTable":
+        """This table's arcs, shared, with the bounds of concrete ``intervals``."""
+        tab = StepTable.__new__(StepTable)
+        tab.np, tab.nt, tab.need, tab.inhibit = self.np, self.nt, self.need, self.inhibit
+        tab.delta, tab.affected = self.delta, self.affected
+        tab.low, tab.high = _bounds(intervals)
+        return tab
 
     def enabled(self, m, t: int) -> bool:
         for p, w in self.need[t]:
@@ -295,6 +311,11 @@ class StepTable:
             if m[p] >= w:
                 return False
         return True
+
+
+def _bounds(intervals) -> tuple:
+    """The low and high slots of concrete intervals, -1 for an infinite high."""
+    return tuple([iv.low for iv in intervals]), tuple([-1 if iv.unbounded else iv.high for iv in intervals])
 
 
 def _dense(weights: Optional[Mapping[str, int]], places, what: str, trans: str):
@@ -403,13 +424,17 @@ def implicit_domain(n: Net) -> ParamDomain:
 
 
 def instantiate(n: Net, v: Valuation) -> ConcreteNet:
-    """Evaluate every parametric interval at ``v``; structure is unchanged."""
+    """Evaluate every parametric interval at ``v``; structure is unchanged.
+
+    The instance's step table shares the arcs of ``n.steps``. An ill-formed
+    ``n`` has no table, so its instance gets its own, and with it its own
+    diagnostics, when first stepped."""
     for p in n.parameters:
         if p not in v:
             raise InputError(f"valuation missing parameter {p!r}")
     if not domain_contains(n.domain, v):
         raise DomainError(f"valuation {dict(v)} violates the parameter domain")
-    return ConcreteNet(
+    c = ConcreteNet(
         places=n.places,
         transitions=n.transitions,
         parameters=(),
@@ -421,6 +446,12 @@ def instantiate(n: Net, v: Valuation) -> ConcreteNet:
         intervals=tuple(j.evaluate(v) for j in n.intervals),
         domain=ParamDomain(),
     )
+    try:
+        tab = n.steps
+    except InputError:
+        return c
+    vars(c)["steps"] = tab.instance(c.intervals)  # fills the cached_property
+    return c
 
 
 def enabled_set(n: Net, m: Marking) -> set:

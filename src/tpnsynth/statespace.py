@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError, KBoundError
-from .petri import ConcreteNet, validate_net
+from .petri import ConcreteNet
 from .semantics import Delay, Fire, initial_key, materialise, successor_keys
 
 
@@ -49,13 +49,11 @@ class ReachGraph:
 def build(n: ConcreteNet, lim: ExploreLimits = ExploreLimits()) -> ReachGraph:
     """BFS closure of the successor relation from the initial state.
 
-    A marking exceeding ``k_bound`` raises KBoundError with the partial
-    graph attached; hitting ``max_states`` returns a graph flagged
+    An ill-formed net raises InputError (``Net.steps``). A marking
+    exceeding ``k_bound`` raises KBoundError with the partial graph
+    attached; hitting ``max_states`` returns a graph flagged
     ``complete=False``.
     """
-    diags = validate_net(n)
-    if diags:
-        raise InputError("; ".join(diags))
     tab, np, k_bound = n.steps, len(n.places), lim.k_bound
     k0 = initial_key(n)
     if max(k0[:np], default=0) > k_bound:

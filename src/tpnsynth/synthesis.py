@@ -3,27 +3,37 @@ instantiated net, and summarize the satisfying set.
 
 Enumeration is exhaustive over the integer points of the box that satisfy
 the net's domain constraints and give every interval low <= high; the
-case-study boxes are small enough that this is exact and fast. Sweeps are
-embarrassingly parallel; results are merged in enumeration order so the
-output is independent of worker count.
+case-study boxes are small enough that this is exact and fast. What does
+not depend on the valuation is done once per problem: the formula is
+compiled into one check plan (``SynthesisProblem.plan``), and the net is
+validated and its arcs tabled once (``Net.steps``), so a valuation costs
+one instantiation, one graph and one labelling. Sweeps are embarrassingly
+parallel; each pool worker receives the problem once and then only
+valuations, and results are merged in enumeration order so the output is
+independent of worker count.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 from .errors import InputError, KBoundError, TpnError
 from .petri import Net, ParamDomain, domain_contains, implicit_domain, instantiate
 from .statespace import ExploreLimits, build
-from .tctl import Formula, check, check_formula_places
+from .tctl import Formula, Plan, check, check_formula_places, compile_plan
 
 
 @dataclass(frozen=True)
 class SynthesisProblem:
+    """A parametric net, a formula, the box to sweep, the exploration
+    limits and the response reading. The formula is compiled once, on first
+    use, into ``plan``; pickling leaves the plan out, so a problem can be
+    sent to a worker process, which compiles its own."""
+
     net: Net
     formula: Formula
     box: Mapping[str, tuple]  # parameter -> (low, high), inclusive
@@ -41,6 +51,15 @@ class SynthesisProblem:
             if lo < 0 or lo > hi:
                 raise InputError(f"bad box range for {p!r}: {lo}..{hi}")
         check_formula_places(self.formula, self.net)
+
+    @cached_property
+    def plan(self) -> Plan:
+        return compile_plan(self.net, self.formula, self.leadsto)
+
+    def __getstate__(self):
+        state = dict(vars(self))
+        state.pop("plan", None)  # closures; see tctl.Plan
+        return state
 
 
 @dataclass
@@ -77,22 +96,39 @@ def check_valuation(p: SynthesisProblem, v):
     try:
         concrete = instantiate(p.net, v)
         graph = build(concrete, p.limits)
-        verdict = check(concrete, graph, p.formula, leadsto=p.leadsto)
-        return verdict.holds, None
+        return check(concrete, graph, p.plan).holds, None
     except KBoundError as exc:
         return False, f"k-bound: {exc}"
     except TpnError as exc:
         return False, f"{type(exc).__name__}: {exc}"
 
 
+_worker_problem = None  # a pool worker's problem, set once by its initializer
+
+
+def _receive(p: SynthesisProblem) -> None:
+    global _worker_problem
+    _worker_problem = p
+
+
+def _check_received(v):
+    return check_valuation(_worker_problem, v)
+
+
 def synthesize(p: SynthesisProblem, jobs: int = 1) -> SynthesisResult:
+    """Check every valuation of the box in the implicit domain, in ``jobs``
+    processes (at least 1). A valuation whose check fails with a library
+    error, such as a k-bound, is reported in ``failures`` rather than
+    raised. With jobs > 1, each worker receives the problem once, through
+    the pool initializer; work items are valuations only."""
+    if jobs < 1:
+        raise InputError(f"jobs must be at least 1, got {jobs}")
     vals = list(enumerate_valuations(implicit_domain(p.net), p.box, order=p.net.parameters))
-    one = functools.partial(check_valuation, p)
     if jobs > 1 and len(vals) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one, vals, chunksize=max(1, len(vals) // (4 * jobs))))
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_receive, initargs=(p,)) as pool:
+            results = list(pool.map(_check_received, vals, chunksize=max(1, len(vals) // (4 * jobs))))
     else:
-        results = map(one, vals)
+        results = [check_valuation(p, v) for v in vals]
     satisfying, failures = [], []
     for v, (holds, err) in zip(vals, results):
         if err is not None:

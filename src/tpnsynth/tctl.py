@@ -1,6 +1,13 @@
 """Token-count constraints (GMEC), timed CTL formulas, their text parsers,
 and the model checker over a reachability graph.
 
+A formula is checked through a plan (``compile_plan``), made once per formula
+and place tuple: the formula is desugared into its Prop/Not/Implies/EU/AU
+core, equal subformulas are shared, the constraints are compiled against the
+place index, and the result is a postorder tuple of operators. The checker
+labels a graph with one node set per plan entry in one flat loop, so a sweep
+over many valuations of one net compiles its formula once.
+
 Checking works per temporal operator over the graph, whose fire edges take
 no time and whose delay edges take one unit, in O((a+1)(V+E)) for an
 interval whose least integer is a, whatever its upper bound. Every until is
@@ -570,36 +577,84 @@ class Verdict:
     witness: Optional[list] = None  # StepLabels from the initial state
 
 
+@dataclass(frozen=True)
+class Plan:
+    """A formula compiled for checking on nets with one place tuple.
+
+    ``ops`` is its Prop/Not/Implies/EU/AU core (``desugar``), hash-consed
+    by value into postorder: equal subformulas share one entry, each
+    operand comes before its operator, and the last entry is the formula.
+    An entry is a tuple headed by the core class:
+
+    * ``(Prop, holds)``, with ``holds`` the constraint compiled against the
+      place index (``compile_gmec``);
+    * ``(Not, i)`` and ``(Implies, i, j)``;
+    * ``(EU, i, interval, j)`` and ``(AU, i, interval, j)``;
+
+    where i and j are the entries of the operands. A plan holds closures,
+    so it is not picklable; compile one per process (``compile_plan``).
+    """
+
+    places: tuple
+    ops: tuple
+
+
+def compile_plan(n: Net, phi: Formula, leadsto: str = "ag") -> Plan:
+    """Compile ``phi`` under the given response reading for nets with the
+    places of ``n`` (parametric or concrete). Raises InputError when the
+    formula names a place the net lacks."""
+    check_formula_places(phi, n)
+    index, ops = {}, []
+
+    def entry(key, op) -> int:
+        i = index.get(key)
+        if i is None:
+            i = index[key] = len(ops)
+            ops.append(op)
+        return i
+
+    def walk(f) -> int:
+        if isinstance(f, Prop):
+            return entry((Prop, f.gmec), (Prop, compile_gmec(n, f.gmec)))
+        if isinstance(f, Not):
+            key = (Not, walk(f.sub))
+        elif isinstance(f, Implies):
+            key = (Implies, walk(f.left), walk(f.right))
+        else:  # EU or AU, the rest of the core
+            key = (type(f), walk(f.left), f.interval, walk(f.right))
+        return entry(key, key)
+
+    walk(desugar(phi, leadsto))
+    return Plan(n.places, tuple(ops))
+
+
 class _Checker:
     def __init__(self, graph: ReachGraph):
         self.g = graph
-        self.net = graph.net
         self.n = len(graph.states)
-        self.memo = {}
         self.fire_preds = [[] for _ in range(self.n)]
         self.delay_preds = [[] for _ in range(self.n)]
         for u, outs in enumerate(graph.succ):
             for label, v in outs:
                 (self.delay_preds if isinstance(label, Delay) else self.fire_preds)[v].append(u)
 
-    def sat(self, phi: Formula) -> frozenset:
-        got = self.memo.get(phi)
-        if got is not None:
-            return got
-        if isinstance(phi, Prop):
-            f = compile_gmec(self.net, phi.gmec)
-            out = frozenset(i for i, s in enumerate(self.g.states) if f(s.marking))
-        elif isinstance(phi, Not):
-            out = frozenset(range(self.n)) - self.sat(phi.sub)
-        elif isinstance(phi, Implies):
-            out = (frozenset(range(self.n)) - self.sat(phi.left)) | self.sat(phi.right)
-        elif isinstance(phi, (EU, AU)):
-            exists = isinstance(phi, EU)
-            out = self.until(exists, self.sat(phi.left), phi.interval, self.sat(phi.right))
-        else:
-            raise InputError(f"not in core form: {phi!r}")
-        self.memo[phi] = out
-        return out
+    def label(self, plan: Plan) -> list:
+        """The satisfying node set of every plan entry, in plan order."""
+        every = frozenset(range(self.n))
+        sat = []
+        for op in plan.ops:
+            kind = op[0]
+            if kind is Prop:
+                holds = op[1]
+                out = frozenset([i for i, s in enumerate(self.g.states) if holds(s.marking)])
+            elif kind is Not:
+                out = every - sat[op[1]]
+            elif kind is Implies:
+                out = (every - sat[op[1]]) | sat[op[2]]
+            else:
+                out = self.until(kind is EU, sat[op[1]], op[2], sat[op[3]])
+            sat.append(out)
+        return sat
 
     def until(self, exists: bool, satphi, iv: TimeInterval, satpsi) -> frozenset:
         """Nodes satisfying E (exists) or A phi U_iv psi: delay layers 0 to
@@ -639,14 +694,14 @@ class _Checker:
                 sources += self.fire_preds[u]
         return resolved
 
-    def witness_eu(self, phi: EU) -> Optional[list]:
-        """Shortest label path showing the existential until at the initial
-        node; all pre-target positions satisfy the left operand."""
-        satphi, satpsi = self.sat(phi.left), self.sat(phi.right)
-        good = self.sat(phi)
-        if self.g.initial not in good:
+    def witness_eu(self, plan: Plan, sat: list, i: int) -> Optional[list]:
+        """Shortest label path showing the existential until of plan entry
+        i at the initial node, given the labels ``sat`` of the plan; all
+        pre-target positions satisfy the left operand."""
+        if self.g.initial not in sat[i]:
             return None
-        iv = phi.interval
+        _, left, iv, right = plan.ops[i]
+        satphi, satpsi = sat[left], sat[right]
         H = iv.horizon
         start = (self.g.initial, 0)
         parent = {start: None}
@@ -675,10 +730,16 @@ class _Checker:
 def check(
     n: ConcreteNet,
     g: ReachGraph,
-    phi: Formula,
+    phi: Union[Formula, Plan],
     leadsto: str = "ag",
 ) -> Verdict:
     """Decide whether the initial state satisfies the formula.
+
+    ``phi`` is a formula, compiled here under the ``leadsto`` reading, or a
+    plan compiled once by ``compile_plan`` for nets with the places of
+    ``n``, which carries its own reading and ignores ``leadsto``; a plan for
+    other places raises InputError. The plan is labelled bottom-up, one set
+    of nodes per entry.
 
     Returns a witness trace for a holding top-level existential until (EF
     included) and a counterexample trace for a failing top-level universal
@@ -690,13 +751,17 @@ def check(
     """
     if not g.complete:
         raise IncompleteGraphError("refusing to check an incomplete graph")
-    check_formula_places(phi, n)
-    core = desugar(phi, leadsto)
+    plan = phi if isinstance(phi, Plan) else compile_plan(n, phi, leadsto)
+    if plan.places != n.places:
+        raise InputError(f"plan compiled for places {list(plan.places)}, net has {list(n.places)}")
     checker = _Checker(g)
-    holds = g.initial in checker.sat(core)
+    sat = checker.label(plan)
+    root = len(plan.ops) - 1
+    holds = g.initial in sat[root]
+    op = plan.ops[root]
     witness = None
-    if isinstance(core, EU) and holds:
-        witness = checker.witness_eu(core)
-    elif isinstance(core, Not) and isinstance(core.sub, EU) and not holds:
-        witness = checker.witness_eu(core.sub)
+    if op[0] is EU and holds:
+        witness = checker.witness_eu(plan, sat, root)
+    elif op[0] is Not and plan.ops[op[1]][0] is EU and not holds:
+        witness = checker.witness_eu(plan, sat, op[1])
     return Verdict(holds, witness)

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -33,6 +35,7 @@ trans t post p1 interval [1,1]
 """
 
 MODEL = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "models", "circadian.tpnet")
+SCRIPTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "scripts")
 
 
 @pytest.fixture
@@ -322,7 +325,10 @@ class TestCompose:
 
     @pytest.mark.parametrize(
         "spec",
-        ["flag:t_b,t_c", "flag:", "inhibit:t_a,t_b", "knockout:", "lightdur:5,6", "nightlight:4,4", "jetlag:30", "jetlag:30,6,1"],
+        [
+            "flag:t_b,t_c", "flag:", "inhibit:t_a,t_b", "knockout:", "lightdur:5,6", "nightlight:4,4", "jetlag:30",
+            "jetlag:30,6,1", "nightlight:4,,4,4", "flag:,t_b", "knockout:t_b,",
+        ],
     )
     def test_observer_argument_count_exit_two(self, tmp_path, capsys, spec):
         out_path = tmp_path / "composed.tpnet"
@@ -412,3 +418,14 @@ class TestLightDurationSweep:
         result = json.loads(out)["result"]
         assert result["summary"]["td"] == [6, 12]
         assert result["box_exact"] is True
+
+
+@pytest.mark.parametrize("script", ["run_case_study.py", "search_reconstruction.py"])
+def test_script_refuses_zero_jobs_before_any_work(script):
+    proc = subprocess.run(
+        [sys.executable, os.path.join(SCRIPTS, script), "--jobs", "0"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""  # both scripts print before their first check
+    assert "--jobs" in proc.stderr and "Traceback" not in proc.stderr

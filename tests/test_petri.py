@@ -14,6 +14,8 @@ from tpnsynth import (
     ParamInterval,
     PreconditionError,
     TimeInterval,
+    TpnError,
+    build,
     domain_contains,
     enabled_set,
     eval_constraint,
@@ -22,7 +24,7 @@ from tpnsynth import (
     newly_enabled_set,
     validate_net,
 )
-from tpnsynth.petri import INF, RELATIONS, Net, fire_marking, implicit_domain, net_spec
+from tpnsynth.petri import INF, RELATIONS, Net, StepTable, fire_marking, implicit_domain, net_spec
 
 from _gen import random_concrete_net, random_parametric_net
 
@@ -303,9 +305,77 @@ class TestValidate:
         )
         assert any("incomplete" in d for d in validate_net(bad))
 
+    def test_ill_formed_net_fails_in_build_with_its_instance_diagnostics(self, net_a):
+        bad = Net(
+            places=net_a.places,
+            transitions=net_a.transitions,
+            parameters=("td", "td"),
+            pre=((1,),),  # missing the p2 entry
+            post=net_a.post,
+            read=net_a.read,
+            inhibit=net_a.inhibit,
+            initial=net_a.initial,
+            intervals=(ParamInterval(2, "td"),),
+        )
+        c = instantiate(bad, {"td": 3})
+        with pytest.raises(InputError) as err:
+            build(c)
+        assert str(err.value) == "; ".join(validate_net(c)) == "transition 't1': incomplete pre weight vector"
+
+    def test_instance_of_a_net_with_an_undeclared_parameter_is_judged_alone(self):
+        net = make_net([("p", 1)], {"t": {"pre": {"p": 1}, "interval": (0, 1)}})
+        bad = Net(
+            places=net.places,
+            transitions=net.transitions,
+            parameters=(),
+            pre=net.pre,
+            post=net.post,
+            read=net.read,
+            inhibit=net.inhibit,
+            initial=net.initial,
+            intervals=(ParamInterval("tau_x", "tau_x"),),
+        )
+        assert validate_net(bad)
+        c = instantiate(bad, {"tau_x": 1})
+        assert validate_net(c) == [] and len(build(c)) == 3
+
     def test_make_net_rejects_unknown_place(self):
         with pytest.raises(InputError):
             make_net([("p", 0)], {"t": {"pre": {"nope": 1}, "interval": (0, 1)}})
+
+
+class TestSharedStepTable:
+    def test_instances_share_the_arcs_and_own_the_bounds(self):
+        net = make_net(
+            [("p1", 1), ("p2", 0)],
+            {
+                "t1": {"pre": {"p1": 1}, "post": {"p2": 1}, "interval": ("a", "b")},
+                "t2": {"pre": {"p2": 1}, "post": {"p1": 1}, "inhibit": {"p1": 2}, "interval": (1, None)},
+            },
+            parameters=["a", "b"],
+        )
+        assert net.steps.low is None and net.steps.high is None
+        for v in ({"a": 0, "b": 2}, {"a": 3, "b": 3}):
+            c = instantiate(net, v)
+            tab = c.steps
+            assert tab.need is net.steps.need
+            assert tab.inhibit is net.steps.inhibit
+            assert tab.delta is net.steps.delta
+            assert tab.affected is net.steps.affected
+            assert (tab.low, tab.high) == ((v["a"], 1), (v["b"], -1))
+            fresh = StepTable(c)  # the same table built from the instance alone
+            assert vars(fresh) == vars(tab)
+
+    @settings(max_examples=40, deadline=None)
+    @given(rng=st.randoms(use_true_random=False))
+    def test_instance_table_equals_its_own_table(self, rng):
+        net = random_parametric_net(rng)
+        v = {p: rng.randint(0, 5) for p in net.parameters}
+        try:
+            c = instantiate(net, v)
+        except TpnError:  # outside the domain, or an interval with low > high
+            return
+        assert vars(c.steps) == vars(StepTable(c))
 
 
 @given(st.integers(0, 5), st.integers(0, 5), st.booleans())

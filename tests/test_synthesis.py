@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -130,6 +131,41 @@ class TestSynthesize:
         b = synthesize(SynthesisProblem(param_net, phi, {"td": (0, 8)}), jobs=2)
         assert a.satisfying == b.satisfying
         assert a.summary == b.summary
+
+    def test_parallel_equals_serial_with_k_bound_failures(self):
+        # two sources feed p; tokens pile up past the k-bound when eating is slow
+        net = make_net(
+            [("a", 2), ("b", 2), ("p", 0)],
+            {
+                "grow_a": {"pre": {"a": 1}, "post": {"p": 1}, "interval": ("g", "g")},
+                "grow_b": {"pre": {"b": 1}, "post": {"p": 1}, "interval": ("g", "g")},
+                "eat": {"pre": {"p": 1}, "interval": ("e", "e")},
+            },
+            parameters=["g", "e"],
+        )
+        phi = parse_formula("EF[0,8](M(a)+M(b)+M(p)=0)")
+        limits = ExploreLimits(k_bound=2, max_states=5000)
+        problem = SynthesisProblem(net, phi, {"g": (1, 4), "e": (0, 4)}, limits)
+        serial = synthesize(problem, jobs=1)
+        parallel = synthesize(problem, jobs=2)
+        assert serial.failures and serial.satisfying
+        assert all("k-bound" in msg for _, msg in serial.failures)
+        assert (parallel.satisfying, parallel.explored, parallel.failures) == (
+            serial.satisfying, serial.explored, serial.failures)
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_fewer_than_one_job_is_an_input_error(self, param_net, jobs):
+        problem = SynthesisProblem(param_net, parse_formula("EF[0,4](M(p2)>=1)"), {"td": (0, 8)})
+        with pytest.raises(InputError):
+            synthesize(problem, jobs=jobs)
+
+    def test_problem_pickles_without_its_compiled_plan(self, param_net):
+        problem = SynthesisProblem(param_net, parse_formula("EF[0,4](M(p2)>=1)"), {"td": (0, 8)})
+        before = synthesize(problem)
+        assert "plan" in vars(problem)  # compiled once by the sweep
+        copy = pickle.loads(pickle.dumps(problem))
+        assert "plan" not in vars(copy) and copy == problem
+        assert synthesize(copy).satisfying == before.satisfying
 
     def test_box_must_cover_parameters(self, param_net):
         with pytest.raises(InputError):

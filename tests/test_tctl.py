@@ -16,6 +16,7 @@ from tpnsynth import (
     FormulaSyntaxError,
     IncompleteGraphError,
     InputError,
+    KBoundError,
     LeadsTo,
     Not,
     Prop,
@@ -34,13 +35,16 @@ from tpnsynth import (
 from tpnsynth.petri import INF
 from tpnsynth.semantics import Delay, Fire
 from tpnsynth.statespace import ExploreLimits
-from tpnsynth.tctl import TRUE_GMEC, Implies, _Checker, desugar
+from tpnsynth.petri import implicit_domain
+from tpnsynth.synthesis import enumerate_valuations
+from tpnsynth.tctl import TRUE_GMEC, Implies, _Checker, compile_plan, desugar
 
 from _gen import (
     mutate_text,
     product_until,
     random_concrete_net,
     random_formula,
+    random_parametric_net,
     random_response,
     random_step_graph,
     step_graph,
@@ -375,6 +379,47 @@ class TestDifferentialOracle:
                 responses += "-->" in format_formula(phi)
         assert pairs >= 180
         assert responses >= 40
+
+
+class TestPlan:
+    @settings(max_examples=60, deadline=None)
+    @given(rng=st.randoms(use_true_random=False), leadsto=st.sampled_from(["ag", "paper"]))
+    def test_one_plan_reused_across_valuations_agrees_with_the_formula(self, rng, leadsto):
+        net = random_parametric_net(rng)
+        places = list(net.places)
+        phi = rng.choice([random_formula(rng, places, depth=2, max_bound=4), random_response(rng, places, 4)])
+        plan = compile_plan(net, phi, leadsto)
+        box = {p: (0, 4) for p in net.parameters}
+        vals = list(enumerate_valuations(implicit_domain(net), box, order=net.parameters))
+        for v in rng.sample(vals, min(4, len(vals))):
+            c = instantiate(net, v)
+            try:
+                g = build(c, ExploreLimits(k_bound=3, max_states=2000))
+            except KBoundError:
+                continue
+            if not g.complete:
+                continue
+            assert check(c, g, plan) == check(c, g, phi, leadsto=leadsto)
+
+    def test_equal_subformulas_share_one_entry(self, net_a):
+        plan = compile_plan(net_a, parse_formula("EF[0,2](M(p2)>=1) | (M(p1)>=1 & EF[0,2](M(p2)>=1))"))
+        assert sum(op[0] is EU for op in plan.ops) == 1
+        props = [op for op in plan.ops if op[0] is Prop]
+        assert len(props) == 3  # M(p2)>=1, M(p1)>=1 and the EF's true
+
+    def test_plan_for_other_places_is_an_input_error(self, net_a):
+        plan = compile_plan(net_a, parse_formula("EF[0,3](M(p2)>=1)"))
+        swapped = instantiate(
+            make_net([("p2", 0), ("p1", 1)], {"t1": {"pre": {"p1": 1}, "post": {"p2": 1}, "interval": (2, 3)}}),
+            {},
+        )
+        assert check(net_a, build(net_a), plan).holds
+        with pytest.raises(InputError):
+            check(swapped, build(swapped), plan)
+
+    def test_unknown_place_is_an_input_error(self, net_a):
+        with pytest.raises(InputError):
+            compile_plan(net_a, parse_formula("EF[0,3](M(p9)>=1)"))
 
 
 class TestOracleWalk:
