@@ -46,7 +46,7 @@ from .semantics import (
     replay,
     successors,
 )
-from .statespace import ExploreLimits, ReachGraph, build, states_satisfying
+from .statespace import ExploreLimits, ReachGraph, build
 from .synthesis import (
     SynthesisProblem,
     SynthesisResult,
@@ -77,5 +77,6 @@ from .tctl import (
     parse_formula,
     parse_formula_file,
     parse_gmec,
+    states_satisfying,
 )
 from .version import __version__

@@ -1,8 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success / property holds, 1 property fails, 2 usage or input
-error, 3 resource limit hit. ``TPNSYNTH_MAX_STATES`` overrides the default
-state cap.
+error, 3 resource limit hit.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from .errors import (
     TpnError,
 )
 from .netfile import parse_net_file, serialize_net
-from .petri import NAME, instantiate, validate_net
+from .petri import NAME, NAT, instantiate
 from .semantics import Delay, initial_state, successors
 from .statespace import ExploreLimits, build
 from .synthesis import SynthesisProblem, synthesize
@@ -65,10 +64,9 @@ def _emit(report, fmt, text_lines):
 
 
 def _nat(text: str, message: str, least: int = 0) -> int:
-    """``text`` as an int of at least ``least`` when it is ASCII decimal
-    digits (``str.isdigit`` alone also accepts digits such as ``²`` that
-    ``int`` refuses)."""
-    if not (text.isascii() and text.isdigit()) or int(text) < least:
+    """``text`` as an int of at least ``least`` when it is a natural
+    (``petri.NAT``)."""
+    if not NAT.fullmatch(text) or int(text) < least:
         raise InputError(message)
     return int(text)
 
@@ -93,12 +91,7 @@ def _cpus() -> int:
 
 
 def _limits(ns) -> ExploreLimits:
-    max_states = ns.max_states
-    if max_states is None:
-        env = os.environ.get("TPNSYNTH_MAX_STATES")
-        message = f"TPNSYNTH_MAX_STATES must be a natural number, got {env!r}"
-        max_states = ExploreLimits().max_states if env is None else _nat(env, message)
-    return ExploreLimits(k_bound=ns.k_bound, max_states=max_states)
+    return ExploreLimits(k_bound=ns.k_bound, max_states=ns.max_states)
 
 
 def _put_once(mapping, name, value, what):
@@ -193,11 +186,10 @@ def _label_json(label):
 
 
 def cmd_validate(ns, argv, started):
-    net = parse_net_file(ns.net)
-    diags = validate_net(net)
-    report = _report(argv, [ns.net], {"diagnostics": diags}, started)
-    _emit(report, ns.format, diags or ["ok"])
-    return EXIT_OK if not diags else EXIT_INPUT
+    parse_net_file(ns.net)  # raises on every diagnostic of validate_net
+    report = _report(argv, [ns.net], {"diagnostics": []}, started)
+    _emit(report, ns.format, ["ok"])
+    return EXIT_OK
 
 
 def cmd_simulate(ns, argv, started):
@@ -323,7 +315,7 @@ def _build_parser():
         p.add_argument("--format", choices=formats, default="text")
         if with_limits:
             p.add_argument("--k-bound", type=_count(1), default=ExploreLimits().k_bound)
-            p.add_argument("--max-states", type=_count(1), default=None)
+            p.add_argument("--max-states", type=_count(1), default=ExploreLimits().max_states)
 
     p = sub.add_parser("validate", help="check a net file for structural problems")
     common(p, with_limits=False)
@@ -332,7 +324,7 @@ def _build_parser():
     p = sub.add_parser("simulate", help="print a random timed trace")
     common(p, with_limits=False)
     p.add_argument("--steps", type=_count(0), default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count(0), default=0)
     p.add_argument("--valuation", "-v", action="append", metavar="NAME=NAT")
     p.set_defaults(fn=cmd_simulate)
 
@@ -359,7 +351,7 @@ def _build_parser():
     p.set_defaults(fn=cmd_synth)
 
     p = sub.add_parser("compose", help="apply observers and write the result")
-    common(p, with_limits=False)
+    p.add_argument("net", help="net file (.tpnet)")  # writes a net, so no --format
     p.add_argument(
         "--observer",
         action="append",

@@ -21,11 +21,10 @@ import re
 from fractions import Fraction
 
 from .errors import InputError, NetSyntaxError
-from .petri import NAME, LinearConstraint, Net, make_net, net_spec
+from .petri import NAME, NAT, LinearConstraint, Net, make_net, net_spec
 
-_NAT = re.compile(r"[0-9]+")
-_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
-_ARC = re.compile(rf"({NAME.pattern})(?:\*([0-9]+))?")
+_RATIONAL = re.compile(rf"-?{NAT.pattern}(?:/{NAT.pattern})?")
+_ARC = re.compile(rf"({NAME.pattern})(?:\*({NAT.pattern}))?")
 _INTERVAL = re.compile(r"\[([A-Za-z0-9_]+),([A-Za-z0-9_]+)([\]\)])")
 _SECTIONS = ("pre", "post", "read", "inhibit", "interval")
 
@@ -49,7 +48,7 @@ def parse_net(text: str) -> Net:
                 raise NetSyntaxError("place needs a name", lineno)
             tokens = 0
             if len(rest) == 2:
-                if not _NAT.fullmatch(rest[1]):
+                if not NAT.fullmatch(rest[1]):
                     raise NetSyntaxError("initial tokens must be a natural number", lineno)
                 tokens = int(rest[1])
             elif len(rest) > 2:
@@ -93,8 +92,12 @@ def parse_net(text: str) -> Net:
 
 
 def parse_net_file(path) -> Net:
-    with open(path) as fh:
-        return parse_net(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"net file {str(path)!r} is not UTF-8: {exc.reason} at byte {exc.start}") from None
+    return parse_net(text)
 
 
 def _check_references(places, params, transitions, lines, domain):
@@ -167,7 +170,7 @@ def _parse_interval(tok, lineno):
 
 
 def _bound(text):
-    return int(text) if _NAT.fullmatch(text) else text
+    return int(text) if NAT.fullmatch(text) else text
 
 
 def _rational(text, what, lineno) -> Fraction:

@@ -34,7 +34,7 @@ def brute_force_check(n: ConcreteNet, phi: Formula, leadsto: str = "ag") -> bool
 
 def _holds(n: ConcreteNet, state, phi) -> bool:
     if isinstance(phi, Prop):
-        return compile_gmec(n, phi.gmec)(state.marking)
+        return compile_gmec(n.place_index, phi.gmec)(state.marking)
     if isinstance(phi, Not):
         return not _holds(n, state, phi.sub)
     if isinstance(phi, Implies):

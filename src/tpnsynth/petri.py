@@ -35,6 +35,7 @@ Valuation = Mapping[str, int]
 Bound = Union[int, str]  # a natural number or a parameter name
 
 NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")  # place, transition and parameter names
+NAT = re.compile(r"[0-9]+")  # naturals in nets, formulas and flags: ASCII digits only
 
 # the one comparison table for linear parameter constraints and GMEC atoms
 RELATIONS = {
@@ -342,11 +343,6 @@ def make_net(
     ``ParamInterval`` bounds. ``net_spec`` is the inverse.
     """
     place_names = tuple(p for p, _ in places)
-    if len(set(place_names)) != len(place_names):
-        raise InputError("duplicate place name")
-    names = tuple(transitions.keys())
-    if set(place_names) & set(names):
-        raise InputError("place and transition names must be disjoint")
     pre, post, read, inhibit, ivals = [], [], [], [], []
     for t, spec in transitions.items():
         pre.append(_dense(spec.get("pre"), place_names, "pre", t))
@@ -357,7 +353,7 @@ def make_net(
         ivals.append(ParamInterval(lo, hi))
     net = Net(
         places=place_names,
-        transitions=names,
+        transitions=tuple(transitions),
         parameters=tuple(parameters),
         pre=tuple(pre),
         post=tuple(post),
@@ -498,6 +494,8 @@ def validate_net(n: Net) -> list:
         diags.append("duplicate transition name")
     if len(set(n.parameters)) != len(n.parameters):
         diags.append("duplicate parameter name")
+    if set(n.places) & set(n.transitions):
+        diags.append("place and transition names must be disjoint")
     if len(n.initial) != np:
         diags.append("initial marking length does not match place count")
     elif any((not isinstance(x, int)) or x < 0 for x in n.initial):

@@ -99,10 +99,3 @@ def build(n: ConcreteNet, lim: ExploreLimits = ExploreLimits()) -> ReachGraph:
     del index
     return ReachGraph(n, materialise(tab, keys), succ, complete=complete)
 
-
-def states_satisfying(g: ReachGraph, phi) -> set:
-    """Node indices whose marking satisfies the token-count formula."""
-    from .tctl import compile_gmec
-
-    f = compile_gmec(g.net, phi)
-    return {i for i, s in enumerate(g.states) if f(s.marking)}

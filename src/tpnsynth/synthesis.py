@@ -24,15 +24,17 @@ from typing import Mapping
 from .errors import InputError, KBoundError, TpnError
 from .petri import Net, ParamDomain, domain_contains, implicit_domain, instantiate
 from .statespace import ExploreLimits, build
-from .tctl import Formula, Plan, check, check_formula_places, compile_plan
+from .tctl import Formula, Plan, check, compile_plan
 
 
 @dataclass(frozen=True)
 class SynthesisProblem:
     """A parametric net, a formula, the box to sweep, the exploration
-    limits and the response reading. The formula is compiled once, on first
-    use, into ``plan``; pickling leaves the plan out, so a problem can be
-    sent to a worker process, which compiles its own."""
+    limits and the response reading. The formula is compiled into ``plan``
+    on construction, so a formula the net cannot check is an InputError
+    here rather than a failure per valuation; pickling leaves the plan out,
+    so a problem can be sent to a worker process, which compiles its own
+    on first use."""
 
     net: Net
     formula: Formula
@@ -50,7 +52,7 @@ class SynthesisProblem:
         for p, (lo, hi) in self.box.items():
             if lo < 0 or lo > hi:
                 raise InputError(f"bad box range for {p!r}: {lo}..{hi}")
-        check_formula_places(self.formula, self.net)
+        self.plan  # compiled now: a formula that does not compile is an input error
 
     @cached_property
     def plan(self) -> Plan:

@@ -50,7 +50,7 @@ from .errors import (
     IncompleteGraphError,
     InputError,
 )
-from .petri import INF, NAME, RELATIONS, ConcreteNet, Net, TimeInterval
+from .petri import INF, NAME, NAT, RELATIONS, ConcreteNet, Net, TimeInterval
 from .semantics import Delay
 from .statespace import ReachGraph
 
@@ -85,25 +85,20 @@ TRUE_GMEC = Atom((), ">=", 0)
 FALSE_GMEC = Atom((), ">", 0)
 
 
-def compile_gmec(net: Optional[ConcreteNet], phi: Gmec):
-    """Closure evaluating the constraint on a marking.
-
-    With a net, markings are dense tuples and each place becomes its index
-    in ``net.places``; with ``net=None`` they are place->count mappings
-    keyed by the place name itself.
-    """
+def compile_gmec(index, phi: Gmec):
+    """Closure evaluating the constraint on a marking whose count of each
+    place is ``m[index[place]]``: ``index`` is ``net.place_index`` for the
+    dense marking tuples of a net, or the keys of a place->count mapping
+    mapped to themselves. This is the one resolver of formula place names:
+    a place ``index`` lacks raises InputError."""
     if isinstance(phi, Atom):
-        pairs = []
-        for place, coeff in phi.coeffs:
-            if net is None:
-                pairs.append((place, coeff))
-            elif place in net.place_index:
-                pairs.append((net.place_index[place], coeff))
-            else:
-                raise InputError(f"unknown place {place!r} in formula")
+        unknown = sorted({place for place, _ in phi.coeffs if place not in index})
+        if unknown:
+            raise InputError(f"formula references unknown places {unknown}")
+        pairs = [(index[place], coeff) for place, coeff in phi.coeffs]
         rel, bound = RELATIONS[phi.rel], phi.bound
         return lambda m: rel(sum(c * m[k] for k, c in pairs), bound)
-    left, right = compile_gmec(net, phi.left), compile_gmec(net, phi.right)
+    left, right = compile_gmec(index, phi.left), compile_gmec(index, phi.right)
     if phi.op == "and":
         return lambda m: left(m) and right(m)
     if phi.op == "or":
@@ -113,17 +108,13 @@ def compile_gmec(net: Optional[ConcreteNet], phi: Gmec):
 
 def eval_gmec(m, phi: Gmec) -> bool:
     """Evaluate against a place->count mapping."""
-    holds = compile_gmec(None, phi)
-    try:
-        return holds(m)
-    except KeyError as exc:
-        raise InputError(f"marking has no place {exc.args[0]!r}") from None
+    return compile_gmec({p: p for p in m}, phi)(m)
 
 
-def gmec_places(phi: Gmec) -> set:
-    if isinstance(phi, Atom):
-        return {p for p, _ in phi.coeffs}
-    return gmec_places(phi.left) | gmec_places(phi.right)
+def states_satisfying(g: ReachGraph, phi: Gmec) -> set:
+    """Node indices whose marking satisfies the token-count constraint."""
+    holds = compile_gmec(g.net.place_index, phi)
+    return {i for i, s in enumerate(g.states) if holds(s.marking)}
 
 
 # ---------------------------------------------------------------------------
@@ -246,27 +237,6 @@ def desugar(phi: Formula, leadsto: str = "ag") -> Formula:
     raise InputError(f"not a formula: {phi!r}")
 
 
-def formula_places(phi: Formula) -> set:
-    if isinstance(phi, Prop):
-        return gmec_places(phi.gmec)
-    if isinstance(phi, Not):
-        return formula_places(phi.sub)
-    if isinstance(phi, (Implies, EU, AU)):
-        return formula_places(phi.left) | formula_places(phi.right)
-    if isinstance(phi, (EF, AF, EG, AG)):
-        return formula_places(phi.sub)
-    if isinstance(phi, LeadsTo):
-        return gmec_places(phi.left) | gmec_places(phi.right)
-    raise InputError(f"not a formula: {phi!r}")
-
-
-def check_formula_places(phi: Formula, net: Net) -> None:
-    """Raise InputError when the formula names a place the net lacks."""
-    unknown = formula_places(phi) - set(net.places)
-    if unknown:
-        raise InputError(f"formula references unknown places {sorted(unknown)}")
-
-
 # ---------------------------------------------------------------------------
 # Text parsers
 
@@ -293,14 +263,12 @@ def _tokenize(text: str):
                 break
         if matched:
             continue
-        if "0" <= ch <= "9":  # ASCII only: isdecimal also takes digits such as "٣"
-            j = i
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
-            toks.append(("INT", int(text[i:j]), i))
-            i = j
+        num = NAT.match(text, i)  # ASCII only, as in nets
+        if num:
+            toks.append(("INT", int(num.group()), i))
+            i = num.end()
             continue
-        name = NAME.match(text, i)  # ASCII only, as in nets
+        name = NAME.match(text, i)
         if name:
             toks.append(("NAME", name.group(), i))
             i = name.end()
@@ -313,9 +281,10 @@ def _tokenize(text: str):
 class _Parser:
     """Recursive descent over the shared constraint/formula grammar.
 
-    Boolean combinations of atoms stay token-count constraints; anything
-    temporal, or negated, lifts to the formula level (with & and | over
-    formulas desugared into the Not/Implies core).
+    Each level returns a token-count constraint (``Atom``/``BoolOp``) while
+    its text is a boolean combination of atoms; anything temporal, or
+    negated, lifts it to a formula (``_prop``), with & and | over formulas
+    desugared into the Not/Implies core.
     """
 
     def __init__(self, text: str):
@@ -348,17 +317,16 @@ class _Parser:
     def parse_gmec(self) -> Gmec:
         node = self.implication()
         self.expect("EOF")
-        kind, val = node
-        if kind != "g":
+        if not isinstance(node, Gmec):
             raise FormulaSyntaxError(
                 "temporal or negation operators are not allowed here", self.formula_pos
             )
-        return val
+        return node
 
     def parse_formula(self) -> Formula:
         node = self.implication()
         self.expect("EOF")
-        return _to_formula(node)
+        return _prop(node)
 
     # -- precedence levels
 
@@ -368,19 +336,19 @@ class _Parser:
         if t[0] == "=>":
             self.next()
             right = self.implication()  # right associative
-            if left[0] == "g" and right[0] == "g":
-                return ("g", BoolOp("implies", left[1], right[1]))
-            return ("f", Implies(_to_formula(left), _to_formula(right)))
+            if isinstance(left, Gmec) and isinstance(right, Gmec):
+                return BoolOp("implies", left, right)
+            return Implies(_prop(left), _prop(right))
         if t[0] == "-->":
             self.lifts(t)
             iv = self.interval()
             _check_leadsto_interval(iv, t[2])
             right = self.disjunction()
-            if left[0] != "g" or right[0] != "g":
+            if not (isinstance(left, Gmec) and isinstance(right, Gmec)):
                 raise FormulaSyntaxError(
                     "response operands must be plain token-count constraints", pos=t[2]
                 )
-            return ("f", LeadsTo(left[1], iv, right[1]))
+            return LeadsTo(left, iv, right)
         return left
 
     def disjunction(self):
@@ -388,10 +356,10 @@ class _Parser:
         while self.peek()[0] == "|":
             self.next()
             rhs = self.conjunction()
-            if node[0] == "g" and rhs[0] == "g":
-                node = ("g", BoolOp("or", node[1], rhs[1]))
+            if isinstance(node, Gmec) and isinstance(rhs, Gmec):
+                node = BoolOp("or", node, rhs)
             else:
-                node = ("f", lor(_to_formula(node), _to_formula(rhs)))
+                node = lor(_prop(node), _prop(rhs))
         return node
 
     def conjunction(self):
@@ -399,43 +367,43 @@ class _Parser:
         while self.peek()[0] == "&":
             self.next()
             rhs = self.unary()
-            if node[0] == "g" and rhs[0] == "g":
-                node = ("g", BoolOp("and", node[1], rhs[1]))
+            if isinstance(node, Gmec) and isinstance(rhs, Gmec):
+                node = BoolOp("and", node, rhs)
             else:
-                node = ("f", land(_to_formula(node), _to_formula(rhs)))
+                node = land(_prop(node), _prop(rhs))
         return node
 
     def unary(self):
         t = self.peek()
         if t[0] == "!":
             self.lifts(t)
-            return ("f", Not(_to_formula(self.unary())))
+            return Not(_prop(self.unary()))
         if t[0] == "NAME" and t[1] in ("EF", "AF", "EG", "AG"):
             self.lifts(t)
             iv = self.interval()
-            sub = _to_formula(self.unary())
+            sub = _prop(self.unary())
             cls = {"EF": EF, "AF": AF, "EG": EG, "AG": AG}[t[1]]
-            return ("f", cls(iv, sub))
+            return cls(iv, sub)
         if t[0] == "NAME" and t[1] in ("E", "A"):
-            return ("f", self.until(t[1]))
+            return self.until(t[1])
         if t[0] == "(":
             self.next()
             node = self.implication()
             self.expect(")")
             return node
-        return ("g", self.atom())
+        return self.atom()
 
     def until(self, quantifier):
         self.lifts(self.peek())
         bracketed = self.peek()[0] == "["
         if bracketed:
             self.next()
-        left = _to_formula(self.unary())
+        left = _prop(self.unary())
         t = self.next()
         if t[0] != "NAME" or t[1] != "U":
             raise FormulaSyntaxError("expected U in until formula", pos=t[2])
         iv = self.interval()
-        right = _to_formula(self.unary())
+        right = _prop(self.unary())
         if bracketed:
             self.expect("]")
         return (EU if quantifier == "E" else AU)(left, iv, right)
@@ -507,9 +475,9 @@ class _Parser:
         return Atom(tuple(sorted(coeffs.items())), rel, bound)
 
 
-def _to_formula(node) -> Formula:
-    kind, val = node
-    return Prop(val) if kind == "g" else val
+def _prop(node) -> Formula:
+    """A parsed node as a formula: a token-count constraint becomes a Prop."""
+    return Prop(node) if isinstance(node, Gmec) else node
 
 
 def parse_gmec(text: str) -> Gmec:
@@ -522,11 +490,12 @@ def parse_formula(text: str) -> Formula:
 
 def parse_formula_file(path) -> Formula:
     """Parse a .tctl file; lines starting with # are comments."""
-    with open(path) as fh:
-        text = "\n".join(
-            line for line in fh.read().splitlines() if not line.lstrip().startswith("#")
-        )
-    return parse_formula(text)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"formula file {str(path)!r} is not UTF-8: {exc.reason} at byte {exc.start}") from None
+    return parse_formula("\n".join(line for line in lines if not line.lstrip().startswith("#")))
 
 
 def format_formula(phi: Formula) -> str:
@@ -602,8 +571,7 @@ class Plan:
 def compile_plan(n: Net, phi: Formula, leadsto: str = "ag") -> Plan:
     """Compile ``phi`` under the given response reading for nets with the
     places of ``n`` (parametric or concrete). Raises InputError when the
-    formula names a place the net lacks."""
-    check_formula_places(phi, n)
+    formula names a place the net lacks (``compile_gmec``)."""
     index, ops = {}, []
 
     def entry(key, op) -> int:
@@ -615,7 +583,7 @@ def compile_plan(n: Net, phi: Formula, leadsto: str = "ag") -> Plan:
 
     def walk(f) -> int:
         if isinstance(f, Prop):
-            return entry((Prop, f.gmec), (Prop, compile_gmec(n, f.gmec)))
+            return entry((Prop, f.gmec), (Prop, compile_gmec(n.place_index, f.gmec)))
         if isinstance(f, Not):
             key = (Not, walk(f.sub))
         elif isinstance(f, Implies):

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from tpnsynth import (
@@ -8,6 +10,7 @@ from tpnsynth import (
     domain_contains,
     instantiate,
     parse_formula,
+    parse_net_file,
 )
 from tpnsynth.biomodels import (
     ClockConfig,
@@ -144,6 +147,13 @@ class TestClockModel:
         )
         c, g = reach(net)
         assert check(c, g, parse_formula("AG[0,inf](M(P_L1)=0)")).holds
+
+    def test_shipped_model_is_the_parametric_clock(self):
+        # the CLI runs (and the output digest covers) the file, the
+        # acceptance suite the code
+        here = os.path.dirname(os.path.abspath(__file__))
+        model = parse_net_file(os.path.join(here, os.pardir, "models", "circadian.tpnet"))
+        assert model == build_circadian_clock(ClockConfig(tau_g="tau_g"))
 
     def test_gene_constraint_added_for_parametric_delay(self):
         net = build_circadian_clock(ClockConfig(tau_g="tau_g"))

@@ -125,6 +125,20 @@ class TestExitCodes:
         code, out, _ = run(capsys, "validate", net_file)
         assert code == 0 and "ok" in out
 
+    def test_net_file_other_than_utf8_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "bad.tpnet"
+        path.write_bytes(b"\xff\xfe")
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 2 and out == ""
+        assert "bad.tpnet" in err and "UTF-8" in err
+
+    def test_formula_file_other_than_utf8_exit_two(self, net_file, tmp_path, capsys):
+        path = tmp_path / "bad.tctl"
+        path.write_bytes(b"\xff\xfe")
+        code, out, err = run(capsys, "check", net_file, "--formula", str(path))
+        assert code == 2 and out == ""
+        assert "bad.tctl" in err and "UTF-8" in err
+
 
 class TestCountFlags:
     SYNTH = ("synth", "--formula-text", "EF[0,3](M(p2)>=1)", "--box", "td=1..3")
@@ -134,6 +148,9 @@ class TestCountFlags:
         [
             ("simulate", "-v", "td=2", "--steps", "-3"),
             ("simulate", "-v", "td=2", "--steps", "²"),
+            ("simulate", "-v", "td=2", "--seed", "٣"),
+            ("simulate", "-v", "td=2", "--seed", "1_0"),
+            ("simulate", "-v", "td=2", "--seed", "-1"),
             SYNTH + ("--jobs", "0"),
             SYNTH + ("--jobs", "-2"),
             SYNTH + ("--jobs", "x"),
@@ -161,11 +178,10 @@ class TestCountFlags:
         assert code == 0
         assert json.loads(out)["result"]["trace"] == []
 
-    def test_limit_defaults_come_from_explore_limits(self, net_file, monkeypatch):
+    def test_limit_defaults_come_from_explore_limits(self, net_file):
         from tpnsynth.cli import _build_parser, _limits
         from tpnsynth.statespace import ExploreLimits
 
-        monkeypatch.delenv("TPNSYNTH_MAX_STATES", raising=False)
         ns = _build_parser().parse_args(["check", net_file])
         assert _limits(ns) == ExploreLimits()
 
@@ -304,6 +320,13 @@ class TestCompose:
         code, out, _ = run(capsys, "check", str(out_path), "--formula-text", "EF[0,inf](M(p2)>=1)")
         assert code == 1  # t1 can never fire once inhibited
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_compose_takes_no_format(self, net_file, capsys, fmt):
+        with pytest.raises(SystemExit) as exc:
+            main(["compose", net_file, "--observer", "flag:t1", "--format", fmt])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_compose_flag_observer(self, net_file, capsys):
         code, out, _ = run(capsys, "compose", net_file, "--observer", "flag:t1")
         assert code == 0
@@ -347,20 +370,6 @@ class TestCompose:
         out_path = str(tmp_path / "composed.tpnet")
         assert run(capsys, "compose", MODEL, "--observer", spec, "-o", out_path)[0] == 0
         assert run(capsys, "validate", out_path)[0] == 0
-
-
-class TestEnvLimit:
-    def test_max_states_env_override(self, net_file, capsys, monkeypatch):
-        monkeypatch.setenv("TPNSYNTH_MAX_STATES", "2")
-        code, _, err = run(capsys, "graph", net_file)
-        assert code == 3
-
-    @pytest.mark.parametrize("value", ["abc", "²", "-5", ""])
-    def test_max_states_env_other_than_ascii_digits_exit_two(self, net_file, capsys, monkeypatch, value):
-        monkeypatch.setenv("TPNSYNTH_MAX_STATES", value)
-        code, _, err = run(capsys, "check", net_file, "--formula-text", "EF[0,3](M(p2)>=1)")
-        assert code == 2
-        assert "TPNSYNTH_MAX_STATES" in err
 
 
 class TestShippedModel:
@@ -429,3 +438,15 @@ def test_script_refuses_zero_jobs_before_any_work(script):
     assert proc.returncode == 2
     assert proc.stdout == ""  # both scripts print before their first check
     assert "--jobs" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_output_digest_is_pinned():
+    """The 400-run ``check --format json`` matrix of scripts/compare_outputs.py
+    (its messages and exit codes included): a change that alters an output
+    on purpose updates this digest."""
+    proc = subprocess.run(
+        [sys.executable, os.path.join(SCRIPTS, "compare_outputs.py")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "58fd3a4e2483cb14390f45d5285b5b8281240c6fde44c95ec79d77a71846ef8c  400 runs\n"

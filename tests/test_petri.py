@@ -339,6 +339,26 @@ class TestValidate:
         c = instantiate(bad, {"tau_x": 1})
         assert validate_net(c) == [] and len(build(c)) == 3
 
+    def test_transition_with_a_place_name(self, net_a):
+        bad = Net(
+            places=net_a.places,
+            transitions=("p1",),
+            parameters=(),
+            pre=net_a.pre,
+            post=net_a.post,
+            read=net_a.read,
+            inhibit=net_a.inhibit,
+            initial=net_a.initial,
+            intervals=(ParamInterval(2, 3),),
+        )
+        assert validate_net(bad) == ["place and transition names must be disjoint"]
+        with pytest.raises(InputError, match="^place and transition names must be disjoint$"):
+            make_net([("p", 1)], {"p": {"pre": {"p": 1}, "interval": (0, 1)}})
+
+    def test_make_net_reports_a_duplicate_place_through_validate_net(self):
+        with pytest.raises(InputError, match="^duplicate place name$"):
+            make_net([("p", 1), ("p", 0)], {"t": {"pre": {"p": 1}, "interval": (0, 1)}})
+
     def test_make_net_rejects_unknown_place(self):
         with pytest.raises(InputError):
             make_net([("p", 0)], {"t": {"pre": {"nope": 1}, "interval": (0, 1)}})

@@ -5,14 +5,18 @@ import pytest
 
 from tpnsynth import (
     ExploreLimits,
+    FormulaSyntaxError,
     InputError,
+    LeadsTo,
     LinearConstraint,
     ParamDomain,
+    TimeInterval,
     build,
     check,
     instantiate,
     make_net,
     parse_formula,
+    parse_gmec,
 )
 from tpnsynth.synthesis import (
     SynthesisProblem,
@@ -162,10 +166,15 @@ class TestSynthesize:
     def test_problem_pickles_without_its_compiled_plan(self, param_net):
         problem = SynthesisProblem(param_net, parse_formula("EF[0,4](M(p2)>=1)"), {"td": (0, 8)})
         before = synthesize(problem)
-        assert "plan" in vars(problem)  # compiled once by the sweep
+        assert "plan" in vars(problem)  # compiled once, on construction
         copy = pickle.loads(pickle.dumps(problem))
         assert "plan" not in vars(copy) and copy == problem
         assert synthesize(copy).satisfying == before.satisfying
+
+    def test_formula_that_does_not_compile_fails_on_construction(self, param_net):
+        phi = LeadsTo(parse_gmec("M(p1)>=1"), TimeInterval(1, 3), parse_gmec("M(p2)>=1"))
+        with pytest.raises(FormulaSyntaxError, match="closed 0"):
+            SynthesisProblem(param_net, phi, {"td": (0, 8)})
 
     def test_box_must_cover_parameters(self, param_net):
         with pytest.raises(InputError):
