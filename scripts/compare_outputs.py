@@ -1,12 +1,14 @@
-"""One digest of the checker's outputs over a fixed 400-run matrix.
+"""One digest of the checker's and the graph export's outputs over a fixed
+420-run matrix.
 
 Runs ``tpnsynth check --format json`` in-process over the 10 query files of
 ``models/queries/`` x ``models/circadian.tpnet`` and its flag:t_g, flag:t_a,
 jetlag:30,6 and knockout:t_b,t_f compositions x tau_g 1, 2, 3, 5 x both
-``--leadsto`` readings, and prints the sha256 of every run's exit code,
-standard output and standard error, with ``timing_ms`` removed from each
-JSON report. Two checkouts that print the same digest gave the same answers,
-witnesses and messages on every run.
+``--leadsto`` readings (400 runs), then ``tpnsynth graph --format json`` over
+the 5 nets x the 4 tau_g values (20 runs), and prints the sha256 of every
+run's exit code, standard output and standard error, with ``timing_ms``
+removed from each JSON report. Two checkouts that print the same digest gave
+the same answers, witnesses, graphs and messages on every run.
 
   python scripts/compare_outputs.py                 # this checkout's src/
   python scripts/compare_outputs.py --src OTHER/src # another checkout's
@@ -69,22 +71,24 @@ def main():
                     code, _, err = run(cli_main, argv)
                     if code != 0:
                         sys.exit(f"compose {observers} failed: {err}")
-            for name in COMPOSITIONS:
-                for query in queries:
-                    for tau_g in TAU_G:
-                        for leadsto in LEADSTO:
-                            argv = [
-                                "check", name, "--formula", f"queries/{query}", "-v", f"tau_g={tau_g}",
-                                "--leadsto", leadsto, "--format", "json",
-                            ]
-                            code, out, err = run(cli_main, argv)
-                            if out:
-                                report = json.loads(out)
-                                report.pop("timing_ms", None)
-                                out = json.dumps(report, sort_keys=True)
-                            digest.update(json.dumps([argv, code, out, err]).encode())
-                            digest.update(b"\n")
-                            runs += 1
+            matrix = [
+                ["check", name, "--formula", f"queries/{query}", "-v", f"tau_g={tau_g}", "--leadsto", leadsto]
+                for name in COMPOSITIONS
+                for query in queries
+                for tau_g in TAU_G
+                for leadsto in LEADSTO
+            ]
+            matrix += [["graph", name, "-v", f"tau_g={tau_g}"] for name in COMPOSITIONS for tau_g in TAU_G]
+            for argv in matrix:
+                argv += ["--format", "json"]
+                code, out, err = run(cli_main, argv)
+                if out:
+                    report = json.loads(out)
+                    report.pop("timing_ms", None)
+                    out = json.dumps(report, sort_keys=True)
+                digest.update(json.dumps([argv, code, out, err]).encode())
+                digest.update(b"\n")
+                runs += 1
         finally:
             os.chdir(here)
     print(f"{digest.hexdigest()}  {runs} runs")

@@ -1,7 +1,8 @@
 """End-to-end circadian case study: reproduces every published number the
 reconstruction can reach and reports reconstructed-vs-expected where it
-cannot. Runs in about 1 s single-threaded on a 2-core x86 VM with
-Python 3.11 (it reports "done in 0.9s" to "done in 1.0s"); see --jobs.
+cannot. Runs in about 1 s on a shared 2-core x86 VM (Intel Xeon) with
+Python 3.11: over eight runs each it reported "done in 0.7s" to "done in
+1.0s" at --jobs 1 and "done in 0.6s" to "done in 1.1s" at --jobs 2.
 
   python scripts/run_case_study.py [--jobs N] [--quick]
 """

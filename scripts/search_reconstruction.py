@@ -120,7 +120,8 @@ def hard_filter(v):
     try:
         nominal = clock_net(v, 12, 12, 1, 7)
         g = build(nominal, LIM)
-        if not g.complete or any(max(s.marking) > 1 for s in g.states):
+        np = len(nominal.places)
+        if not g.complete or any(max(k[:np]) > 1 for k in g.keys):
             return False
         if not (check(nominal, g, PHI_A).holds and check(nominal, g, PHI_B).holds):
             return False

@@ -29,7 +29,7 @@ from .petri import NAME, NAT, instantiate
 from .semantics import Delay, initial_state, successors
 from .statespace import ExploreLimits, build
 from .synthesis import SynthesisProblem, synthesize
-from .tctl import format_formula, parse_formula, parse_formula_file
+from .tctl import check, compile_plan, format_formula, parse_formula, parse_formula_file
 from .version import __version__
 
 EXIT_OK = 0
@@ -240,10 +240,9 @@ def cmd_graph(ns, argv, started):
 def cmd_check(ns, argv, started):
     net = _concrete(parse_net_file(ns.net), ns)
     phi = _load_formula(ns)
+    plan = compile_plan(net, phi, ns.leadsto)
     graph = build(net, _limits(ns))
-    from .tctl import check as run_check
-
-    verdict = run_check(net, graph, phi, leadsto=ns.leadsto)
+    verdict = check(net, graph, plan)
     witness = [_label_json(l) for l in verdict.witness] if verdict.witness is not None else None
     result = {
         "formula": format_formula(phi),

@@ -6,14 +6,15 @@ makes two builds of the same net produce identical graphs.
 
 The search runs on packed keys (see ``semantics``): the BFS queue, the
 visited index and every hash are plain int tuples, and edge labels are one
-``Fire`` per transition and one ``Delay(1)``. States are materialised once,
-after the search (or when a k-bound violation ends it) and after the index
-is dropped, so a graph's ``states`` are ordinary ``State`` objects.
+``Fire`` per transition and one ``Delay(1)``. A node is its key, whose
+first ``len(places)`` slots are its marking, all that the checker reads;
+``ReachGraph.states`` materialises ``State`` objects when first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InputError, KBoundError
 from .petri import ConcreteNet
@@ -33,17 +34,22 @@ class ExploreLimits:
 @dataclass
 class ReachGraph:
     net: ConcreteNet
-    states: list  # State per node index
+    keys: list  # packed key per node index; it starts with the node's marking
     succ: list  # per node: list of (StepLabel, target index)
     initial: int = 0
     complete: bool = True
+
+    @cached_property
+    def states(self) -> list:
+        """State per node index, materialised from the keys on first read."""
+        return materialise(self.net.steps, self.keys)
 
     @property
     def edges(self):
         return [(i, lab, j) for i, outs in enumerate(self.succ) for lab, j in outs]
 
     def __len__(self):
-        return len(self.states)
+        return len(self.keys)
 
 
 def build(n: ConcreteNet, lim: ExploreLimits = ExploreLimits()) -> ReachGraph:
@@ -75,16 +81,9 @@ def build(n: ConcreteNet, lim: ExploreLimits = ExploreLimits()) -> ReachGraph:
             if j is None:
                 if max(k2[:np], default=0) > k_bound:
                     succ[i] = outs
-                    del index
+                    partial = ReachGraph(n, keys, [out or [] for out in succ], complete=False)
                     raise KBoundError(
-                        f"marking {k2[:np]} exceeds k-bound {k_bound}",
-                        partial=ReachGraph(
-                            n,
-                            materialise(tab, keys),
-                            [out if out is not None else [] for out in succ],
-                            complete=False,
-                        ),
-                        marking=k2[:np],
+                        f"marking {k2[:np]} exceeds k-bound {k_bound}", partial=partial, marking=k2[:np]
                     )
                 if len(keys) >= lim.max_states:
                     complete = False
@@ -96,6 +95,5 @@ def build(n: ConcreteNet, lim: ExploreLimits = ExploreLimits()) -> ReachGraph:
             outs.append((labels[ti], j))
         succ[i] = outs
         i += 1
-    del index
-    return ReachGraph(n, materialise(tab, keys), succ, complete=complete)
+    return ReachGraph(n, keys, succ, complete=complete)
 

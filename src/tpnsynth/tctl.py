@@ -113,8 +113,12 @@ def eval_gmec(m, phi: Gmec) -> bool:
 
 def states_satisfying(g: ReachGraph, phi: Gmec) -> set:
     """Node indices whose marking satisfies the token-count constraint."""
-    holds = compile_gmec(g.net.place_index, phi)
-    return {i for i, s in enumerate(g.states) if holds(s.marking)}
+    return set(_nodes_where(g, compile_gmec(g.net.place_index, phi)))
+
+
+def _nodes_where(g: ReachGraph, holds) -> list:
+    """Node indices whose key, read as a marking, satisfies ``holds``."""
+    return [i for i, key in enumerate(g.keys) if holds(key)]
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +603,7 @@ def compile_plan(n: Net, phi: Formula, leadsto: str = "ag") -> Plan:
 class _Checker:
     def __init__(self, graph: ReachGraph):
         self.g = graph
-        self.n = len(graph.states)
+        self.n = len(graph)
         self.fire_preds = [[] for _ in range(self.n)]
         self.delay_preds = [[] for _ in range(self.n)]
         for u, outs in enumerate(graph.succ):
@@ -613,8 +617,7 @@ class _Checker:
         for op in plan.ops:
             kind = op[0]
             if kind is Prop:
-                holds = op[1]
-                out = frozenset([i for i, s in enumerate(self.g.states) if holds(s.marking)])
+                out = frozenset(_nodes_where(self.g, op[1]))
             elif kind is Not:
                 out = every - sat[op[1]]
             elif kind is Implies:

@@ -1,7 +1,7 @@
 """Random net and formula generators shared by the property tests."""
 
 import random
-from collections import deque
+from collections import deque, namedtuple
 
 from tpnsynth import INF, ExploreLimits, KBoundError, LinearConstraint, TimeInterval, instantiate, make_net
 from tpnsynth.semantics import Delay, Fire, State
@@ -107,10 +107,14 @@ def random_walk_states(rng: random.Random, net, steps=25):
     return out
 
 
-def reference_build(n, lim=ExploreLimits()) -> ReachGraph:
+RefGraph = namedtuple("RefGraph", "states succ complete")
+
+
+def reference_build(n, lim=ExploreLimits()) -> RefGraph:
     """The dense explorer kept as a reference: every enabledness test scans
     every place, states are dataclasses throughout, and nothing is shared
-    with the library's step table."""
+    with the library's step table or its key layout. A k-bound violation
+    carries the partial RefGraph."""
 
     def enabled(m, ti):
         return all(
@@ -150,7 +154,7 @@ def reference_build(n, lim=ExploreLimits()) -> ReachGraph:
 
     s0 = State(n.initial, tuple(iv if enabled(n.initial, i) else None for i, iv in enumerate(n.intervals)))
     if any(x > lim.k_bound for x in s0.marking):
-        raise KBoundError("initial", partial=ReachGraph(n, [], [], complete=False), marking=s0.marking)
+        raise KBoundError("initial", partial=RefGraph([], [], False), marking=s0.marking)
     index, states, succ, queue = {s0: 0}, [s0], [None], deque([0])
     complete = True
     while queue:
@@ -161,7 +165,7 @@ def reference_build(n, lim=ExploreLimits()) -> ReachGraph:
             if j is None:
                 if any(x > lim.k_bound for x in s2.marking):
                     succ[i] = outs
-                    partial = ReachGraph(n, states, [o if o is not None else [] for o in succ], complete=False)
+                    partial = RefGraph(states, [o if o is not None else [] for o in succ], False)
                     raise KBoundError("k-bound", partial=partial, marking=s2.marking)
                 if len(states) >= lim.max_states:
                     complete = False
@@ -173,11 +177,11 @@ def reference_build(n, lim=ExploreLimits()) -> ReachGraph:
                 queue.append(j)
             outs.append((label, j))
         succ[i] = outs
-    return ReachGraph(n, states, succ, complete=complete)
+    return RefGraph(states, succ, complete)
 
 
 def step_graph(succ) -> ReachGraph:
-    """A graph over placeholder states; ``succ`` lists (label, target) per
+    """A graph over placeholder keys; ``succ`` lists (label, target) per
     node. Unlike graphs of nets, these may have dead ends."""
     return ReachGraph(None, [None] * len(succ), succ)
 
@@ -202,7 +206,7 @@ def product_until(g: ReachGraph, exists: bool, satphi, iv: TimeInterval, satpsi)
     reference: delay edges increment a time counter, fire edges keep it,
     and every time at or beyond the interval's saturation class H
     (``TimeInterval.horizon``) shares class H."""
-    n = len(g.states)
+    n = len(g)
     fire_preds = [[] for _ in range(n)]
     delay_preds = [[] for _ in range(n)]
     for u, outs in enumerate(g.succ):

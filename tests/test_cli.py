@@ -121,6 +121,15 @@ class TestExitCodes:
         assert code == 3
         assert "resource limit" in err
 
+    def test_unknown_formula_place_is_reported_before_exploring(self, tmp_path, capsys):
+        # exploring this net would hit the k-bound first (exit 3)
+        path = tmp_path / "producer.tpnet"
+        path.write_text(PRODUCER)
+        code, out, err = run(capsys, "check", str(path), "--formula-text", "EF[0,1](M(nope)>=1)", "--k-bound", "3")
+        assert code == 2
+        assert out == ""
+        assert "unknown places" in err and "resource limit" not in err
+
     def test_validate_ok(self, net_file, capsys):
         code, out, _ = run(capsys, "validate", net_file)
         assert code == 0 and "ok" in out
@@ -441,12 +450,12 @@ def test_script_refuses_zero_jobs_before_any_work(script):
 
 
 def test_output_digest_is_pinned():
-    """The 400-run ``check --format json`` matrix of scripts/compare_outputs.py
-    (its messages and exit codes included): a change that alters an output
-    on purpose updates this digest."""
+    """The 420-run ``check`` and ``graph`` ``--format json`` matrix of
+    scripts/compare_outputs.py (its messages and exit codes included): a
+    change that alters an output on purpose updates this digest."""
     proc = subprocess.run(
         [sys.executable, os.path.join(SCRIPTS, "compare_outputs.py")],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "58fd3a4e2483cb14390f45d5285b5b8281240c6fde44c95ec79d77a71846ef8c  400 runs\n"
+    assert proc.stdout == "5c4b50f7c49d01c11c2b479d138c3cdaf4bd0eb595b249521c013aa99f75ac32  420 runs\n"

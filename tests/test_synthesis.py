@@ -129,6 +129,22 @@ class TestSynthesize:
                     expected.append({"td": td})
             assert res.satisfying == expected
 
+    def test_check_and_sweep_build_no_state(self, monkeypatch, net_a, param_net):
+        # graphs keep packed keys; only reading graph.states materialises
+        def refuse(*_):
+            raise AssertionError("a State was materialised")
+
+        monkeypatch.setattr("tpnsynth.statespace.materialise", refuse)
+        g = build(net_a)
+        assert check(net_a, g, parse_formula("EF[2,3](M(p2)>=1)")).holds
+        assert not check(net_a, g, parse_formula("EF[0,1](M(p2)>=1)")).holds
+        res = synthesize(SynthesisProblem(param_net, parse_formula("EF[0,3](M(p2)>=1)"), {"td": (0, 6)}), jobs=1)
+        assert res.satisfying == [{"td": 1}, {"td": 2}, {"td": 3}] and res.failures == []
+        grow = make_net([("p", 0)], {"grow": {"post": {"p": 1}, "interval": ("x", "x")}}, parameters=["x"])
+        problem = SynthesisProblem(grow, parse_formula("EF[0,2](M(p)>=1)"), {"x": (1, 2)}, ExploreLimits(k_bound=2))
+        res = synthesize(problem, jobs=1)  # every valuation ends at the k-bound
+        assert [msg.startswith("k-bound") for _, msg in res.failures] == [True, True]
+
     def test_parallel_equals_serial(self, param_net):
         phi = parse_formula("EF[0,4](M(p2)>=1)")
         a = synthesize(SynthesisProblem(param_net, phi, {"td": (0, 8)}), jobs=1)
