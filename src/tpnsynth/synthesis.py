@@ -8,17 +8,18 @@ not depend on the valuation is done once per problem: the formula is
 compiled into one check plan (``SynthesisProblem.plan``), and the net is
 validated and its arcs tabled once (``Net.steps``), so a valuation costs
 one instantiation, one graph and one labelling. Sweeps are embarrassingly
-parallel; each pool worker receives the problem once and then only
-valuations, and results are merged in enumeration order so the output is
-independent of worker count.
+parallel; a problem, plan included, is plain data that pickles whole, so
+pool workers receive it with their valuations, and results are merged in
+enumeration order so the output is independent of worker count.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Mapping
 
 from .errors import InputError, KBoundError, TpnError
@@ -32,9 +33,8 @@ class SynthesisProblem:
     """A parametric net, a formula, the box to sweep, the exploration
     limits and the response reading. The formula is compiled into ``plan``
     on construction, so a formula the net cannot check is an InputError
-    here rather than a failure per valuation; pickling leaves the plan out,
-    so a problem can be sent to a worker process, which compiles its own
-    on first use."""
+    here rather than a failure per valuation. A problem pickles whole,
+    plan included, so it can be sent to a worker process as it is."""
 
     net: Net
     formula: Formula
@@ -52,16 +52,13 @@ class SynthesisProblem:
         for p, (lo, hi) in self.box.items():
             if lo < 0 or lo > hi:
                 raise InputError(f"bad box range for {p!r}: {lo}..{hi}")
+            if hi - lo >= sys.maxsize:  # a range longer than this has no len() to enumerate by
+                raise InputError(f"box range for {p!r} has more than {sys.maxsize} points: {lo}..{hi}")
         self.plan  # compiled now: a formula that does not compile is an input error
 
     @cached_property
     def plan(self) -> Plan:
         return compile_plan(self.net, self.formula, self.leadsto)
-
-    def __getstate__(self):
-        state = dict(vars(self))
-        state.pop("plan", None)  # closures; see tctl.Plan
-        return state
 
 
 @dataclass
@@ -105,30 +102,18 @@ def check_valuation(p: SynthesisProblem, v):
         return False, f"{type(exc).__name__}: {exc}"
 
 
-_worker_problem = None  # a pool worker's problem, set once by its initializer
-
-
-def _receive(p: SynthesisProblem) -> None:
-    global _worker_problem
-    _worker_problem = p
-
-
-def _check_received(v):
-    return check_valuation(_worker_problem, v)
-
-
 def synthesize(p: SynthesisProblem, jobs: int = 1) -> SynthesisResult:
     """Check every valuation of the box in the implicit domain, in ``jobs``
     processes (at least 1). A valuation whose check fails with a library
     error, such as a k-bound, is reported in ``failures`` rather than
-    raised. With jobs > 1, each worker receives the problem once, through
-    the pool initializer; work items are valuations only."""
+    raised. With jobs > 1, at most one worker per valuation is started,
+    and each chunk of valuations is sent with the problem."""
     if jobs < 1:
         raise InputError(f"jobs must be at least 1, got {jobs}")
     vals = list(enumerate_valuations(implicit_domain(p.net), p.box, order=p.net.parameters))
     if jobs > 1 and len(vals) > 1:
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_receive, initargs=(p,)) as pool:
-            results = list(pool.map(_check_received, vals, chunksize=max(1, len(vals) // (4 * jobs))))
+        with ProcessPoolExecutor(max_workers=min(jobs, len(vals))) as pool:
+            results = list(pool.map(partial(check_valuation, p), vals, chunksize=max(1, len(vals) // (4 * jobs))))
     else:
         results = [check_valuation(p, v) for v in vals]
     satisfying, failures = [], []
@@ -137,7 +122,7 @@ def synthesize(p: SynthesisProblem, jobs: int = 1) -> SynthesisResult:
             failures.append((v, err))
         elif holds:
             satisfying.append(v)
-    summary, box_exact = summarize(satisfying, list(p.net.parameters) or sorted(p.box))
+    summary, box_exact = summarize(satisfying, p.net.parameters)
     return SynthesisResult(satisfying, len(vals), summary, box_exact, failures)
 
 

@@ -1,12 +1,13 @@
 """Token-count constraints (GMEC), timed CTL formulas, their text parsers,
 and the model checker over a reachability graph.
 
-A formula is checked through a plan (``compile_plan``), made once per formula
-and place tuple: the formula is desugared into its Prop/Not/Implies/EU/AU
-core, equal subformulas are shared, the constraints are compiled against the
-place index, and the result is a postorder tuple of operators. The checker
-labels a graph with one node set per plan entry in one flat loop, so a sweep
-over many valuations of one net compiles its formula once.
+A formula is checked through a plan (``compile_plan``), made once per formula:
+the formula is desugared into its Prop/Not/Implies/EU/AU core, equal
+subformulas are shared, and the result is a postorder tuple of operators,
+plain data that pickles. The checker labels a graph with one node set per
+plan entry in one flat loop, compiling each constraint against the place
+index of the graph's net, so a sweep over many valuations of one net
+desugars its formula once.
 
 Checking works per temporal operator over the graph, whose fire edges take
 no time and whose delay edges take one unit, in O((a+1)(V+E)) for an
@@ -113,11 +114,13 @@ def eval_gmec(m, phi: Gmec) -> bool:
 
 def states_satisfying(g: ReachGraph, phi: Gmec) -> set:
     """Node indices whose marking satisfies the token-count constraint."""
-    return set(_nodes_where(g, compile_gmec(g.net.place_index, phi)))
+    return set(_nodes_where(g, phi))
 
 
-def _nodes_where(g: ReachGraph, holds) -> list:
-    """Node indices whose key, read as a marking, satisfies ``holds``."""
+def _nodes_where(g: ReachGraph, phi: Gmec) -> list:
+    """Node indices whose key, read as a marking of the graph's net,
+    satisfies the constraint."""
+    holds = compile_gmec(g.net.place_index, phi)
     return [i for i, key in enumerate(g.keys) if holds(key)]
 
 
@@ -552,52 +555,45 @@ class Verdict:
 
 @dataclass(frozen=True)
 class Plan:
-    """A formula compiled for checking on nets with one place tuple.
+    """A formula compiled for checking, as plain data.
 
     ``ops`` is its Prop/Not/Implies/EU/AU core (``desugar``), hash-consed
     by value into postorder: equal subformulas share one entry, each
     operand comes before its operator, and the last entry is the formula.
     An entry is a tuple headed by the core class:
 
-    * ``(Prop, holds)``, with ``holds`` the constraint compiled against the
-      place index (``compile_gmec``);
+    * ``(Prop, gmec)``, the constraint, compiled against the place index of
+      the net whose graph is labelled (``compile_gmec``);
     * ``(Not, i)`` and ``(Implies, i, j)``;
     * ``(EU, i, interval, j)`` and ``(AU, i, interval, j)``;
 
-    where i and j are the entries of the operands. A plan holds closures,
-    so it is not picklable; compile one per process (``compile_plan``).
+    where i and j are the entries of the operands. A plan holds no
+    callable, so it pickles, and it checks any net that names its places.
     """
 
-    places: tuple
     ops: tuple
 
 
 def compile_plan(n: Net, phi: Formula, leadsto: str = "ag") -> Plan:
-    """Compile ``phi`` under the given response reading for nets with the
-    places of ``n`` (parametric or concrete). Raises InputError when the
-    formula names a place the net lacks (``compile_gmec``)."""
-    index, ops = {}, []
-
-    def entry(key, op) -> int:
-        i = index.get(key)
-        if i is None:
-            i = index[key] = len(ops)
-            ops.append(op)
-        return i
+    """Compile ``phi`` under the given response reading. Raises InputError
+    when the formula names a place ``n`` (parametric or concrete) lacks
+    (``compile_gmec``)."""
+    index = {}  # entry -> position; insertion order is postorder
 
     def walk(f) -> int:
         if isinstance(f, Prop):
-            return entry((Prop, f.gmec), (Prop, compile_gmec(n.place_index, f.gmec)))
-        if isinstance(f, Not):
-            key = (Not, walk(f.sub))
+            compile_gmec(n.place_index, f.gmec)  # unknown places fail here, before any graph
+            op = (Prop, f.gmec)
+        elif isinstance(f, Not):
+            op = (Not, walk(f.sub))
         elif isinstance(f, Implies):
-            key = (Implies, walk(f.left), walk(f.right))
+            op = (Implies, walk(f.left), walk(f.right))
         else:  # EU or AU, the rest of the core
-            key = (type(f), walk(f.left), f.interval, walk(f.right))
-        return entry(key, key)
+            op = (type(f), walk(f.left), f.interval, walk(f.right))
+        return index.setdefault(op, len(index))
 
     walk(desugar(phi, leadsto))
-    return Plan(n.places, tuple(ops))
+    return Plan(tuple(index))
 
 
 class _Checker:
@@ -707,10 +703,10 @@ def check(
     """Decide whether the initial state satisfies the formula.
 
     ``phi`` is a formula, compiled here under the ``leadsto`` reading, or a
-    plan compiled once by ``compile_plan`` for nets with the places of
-    ``n``, which carries its own reading and ignores ``leadsto``; a plan for
-    other places raises InputError. The plan is labelled bottom-up, one set
-    of nodes per entry.
+    plan compiled once by ``compile_plan``, which carries its own reading
+    and ignores ``leadsto``. The plan is labelled bottom-up, one set of
+    nodes per entry, its constraints compiled against the places of the
+    graph's net; a constraint on a place that net lacks raises InputError.
 
     Returns a witness trace for a holding top-level existential until (EF
     included) and a counterexample trace for a failing top-level universal
@@ -723,8 +719,6 @@ def check(
     if not g.complete:
         raise IncompleteGraphError("refusing to check an incomplete graph")
     plan = phi if isinstance(phi, Plan) else compile_plan(n, phi, leadsto)
-    if plan.places != n.places:
-        raise InputError(f"plan compiled for places {list(plan.places)}, net has {list(n.places)}")
     checker = _Checker(g)
     sat = checker.label(plan)
     root = len(plan.ops) - 1

@@ -93,6 +93,15 @@ class TestExitCodes:
         assert code == 2
         assert "bad box entry" in err
 
+    def test_box_too_long_to_enumerate_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "param.tpnet"
+        path.write_text(PARAM_NET)
+        code, _, err = run(
+            capsys, "synth", str(path), "--formula-text", "EF[0,3](M(p2)>=1)", "--box", "td=0..99999999999999999999"
+        )
+        assert code == 2
+        assert err.startswith("error:") and "points" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("entries", [["td=2,zz=3"], ["td=2,td=3"], ["td=2", "td=3"], ["zz=3"]])
     def test_valuation_names_must_be_declared_once(self, tmp_path, capsys, entries):
         path = tmp_path / "param.tpnet"

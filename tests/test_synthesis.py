@@ -179,12 +179,33 @@ class TestSynthesize:
         with pytest.raises(InputError):
             synthesize(problem, jobs=jobs)
 
-    def test_problem_pickles_without_its_compiled_plan(self, param_net):
+    def test_workers_capped_at_the_valuation_count(self, monkeypatch, param_net):
+        started = []
+
+        class InProcess:  # records the pool size and maps here, starting no process
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(pickle.loads(pickle.dumps(fn)), items)
+
+        monkeypatch.setattr("tpnsynth.synthesis.ProcessPoolExecutor", InProcess)
+        problem = SynthesisProblem(param_net, parse_formula("EF[0,2](M(p2)>=1)"), {"td": (0, 3)})
+        res = synthesize(problem, jobs=64)  # td >= 1: three valuations
+        assert started == [3]
+        assert res.satisfying == [{"td": 1}, {"td": 2}] and res.explored == 3
+
+    def test_problem_pickles_with_its_plan(self, param_net):
         problem = SynthesisProblem(param_net, parse_formula("EF[0,4](M(p2)>=1)"), {"td": (0, 8)})
         before = synthesize(problem)
-        assert "plan" in vars(problem)  # compiled once, on construction
         copy = pickle.loads(pickle.dumps(problem))
-        assert "plan" not in vars(copy) and copy == problem
+        assert copy == problem and vars(copy)["plan"] == problem.plan
         assert synthesize(copy).satisfying == before.satisfying
 
     def test_formula_that_does_not_compile_fails_on_construction(self, param_net):

@@ -1,3 +1,4 @@
+import pickle
 import random
 import sys
 
@@ -400,6 +401,7 @@ class TestPlan:
             if not g.complete:
                 continue
             assert check(c, g, plan) == check(c, g, phi, leadsto=leadsto)
+        assert pickle.loads(pickle.dumps(plan)) == plan
 
     def test_equal_subformulas_share_one_entry(self, net_a):
         plan = compile_plan(net_a, parse_formula("EF[0,2](M(p2)>=1) | (M(p1)>=1 & EF[0,2](M(p2)>=1))"))
@@ -407,15 +409,19 @@ class TestPlan:
         props = [op for op in plan.ops if op[0] is Prop]
         assert len(props) == 3  # M(p2)>=1, M(p1)>=1 and the EF's true
 
-    def test_plan_for_other_places_is_an_input_error(self, net_a):
-        plan = compile_plan(net_a, parse_formula("EF[0,3](M(p2)>=1)"))
+    def test_plan_checks_any_net_naming_its_places(self, net_a):
+        phis = [parse_formula(f"EF{iv}(M(p2)>=1 & M(p1)=0)") for iv in ("[2,3]", "[0,1]")]
         swapped = instantiate(
             make_net([("p2", 0), ("p1", 1)], {"t1": {"pre": {"p1": 1}, "post": {"p2": 1}, "interval": (2, 3)}}),
             {},
         )
-        assert check(net_a, build(net_a), plan).holds
-        with pytest.raises(InputError):
-            check(swapped, build(swapped), plan)
+        for c in (net_a, swapped):
+            g = build(c)
+            assert [check(c, g, compile_plan(net_a, phi)).holds for phi in phis] == [True, False]
+            assert [check(c, g, phi).holds for phi in phis] == [True, False]
+        no_p2 = instantiate(make_net([("p1", 1)], {"t1": {"pre": {"p1": 1}, "interval": (2, 3)}}), {})
+        with pytest.raises(InputError, match="p2"):
+            check(no_p2, build(no_p2), compile_plan(net_a, phis[0]))
 
     def test_unknown_place_is_an_input_error(self, net_a):
         with pytest.raises(InputError):
