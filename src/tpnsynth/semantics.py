@@ -10,10 +10,13 @@ All stepping runs on packed keys over the net's step table
 (``petri.StepTable``, cached as ``net.steps``). A key is one flat int tuple:
 the marking, then each transition's remaining low bound, then each
 remaining high bound, with -1 for a disabled transition's slots and for an
-unbounded high. ``successor_keys`` is the one successor function: firing t
-applies its sparse marking delta and re-tests only the transitions whose
-guard reads a changed place, and a unit delay lowers every positive bound
-by one. The explorer (``statespace.build``) works on keys alone;
+unbounded high. Firing t depends on the marking alone: ``fire_patch`` turns
+a (marking, transition) pair into the successor marking and the slot writes
+that fire t from any key with that marking, re-testing only the transitions
+whose guard reads a changed place; a unit delay lowers every positive bound
+by one. ``successor_keys`` is the one successor function: it applies the
+patches and the delay to a key. The explorer (``statespace.build``) applies
+the same patches, cached per distinct marking, and works on keys alone;
 ``initial_state``, ``successors``, ``fire`` and ``elapse`` pack their State
 argument, step, and turn the resulting keys back into States with
 ``materialise``, which shares one TimeInterval per distinct (low, high).
@@ -86,7 +89,7 @@ def elapse(n: ConcreteNet, s: State, d: int) -> State:
     if d > max_elapse(n, s):
         raise TimeOverrunError(f"delay {d} exceeds max elapse {max_elapse(n, s)}")
     tab = n.steps
-    return materialise(tab, [_delay_key(tab, _key(s), d)])[0]
+    return materialise(tab, [delay_key(tab, _key(s), d)])[0]
 
 
 def fireable_set(n: ConcreteNet, s: State) -> set:
@@ -135,7 +138,7 @@ def replay(n: ConcreteNet, labels) -> list:
 # ---------------------------------------------------------------------------
 # Packed states (layout in the module docstring). Keys reached from
 # ``initial_key`` keep the invariant that a transition has a clock iff the
-# marking enables it; ``successor_keys`` relies on it.
+# marking enables it; ``fire_patch`` relies on it.
 
 
 def initial_key(n: ConcreteNet) -> tuple:
@@ -146,36 +149,50 @@ def initial_key(n: ConcreteNet) -> tuple:
     return tuple(m) + lows + highs
 
 
+def fire_patch(tab: StepTable, m: tuple, t: int) -> tuple:
+    """Firing t, enabled in marking m, as (successor marking, writes):
+    the (slot, value) pairs that turn every key with marking m into its
+    t-successor. They set the places t changes, -1 in both clock slots of
+    each transition t disables, and the static bounds of t and of each
+    transition t newly enables; every other slot keeps its value. Only
+    ``affected[t]`` is re-tested: no other transition's guard reads a
+    changed place. A pure function of (m, t), so ``statespace.build``
+    computes it once per distinct marking."""
+    lo0 = tab.np
+    hi0 = lo0 + tab.nt
+    enabled = tab.enabled
+    m2 = list(m)
+    for p, d in tab.delta[t]:
+        m2[p] += d
+    writes = [(p, m2[p]) for p, _ in tab.delta[t]]
+    for u in tab.affected[t]:
+        if not enabled(m2, u):
+            writes += ((lo0 + u, -1), (hi0 + u, -1))
+        elif u == t or not enabled(m, u):
+            writes += ((lo0 + u, tab.low[u]), (hi0 + u, tab.high[u]))
+    return tuple(m2), writes
+
+
 def successor_keys(tab: StepTable, key: tuple) -> list:
     """(transition index, key) per successor of a key: fires in transition
-    order, then the unit delay, indexed by the transition count.
-
-    Firing t applies its marking delta and re-tests only ``affected[t]``:
-    no other transition's guard reads a changed place, so its clock stays.
-    """
+    order, each the key under its ``fire_patch``, then the unit delay,
+    indexed by the transition count."""
     lo0, nt = tab.np, tab.nt
-    hi0 = lo0 + nt
-    enabled, low, high = tab.enabled, tab.low, tab.high
+    m = key[:lo0]
     out = []
     for t in range(nt):
         if key[lo0 + t]:  # disabled (-1) or still waiting
             continue
         k = list(key)
-        for p, d in tab.delta[t]:
-            k[p] += d
-        for u in tab.affected[t]:
-            if not enabled(k, u):
-                k[lo0 + u] = k[hi0 + u] = -1
-            elif u == t or k[lo0 + u] < 0:  # newly enabled: reset to static
-                k[lo0 + u] = low[u]
-                k[hi0 + u] = high[u]
+        for slot, v in fire_patch(tab, m, t)[1]:
+            k[slot] = v
         out.append((t, tuple(k)))
-    if 0 not in key[hi0:]:
-        out.append((nt, _delay_key(tab, key)))
+    if 0 not in key[lo0 + nt:]:
+        out.append((nt, delay_key(tab, key)))
     return out
 
 
-def _delay_key(tab: StepTable, key: tuple, d: int = 1) -> tuple:
+def delay_key(tab: StepTable, key: tuple, d: int = 1) -> tuple:
     """d time units pass: every bound drops by d, lows stop at 0. No
     enabled high may be below d; the -1 slots stay as they are."""
     p = tab.np

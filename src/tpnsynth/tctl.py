@@ -7,7 +7,9 @@ subformulas are shared, and the result is a postorder tuple of operators,
 plain data that pickles. The checker labels a graph with one node set per
 plan entry in one flat loop, compiling each constraint against the place
 index of the graph's net, so a sweep over many valuations of one net
-desugars its formula once.
+desugars its formula once. A constraint is evaluated once per distinct
+marking of the graph and spread to the nodes by marking id, in
+O(markings + V).
 
 Checking works per temporal operator over the graph, whose fire edges take
 no time and whose delay edges take one unit, in O((a+1)(V+E)) for an
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress
 from typing import Optional, Union
 
 from .errors import (
@@ -117,11 +120,14 @@ def states_satisfying(g: ReachGraph, phi: Gmec) -> set:
     return set(_nodes_where(g, phi))
 
 
-def _nodes_where(g: ReachGraph, phi: Gmec) -> list:
-    """Node indices whose key, read as a marking of the graph's net,
-    satisfies the constraint."""
+def _nodes_where(g: ReachGraph, phi: Gmec):
+    """Node indices, ascending, whose marking satisfies the constraint:
+    it is evaluated once per distinct marking of the graph (compiled
+    against the place index of its net) and spread to the nodes by
+    marking id."""
     holds = compile_gmec(g.net.place_index, phi)
-    return [i for i, key in enumerate(g.keys) if holds(key)]
+    hit = [holds(m) for m in g.markings]
+    return compress(range(len(g)), map(hit.__getitem__, g.marking_ids))
 
 
 # ---------------------------------------------------------------------------
@@ -600,11 +606,7 @@ class _Checker:
     def __init__(self, graph: ReachGraph):
         self.g = graph
         self.n = len(graph)
-        self.fire_preds = [[] for _ in range(self.n)]
-        self.delay_preds = [[] for _ in range(self.n)]
-        for u, outs in enumerate(graph.succ):
-            for label, v in outs:
-                (self.delay_preds if isinstance(label, Delay) else self.fire_preds)[v].append(u)
+        self.fire_preds, self.delay_preds = graph.preds
 
     def label(self, plan: Plan) -> list:
         """The satisfying node set of every plan entry, in plan order."""
@@ -632,7 +634,7 @@ class _Checker:
             raise HorizonError(
                 f"interval lower bound {a} exceeds the delay-layer limit {MAX_DELAY_LAYERS}"
             )
-        need = [1 if exists else len(outs) for outs in self.g.succ]
+        need = [1] * self.n if exists else [len(outs) for outs in self.g.succ]
         counts = need.copy()
         for v in satpsi:
             counts[v] = 0

@@ -183,7 +183,7 @@ def reference_build(n, lim=ExploreLimits()) -> RefGraph:
 def step_graph(succ) -> ReachGraph:
     """A graph over placeholder keys; ``succ`` lists (label, target) per
     node. Unlike graphs of nets, these may have dead ends."""
-    return ReachGraph(None, [None] * len(succ), succ)
+    return ReachGraph(None, [None] * len(succ), succ, [()], [0] * len(succ))
 
 
 def random_step_graph(rng: random.Random, max_nodes=10, max_out=3, p_delay=0.4):

@@ -12,6 +12,7 @@ from tpnsynth import (
     TimeInterval,
     apply_label,
     build,
+    eval_gmec,
     initial_state,
     instantiate,
     make_net,
@@ -19,10 +20,10 @@ from tpnsynth import (
     parse_gmec,
     states_satisfying,
 )
-from tpnsynth.petri import INF
+from tpnsynth.petri import INF, StepTable
 from tpnsynth.semantics import Delay, elapse, fireable_set, fire
 
-from _gen import random_concrete_net, reference_build
+from _gen import random_concrete_net, random_gmec, random_step_graph, reference_build
 
 
 class TestBuild:
@@ -183,6 +184,87 @@ class TestMatchesReferenceBuilder:
         assume(any(any(w) for w in net.read + net.inhibit))
         for lim in (ExploreLimits(k_bound=k_bound, max_states=3000), ExploreLimits(k_bound, max_states)):
             assert _outcome(build, net, lim) == _outcome(reference_build, net, lim)
+
+
+def _graph(net, lim):
+    """The built graph, or the partial graph of a k-bound stop."""
+    try:
+        return build(net, lim)
+    except KBoundError as exc:
+        return exc.partial
+
+
+def _inverted(succ, delay: bool) -> list:
+    """Per node, the sources of its in-edges labelled Delay (delay=True)
+    or Fire (delay=False), read off ``succ``: sources ascending, each in
+    its edge order."""
+    return [
+        [u for u, outs in enumerate(succ) for label, w in outs if w == v and isinstance(label, Delay) == delay]
+        for v in range(len(succ))
+    ]
+
+
+class TestMarkingIndex:
+    """A graph interns its markings: each node names its marking by id,
+    Props are evaluated once per marking, and the predecessor lists are
+    ``succ`` inverted. Complete, k-bound partial and cut graphs alike."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k_bound=st.integers(1, 4), max_states=st.integers(1, 40))
+    def test_marking_ids_and_props(self, seed, k_bound, max_states):
+        rng = random.Random(seed)
+        net = random_concrete_net(rng)
+        phi = random_gmec(rng, list(net.places))
+        np = len(net.places)
+        for lim in (ExploreLimits(max_states=3000), ExploreLimits(k_bound, max_states)):
+            g = _graph(net, lim)
+            assert [g.markings[mid] for mid in g.marking_ids] == [key[:np] for key in g.keys]
+            assert len(set(g.markings)) == len(g.markings)
+            expected = {i for i, s in enumerate(g.states) if eval_gmec(dict(zip(net.places, s.marking)), phi)}
+            assert states_satisfying(g, phi) == expected
+
+    @settings(max_examples=120, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k_bound=st.integers(1, 4), max_states=st.integers(1, 200))
+    def test_preds_invert_succ_by_label_class(self, seed, k_bound, max_states):
+        rng = random.Random(seed)
+        built = _graph(random_concrete_net(rng), ExploreLimits(k_bound, max_states))
+        for g in (built, random_step_graph(rng)):
+            fire_preds, delay_preds = g.preds
+            assert fire_preds == _inverted(g.succ, False)
+            assert delay_preds == _inverted(g.succ, True)
+
+    def test_enabledness_tests_scale_with_markings(self, monkeypatch):
+        # fire patches are made once per (marking, transition): wider
+        # intervals add clock nodes but no enabledness test
+        calls = []
+        enabled = StepTable.enabled
+
+        def counting(self, m, t):
+            calls.append(t)
+            return enabled(self, m, t)
+
+        monkeypatch.setattr(StepTable, "enabled", counting)
+        nodes, tests = [], []
+        for hi in (2, 6):
+            net = instantiate(
+                make_net(
+                    [("A0", 1), ("B0", 0), ("A1", 1), ("B1", 0)],
+                    {
+                        "u0": {"pre": {"A0": 1}, "post": {"B0": 1}, "interval": (1, hi)},
+                        "d0": {"pre": {"B0": 1}, "post": {"A0": 1}, "interval": (1, 2)},
+                        "u1": {"pre": {"A1": 1}, "post": {"B1": 1}, "interval": (1, hi + 1)},
+                        "d1": {"pre": {"B1": 1}, "post": {"A1": 1}, "interval": (2, 3)},
+                    },
+                ),
+                {},
+            )
+            calls.clear()
+            g = build(net)
+            assert g.complete and len(g.markings) == 4
+            nodes.append(len(g))
+            tests.append(len(calls))
+        assert nodes[0] < nodes[1]
+        assert tests[0] == tests[1]
 
 
 class TestStatesSatisfying:
