@@ -1,8 +1,8 @@
 """End-to-end circadian case study: reproduces every published number the
 reconstruction can reach and reports reconstructed-vs-expected where it
-cannot. Runs in about 1 s on a shared 2-core x86 VM (Intel Xeon) with
-Python 3.11: over eight runs each it reported "done in 0.7s" to "done in
-1.0s" at --jobs 1 and "done in 0.6s" to "done in 1.1s" at --jobs 2.
+cannot. Runs in under 1 s on a shared 2-core x86 VM (Intel Xeon) with
+Python 3.11: over six runs each it reported "done in 0.54s" to "done in
+0.71s" at --jobs 1 and "done in 0.41s" to "done in 0.47s" at --jobs 2.
 
   python scripts/run_case_study.py [--jobs N] [--quick]
 """
@@ -202,7 +202,7 @@ def main():
     elicit_ta(ns.jobs)
     knock_out()
     jet_lag()
-    print(f"\ndone in {time.monotonic() - t0:.1f}s")
+    print(f"\ndone in {time.monotonic() - t0:.2f}s")
 
 
 if __name__ == "__main__":

@@ -1,29 +1,34 @@
 """Integer parameter synthesis: enumerate valuations in a box, check each
 instantiated net, and summarize the satisfying set.
 
-Enumeration is exhaustive over the integer points of the box that satisfy
-the net's domain constraints and give every interval low <= high; the
-case-study boxes are small enough that this is exact and fast. What does
-not depend on the valuation is done once per problem: the formula is
-compiled into one check plan (``SynthesisProblem.plan``), and the net is
-validated and its arcs tabled once (``Net.steps``), so a valuation costs
-one instantiation, one graph and one labelling. Sweeps are embarrassingly
-parallel; a problem, plan included, is plain data that pickles whole, so
-pool workers receive it with their valuations, and results are merged in
-enumeration order so the output is independent of worker count.
+Every integer point of the box that satisfies the net's domain constraints
+and gives every interval low <= high is checked. Enumeration is directed
+by the constraints: each parameter in turn is bounded from them and from
+the box ranges of the parameters still to assign, so only domain points
+are generated, in lexicographic order, and no box point is tested and
+thrown away. What does not depend on the valuation is done once per
+problem: the formula is compiled into one check plan
+(``SynthesisProblem.plan``), and the net is validated and its arcs tabled
+once (``Net.steps``), so a valuation costs one instantiation, one graph
+and one labelling. Sweeps are embarrassingly parallel. One process pool
+is kept per process and reused by every sweep that needs its worker
+count; a problem, plan included, is plain data that pickles whole, so the
+workers receive it with each chunk of valuations and hold no state
+between sweeps. Results are merged in enumeration order, so the output is
+independent of worker count.
 """
 
 from __future__ import annotations
 
-import itertools
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Mapping
 
 from .errors import InputError, KBoundError, TpnError
-from .petri import Net, ParamDomain, domain_contains, implicit_domain, instantiate
+from .petri import Net, ParamDomain, implicit_domain, instantiate
 from .statespace import ExploreLimits, build
 from .tctl import Formula, Plan, check, compile_plan
 
@@ -52,7 +57,7 @@ class SynthesisProblem:
         for p, (lo, hi) in self.box.items():
             if lo < 0 or lo > hi:
                 raise InputError(f"bad box range for {p!r}: {lo}..{hi}")
-            if hi - lo >= sys.maxsize:  # a range longer than this has no len() to enumerate by
+            if hi - lo >= sys.maxsize:  # refused as input; a shorter range is walked lazily
                 raise InputError(f"box range for {p!r} has more than {sys.maxsize} points: {lo}..{hi}")
         self.plan  # compiled now: a formula that does not compile is an input error
 
@@ -79,15 +84,65 @@ class SynthesisResult:
         }
 
 
+# Each relation as rows sign·Σ a_i·λ_i <= sign·b + shift, exact over the integers.
+_AS_UPPER_BOUNDS = {"<": ((1, -1),), "<=": ((1, 0),), "=": ((1, 0), (-1, 0)), ">=": ((-1, 0),), ">": ((-1, -1),)}
+
+
 def enumerate_valuations(d: ParamDomain, box: Mapping[str, tuple], order=None):
     """Integer points of the box satisfying every constraint, in
-    lexicographic order of ``order`` (defaults to sorted names)."""
+    lexicographic order of ``order`` (defaults to sorted names).
+
+    The parameters are assigned depth first. Each constraint becomes one or
+    two rows Σ a_i·λ_i <= b over its scaled integer coefficients, and a row
+    bounds the next parameter by what is left of b after the terms already
+    assigned and the least that the box allows the terms still to come. At
+    a row's last parameter with a nonzero coefficient nothing is to come,
+    so the bound is exact: every point reached is in the domain, and none
+    is tested against it. A row with no nonzero coefficient is decided once."""
     params = list(order) if order is not None else sorted(box)
-    ranges = [range(box[p][0], box[p][1] + 1) for p in params]
-    for point in itertools.product(*ranges):
-        v = dict(zip(params, point))
-        if domain_contains(d, v):
-            yield v
+    ranges = [box[p] for p in params]
+    at = {p: k for k, p in enumerate(params)}
+    slack = []  # per row: b minus the terms of the parameters assigned so far
+    levels = [[] for _ in params]  # per parameter: (row, a, least sum of the row's later terms)
+    feasible = True
+    for c in d.constraints:
+        coeffs, bound, _ = c._scaled
+        for p, _ in coeffs:
+            if p not in at:
+                raise InputError(f"valuation missing parameter {p!r}")
+        for sign, shift in _AS_UPPER_BOUNDS[c.rel]:
+            terms = sorted((at[p], sign * a) for p, a in coeffs if a)
+            if not terms:
+                feasible = feasible and sign * bound + shift >= 0
+                continue
+            rest = 0
+            for k, a in reversed(terms):
+                levels[k].append((len(slack), a, rest))
+                rest += min(a * ranges[k][0], a * ranges[k][1])
+            slack.append(sign * bound + shift)
+    point = [0] * len(params)
+
+    def walk(k):
+        if k == len(params):
+            yield dict(zip(params, point))
+            return
+        lo, hi = ranges[k]
+        for row, a, rest in levels[k]:
+            room = slack[row] - rest
+            if a > 0:
+                hi = min(hi, room // a)
+            else:
+                lo = max(lo, -(room // -a))
+        for x in range(lo, hi + 1):
+            point[k] = x
+            for row, a, _ in levels[k]:
+                slack[row] -= a * x
+            yield from walk(k + 1)
+            for row, a, _ in levels[k]:
+                slack[row] += a * x
+
+    if feasible:
+        yield from walk(0)
 
 
 def check_valuation(p: SynthesisProblem, v):
@@ -102,18 +157,47 @@ def check_valuation(p: SynthesisProblem, v):
         return False, f"{type(exc).__name__}: {exc}"
 
 
+# The process's sweep pool, as (workers, executor), kept between calls: a
+# pool costs more to start than a small box costs to check. The
+# interpreter's exit joins it.
+_pool = None
+# Each chunk carries the pickled problem (2-4.5 KB on the case study, a few
+# tenths of a millisecond to dump and load against about one per valuation),
+# so a chunk holds at least this many valuations, unless that would leave a
+# worker without one; a large box is cut into about four chunks per worker.
+_MIN_CHUNK = 8
+
+
+def _pool_of(workers: int) -> ProcessPoolExecutor:
+    """The kept pool, replaced first if it has a different worker count."""
+    global _pool
+    if _pool is None or _pool[0] != workers:
+        if _pool is not None:
+            _pool[1].shutdown()
+        _pool = workers, ProcessPoolExecutor(max_workers=workers)
+    return _pool[1]
+
+
 def synthesize(p: SynthesisProblem, jobs: int = 1) -> SynthesisResult:
     """Check every valuation of the box in the implicit domain, in ``jobs``
     processes (at least 1). A valuation whose check fails with a library
     error, such as a k-bound, is reported in ``failures`` rather than
-    raised. With jobs > 1, at most one worker per valuation is started,
-    and each chunk of valuations is sent with the problem."""
+    raised. With jobs > 1 the valuations go to a pool of one worker per
+    valuation up to ``jobs``, kept for later calls of that size, and each
+    chunk of valuations is sent with the problem."""
+    global _pool
     if jobs < 1:
         raise InputError(f"jobs must be at least 1, got {jobs}")
     vals = list(enumerate_valuations(implicit_domain(p.net), p.box, order=p.net.parameters))
     if jobs > 1 and len(vals) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(vals))) as pool:
-            results = list(pool.map(partial(check_valuation, p), vals, chunksize=max(1, len(vals) // (4 * jobs))))
+        workers = min(jobs, len(vals))
+        chunk = max(min(_MIN_CHUNK, -(-len(vals) // workers)), len(vals) // (4 * workers))
+        pool = _pool_of(workers)
+        try:
+            results = list(pool.map(partial(check_valuation, p), vals, chunksize=chunk))
+        except BrokenProcessPool:
+            _pool = None  # a broken pool takes no more work; the next call starts a new one
+            raise
     else:
         results = [check_valuation(p, v) for v in vals]
     satisfying, failures = [], []

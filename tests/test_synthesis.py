@@ -1,5 +1,8 @@
+import itertools
 import pickle
 import random
+from concurrent.futures.process import BrokenProcessPool
+from fractions import Fraction
 
 import pytest
 
@@ -13,11 +16,14 @@ from tpnsynth import (
     TimeInterval,
     build,
     check,
+    domain_contains,
     instantiate,
     make_net,
     parse_formula,
     parse_gmec,
 )
+from tpnsynth import synthesis
+from tpnsynth.petri import implicit_domain
 from tpnsynth.synthesis import (
     SynthesisProblem,
     enumerate_valuations,
@@ -25,7 +31,7 @@ from tpnsynth.synthesis import (
     synthesize,
 )
 
-from _gen import random_formula
+from _gen import random_formula, random_parametric_net
 
 
 def lc(coeffs, rel, bound):
@@ -62,6 +68,25 @@ class TestEnumerate:
     def test_lexicographic_order(self):
         got = list(enumerate_valuations(ParamDomain(), {"a": (0, 1), "b": (0, 1)}, order=["a", "b"]))
         assert got == [{"a": 0, "b": 0}, {"a": 0, "b": 1}, {"a": 1, "b": 0}, {"a": 1, "b": 1}]
+
+    @pytest.mark.parametrize("rel", ["<", "<=", "=", ">=", ">"])
+    def test_every_bound_rounds_exactly(self, rel):
+        # every coefficient in halves from -3 to 3 and every bound from -6 to 6,
+        # so each rounding of b/a, up and down, is met
+        for a in (Fraction(n, 2) for n in range(-6, 7)):
+            for b in range(-6, 7):
+                d = ParamDomain((lc({"x": a}, rel, b),))
+                assert list(enumerate_valuations(d, {"x": (0, 5)})) == list(filtered_box(d, {"x": (0, 5)}, ["x"]))
+
+    def test_no_parameters_yield_the_empty_valuation_once(self):
+        assert list(enumerate_valuations(ParamDomain(), {})) == [{}]
+        assert list(enumerate_valuations(ParamDomain((lc({}, "<=", 0),)), {})) == [{}]
+        assert list(enumerate_valuations(ParamDomain((lc({}, ">", 0),)), {})) == []
+
+    def test_constraint_outside_the_order_is_an_input_error(self):
+        d = ParamDomain((lc({"x": 1, "y": 0}, ">=", 1),))
+        with pytest.raises(InputError, match="missing parameter 'y'"):
+            list(enumerate_valuations(d, {"x": (0, 3), "y": (0, 3)}, order=["x"]))
 
 
 @pytest.fixture
@@ -149,8 +174,11 @@ class TestSynthesize:
         phi = parse_formula("EF[0,4](M(p2)>=1)")
         a = synthesize(SynthesisProblem(param_net, phi, {"td": (0, 8)}), jobs=1)
         b = synthesize(SynthesisProblem(param_net, phi, {"td": (0, 8)}), jobs=2)
-        assert a.satisfying == b.satisfying
-        assert a.summary == b.summary
+        pool = synthesis._pool
+        c = synthesize(SynthesisProblem(param_net, phi, {"td": (0, 8)}), jobs=2)
+        assert synthesis._pool is pool  # the second sweep reused the first one's workers
+        assert a.satisfying == b.satisfying == c.satisfying
+        assert a.summary == b.summary == c.summary
 
     def test_parallel_equals_serial_with_k_bound_failures(self):
         # two sources feed p; tokens pile up past the k-bound when eating is slow
@@ -186,20 +214,54 @@ class TestSynthesize:
             def __init__(self, max_workers):
                 started.append(max_workers)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
             def map(self, fn, items, chunksize=1):
                 return map(pickle.loads(pickle.dumps(fn)), items)
 
         monkeypatch.setattr("tpnsynth.synthesis.ProcessPoolExecutor", InProcess)
+        monkeypatch.setattr("tpnsynth.synthesis._pool", None)  # neither a kept pool nor this fake outlives the test
         problem = SynthesisProblem(param_net, parse_formula("EF[0,2](M(p2)>=1)"), {"td": (0, 3)})
         res = synthesize(problem, jobs=64)  # td >= 1: three valuations
         assert started == [3]
         assert res.satisfying == [{"td": 1}, {"td": 2}] and res.explored == 3
+
+    def test_pool_kept_per_worker_count_and_dropped_when_broken(self, monkeypatch, param_net):
+        log, chunks = [], []
+
+        class Recording:  # maps here, or breaks when told to; logs starts and shutdowns
+            breaks = False
+
+            def __init__(self, max_workers):
+                self.workers = max_workers
+                log.append(("start", max_workers))
+
+            def map(self, fn, items, chunksize=1):
+                if Recording.breaks:
+                    raise BrokenProcessPool("a worker died")
+                chunks.append(chunksize)
+                return map(pickle.loads(pickle.dumps(fn)), items)
+
+            def shutdown(self):
+                log.append(("shutdown", self.workers))
+
+        monkeypatch.setattr("tpnsynth.synthesis.ProcessPoolExecutor", Recording)
+        monkeypatch.setattr("tpnsynth.synthesis._pool", None)
+        problem = SynthesisProblem(param_net, parse_formula("EF[0,4](M(p2)>=1)"), {"td": (0, 8)})
+        serial = synthesize(problem, jobs=1)
+        assert log == []
+        runs = [synthesize(problem, jobs=2), synthesize(problem, jobs=2)]
+        assert log == [("start", 2)]
+        runs.append(synthesize(problem, jobs=3))
+        assert log == [("start", 2), ("shutdown", 2), ("start", 3)]
+        assert chunks == [4, 4, 3]  # eight valuations: every worker gets a chunk
+        for res in runs:
+            assert (res.satisfying, res.explored, res.failures, res.summary) == (
+                serial.satisfying, serial.explored, serial.failures, serial.summary)
+        Recording.breaks = True
+        with pytest.raises(BrokenProcessPool):
+            synthesize(problem, jobs=3)
+        Recording.breaks = False
+        assert synthesize(problem, jobs=3).satisfying == serial.satisfying
+        assert log[3:] == [("start", 3)]  # the broken pool was dropped, not reused
 
     def test_problem_pickles_with_its_plan(self, param_net):
         problem = SynthesisProblem(param_net, parse_formula("EF[0,4](M(p2)>=1)"), {"td": (0, 8)})
@@ -259,3 +321,47 @@ def test_enumeration_is_lexicographic_and_sound(wa, wb, lo_bound, rhs):
         if a + b <= rhs and a >= lo_bound
     )
     assert len(got) == expected
+
+
+def filtered_box(d, box, order):
+    """The reference enumeration: every point of the box, in lexicographic
+    order of ``order``, kept when the domain contains it."""
+    for point in itertools.product(*(range(box[p][0], box[p][1] + 1) for p in order)):
+        v = dict(zip(order, point))
+        if domain_contains(d, v):
+            yield v
+
+
+COEFFICIENTS = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=3))
+
+
+@st.composite
+def domains_and_boxes(draw):
+    params = draw(st.lists(st.sampled_from("abc"), max_size=3, unique=True))
+    box = {p: draw(st.tuples(st.integers(0, 4), st.integers(-1, 5)).map(lambda t: (t[0], t[0] + t[1]))) for p in params}
+    constraints = draw(st.lists(
+        st.builds(
+            lc,
+            st.dictionaries(st.sampled_from(params), COEFFICIENTS) if params else st.just({}),
+            st.sampled_from(["<", "<=", "=", ">=", ">"]),
+            st.one_of(st.integers(-6, 12), st.fractions(-6, 12, max_denominator=2)),
+        ),
+        max_size=3,
+    ))
+    return ParamDomain(tuple(constraints)), box, draw(st.permutations(params))
+
+
+@given(domains_and_boxes())
+@settings(max_examples=200, deadline=None)
+def test_enumeration_equals_the_filtered_box(case):
+    d, box, order = case
+    assert list(enumerate_valuations(d, box, order=order)) == list(filtered_box(d, box, order))
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_implicit_domain_enumeration_equals_the_filtered_box(rng):
+    net = random_parametric_net(rng)
+    box = {p: (rng.randint(0, 3), rng.randint(3, 7)) for p in net.parameters}
+    d = implicit_domain(net)
+    assert list(enumerate_valuations(d, box, order=net.parameters)) == list(filtered_box(d, box, net.parameters))
