@@ -185,12 +185,6 @@ def apply_observer(n: Net, spec: ObserverSpec) -> Net:
     return make_net(places, transitions, parameters=params, constraints=constraints)
 
 
-def apply_observers(n: Net, specs) -> Net:
-    for spec in specs:
-        n = apply_observer(n, spec)
-    return n
-
-
 # ---------------------------------------------------------------------------
 # Circadian clock reconstruction
 

@@ -269,6 +269,11 @@ class StepTable:
     Only the bounds depend on a valuation: the table of every instance of a
     parametric net (``instantiate``) shares the arcs of the net's own table,
     which is built, and the net validated, once.
+
+    The table also interns the markings its net reaches: ``markings[id]``
+    is a marking tuple, ``mindex`` maps it back to its id, and
+    ``patches[id]`` caches one ``semantics.fire_patch`` per transition. Patches carry the bounds,
+    so every instance starts with its own.
     """
 
     def __init__(self, n: Net):
@@ -295,14 +300,26 @@ class StepTable:
             self.low, self.high = _bounds(n.intervals)
         else:
             self.low = self.high = None
+        self.markings, self.mindex, self.patches = [], {}, []
 
     def instance(self, intervals) -> "StepTable":
-        """This table's arcs, shared, with the bounds of concrete ``intervals``."""
+        """This table's arcs, shared, with the bounds of concrete ``intervals``
+        and no interned marking."""
         tab = StepTable.__new__(StepTable)
         tab.np, tab.nt, tab.need, tab.inhibit = self.np, self.nt, self.need, self.inhibit
         tab.delta, tab.affected = self.delta, self.affected
         tab.low, tab.high = _bounds(intervals)
+        tab.markings, tab.mindex, tab.patches = [], {}, []
         return tab
+
+    def intern(self, m: tuple) -> int:
+        """The id of marking tuple m, given on first sight."""
+        mid = self.mindex.get(m)
+        if mid is None:
+            mid = self.mindex[m] = len(self.markings)
+            self.markings.append(m)
+            self.patches.append([None] * self.nt)
+        return mid
 
     def enabled(self, m, t: int) -> bool:
         for p, w in self.need[t]:

@@ -8,15 +8,16 @@ elapse is additive.
 
 All stepping runs on packed keys over the net's step table
 (``petri.StepTable``, cached as ``net.steps``). A key is one flat int tuple:
-the marking, then each transition's remaining low bound, then each
-remaining high bound, with -1 for a disabled transition's slots and for an
-unbounded high. Firing t depends on the marking alone: ``fire_patch`` turns
-a (marking, transition) pair into the successor marking and the slot writes
-that fire t from any key with that marking, re-testing only the transitions
-whose guard reads a changed place; a unit delay lowers every positive bound
-by one. ``successor_keys`` is the one successor function: it applies the
-patches and the delay to a key. The explorer (``statespace.build``) applies
-the same patches, cached per distinct marking, and works on keys alone;
+the id of its marking, interned by the table, then each transition's
+remaining low bound, then each remaining high bound, with -1 for a disabled
+transition's slots and for an unbounded high. Firing t depends on the
+marking alone: ``fire_patch`` turns a (marking, transition) pair into the
+slot writes that fire t from any key with that marking, the successor's
+marking id among them, re-testing only the transitions whose guard reads a
+changed place; a unit delay lowers every positive bound by one.
+``successor_keys`` is the one successor function, used by the explorer
+(``statespace.build``) and the State API alike: it applies the patches,
+cached per marking id in the table, and the delay to a key.
 ``initial_state``, ``successors``, ``fire`` and ``elapse`` pack their State
 argument, step, and turn the resulting keys back into States with
 ``materialise``, which shares one TimeInterval per distinct (low, high).
@@ -89,7 +90,7 @@ def elapse(n: ConcreteNet, s: State, d: int) -> State:
     if d > max_elapse(n, s):
         raise TimeOverrunError(f"delay {d} exceeds max elapse {max_elapse(n, s)}")
     tab = n.steps
-    return materialise(tab, [delay_key(tab, _key(s), d)])[0]
+    return materialise(tab, [delay_key(_key(tab, s), d)])[0]
 
 
 def fireable_set(n: ConcreteNet, s: State) -> set:
@@ -103,14 +104,14 @@ def fire(n: ConcreteNet, s: State, t: str) -> State:
     if c is None or c.low != 0:
         raise PreconditionError(f"transition {t!r} is not fireable")
     tab = n.steps
-    return materialise(tab, [dict(successor_keys(tab, _key(s)))[ti]])[0]
+    return materialise(tab, [dict(successor_keys(tab, _key(tab, s)))[ti]])[0]
 
 
 def successors(n: ConcreteNet, s: State):
     """Fire successors in transition order, then a unit delay if time may
     elapse. Ordering is part of the contract (graph building relies on it)."""
     tab = n.steps
-    steps = successor_keys(tab, _key(s))
+    steps = successor_keys(tab, _key(tab, s))
     states = materialise(tab, [k for _, k in steps])
     return [
         (Fire(n.transitions[ti]) if ti < tab.nt else Delay(1), s2)
@@ -146,63 +147,61 @@ def initial_key(n: ConcreteNet) -> tuple:
     on = [tab.enabled(m, t) for t in range(tab.nt)]
     lows = tuple(lo if e else -1 for lo, e in zip(tab.low, on))
     highs = tuple(hi if e else -1 for hi, e in zip(tab.high, on))
-    return tuple(m) + lows + highs
+    return (tab.intern(tuple(m)),) + lows + highs
 
 
-def fire_patch(tab: StepTable, m: tuple, t: int) -> tuple:
-    """Firing t, enabled in marking m, as (successor marking, writes):
-    the (slot, value) pairs that turn every key with marking m into its
-    t-successor. They set the places t changes, -1 in both clock slots of
-    each transition t disables, and the static bounds of t and of each
-    transition t newly enables; every other slot keeps its value. Only
-    ``affected[t]`` is re-tested: no other transition's guard reads a
-    changed place. A pure function of (m, t), so ``statespace.build``
-    computes it once per distinct marking."""
-    lo0 = tab.np
-    hi0 = lo0 + tab.nt
-    enabled = tab.enabled
+def fire_patch(tab: StepTable, m: tuple, t: int) -> list:
+    """Firing t, enabled in marking m, as the (slot, value) writes that turn
+    every key with marking m into its t-successor: slot 0 gets the
+    successor marking's id, both clock slots of each transition t disables
+    get -1, and those of t and of each transition t newly enables get the
+    static bounds; every other slot keeps its value. Only ``affected[t]``
+    is re-tested: no other transition's guard reads a changed place."""
+    nt, enabled = tab.nt, tab.enabled
     m2 = list(m)
     for p, d in tab.delta[t]:
         m2[p] += d
-    writes = [(p, m2[p]) for p, _ in tab.delta[t]]
+    writes = [(0, tab.intern(tuple(m2)))]
     for u in tab.affected[t]:
         if not enabled(m2, u):
-            writes += ((lo0 + u, -1), (hi0 + u, -1))
+            writes += ((1 + u, -1), (1 + nt + u, -1))
         elif u == t or not enabled(m, u):
-            writes += ((lo0 + u, tab.low[u]), (hi0 + u, tab.high[u]))
-    return tuple(m2), writes
+            writes += ((1 + u, tab.low[u]), (1 + nt + u, tab.high[u]))
+    return writes
 
 
 def successor_keys(tab: StepTable, key: tuple) -> list:
     """(transition index, key) per successor of a key: fires in transition
-    order, each the key under its ``fire_patch``, then the unit delay,
-    indexed by the transition count."""
-    lo0, nt = tab.np, tab.nt
-    m = key[:lo0]
+    order, each the key under its ``fire_patch`` (made once per marking id
+    and transition), then the unit delay, indexed by the transition count."""
+    nt = tab.nt
+    row = tab.patches[key[0]]
     out = []
     for t in range(nt):
-        if key[lo0 + t]:  # disabled (-1) or still waiting
+        if key[1 + t]:  # disabled (-1) or still waiting
             continue
+        writes = row[t]
+        if writes is None:
+            writes = row[t] = fire_patch(tab, tab.markings[key[0]], t)
         k = list(key)
-        for slot, v in fire_patch(tab, m, t)[1]:
+        for slot, v in writes:
             k[slot] = v
         out.append((t, tuple(k)))
-    if 0 not in key[lo0 + nt:]:
-        out.append((nt, delay_key(tab, key)))
+    if 0 not in key[1 + nt :]:
+        out.append((nt, delay_key(key)))
     return out
 
 
-def delay_key(tab: StepTable, key: tuple, d: int = 1) -> tuple:
+def delay_key(key: tuple, d: int = 1) -> tuple:
     """d time units pass: every bound drops by d, lows stop at 0. No
     enabled high may be below d; the -1 slots stay as they are."""
-    p = tab.np
-    return key[:p] + tuple([x - d if x >= d else (x if x < 0 else 0) for x in key[p:]])
+    return key[:1] + tuple([x - d if x >= d else (x if x < 0 else 0) for x in key[1:]])
 
 
-def _key(s: State) -> tuple:
+def _key(tab: StepTable, s: State) -> tuple:
     clocks = s.clocks
     return (
-        tuple(s.marking)
+        (tab.intern(tuple(s.marking)),)
         + tuple([-1 if c is None else c.low for c in clocks])
         + tuple([-1 if c is None or c.unbounded else c.high for c in clocks])
     )
@@ -210,9 +209,9 @@ def _key(s: State) -> tuple:
 
 def materialise(tab: StepTable, keys) -> list:
     """One State per key; clocks with equal bounds share one TimeInterval."""
-    lo0, hi0 = tab.np, tab.np + tab.nt
+    markings, hi0 = tab.markings, 1 + tab.nt
     clock = _Clocks().__getitem__
-    return [State(key[:lo0], tuple(map(clock, zip(key[lo0:hi0], key[hi0:])))) for key in keys]
+    return [State(markings[key[0]], tuple(map(clock, zip(key[1:hi0], key[hi0:])))) for key in keys]
 
 
 class _Clocks(dict):

@@ -8,8 +8,8 @@ plain data that pickles. The checker labels a graph with one node set per
 plan entry in one flat loop, compiling each constraint against the place
 index of the graph's net, so a sweep over many valuations of one net
 desugars its formula once. A constraint is evaluated once per distinct
-marking of the graph and spread to the nodes by marking id, in
-O(markings + V).
+marking of the graph and spread to the nodes by the marking id that starts
+each key, in O(markings + V).
 
 Checking works per temporal operator over the graph, whose fire edges take
 no time and whose delay edges take one unit, in O((a+1)(V+E)) for an
@@ -123,11 +123,13 @@ def states_satisfying(g: ReachGraph, phi: Gmec) -> set:
 def _nodes_where(g: ReachGraph, phi: Gmec):
     """Node indices, ascending, whose marking satisfies the constraint:
     it is evaluated once per distinct marking of the graph (compiled
-    against the place index of its net) and spread to the nodes by
-    marking id."""
-    holds = compile_gmec(g.net.place_index, phi)
-    hit = [holds(m) for m in g.markings]
-    return compress(range(len(g)), map(hit.__getitem__, g.marking_ids))
+    against the place index of its net) and spread to the nodes by the
+    marking id that starts each key. Only the graph's own ids are read:
+    the net's table also holds markings of other builds and State calls."""
+    holds, markings = compile_gmec(g.net.place_index, phi), g.net.steps.markings
+    mids = [key[0] for key in g.keys]
+    hit = {mid: holds(markings[mid]) for mid in set(mids)}
+    return compress(range(len(g)), map(hit.__getitem__, mids))
 
 
 # ---------------------------------------------------------------------------

@@ -180,10 +180,22 @@ def reference_build(n, lim=ExploreLimits()) -> RefGraph:
     return RefGraph(states, succ, complete)
 
 
+def outcome(builder, net, lim):
+    """What ``builder`` (``build`` or ``reference_build``) gives under
+    ``lim``: states, succ, complete flag, and the marking of a k-bound stop
+    (None without one), whose partial graph is the one returned."""
+    try:
+        g = builder(net, lim)
+    except KBoundError as exc:
+        g = exc.partial
+        return g.states, g.succ, g.complete, exc.marking
+    return g.states, g.succ, g.complete, None
+
+
 def step_graph(succ) -> ReachGraph:
     """A graph over placeholder keys; ``succ`` lists (label, target) per
     node. Unlike graphs of nets, these may have dead ends."""
-    return ReachGraph(None, [None] * len(succ), succ, [()], [0] * len(succ))
+    return ReachGraph(None, [None] * len(succ), succ)
 
 
 def random_step_graph(rng: random.Random, max_nodes=10, max_out=3, p_delay=0.4):

@@ -21,7 +21,6 @@ from tpnsynth.biomodels import (
     LightDuration,
     NightLight,
     apply_observer,
-    apply_observers,
     build_circadian_clock,
 )
 from tpnsynth.semantics import Fire
@@ -121,8 +120,11 @@ class TestComposition:
         return nodes, edges
 
     def test_disjoint_observers_commute(self, nominal_clock):
-        one = apply_observers(nominal_clock, [InhibitTransition("t_on"), EventFlag("t_c")])
-        two = apply_observers(nominal_clock, [EventFlag("t_c"), InhibitTransition("t_on")])
+        one = two = nominal_clock
+        for spec in (InhibitTransition("t_on"), EventFlag("t_c")):
+            one = apply_observer(one, spec)
+        for spec in (EventFlag("t_c"), InhibitTransition("t_on")):
+            two = apply_observer(two, spec)
         c1, g1 = reach(one)
         c2, g2 = reach(two)
         assert self.canonical(c1, g1) == self.canonical(c2, g2)

@@ -1,10 +1,17 @@
+import contextlib
+import importlib.util
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tpnsynth import build, instantiate
+from tpnsynth.biomodels import build_circadian_clock
 from tpnsynth.cli import main
 
 NET_A = """
@@ -447,6 +454,116 @@ class TestLightDurationSweep:
         assert result["box_exact"] is True
 
 
+# p3 counts up to 3, so --k-bound 1 or 2 stops every exploration (exit 3)
+ARGV_NET = """
+place p1 1
+place p2 0
+place p3 0
+param td
+domain td >= 1
+trans t1 pre p1 post p2 interval [td,td]
+trans t2 read p2 inhibit p3*3 post p3 interval [1,2]
+"""
+
+FORMULAS = ["EF[0,5](M(p2)>=1)", "AG[0,inf](M(p1)+M(p2)=1)", "AF[1,4](M(p3)>=2)", "M(p1)=1 -->[0,3] M(p2)=1"]
+BAD_COUNTS = ["0", "-1", "x", "\u00b2", "\u0663", ""]
+# per flag: a valid value, and values that make it an input or usage error
+ARGV_VALUES = {
+    "--format": (None, ["xml", ""]),
+    "--k-bound": (st.integers(1, 4).map(str), BAD_COUNTS),
+    "--max-states": (st.integers(1, 40).map(str), BAD_COUNTS),
+    "--steps": (st.integers(0, 5).map(str), ["-1", "x", "\u0663"]),
+    "--seed": (st.integers(0, 9).map(str), ["-1", "x"]),
+    "-v": (st.integers(1, 4).map("td={}".format), ["td=x", "td=", "td=0", "zz=1", "td=1,td=2", "td=\u00b2"]),
+    "--box": (
+        st.tuples(st.integers(0, 3), st.integers(0, 2)).map(lambda lw: f"td={lw[0]}..{sum(lw)}"),
+        ["td=1..x", "td=1", "zz=1..2", "td=\u00b2..3", "td=0..99999999999999999999"],
+    ),
+    "--formula-text": (
+        st.sampled_from(FORMULAS),
+        ["EF[0,5](M(p2) >=", "EF[0,\u0663](M(p2)>=1)", "EF[0,5](M(nope)>=1)", "M(nope)=1 -->[0,3] M(p2)=1"],
+    ),
+    "--formula": (None, ["missing.tctl"]),
+    "--leadsto": (st.sampled_from(["ag", "paper"]), ["both"]),
+    "--jobs": (st.just("1"), BAD_COUNTS),
+    "--observer": (
+        st.sampled_from(["inhibit:t1", "flag:t2", "knockout:t1,t2"]),
+        ["inhibit:nope", "flag:,t1", "bogus:1", "knockout:t1,", "jetlag:\u0663,30", "lightdur:2_4"],
+    ),
+}
+ARGV_FLAGS = {  # subcommand: (flags it must have, flags it may have)
+    "validate": ((), ("--format",)),
+    "simulate": (("-v",), ("--format", "--steps", "--seed")),
+    "graph": (("-v",), ("--format", "--k-bound", "--max-states")),
+    "check": (("-v", "--formula-text"), ("--format", "--k-bound", "--max-states", "--leadsto")),
+    "synth": (("--box", "--formula-text"), ("--format", "--k-bound", "--max-states", "--leadsto")),
+    "compose": (("--observer",), ()),
+}
+
+
+@st.composite
+def cli_argv(draw, net, formula):
+    """(argv, bad): a valid command line for one subcommand on ``net``, or,
+    when ``bad``, one with a single token or option made an input error.
+    A bad command line that takes limits gets ``--k-bound 1`` (unless that
+    is the mutated option), so that an input error found only after
+    exploring would exit 3."""
+    command = draw(st.sampled_from(sorted(ARGV_FLAGS)))
+    must, may = ARGV_FLAGS[command]
+    mutation = draw(st.sampled_from(["none", "none", "value", "value", "drop", "command", "net", "flag"]))
+    bad = mutation != "none" and (command != "validate" or mutation != "drop")
+    formats = ["text", "json", "csv"] if command == "synth" else ["text", "json"]
+    flags = list(must) + [f for f in may if (bad and f == "--k-bound") or draw(st.booleans())]
+    if command == "synth":
+        flags.append("--jobs")  # the default would start a pool
+    pairs = [[f, draw(st.sampled_from(formats) if f == "--format" else ARGV_VALUES[f][0])] for f in flags]
+    if bad and "--k-bound" in flags:
+        pairs[flags.index("--k-bound")][1] = "1"
+    if command in ("check", "synth") and draw(st.booleans()):
+        pairs[flags.index("--formula-text")] = ["--formula", formula]
+    head = [command, net]
+    if mutation == "value" and pairs:
+        pair = draw(st.sampled_from(pairs))
+        values = ARGV_VALUES[pair[0]][1] + (["csv"] if pair[0] == "--format" and command != "synth" else [])
+        pair[1] = draw(st.sampled_from(values))
+    elif mutation == "drop" and must:
+        del pairs[draw(st.integers(0, len(must) - 1))]
+    elif mutation == "command":
+        head[0] = draw(st.sampled_from(["bogus", "", "Check"]))
+    elif mutation in ("net", "value"):
+        head[1] = draw(st.sampled_from(["missing.tpnet", formula]))
+    elif mutation == "flag":
+        pairs.append([draw(st.sampled_from(["--bogus", "--format", "-v"]))])
+    pairs = draw(st.permutations(pairs))
+    return head + [token for pair in pairs for token in pair], bad
+
+
+@pytest.fixture(scope="module")
+def argv_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("argv")
+    (root / "net.tpnet").write_text(ARGV_NET)
+    (root / "query.tctl").write_text("# reaches p2\nEF[0,5](M(p2)>=1)\n")
+    return str(root / "net.tpnet"), str(root / "query.tctl")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_any_argv_exits_with_a_documented_code(argv_inputs, data):
+    """Valid and mutated command lines on a small net: no traceback, only
+    the exit codes of docs/formats.md, and an input error exits 2, never 0,
+    1 or 3, while a valid command line never exits 2."""
+    argv, bad = data.draw(cli_argv(*argv_inputs))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert "Traceback" not in err.getvalue()
+    assert code in (0, 1, 2, 3)
+    assert (code == 2) == bad, (argv, code, err.getvalue())
+
+
 @pytest.mark.parametrize("script", ["run_case_study.py", "search_reconstruction.py"])
 def test_script_refuses_zero_jobs_before_any_work(script):
     proc = subprocess.run(
@@ -456,6 +573,26 @@ def test_script_refuses_zero_jobs_before_any_work(script):
     assert proc.returncode == 2
     assert proc.stdout == ""  # both scripts print before their first check
     assert "--jobs" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_structure_search_filter_keeps_the_shipped_clock():
+    """The nominal filter of scripts/search_reconstruction.py keeps the
+    variant that ships as ``build_circadian_clock`` and drops one with
+    another complex-formation delay, so a change under the explorer
+    cannot silently empty the search."""
+    path = os.path.join(SCRIPTS, "search_reconstruction.py")
+    spec = importlib.util.spec_from_file_location("search_reconstruction", path)
+    search = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(search)
+    shipped = dict(
+        d_c=6, f_read=(), d_f=6, b_read=("P_L1",), d_b=0,
+        g_read=("P_PC1",), a_role=("pc_down", ("P_G1",)),
+    )
+    assert shipped in list(search.variants())
+    nominal = build(search.clock_net(shipped, 12, 12, 1, 7))
+    assert nominal.keys == build(instantiate(build_circadian_clock(), {})).keys
+    assert search.hard_filter(shipped)
+    assert not search.hard_filter({**shipped, "d_c": 5})
 
 
 def test_output_digest_is_pinned():

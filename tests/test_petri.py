@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from tpnsynth import (
     DomainError,
+    ExploreLimits,
     IllFormedIntervalError,
     InputError,
     LinearConstraint,
@@ -26,7 +27,7 @@ from tpnsynth import (
 )
 from tpnsynth.petri import INF, RELATIONS, Net, StepTable, fire_marking, implicit_domain, net_spec
 
-from _gen import random_concrete_net, random_parametric_net
+from _gen import outcome, random_concrete_net, random_parametric_net, reference_build
 
 
 def lc(coeffs, rel, bound):
@@ -396,6 +397,35 @@ class TestSharedStepTable:
         except TpnError:  # outside the domain, or an interval with low > high
             return
         assert vars(c.steps) == vars(StepTable(c))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        bounds=st.lists(
+            st.tuples(st.integers(0, 4), st.integers(0, 4)).map(lambda ab: tuple(sorted(ab))),
+            min_size=2,
+            max_size=2,
+            unique=True,
+        )
+    )
+    def test_instances_built_alternately_keep_their_own_markings(self, bounds):
+        # the fire patch of t2 writes the bounds of t1, which it re-enables,
+        # so instances share the arcs of their net's table but intern
+        # markings and patches on their own
+        net = make_net(
+            [("p1", 1), ("p2", 0)],
+            {
+                "t1": {"pre": {"p1": 1}, "post": {"p2": 1}, "interval": ("a", "b")},
+                "t2": {"pre": {"p2": 1}, "post": {"p1": 1}, "interval": (1, 2)},
+            },
+            parameters=["a", "b"],
+        )
+        cs = [instantiate(net, {"a": a, "b": b}) for a, b in bounds]
+        for c in cs + cs:
+            assert outcome(build, c, ExploreLimits()) == outcome(reference_build, c, ExploreLimits())
+        one, two = (c.steps for c in cs)
+        assert one.delta is two.delta and one.affected is two.affected
+        assert one.markings is not two.markings and one.mindex is not two.mindex
+        assert not {id(row) for row in one.patches} & {id(row) for row in two.patches}
 
 
 @given(st.integers(0, 5), st.integers(0, 5), st.booleans())

@@ -23,7 +23,7 @@ from tpnsynth import (
 from tpnsynth.petri import INF, StepTable
 from tpnsynth.semantics import Delay, elapse, fireable_set, fire
 
-from _gen import random_concrete_net, random_gmec, random_step_graph, reference_build
+from _gen import outcome, random_concrete_net, random_gmec, random_step_graph, reference_build
 
 
 class TestBuild:
@@ -163,27 +163,28 @@ class TestBuild:
             done += 1
 
 
-def _outcome(builder, net, lim):
-    try:
-        g = builder(net, lim)
-    except KBoundError as exc:
-        g = exc.partial
-        return g.states, g.succ, g.complete, exc.marking
-    return g.states, g.succ, g.complete, None
-
-
 class TestMatchesReferenceBuilder:
     """The packed explorer returns the dense reference builder's graph:
     same states in the same BFS order, same labelled edges, same cap
-    behaviour (k-bound partial graphs and max_states truncation)."""
+    behaviour (k-bound partial graphs and max_states truncation). Builds of
+    one net share its step table, so each net is built under both limits
+    in both orders, their k-bounds drawn apart: what one build interns or
+    tests must not change the next."""
 
     @settings(max_examples=150, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), k_bound=st.integers(1, 4), max_states=st.integers(1, 40))
-    def test_same_graph(self, seed, k_bound, max_states):
-        net = random_concrete_net(random.Random(seed), max_places=5, max_transitions=5)
-        assume(any(any(w) for w in net.read + net.inhibit))
-        for lim in (ExploreLimits(k_bound=k_bound, max_states=3000), ExploreLimits(k_bound, max_states)):
-            assert _outcome(build, net, lim) == _outcome(reference_build, net, lim)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k_bound=st.integers(1, 4),
+        roomy_k=st.integers(1, 4),
+        max_states=st.integers(1, 40),
+    )
+    def test_same_graph(self, seed, k_bound, roomy_k, max_states):
+        roomy, tight = ExploreLimits(k_bound=roomy_k, max_states=3000), ExploreLimits(k_bound, max_states)
+        for order in ((roomy, tight), (tight, roomy)):
+            net = random_concrete_net(random.Random(seed), max_places=5, max_transitions=5)
+            assume(any(any(w) for w in net.read + net.inhibit))
+            for lim in order:
+                assert outcome(build, net, lim) == outcome(reference_build, net, lim)
 
 
 def _graph(net, lim):
@@ -205,9 +206,10 @@ def _inverted(succ, delay: bool) -> list:
 
 
 class TestMarkingIndex:
-    """A graph interns its markings: each node names its marking by id,
-    Props are evaluated once per marking, and the predecessor lists are
-    ``succ`` inverted. Complete, k-bound partial and cut graphs alike."""
+    """The net's step table interns the markings: each key starts with the
+    id of its node's marking, Props are evaluated once per marking, and the
+    predecessor lists are ``succ`` inverted. Complete, k-bound partial and
+    cut graphs alike."""
 
     @settings(max_examples=120, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), k_bound=st.integers(1, 4), max_states=st.integers(1, 40))
@@ -215,12 +217,13 @@ class TestMarkingIndex:
         rng = random.Random(seed)
         net = random_concrete_net(rng)
         phi = random_gmec(rng, list(net.places))
-        np = len(net.places)
+        tab = net.steps
         for lim in (ExploreLimits(max_states=3000), ExploreLimits(k_bound, max_states)):
             g = _graph(net, lim)
-            assert [g.markings[mid] for mid in g.marking_ids] == [key[:np] for key in g.keys]
-            assert len(set(g.markings)) == len(g.markings)
-            expected = {i for i, s in enumerate(g.states) if eval_gmec(dict(zip(net.places, s.marking)), phi)}
+            ref = outcome(reference_build, net, lim)[0]
+            assert [tab.markings[key[0]] for key in g.keys] == [s.marking for s in ref]
+            assert tab.mindex == {m: mid for mid, m in enumerate(tab.markings)}
+            expected = {i for i, s in enumerate(ref) if eval_gmec(dict(zip(net.places, s.marking)), phi)}
             assert states_satisfying(g, phi) == expected
 
     @settings(max_examples=120, deadline=None)
@@ -260,7 +263,7 @@ class TestMarkingIndex:
             )
             calls.clear()
             g = build(net)
-            assert g.complete and len(g.markings) == 4
+            assert g.complete and len(net.steps.markings) == 4
             nodes.append(len(g))
             tests.append(len(calls))
         assert nodes[0] < nodes[1]
