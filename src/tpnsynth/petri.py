@@ -262,18 +262,18 @@ class StepTable:
     * ``delta[t]``: (place, post - pre) pairs where the change is nonzero;
     * ``affected[t]``: sorted indices of t itself and of every transition
       whose guard reads a place in ``delta[t]``; firing t can change the
-      enabledness of no other transition;
-    * ``low[t]``/``high[t]``: the static interval bounds of a concrete net,
-      -1 standing for an infinite high (both None for a parametric net).
+      enabledness of no other transition.
 
-    Only the bounds depend on a valuation: the table of every instance of a
-    parametric net (``instantiate``) shares the arcs of the net's own table,
-    which is built, and the net validated, once.
+    Nothing in a table depends on a valuation, so every instance of a
+    parametric net (``instantiate``) steps on the net's own table, which is
+    built, and the net validated, once.
 
     The table also interns the markings its net reaches: ``markings[id]``
     is a marking tuple, ``mindex`` maps it back to its id, and
-    ``patches[id]`` caches one ``semantics.fire_patch`` per transition. Patches carry the bounds,
-    so every instance starts with its own.
+    ``patches[id]`` caches one bound-free ``semantics.fire_patch`` per
+    transition. The initial marking has id 0, and ``start`` holds the
+    source of each clock slot of its key (``semantics.bounds``): the slot
+    itself where the initial marking enables the transition, else 0.
     """
 
     def __init__(self, n: Net):
@@ -296,21 +296,9 @@ class StepTable:
             tuple(u for u, r in enumerate(reads) if u == t or any(p in r for p, _ in delta))
             for t, delta in enumerate(self.delta)
         )
-        if all(isinstance(iv, TimeInterval) for iv in n.intervals):
-            self.low, self.high = _bounds(n.intervals)
-        else:
-            self.low = self.high = None
         self.markings, self.mindex, self.patches = [], {}, []
-
-    def instance(self, intervals) -> "StepTable":
-        """This table's arcs, shared, with the bounds of concrete ``intervals``
-        and no interned marking."""
-        tab = StepTable.__new__(StepTable)
-        tab.np, tab.nt, tab.need, tab.inhibit = self.np, self.nt, self.need, self.inhibit
-        tab.delta, tab.affected = self.delta, self.affected
-        tab.low, tab.high = _bounds(intervals)
-        tab.markings, tab.mindex, tab.patches = [], {}, []
-        return tab
+        self.intern(tuple(n.initial))
+        self.start = tuple([1 + i if self.enabled(n.initial, i % self.nt) else 0 for i in range(2 * self.nt)])
 
     def intern(self, m: tuple) -> int:
         """The id of marking tuple m, given on first sight."""
@@ -329,11 +317,6 @@ class StepTable:
             if m[p] >= w:
                 return False
         return True
-
-
-def _bounds(intervals) -> tuple:
-    """The low and high slots of concrete intervals, -1 for an infinite high."""
-    return tuple([iv.low for iv in intervals]), tuple([-1 if iv.unbounded else iv.high for iv in intervals])
 
 
 def _dense(weights: Optional[Mapping[str, int]], places, what: str, trans: str):
@@ -439,7 +422,7 @@ def implicit_domain(n: Net) -> ParamDomain:
 def instantiate(n: Net, v: Valuation) -> ConcreteNet:
     """Evaluate every parametric interval at ``v``; structure is unchanged.
 
-    The instance's step table shares the arcs of ``n.steps``. An ill-formed
+    The instance steps on ``n.steps``, the net's own table. An ill-formed
     ``n`` has no table, so its instance gets its own, and with it its own
     diagnostics, when first stepped."""
     for p in n.parameters:
@@ -460,10 +443,9 @@ def instantiate(n: Net, v: Valuation) -> ConcreteNet:
         domain=ParamDomain(),
     )
     try:
-        tab = n.steps
+        vars(c)["steps"] = n.steps  # fills the cached_property
     except InputError:
-        return c
-    vars(c)["steps"] = tab.instance(c.intervals)  # fills the cached_property
+        pass
     return c
 
 

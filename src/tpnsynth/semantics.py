@@ -7,17 +7,17 @@ composition of unit steps, which reaches exactly the same states because
 elapse is additive.
 
 All stepping runs on packed keys over the net's step table
-(``petri.StepTable``, cached as ``net.steps``). A key is one flat int tuple:
-the id of its marking, interned by the table, then each transition's
-remaining low bound, then each remaining high bound, with -1 for a disabled
-transition's slots and for an unbounded high. Firing t depends on the
+(``petri.StepTable``, cached as ``net.steps``), shared by every instance of
+a parametric net. A key is one flat int tuple: the id of its marking, then
+each transition's remaining low bound, then each remaining high bound, with
+-1 for a disabled transition's slots and for an unbounded high; an
+instance's static ``bounds`` have the same shape. Firing t depends on the
 marking alone: ``fire_patch`` turns a (marking, transition) pair into the
-slot writes that fire t from any key with that marking, the successor's
-marking id among them, re-testing only the transitions whose guard reads a
-changed place; a unit delay lowers every positive bound by one.
-``successor_keys`` is the one successor function, used by the explorer
-(``statespace.build``) and the State API alike: it applies the patches,
-cached per marking id in the table, and the delay to a key.
+successor's marking id and bound-free slot writes, re-testing only the
+transitions whose guard reads a changed place; a unit delay lowers every
+positive bound by one. ``successor_keys``, the one successor function of
+the explorer (``statespace.build``) and the State API alike, applies the
+patches, cached per marking id, with an instance's bounds, and the delay.
 ``initial_state``, ``successors``, ``fire`` and ``elapse`` pack their State
 argument, step, and turn the resulting keys back into States with
 ``materialise``, which shares one TimeInterval per distinct (low, high).
@@ -71,7 +71,7 @@ StepLabel = Union[Delay, Fire]
 
 
 def initial_state(n: ConcreteNet) -> State:
-    return materialise(n.steps, [initial_key(n)])[0]
+    return materialise(n.steps, [initial_key(n, bounds(n))])[0]
 
 
 def max_elapse(n: ConcreteNet, s: State):
@@ -104,14 +104,14 @@ def fire(n: ConcreteNet, s: State, t: str) -> State:
     if c is None or c.low != 0:
         raise PreconditionError(f"transition {t!r} is not fireable")
     tab = n.steps
-    return materialise(tab, [dict(successor_keys(tab, _key(tab, s)))[ti]])[0]
+    return materialise(tab, [dict(successor_keys(tab, bounds(n), _key(tab, s)))[ti]])[0]
 
 
 def successors(n: ConcreteNet, s: State):
     """Fire successors in transition order, then a unit delay if time may
     elapse. Ordering is part of the contract (graph building relies on it)."""
     tab = n.steps
-    steps = successor_keys(tab, _key(tab, s))
+    steps = successor_keys(tab, bounds(n), _key(tab, s))
     states = materialise(tab, [k for _, k in steps])
     return [
         (Fire(n.transitions[ti]) if ti < tab.nt else Delay(1), s2)
@@ -142,50 +142,57 @@ def replay(n: ConcreteNet, labels) -> list:
 # marking enables it; ``fire_patch`` relies on it.
 
 
-def initial_key(n: ConcreteNet) -> tuple:
-    tab, m = n.steps, n.initial
-    on = [tab.enabled(m, t) for t in range(tab.nt)]
-    lows = tuple(lo if e else -1 for lo, e in zip(tab.low, on))
-    highs = tuple(hi if e else -1 for hi, e in zip(tab.high, on))
-    return (tab.intern(tuple(m)),) + lows + highs
+def bounds(n: ConcreteNet) -> tuple:
+    """The static bounds of an instance in key shape: -1, every low, then
+    every high, -1 for an infinite one."""
+    ivs = n.intervals
+    return (-1,) + tuple([iv.low for iv in ivs]) + tuple([-1 if iv.unbounded else iv.high for iv in ivs])
 
 
-def fire_patch(tab: StepTable, m: tuple, t: int) -> list:
-    """Firing t, enabled in marking m, as the (slot, value) writes that turn
-    every key with marking m into its t-successor: slot 0 gets the
-    successor marking's id, both clock slots of each transition t disables
-    get -1, and those of t and of each transition t newly enables get the
-    static bounds; every other slot keeps its value. Only ``affected[t]``
-    is re-tested: no other transition's guard reads a changed place."""
+def initial_key(n: ConcreteNet, b: tuple) -> tuple:
+    """The initial key under the instance's bounds ``b``."""
+    return (0,) + tuple([b[src] for src in n.steps.start])
+
+
+def fire_patch(tab: StepTable, m: tuple, t: int) -> tuple:
+    """Firing t, enabled in marking m, as (successor marking id, writes)
+    that turn every key with marking m into its t-successor under any
+    bounds b: a write (slot, source) sets the slot to b[source], 0 (-1) for
+    both clock slots of each transition t disables and the slot itself for
+    those of t and of each transition t newly enables; every other slot
+    keeps its value. Only ``affected[t]`` is re-tested: no other
+    transition's guard reads a changed place."""
     nt, enabled = tab.nt, tab.enabled
     m2 = list(m)
     for p, d in tab.delta[t]:
         m2[p] += d
-    writes = [(0, tab.intern(tuple(m2)))]
+    writes = []
     for u in tab.affected[t]:
         if not enabled(m2, u):
-            writes += ((1 + u, -1), (1 + nt + u, -1))
+            writes += ((1 + u, 0), (1 + nt + u, 0))
         elif u == t or not enabled(m, u):
-            writes += ((1 + u, tab.low[u]), (1 + nt + u, tab.high[u]))
-    return writes
+            writes += ((1 + u, 1 + u), (1 + nt + u, 1 + nt + u))
+    return tab.intern(tuple(m2)), writes
 
 
-def successor_keys(tab: StepTable, key: tuple) -> list:
-    """(transition index, key) per successor of a key: fires in transition
-    order, each the key under its ``fire_patch`` (made once per marking id
-    and transition), then the unit delay, indexed by the transition count."""
+def successor_keys(tab: StepTable, b: tuple, key: tuple) -> list:
+    """(transition index, key) per successor of a key under the instance's
+    bounds ``b``: fires in transition order, each the key under its
+    ``fire_patch`` (made once per marking id and transition, for every
+    instance), then the unit delay, indexed by the transition count."""
     nt = tab.nt
     row = tab.patches[key[0]]
     out = []
     for t in range(nt):
         if key[1 + t]:  # disabled (-1) or still waiting
             continue
-        writes = row[t]
-        if writes is None:
-            writes = row[t] = fire_patch(tab, tab.markings[key[0]], t)
+        patch = row[t]
+        if patch is None:
+            patch = row[t] = fire_patch(tab, tab.markings[key[0]], t)
         k = list(key)
-        for slot, v in writes:
-            k[slot] = v
+        k[0], writes = patch
+        for slot, src in writes:
+            k[slot] = b[src]
         out.append((t, tuple(k)))
     if 0 not in key[1 + nt :]:
         out.append((nt, delay_key(key)))

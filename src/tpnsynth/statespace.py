@@ -11,13 +11,14 @@ slot is the id of its marking in the net's step table; ``ReachGraph.states``
 materialises ``State`` objects when first read.
 
 A graph has many clock nodes per marking, and the successors come from
-``semantics.successor_keys``, which makes the fire patch of each (marking,
-transition) pair once per net: a node's fire successor is a copy of its key
-with the patch written in, with no enabledness test, so that work grows
-with the markings, not with the nodes. The table outlives a build, so each
-build tests its own k-bound, once per marking it reaches. The checker
-reads the markings through the table by id, and the predecessor lists
-(``ReachGraph.preds``), which the graph derives from ``succ`` once.
+``semantics.successor_keys``, which makes the bound-free fire patch of each
+(marking, transition) pair once per net, for all its instances: a node's
+fire successor is a copy of its key with the patch written in, with no
+enabledness test, so that work grows with the markings, not with the
+nodes. The table outlives a build, so each build tests its own k-bound,
+once per marking it reaches. The checker reads the markings through the
+table by id, and the predecessor lists (``ReachGraph.preds``), which the
+graph derives from ``succ`` once.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from functools import cached_property
 
 from .errors import InputError, KBoundError
 from .petri import ConcreteNet
-from .semantics import Delay, Fire, initial_key, materialise, successor_keys
+from .semantics import Delay, Fire, bounds, initial_key, materialise, successor_keys
 
 
 @dataclass(frozen=True)
@@ -81,9 +82,9 @@ def build(n: ConcreteNet, lim: ExploreLimits = ExploreLimits()) -> ReachGraph:
     attached; hitting ``max_states`` returns a graph flagged
     ``complete=False``.
     """
-    tab, k_bound = n.steps, lim.k_bound
+    tab, b, k_bound = n.steps, bounds(n), lim.k_bound
     markings = tab.markings
-    k0 = initial_key(n)
+    k0 = initial_key(n, b)
     m0 = markings[k0[0]]
     if max(m0, default=0) > k_bound:
         raise KBoundError(
@@ -99,7 +100,7 @@ def build(n: ConcreteNet, lim: ExploreLimits = ExploreLimits()) -> ReachGraph:
     complete = True
     for key in keys:  # grows while it is walked: the BFS queue
         outs = []
-        for t, k2 in successor_keys(tab, key):
+        for t, k2 in successor_keys(tab, b, key):
             j = index.get(k2)
             if j is None:
                 if k2[0] not in bounded:

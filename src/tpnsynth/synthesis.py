@@ -6,15 +6,15 @@ and gives every interval low <= high is checked. Enumeration is directed
 by the constraints: each parameter in turn is bounded from them and from
 the box ranges of the parameters still to assign, so only domain points
 are generated, in lexicographic order, and no box point is tested and
-thrown away. What does not depend on the valuation is done once per
-problem: the formula is compiled into one check plan
-(``SynthesisProblem.plan``), and the net is validated and its arcs tabled
-once (``Net.steps``), so a valuation costs one instantiation, one graph
-and one labelling. Sweeps are embarrassingly parallel. One process pool
-is kept per process and reused by every sweep that needs its worker
-count; a problem, plan included, is plain data that pickles whole, so the
-workers receive it with each chunk of valuations and hold no state
-between sweeps. Results are merged in enumeration order, so the output is
+thrown away; a sweep checks at most ``MAX_VALUATIONS``. What does not
+depend on the valuation is done once per problem: the formula is compiled
+into one check plan (``SynthesisProblem.plan``), and every instance steps
+on the net's one table (``Net.steps``), so a valuation costs one
+instantiation, one graph and one labelling. Sweeps are embarrassingly
+parallel. One process pool is kept per process and reused by every sweep
+that needs its worker count; a problem, plan and warm table included, is
+plain data that pickles whole, so the workers receive it with each chunk
+of valuations and hold no state between sweeps. Results are merged in enumeration order, so the output is
 independent of worker count.
 """
 
@@ -25,6 +25,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from itertools import islice
 from typing import Mapping
 
 from .errors import InputError, KBoundError, TpnError
@@ -157,6 +158,8 @@ def check_valuation(p: SynthesisProblem, v):
         return False, f"{type(exc).__name__}: {exc}"
 
 
+MAX_VALUATIONS = 100_000  # largest number of domain points a sweep checks
+
 # The process's sweep pool, as (workers, executor), kept between calls: a
 # pool costs more to start than a small box costs to check. The
 # interpreter's exit joins it.
@@ -182,13 +185,17 @@ def synthesize(p: SynthesisProblem, jobs: int = 1) -> SynthesisResult:
     """Check every valuation of the box in the implicit domain, in ``jobs``
     processes (at least 1). A valuation whose check fails with a library
     error, such as a k-bound, is reported in ``failures`` rather than
-    raised. With jobs > 1 the valuations go to a pool of one worker per
-    valuation up to ``jobs``, kept for later calls of that size, and each
-    chunk of valuations is sent with the problem."""
+    raised; a box of more than ``MAX_VALUATIONS`` is an InputError before
+    any is checked. With jobs > 1 the valuations go to a pool of one
+    worker per valuation up to ``jobs``, kept for later calls of that size,
+    and each chunk of valuations is sent with the problem."""
     global _pool
     if jobs < 1:
         raise InputError(f"jobs must be at least 1, got {jobs}")
-    vals = list(enumerate_valuations(implicit_domain(p.net), p.box, order=p.net.parameters))
+    points = enumerate_valuations(implicit_domain(p.net), p.box, order=p.net.parameters)
+    vals = list(islice(points, MAX_VALUATIONS + 1))
+    if len(vals) > MAX_VALUATIONS:
+        raise InputError(f"the box has more than {MAX_VALUATIONS} valuations in the domain")
     if jobs > 1 and len(vals) > 1:
         workers = min(jobs, len(vals))
         chunk = max(min(_MIN_CHUNK, -(-len(vals) // workers)), len(vals) // (4 * workers))

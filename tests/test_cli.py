@@ -491,6 +491,13 @@ ARGV_VALUES = {
         ["inhibit:nope", "flag:,t1", "bogus:1", "knockout:t1,", "jetlag:\u0663,30", "lightdur:2_4"],
     ),
 }
+# per flag: input errors found only once the net and the formula are read
+# together: a formula place, the domain, the size of a box's sweep
+LATE_VALUES = {
+    "--formula-text": ["EF[0,5](M(nope)>=1)", "M(nope)=1 -->[0,3] M(p2)=1"],
+    "-v": ["td=0"],
+    "--box": ["td=0..99999999999999999999", "td=1..100001"],
+}
 ARGV_FLAGS = {  # subcommand: (flags it must have, flags it may have)
     "validate": ((), ("--format",)),
     "simulate": (("-v",), ("--format", "--steps", "--seed")),
@@ -507,10 +514,11 @@ def cli_argv(draw, net, formula):
     when ``bad``, one with a single token or option made an input error.
     A bad command line that takes limits gets ``--k-bound 1`` (unless that
     is the mutated option), so that an input error found only after
-    exploring would exit 3."""
+    exploring would exit 3. The mutations lean towards ``LATE_VALUES``,
+    the inputs that a command could wrongly decide after it explores."""
     command = draw(st.sampled_from(sorted(ARGV_FLAGS)))
     must, may = ARGV_FLAGS[command]
-    mutation = draw(st.sampled_from(["none", "none", "value", "value", "drop", "command", "net", "flag"]))
+    mutation = draw(st.sampled_from(["none", "none", "late", "late", "late", "value", "drop", "command", "net", "flag"]))
     bad = mutation != "none" and (command != "validate" or mutation != "drop")
     formats = ["text", "json", "csv"] if command == "synth" else ["text", "json"]
     flags = list(must) + [f for f in may if (bad and f == "--k-bound") or draw(st.booleans())]
@@ -519,10 +527,14 @@ def cli_argv(draw, net, formula):
     pairs = [[f, draw(st.sampled_from(formats) if f == "--format" else ARGV_VALUES[f][0])] for f in flags]
     if bad and "--k-bound" in flags:
         pairs[flags.index("--k-bound")][1] = "1"
-    if command in ("check", "synth") and draw(st.booleans()):
+    if command in ("check", "synth") and mutation != "late" and draw(st.booleans()):
         pairs[flags.index("--formula-text")] = ["--formula", formula]
     head = [command, net]
-    if mutation == "value" and pairs:
+    late = [pair for pair in pairs if pair[0] in LATE_VALUES]
+    if mutation == "late" and late:
+        pair = draw(st.sampled_from(late))
+        pair[1] = draw(st.sampled_from(LATE_VALUES[pair[0]]))
+    elif mutation in ("late", "value") and pairs:
         pair = draw(st.sampled_from(pairs))
         values = ARGV_VALUES[pair[0]][1] + (["csv"] if pair[0] == "--format" and command != "synth" else [])
         pair[1] = draw(st.sampled_from(values))
@@ -530,7 +542,7 @@ def cli_argv(draw, net, formula):
         del pairs[draw(st.integers(0, len(must) - 1))]
     elif mutation == "command":
         head[0] = draw(st.sampled_from(["bogus", "", "Check"]))
-    elif mutation in ("net", "value"):
+    elif mutation in ("net", "late", "value"):
         head[1] = draw(st.sampled_from(["missing.tpnet", formula]))
     elif mutation == "flag":
         pairs.append([draw(st.sampled_from(["--bogus", "--format", "-v"]))])
@@ -562,6 +574,30 @@ def test_any_argv_exits_with_a_documented_code(argv_inputs, data):
     assert "Traceback" not in err.getvalue()
     assert code in (0, 1, 2, 3)
     assert (code == 2) == bad, (argv, code, err.getvalue())
+
+
+# the child caps its own address space, so a sweep that collected every
+# valuation would die of MemoryError (exit 1) instead of being refused
+HUGE_BOX = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from tpnsynth.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_box_over_the_valuation_cap_exits_2_before_any_check(tmp_path):
+    net = tmp_path / "net.tpnet"
+    net.write_text(ARGV_NET)
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    argv = ["synth", str(net), "--formula-text", "EF[0,3](M(p2)>=1)", "--box", "td=0..4611686018427387904"]
+    proc = subprocess.run(
+        [sys.executable, "-c", HUGE_BOX, *argv, "--jobs", "1"],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert "more than 100000 valuations" in proc.stderr
 
 
 @pytest.mark.parametrize("script", ["run_case_study.py", "search_reconstruction.py"])

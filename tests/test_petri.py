@@ -26,6 +26,7 @@ from tpnsynth import (
     validate_net,
 )
 from tpnsynth.petri import INF, RELATIONS, Net, StepTable, fire_marking, implicit_domain, net_spec
+from tpnsynth.semantics import bounds
 
 from _gen import outcome, random_concrete_net, random_parametric_net, reference_build
 
@@ -375,17 +376,14 @@ class TestSharedStepTable:
             },
             parameters=["a", "b"],
         )
-        assert net.steps.low is None and net.steps.high is None
+        assert not {"low", "high", "instance"} & set(dir(net.steps))
         for v in ({"a": 0, "b": 2}, {"a": 3, "b": 3}):
             c = instantiate(net, v)
-            tab = c.steps
-            assert tab.need is net.steps.need
-            assert tab.inhibit is net.steps.inhibit
-            assert tab.delta is net.steps.delta
-            assert tab.affected is net.steps.affected
-            assert (tab.low, tab.high) == ((v["a"], 1), (v["b"], -1))
+            assert c.steps is net.steps
+            # key-shaped: -1 for a disabled clock, the lows, the highs (-1 for inf)
+            assert bounds(c) == (-1, v["a"], 1, v["b"], -1)
             fresh = StepTable(c)  # the same table built from the instance alone
-            assert vars(fresh) == vars(tab)
+            assert vars(fresh) == vars(c.steps)
 
     @settings(max_examples=40, deadline=None)
     @given(rng=st.randoms(use_true_random=False))
@@ -400,17 +398,16 @@ class TestSharedStepTable:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        bounds=st.lists(
+        pairs=st.lists(
             st.tuples(st.integers(0, 4), st.integers(0, 4)).map(lambda ab: tuple(sorted(ab))),
             min_size=2,
             max_size=2,
             unique=True,
         )
     )
-    def test_instances_built_alternately_keep_their_own_markings(self, bounds):
-        # the fire patch of t2 writes the bounds of t1, which it re-enables,
-        # so instances share the arcs of their net's table but intern
-        # markings and patches on their own
+    def test_instances_built_alternately_share_markings_and_patches(self, pairs):
+        # the fire patch of t2 restarts t1, whose bounds differ between the
+        # instances: the patch names the slots, and each instance fills them
         net = make_net(
             [("p1", 1), ("p2", 0)],
             {
@@ -419,13 +416,18 @@ class TestSharedStepTable:
             },
             parameters=["a", "b"],
         )
-        cs = [instantiate(net, {"a": a, "b": b}) for a, b in bounds]
+        cs = [instantiate(net, {"a": a, "b": b}) for a, b in pairs]
         for c in cs + cs:
             assert outcome(build, c, ExploreLimits()) == outcome(reference_build, c, ExploreLimits())
-        one, two = (c.steps for c in cs)
-        assert one.delta is two.delta and one.affected is two.affected
-        assert one.markings is not two.markings and one.mindex is not two.mindex
-        assert not {id(row) for row in one.patches} & {id(row) for row in two.patches}
+        tab = net.steps
+        assert all(c.steps is tab for c in cs)
+        assert tab.markings == [(1, 0), (0, 1)]
+        # one bound-free patch per (marking, transition) either instance fired:
+        # t1 disables itself and starts t2; t2 restarts t1 and disables itself
+        assert tab.patches == [
+            [(1, [(1, 0), (3, 0), (2, 2), (4, 4)]), None],
+            [None, (0, [(1, 1), (3, 3), (2, 0), (4, 0)])],
+        ]
 
 
 @given(st.integers(0, 5), st.integers(0, 5), st.booleans())

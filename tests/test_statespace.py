@@ -238,7 +238,9 @@ class TestMarkingIndex:
 
     def test_enabledness_tests_scale_with_markings(self, monkeypatch):
         # fire patches are made once per (marking, transition): wider
-        # intervals add clock nodes but no enabledness test
+        # intervals add clock nodes but no enabledness test, and the
+        # instances of one parametric net share their net's patches, so the
+        # second instance makes none at all
         calls = []
         enabled = StepTable.enabled
 
@@ -246,28 +248,31 @@ class TestMarkingIndex:
             calls.append(t)
             return enabled(self, m, t)
 
-        monkeypatch.setattr(StepTable, "enabled", counting)
-        nodes, tests = [], []
-        for hi in (2, 6):
-            net = instantiate(
-                make_net(
-                    [("A0", 1), ("B0", 0), ("A1", 1), ("B1", 0)],
-                    {
-                        "u0": {"pre": {"A0": 1}, "post": {"B0": 1}, "interval": (1, hi)},
-                        "d0": {"pre": {"B0": 1}, "post": {"A0": 1}, "interval": (1, 2)},
-                        "u1": {"pre": {"A1": 1}, "post": {"B1": 1}, "interval": (1, hi + 1)},
-                        "d1": {"pre": {"B1": 1}, "post": {"A1": 1}, "interval": (2, 3)},
-                    },
-                ),
-                {},
+        def oscillators():
+            return make_net(
+                [("A0", 1), ("B0", 0), ("A1", 1), ("B1", 0)],
+                {
+                    "u0": {"pre": {"A0": 1}, "post": {"B0": 1}, "interval": (1, "h0")},
+                    "d0": {"pre": {"B0": 1}, "post": {"A0": 1}, "interval": (1, 2)},
+                    "u1": {"pre": {"A1": 1}, "post": {"B1": 1}, "interval": (1, "h1")},
+                    "d1": {"pre": {"B1": 1}, "post": {"A1": 1}, "interval": (2, 3)},
+                },
+                parameters=["h0", "h1"],
             )
-            calls.clear()
-            g = build(net)
-            assert g.complete and len(net.steps.markings) == 4
-            nodes.append(len(g))
-            tests.append(len(calls))
-        assert nodes[0] < nodes[1]
-        assert tests[0] == tests[1]
+
+        monkeypatch.setattr(StepTable, "enabled", counting)
+        shared = oscillators()
+        for parametric in (False, True):
+            nodes, tests = [], []
+            for hi in (2, 6):
+                net = instantiate(shared if parametric else oscillators(), {"h0": hi, "h1": hi + 1})
+                calls.clear()
+                g = build(net)
+                assert g.complete and len(net.steps.markings) == 4
+                nodes.append(len(g))
+                tests.append(len(calls))
+            assert nodes[0] < nodes[1]
+            assert tests[0] > 0 and tests[1] == (0 if parametric else tests[0])
 
 
 class TestStatesSatisfying:

@@ -22,7 +22,7 @@ from tpnsynth import (
     parse_formula,
     parse_gmec,
 )
-from tpnsynth import synthesis
+from tpnsynth import semantics, synthesis
 from tpnsynth.petri import implicit_domain
 from tpnsynth.synthesis import (
     SynthesisProblem,
@@ -97,6 +97,22 @@ def param_net():
         parameters=["td"],
         constraints=[lc({"td": 1}, ">=", 1)],
     )
+
+
+def _two_sources():
+    """Two sources feed p; tokens pile up past a k-bound of 2 when eating is slow."""
+    return make_net(
+        [("a", 2), ("b", 2), ("p", 0)],
+        {
+            "grow_a": {"pre": {"a": 1}, "post": {"p": 1}, "interval": ("g", "g")},
+            "grow_b": {"pre": {"b": 1}, "post": {"p": 1}, "interval": ("g", "g")},
+            "eat": {"pre": {"p": 1}, "interval": ("e", "e")},
+        },
+        parameters=["g", "e"],
+    )
+
+
+_EMPTIED = parse_formula("EF[0,8](M(a)+M(b)+M(p)=0)")
 
 
 class TestSynthesize:
@@ -181,25 +197,37 @@ class TestSynthesize:
         assert a.summary == b.summary == c.summary
 
     def test_parallel_equals_serial_with_k_bound_failures(self):
-        # two sources feed p; tokens pile up past the k-bound when eating is slow
-        net = make_net(
-            [("a", 2), ("b", 2), ("p", 0)],
-            {
-                "grow_a": {"pre": {"a": 1}, "post": {"p": 1}, "interval": ("g", "g")},
-                "grow_b": {"pre": {"b": 1}, "post": {"p": 1}, "interval": ("g", "g")},
-                "eat": {"pre": {"p": 1}, "interval": ("e", "e")},
-            },
-            parameters=["g", "e"],
-        )
-        phi = parse_formula("EF[0,8](M(a)+M(b)+M(p)=0)")
         limits = ExploreLimits(k_bound=2, max_states=5000)
-        problem = SynthesisProblem(net, phi, {"g": (1, 4), "e": (0, 4)}, limits)
+        problem = SynthesisProblem(_two_sources(), _EMPTIED, {"g": (1, 4), "e": (0, 4)}, limits)
         serial = synthesize(problem, jobs=1)
+        # the serial sweep filled the net's table; the workers unpickle it warm
+        tab = problem.net.steps
+        copy = pickle.loads(pickle.dumps(problem)).net.steps
+        assert len(tab.markings) > 1 and vars(copy) == vars(tab)
+        assert copy.mindex == {m: mid for mid, m in enumerate(copy.markings)}
+        assert len(copy.patches) == len(copy.markings)
         parallel = synthesize(problem, jobs=2)
         assert serial.failures and serial.satisfying
         assert all("k-bound" in msg for _, msg in serial.failures)
         assert (parallel.satisfying, parallel.explored, parallel.failures) == (
             serial.satisfying, serial.explored, serial.failures)
+
+    def test_a_box_makes_one_fire_patch_per_marking_and_transition(self, monkeypatch):
+        # every instance steps on its net's table, so the patch of a (marking,
+        # transition) pair is made once for the whole box, k-bound stops included
+        made = []
+        fire_patch = semantics.fire_patch
+
+        def counting(tab, m, t):
+            made.append((m, t))
+            return fire_patch(tab, m, t)
+
+        monkeypatch.setattr(semantics, "fire_patch", counting)
+        problem = SynthesisProblem(_two_sources(), _EMPTIED, {"g": (1, 4), "e": (0, 4)}, ExploreLimits(2, 5000))
+        res = synthesize(problem, jobs=1)
+        assert res.explored == 20 and res.failures and res.satisfying
+        assert len(made) == len(set(made))
+        assert len(made) == sum(patch is not None for row in problem.net.steps.patches for patch in row)
 
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_fewer_than_one_job_is_an_input_error(self, param_net, jobs):
