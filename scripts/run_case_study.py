@@ -169,7 +169,7 @@ def knock_out():
     c = instantiate(net, {})
     g = build(c, LIM)
     fired = sorted(
-        {lab.transition for _, lab, _ in g.edges if hasattr(lab, "transition")}
+        {c.transitions[t] for outs in g.succ for t, _ in outs if t >= 0}
         & {"t_b", "t_f"}
     )
     osc = check(c, g, load("knockout_oscillation.tctl")).holds

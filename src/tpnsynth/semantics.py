@@ -17,7 +17,8 @@ successor's marking id and bound-free slot writes, re-testing only the
 transitions whose guard reads a changed place; a unit delay lowers every
 positive bound by one. ``successor_keys``, the one successor function of
 the explorer (``statespace.build``) and the State API alike, applies the
-patches, cached per marking id, with an instance's bounds, and the delay.
+patches, cached per marking id, with an instance's bounds, and the delay,
+numbered -1 in the same idiom as a disabled slot.
 ``initial_state``, ``successors``, ``fire`` and ``elapse`` pack their State
 argument, step, and turn the resulting keys back into States with
 ``materialise``, which shares one TimeInterval per distinct (low, high).
@@ -70,6 +71,11 @@ class Fire:
 StepLabel = Union[Delay, Fire]
 
 
+def step_labels(n: ConcreteNet) -> list:
+    """The StepLabel of each edge index: a Fire per transition, Delay(1) at -1."""
+    return [Fire(t) for t in n.transitions] + [Delay(1)]
+
+
 def initial_state(n: ConcreteNet) -> State:
     return materialise(n.steps, [initial_key(n, bounds(n))])[0]
 
@@ -114,7 +120,7 @@ def successors(n: ConcreteNet, s: State):
     steps = successor_keys(tab, bounds(n), _key(tab, s))
     states = materialise(tab, [k for _, k in steps])
     return [
-        (Fire(n.transitions[ti]) if ti < tab.nt else Delay(1), s2)
+        (Fire(n.transitions[ti]) if ti >= 0 else Delay(1), s2)
         for (ti, _), s2 in zip(steps, states)
     ]
 
@@ -179,7 +185,7 @@ def successor_keys(tab: StepTable, b: tuple, key: tuple) -> list:
     """(transition index, key) per successor of a key under the instance's
     bounds ``b``: fires in transition order, each the key under its
     ``fire_patch`` (made once per marking id and transition, for every
-    instance), then the unit delay, indexed by the transition count."""
+    instance), then the unit delay, indexed -1."""
     nt = tab.nt
     row = tab.patches[key[0]]
     out = []
@@ -195,7 +201,7 @@ def successor_keys(tab: StepTable, b: tuple, key: tuple) -> list:
             k[slot] = b[src]
         out.append((t, tuple(k)))
     if 0 not in key[1 + nt :]:
-        out.append((nt, delay_key(key)))
+        out.append((-1, delay_key(key)))
     return out
 
 

@@ -5,10 +5,12 @@ ordering contract (fires in transition order, then the unit delay) plus BFS
 makes two builds of the same net produce identical graphs.
 
 The search runs on packed keys (see ``semantics``): the BFS queue, the
-visited index and every hash are plain int tuples, and edge labels are one
-``Fire`` per transition and one ``Delay(1)``. A node is its key, whose first
-slot is the id of its marking in the net's step table; ``ReachGraph.states``
-materialises ``State`` objects when first read.
+visited index and every hash are plain int tuples, and an edge is two ints,
+(transition index, target), with -1 for the unit delay; only
+``ReachGraph.edges`` and witnesses make labels (``semantics.step_labels``).
+A node is its key, whose first slot is the id of its marking in the net's
+step table; ``ReachGraph.states`` materialises ``State`` objects when first
+read.
 
 A graph has many clock nodes per marking, and the successors come from
 ``semantics.successor_keys``, which makes the bound-free fire patch of each
@@ -17,8 +19,8 @@ fire successor is a copy of its key with the patch written in, with no
 enabledness test, so that work grows with the markings, not with the
 nodes. The table outlives a build, so each build tests its own k-bound,
 once per marking it reaches. The checker reads the markings through the
-table by id, and the predecessor lists (``ReachGraph.preds``), which the
-graph derives from ``succ`` once.
+table by id, and derives its own predecessor lists from ``succ``; the graph
+keeps none.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from functools import cached_property
 
 from .errors import InputError, KBoundError
 from .petri import ConcreteNet
-from .semantics import Delay, Fire, bounds, initial_key, materialise, successor_keys
+from .semantics import bounds, initial_key, materialise, step_labels, successor_keys
 
 
 @dataclass(frozen=True)
@@ -45,7 +47,7 @@ class ExploreLimits:
 class ReachGraph:
     net: ConcreteNet
     keys: list  # packed key per node index; it starts with the id of the node's marking
-    succ: list  # per node: list of (StepLabel, target index)
+    succ: list  # per node: (t, target index) per out-edge, t a transition index or -1 for the delay
     complete: bool = True
     initial = 0  # BFS numbers the initial state 0
 
@@ -54,21 +56,10 @@ class ReachGraph:
         """State per node index, materialised from the keys on first read."""
         return materialise(self.net.steps, self.keys)
 
-    @cached_property
-    def preds(self) -> tuple:
-        """(fire_preds, delay_preds): per node, the sources of its fire
-        in-edges and of its delay in-edges, ``succ`` inverted and split by
-        label class on first read."""
-        fire_preds = [[] for _ in self.succ]
-        delay_preds = [[] for _ in self.succ]
-        for u, outs in enumerate(self.succ):
-            for label, v in outs:
-                (delay_preds if isinstance(label, Delay) else fire_preds)[v].append(u)
-        return fire_preds, delay_preds
-
     @property
     def edges(self):
-        return [(i, lab, j) for i, outs in enumerate(self.succ) for lab, j in outs]
+        labels = step_labels(self.net)
+        return [(i, labels[t], j) for i, outs in enumerate(self.succ) for t, j in outs]
 
     def __len__(self):
         return len(self.keys)
@@ -92,22 +83,17 @@ def build(n: ConcreteNet, lim: ExploreLimits = ExploreLimits()) -> ReachGraph:
             partial=ReachGraph(n, [], [], complete=False),
             marking=m0,
         )
-    labels = [Fire(t) for t in n.transitions] + [Delay(1)]
     index = {k0: 0}
-    keys = [k0]
-    succ = []
+    keys, succ = [k0], [[]]  # a node's edge list is made when the node is found
     bounded = {k0[0]}  # marking ids this build has tested against its k-bound
     complete = True
-    for key in keys:  # grows while it is walked: the BFS queue
-        outs = []
+    for key, outs in zip(keys, succ):  # both grow while they are walked: the BFS queue
         for t, k2 in successor_keys(tab, b, key):
             j = index.get(k2)
             if j is None:
                 if k2[0] not in bounded:
                     m2 = markings[k2[0]]
                     if max(m2, default=0) > k_bound:
-                        succ.append(outs)
-                        succ += [[] for _ in keys[len(succ) :]]
                         partial = ReachGraph(n, keys, succ, complete=False)
                         raise KBoundError(f"marking {m2} exceeds k-bound {k_bound}", partial=partial, marking=m2)
                     bounded.add(k2[0])
@@ -116,6 +102,6 @@ def build(n: ConcreteNet, lim: ExploreLimits = ExploreLimits()) -> ReachGraph:
                     continue
                 j = index[k2] = len(keys)
                 keys.append(k2)
-            outs.append((labels[t], j))
-        succ.append(outs)
+                succ.append([])
+            outs.append((t, j))
     return ReachGraph(n, keys, succ, complete=complete)

@@ -34,7 +34,9 @@ resolution with fresh counts, started from the delay edges into the set
 below it: the phi-nodes from which some (E) or every (A) path crosses fire
 edges through phi-nodes and then takes one delay edge into that set.
 ``MAX_DELAY_LAYERS`` bounds a, the number of pre-images, against a huge
-lower bound typed in by a user.
+lower bound typed in by a user; ``compile_plan`` refuses a larger a. The
+checker derives its fire and delay predecessor lists from the graph's int
+edges (t < 0 is the delay), and they die with it.
 
 Until is position-based: ``E phi U_I psi`` holds when some path reaches a
 psi-state at an accumulated time inside I with phi true at every strictly
@@ -55,7 +57,7 @@ from .errors import (
     InputError,
 )
 from .petri import INF, NAME, NAT, RELATIONS, ConcreteNet, Net, TimeInterval
-from .semantics import Delay
+from .semantics import step_labels
 from .statespace import ReachGraph
 
 # ---------------------------------------------------------------------------
@@ -585,7 +587,8 @@ class Plan:
 def compile_plan(n: Net, phi: Formula, leadsto: str = "ag") -> Plan:
     """Compile ``phi`` under the given response reading. Raises InputError
     when the formula names a place ``n`` (parametric or concrete) lacks
-    (``compile_gmec``)."""
+    (``compile_gmec``), and HorizonError when an until interval's least
+    integer exceeds ``MAX_DELAY_LAYERS``."""
     index = {}  # entry -> position; insertion order is postorder
 
     def walk(f) -> int:
@@ -597,6 +600,9 @@ def compile_plan(n: Net, phi: Formula, leadsto: str = "ag") -> Plan:
         elif isinstance(f, Implies):
             op = (Implies, walk(f.left), walk(f.right))
         else:  # EU or AU, the rest of the core
+            a = f.interval.int_low()
+            if a > MAX_DELAY_LAYERS:  # decided here, before any graph
+                raise HorizonError(f"interval lower bound {a} exceeds the delay-layer limit {MAX_DELAY_LAYERS}")
             op = (type(f), walk(f.left), f.interval, walk(f.right))
         return index.setdefault(op, len(index))
 
@@ -608,7 +614,11 @@ class _Checker:
     def __init__(self, graph: ReachGraph):
         self.g = graph
         self.n = len(graph)
-        self.fire_preds, self.delay_preds = graph.preds
+        self.fire_preds = fire_preds = [[] for _ in graph.succ]  # per node: sources of fire in-edges
+        self.delay_preds = delay_preds = [[] for _ in graph.succ]  # and of delay in-edges
+        for u, outs in enumerate(graph.succ):
+            for t, v in outs:
+                (delay_preds if t < 0 else fire_preds)[v].append(u)
 
     def label(self, plan: Plan) -> list:
         """The satisfying node set of every plan entry, in plan order."""
@@ -632,10 +642,6 @@ class _Checker:
         ``int_high - a`` of the closed-0 until, with ``a = iv.int_low()``,
         behind ``a`` one-delay pre-images."""
         a = iv.int_low()
-        if a > MAX_DELAY_LAYERS:
-            raise HorizonError(
-                f"interval lower bound {a} exceeds the delay-layer limit {MAX_DELAY_LAYERS}"
-            )
         need = [1] * self.n if exists else [len(outs) for outs in self.g.succ]
         counts = need.copy()
         for v in satpsi:
@@ -680,20 +686,18 @@ class _Checker:
         while queue:
             v, c = queue.popleft()
             if v in satpsi and iv.contains(c):
-                labels = []
+                labels, path = step_labels(self.g.net), []
                 cur = (v, c)
                 while parent[cur] is not None:
-                    prev, label = parent[cur]
-                    labels.append(label)
-                    cur = prev
-                return list(reversed(labels))
+                    cur, t = parent[cur]
+                    path.append(labels[t])
+                return path[::-1]
             if v not in satphi:
                 continue
-            for label, w in self.g.succ[v]:
-                c2 = min(c + 1, H) if isinstance(label, Delay) else c
-                nxt = (w, c2)
+            for t, w in self.g.succ[v]:
+                nxt = (w, min(c + 1, H) if t < 0 else c)
                 if nxt not in parent:
-                    parent[nxt] = ((v, c), label)
+                    parent[nxt] = ((v, c), t)
                     queue.append(nxt)
         return None
 
@@ -717,8 +721,8 @@ def check(
     invariant (AG and the response operator in its default reading).
     The least integer of every until interval, which is the number of
     one-delay pre-images in front of its delay layers, may be at most
-    ``MAX_DELAY_LAYERS``; a larger one raises HorizonError. Upper bounds are
-    not limited.
+    ``MAX_DELAY_LAYERS``; ``compile_plan`` raises HorizonError for a larger
+    one. Upper bounds are not limited.
     """
     if not g.complete:
         raise IncompleteGraphError("refusing to check an incomplete graph")

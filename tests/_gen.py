@@ -107,7 +107,10 @@ def random_walk_states(rng: random.Random, net, steps=25):
     return out
 
 
-RefGraph = namedtuple("RefGraph", "states succ complete")
+class RefGraph(namedtuple("RefGraph", "states succ complete")):
+    @property
+    def edges(self):
+        return [(i, label, j) for i, outs in enumerate(self.succ) for label, j in outs]
 
 
 def reference_build(n, lim=ExploreLimits()) -> RefGraph:
@@ -182,20 +185,23 @@ def reference_build(n, lim=ExploreLimits()) -> RefGraph:
 
 def outcome(builder, net, lim):
     """What ``builder`` (``build`` or ``reference_build``) gives under
-    ``lim``: states, succ, complete flag, and the marking of a k-bound stop
-    (None without one), whose partial graph is the one returned."""
+    ``lim``: states, labelled edges, complete flag, and the marking of a
+    k-bound stop (None without one), whose partial graph is the one
+    returned."""
     try:
         g = builder(net, lim)
     except KBoundError as exc:
         g = exc.partial
-        return g.states, g.succ, g.complete, exc.marking
-    return g.states, g.succ, g.complete, None
+        return g.states, g.edges, g.complete, exc.marking
+    return g.states, g.edges, g.complete, None
 
 
 def step_graph(succ) -> ReachGraph:
     """A graph over placeholder keys; ``succ`` lists (label, target) per
-    node. Unlike graphs of nets, these may have dead ends."""
-    return ReachGraph(None, [None] * len(succ), succ)
+    node, stored as int edges: 0 for any Fire, -1 for a Delay. Unlike
+    graphs of nets, these may have dead ends and several delays per node."""
+    ints = [[(-1 if isinstance(label, Delay) else 0, j) for label, j in outs] for outs in succ]
+    return ReachGraph(None, [None] * len(succ), ints)
 
 
 def random_step_graph(rng: random.Random, max_nodes=10, max_out=3, p_delay=0.4):
@@ -222,8 +228,8 @@ def product_until(g: ReachGraph, exists: bool, satphi, iv: TimeInterval, satpsi)
     fire_preds = [[] for _ in range(n)]
     delay_preds = [[] for _ in range(n)]
     for u, outs in enumerate(g.succ):
-        for label, v in outs:
-            (delay_preds if isinstance(label, Delay) else fire_preds)[v].append(u)
+        for t, v in outs:
+            (delay_preds if t < 0 else fire_preds)[v].append(u)
     H = iv.horizon
     accept = range(iv.int_low(), min(iv.int_high(), H) + 1)
     width = H + 1

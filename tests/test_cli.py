@@ -137,6 +137,22 @@ class TestExitCodes:
         assert code == 3
         assert "resource limit" in err
 
+    @pytest.mark.parametrize("command", ["check", "synth"])
+    def test_horizon_limit_exit_three_before_exploring(self, net_file, tmp_path, capsys, monkeypatch, command):
+        # an until lower bound above the delay-layer limit is refused when
+        # the plan is compiled: no graph is built and synth prints no report
+        def no_build(*args):
+            raise AssertionError("a graph was built")
+
+        monkeypatch.setattr("tpnsynth.cli.build", no_build)
+        monkeypatch.setattr("tpnsynth.synthesis.build", no_build)
+        path = tmp_path / "p.tpnet"
+        path.write_text(PARAM_NET)
+        args = [net_file] if command == "check" else [str(path), "--box", "td=0..3", "--jobs", "1"]
+        code, out, err = run(capsys, command, *args, "--formula-text", "EF[100001,100002](M(p2)>=1)")
+        assert (code, out) == (3, "")
+        assert err.startswith("resource limit: interval lower bound 100001")
+
     def test_unknown_formula_place_is_reported_before_exploring(self, tmp_path, capsys):
         # exploring this net would hit the k-bound first (exit 3)
         path = tmp_path / "producer.tpnet"

@@ -21,9 +21,9 @@ from tpnsynth import (
     states_satisfying,
 )
 from tpnsynth.petri import INF, StepTable
-from tpnsynth.semantics import Delay, elapse, fireable_set, fire
+from tpnsynth.semantics import Delay, Fire, elapse, fireable_set, fire
 
-from _gen import outcome, random_concrete_net, random_gmec, random_step_graph, reference_build
+from _gen import outcome, random_concrete_net, random_gmec, reference_build
 
 
 class TestBuild:
@@ -195,21 +195,11 @@ def _graph(net, lim):
         return exc.partial
 
 
-def _inverted(succ, delay: bool) -> list:
-    """Per node, the sources of its in-edges labelled Delay (delay=True)
-    or Fire (delay=False), read off ``succ``: sources ascending, each in
-    its edge order."""
-    return [
-        [u for u, outs in enumerate(succ) for label, w in outs if w == v and isinstance(label, Delay) == delay]
-        for v in range(len(succ))
-    ]
-
-
 class TestMarkingIndex:
     """The net's step table interns the markings: each key starts with the
-    id of its node's marking, Props are evaluated once per marking, and the
-    predecessor lists are ``succ`` inverted. Complete, k-bound partial and
-    cut graphs alike."""
+    id of its node's marking, Props are evaluated once per marking, and
+    every edge is two ints. Complete, k-bound partial and cut graphs
+    alike."""
 
     @settings(max_examples=120, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), k_bound=st.integers(1, 4), max_states=st.integers(1, 40))
@@ -228,13 +218,22 @@ class TestMarkingIndex:
 
     @settings(max_examples=120, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), k_bound=st.integers(1, 4), max_states=st.integers(1, 200))
-    def test_preds_invert_succ_by_label_class(self, seed, k_bound, max_states):
-        rng = random.Random(seed)
-        built = _graph(random_concrete_net(rng), ExploreLimits(k_bound, max_states))
-        for g in (built, random_step_graph(rng)):
-            fire_preds, delay_preds = g.preds
-            assert fire_preds == _inverted(g.succ, False)
-            assert delay_preds == _inverted(g.succ, True)
+    def test_edges_are_int_pairs_with_one_delay_last(self, seed, k_bound, max_states):
+        # per node: fires (t, target) in ascending transition index t, then
+        # at most one delay (-1, target)
+        net = random_concrete_net(random.Random(seed))
+        nt = len(net.transitions)
+        for lim in (ExploreLimits(max_states=3000), ExploreLimits(k_bound, max_states)):
+            g = _graph(net, lim)
+            assert len(g.succ) == len(g.keys)
+            for outs in g.succ:
+                assert all(type(e) is tuple and len(e) == 2 for e in outs)
+                assert all(type(t) is int and type(j) is int and 0 <= j < len(g) for t, j in outs)
+                labels = [t for t, _ in outs]
+                fires = [t for t in labels if t != -1]
+                assert all(0 <= t < nt for t in fires)
+                assert fires == sorted(set(fires))
+                assert labels == fires or labels == fires + [-1]
 
     def test_enabledness_tests_scale_with_markings(self, monkeypatch):
         # fire patches are made once per (marking, transition): wider
@@ -298,5 +297,7 @@ def test_partial_graph_on_k_bound_is_usable():
         build(net, ExploreLimits(k_bound=2))
     partial = exc.value.partial
     assert not partial.complete
-    assert partial.edges is not None  # no unprocessed successor slots
-    assert all(outs is not None for outs in partial.succ)
+    # node 5, whose fire overflows the k-bound, is listed with no out-edge
+    d, t = Delay(1), Fire("t")
+    assert partial.edges == [(0, d, 1), (1, t, 2), (2, d, 3), (3, t, 4), (4, d, 5)]
+    assert len(partial.succ) == len(partial) == 6

@@ -579,6 +579,14 @@ class TestLabelledUntil:
         assert 0 in ch.until(False, phi, TimeInterval(0, INF), psi)
 
 
+def test_check_leaves_no_predecessor_state_on_the_graph(net_a):
+    # the checker derives its predecessor lists and drops them with itself
+    g = build(net_a)
+    assert check(net_a, g, parse_formula("EF[2,3](M(p2)>=1)")).witness
+    assert check(net_a, g, parse_formula("AG[0,inf](M(p1)+M(p2)=1)")).holds
+    assert set(vars(g)) == {"net", "keys", "succ", "complete"}
+
+
 class TestLeadsToModes:
     def test_paper_reading_differs_from_default(self, net_a):
         # antecedent holds initially, consequent is unreachable: the
@@ -598,12 +606,22 @@ class TestLeadsToModes:
 
 class TestHorizonGuards:
     def test_lower_bound_above_horizon_limit(self, net_a):
-        # MAX_DELAY_LAYERS bounds the number of delay layers, the lower bound
+        # MAX_DELAY_LAYERS bounds the number of delay layers, the lower bound;
+        # compile_plan decides it without a graph, for EU and AU, nested or
+        # open at the bottom
         from tpnsynth import HorizonError
 
         g = build(net_a)
         with pytest.raises(HorizonError):
             check(net_a, g, parse_formula("EF[100001,100002](M(p2)>=1)"))
+        for text in (
+            "EF[100001,100002](M(p2)>=1)",
+            "AF[100001,inf](M(p2)>=1)",
+            "AG[0,inf](EF(100000,100001](M(p2)>=1))",
+        ):
+            with pytest.raises(HorizonError):
+                compile_plan(net_a, parse_formula(text))
+        compile_plan(net_a, parse_formula("EF[100000,100001](M(p2)>=1)"))
 
     def test_positive_lower_bound_within_horizon_limit(self, net_a):
         g = build(net_a)
