@@ -274,6 +274,8 @@ class StepTable:
     transition. The initial marking has id 0, and ``start`` holds the
     source of each clock slot of its key (``semantics.bounds``): the slot
     itself where the initial marking enables the transition, else 0.
+    ``props`` caches constraint values for the checker: it maps a ``Gmec``
+    to ``{marking id: 0 or 1}``, values only, so the table still pickles.
     """
 
     def __init__(self, n: Net):
@@ -296,7 +298,7 @@ class StepTable:
             tuple(u for u, r in enumerate(reads) if u == t or any(p in r for p, _ in delta))
             for t, delta in enumerate(self.delta)
         )
-        self.markings, self.mindex, self.patches = [], {}, []
+        self.markings, self.mindex, self.patches, self.props = [], {}, [], {}
         self.intern(tuple(n.initial))
         self.start = tuple([1 + i if self.enabled(n.initial, i % self.nt) else 0 for i in range(2 * self.nt)])
 

@@ -5,11 +5,13 @@ A formula is checked through a plan (``compile_plan``), made once per formula:
 the formula is desugared into its Prop/Not/Implies/EU/AU core, equal
 subformulas are shared, and the result is a postorder tuple of operators,
 plain data that pickles. The checker labels a graph with one node set per
-plan entry in one flat loop, compiling each constraint against the place
-index of the graph's net, so a sweep over many valuations of one net
-desugars its formula once. A constraint is evaluated once per distinct
-marking of the graph and spread to the nodes by the marking id that starts
-each key, in O(markings + V).
+plan entry in one flat loop; a node set is a ``bytes`` of one flag (0 or 1)
+per node, so Not is a ``translate`` and Implies one ``map`` over two sets.
+A constraint is evaluated at most once per marking of the net's step table,
+and cached there (``StepTable.props``), so a sweep over many valuations of one
+net evaluates it once per distinct marking it reaches; each graph spreads
+the values of its own marking ids to its nodes by the id that starts each
+key, in O(new markings + V).
 
 Checking works per temporal operator over the graph, whose fire edges take
 no time and whose delay edges take one unit, in O((a+1)(V+E)) for an
@@ -22,7 +24,9 @@ delay edges into layer t resolve, the counts carrying over. Layers come in
 order of time, so layer t holds the nodes whose earliest (E) or latest (A)
 arrival at psi is t. A node that never resolves -- a dead end, on or leading
 to a psi-avoiding cycle, or outside phi -- never arrives. An until over
-``[0,b]`` holds at layers 0 to b.
+``[0,b]`` holds at layers 0 to b. Over ``[0,inf)`` every layer holds, and
+the resolved set is the least fixpoint of the counts whatever the order, so
+it is resolved in one pass back through fire and delay edges together.
 
 Any other interval, with integers a..b (b may be inf), is that until over
 ``[0, b-a]`` behind a delay pre-images; no layer holds when b < a, as in
@@ -45,6 +49,7 @@ earlier position; the witness position itself need not satisfy phi.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass
 from itertools import compress
@@ -119,19 +124,26 @@ def eval_gmec(m, phi: Gmec) -> bool:
 
 def states_satisfying(g: ReachGraph, phi: Gmec) -> set:
     """Node indices whose marking satisfies the token-count constraint."""
-    return set(_nodes_where(g, phi))
+    return set(compress(range(len(g)), _nodes_where(g, phi)))
 
 
-def _nodes_where(g: ReachGraph, phi: Gmec):
-    """Node indices, ascending, whose marking satisfies the constraint:
-    it is evaluated once per distinct marking of the graph (compiled
-    against the place index of its net) and spread to the nodes by the
-    marking id that starts each key. Only the graph's own ids are read:
-    the net's table also holds markings of other builds and State calls."""
-    holds, markings = compile_gmec(g.net.place_index, phi), g.net.steps.markings
+def _nodes_where(g: ReachGraph, phi: Gmec) -> bytes:
+    """One flag per node: 1 where its marking satisfies the constraint.
+    Values come from ``StepTable.props``, the net's cache of constraint
+    values per marking id; only the graph's own ids not cached yet are
+    evaluated, and only the graph's own ids are read: the table also holds
+    markings of other builds and State calls. The constraint is compiled
+    against the place index of the net on its first sight in the table, so
+    an unknown place raises InputError even on a graph without nodes."""
+    tab = g.net.steps
     mids = [key[0] for key in g.keys]
-    hit = {mid: holds(markings[mid]) for mid in set(mids)}
-    return compress(range(len(g)), map(hit.__getitem__, mids))
+    hit = tab.props.get(phi)
+    new = set(mids).difference(hit or ())
+    if hit is None or new:
+        holds, markings = compile_gmec(g.net.place_index, phi), tab.markings
+        hit = tab.props.setdefault(phi, {})
+        hit.update((mid, holds(markings[mid])) for mid in new)
+    return bytes(map(hit.__getitem__, mids))
 
 
 # ---------------------------------------------------------------------------
@@ -610,6 +622,9 @@ def compile_plan(n: Net, phi: Formula, leadsto: str = "ag") -> Plan:
     return Plan(tuple(index))
 
 
+FLIP = bytes.maketrans(b"\0\1", b"\1\0")  # complements a node set of flags
+
+
 class _Checker:
     def __init__(self, graph: ReachGraph):
         self.g = graph
@@ -619,63 +634,77 @@ class _Checker:
         for u, outs in enumerate(graph.succ):
             for t, v in outs:
                 (delay_preds if t < 0 else fire_preds)[v].append(u)
+        self.outdeg = list(map(len, graph.succ))  # per node: the out-edges an AU needs resolved
 
     def label(self, plan: Plan) -> list:
-        """The satisfying node set of every plan entry, in plan order."""
-        every = frozenset(range(self.n))
+        """The node set of every plan entry, in plan order, as one flag
+        (0 or 1) per node in a ``bytes``."""
         sat = []
         for op in plan.ops:
             kind = op[0]
             if kind is Prop:
-                out = frozenset(_nodes_where(self.g, op[1]))
+                out = _nodes_where(self.g, op[1])
             elif kind is Not:
-                out = every - sat[op[1]]
+                out = sat[op[1]].translate(FLIP)
             elif kind is Implies:
-                out = (every - sat[op[1]]) | sat[op[2]]
+                out = bytes(map(operator.or_, sat[op[1]].translate(FLIP), sat[op[2]]))
             else:
                 out = self.until(kind is EU, sat[op[1]], op[2], sat[op[3]])
             sat.append(out)
         return sat
 
-    def until(self, exists: bool, satphi, iv: TimeInterval, satpsi) -> frozenset:
-        """Nodes satisfying E (exists) or A phi U_iv psi: delay layers 0 to
-        ``int_high - a`` of the closed-0 until, with ``a = iv.int_low()``,
-        behind ``a`` one-delay pre-images."""
-        a = iv.int_low()
-        need = [1] * self.n if exists else [len(outs) for outs in self.g.succ]
+    def until(self, exists: bool, satphi: bytes, iv: TimeInterval, satpsi: bytes) -> bytes:
+        """Flags of the nodes satisfying E (exists) or A phi U_iv psi: delay
+        layers 0 to ``int_high - a`` of the closed-0 until, with ``a =
+        iv.int_low()``, behind ``a`` one-delay pre-images. An unbounded
+        interval takes every layer, resolved in one pass."""
+        a, n = iv.int_low(), self.n
+        fire_preds, delay_preds = self.fire_preds, self.delay_preds
+        need = [1] * n if exists else self.outdeg
         counts = need.copy()
-        for v in satpsi:
+        psi = list(compress(range(n), satpsi))
+        for v in psi:
             counts[v] = 0
-        layer = list(satpsi)
-        layer += self._resolve(satphi, counts, [u for v in satpsi for u in self.fire_preds[v]])
-        out, t, span = [], 0, iv.int_high() - a
-        while layer and t <= span:  # layer t: the nodes that arrive at psi at time t
-            out += layer
-            t += 1
-            layer = self._resolve(satphi, counts, [u for v in layer for u in self.delay_preds[v]])
+        sources = [u for v in psi for u in fire_preds[v]]
+        span = iv.int_high() - a
+        if span == INF:  # every layer holds: one pass back through both kinds of edge
+            out = psi + self._resolve(satphi, counts, sources + [u for v in psi for u in delay_preds[v]], True)
+        else:
+            out, t, layer = [], 0, psi + self._resolve(satphi, counts, sources)
+            while layer and t <= span:  # layer t: the nodes that arrive at psi at time t
+                out += layer
+                t += 1
+                layer = self._resolve(satphi, counts, [u for v in layer for u in delay_preds[v]])
         for _ in range(a):
-            out = self._resolve(satphi, need.copy(), [u for v in out for u in self.delay_preds[v]])
-        return frozenset(out)
+            out = self._resolve(satphi, need.copy(), [u for v in out for u in delay_preds[v]])
+        flags = bytearray(n)
+        for v in out:
+            flags[v] = 1
+        return bytes(flags)
 
-    def _resolve(self, satphi, counts, sources) -> list:
+    def _resolve(self, satphi: bytes, counts, sources, delays=False) -> list:
         """The phi-nodes that the out-edges in ``sources`` (one entry per
-        edge) resolve, directly or back through fire edges. ``counts[u]`` is
-        how many more of u's out-edges must resolve before u does; a node
-        resolves once, when it reaches 0."""
+        edge) resolve, directly or back through fire edges, and through
+        delay edges too when ``delays``. ``counts[u]`` is how many more of
+        u's out-edges must resolve before u does; a node resolves once,
+        when it reaches 0."""
+        fire_preds, delay_preds = self.fire_preds, self.delay_preds
         resolved = []
         while sources:
             u = sources.pop()
             counts[u] -= 1
-            if counts[u] == 0 and u in satphi:
+            if counts[u] == 0 and satphi[u]:
                 resolved.append(u)
-                sources += self.fire_preds[u]
+                sources += fire_preds[u]
+                if delays:
+                    sources += delay_preds[u]
         return resolved
 
     def witness_eu(self, plan: Plan, sat: list, i: int) -> Optional[list]:
         """Shortest label path showing the existential until of plan entry
         i at the initial node, given the labels ``sat`` of the plan; all
         pre-target positions satisfy the left operand."""
-        if self.g.initial not in sat[i]:
+        if not sat[i][self.g.initial]:
             return None
         _, left, iv, right = plan.ops[i]
         satphi, satpsi = sat[left], sat[right]
@@ -685,14 +714,14 @@ class _Checker:
         queue = deque([start])
         while queue:
             v, c = queue.popleft()
-            if v in satpsi and iv.contains(c):
+            if satpsi[v] and iv.contains(c):
                 labels, path = step_labels(self.g.net), []
                 cur = (v, c)
                 while parent[cur] is not None:
                     cur, t = parent[cur]
                     path.append(labels[t])
                 return path[::-1]
-            if v not in satphi:
+            if not satphi[v]:
                 continue
             for t, w in self.g.succ[v]:
                 nxt = (w, min(c + 1, H) if t < 0 else c)
@@ -712,9 +741,10 @@ def check(
 
     ``phi`` is a formula, compiled here under the ``leadsto`` reading, or a
     plan compiled once by ``compile_plan``, which carries its own reading
-    and ignores ``leadsto``. The plan is labelled bottom-up, one set of
-    nodes per entry, its constraints compiled against the places of the
-    graph's net; a constraint on a place that net lacks raises InputError.
+    and ignores ``leadsto``. The plan is labelled bottom-up, one node set
+    of flags per entry, its constraints compiled against the places of the
+    graph's net and their values cached in the net's step table; a
+    constraint on a place that net lacks raises InputError.
 
     Returns a witness trace for a holding top-level existential until (EF
     included) and a counterexample trace for a failing top-level universal
@@ -730,7 +760,7 @@ def check(
     checker = _Checker(g)
     sat = checker.label(plan)
     root = len(plan.ops) - 1
-    holds = g.initial in sat[root]
+    holds = bool(sat[root][g.initial])
     op = plan.ops[root]
     witness = None
     if op[0] is EU and holds:

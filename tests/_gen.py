@@ -92,6 +92,28 @@ def random_parametric_net(rng: random.Random):
     return make_net(places, transitions, parameters=params, constraints=constraints)
 
 
+def random_race_net(rng: random.Random):
+    """Two to four transitions race for the token on ``race``, each into its
+    own place and some back again, over intervals with parameter bounds:
+    which markings a graph reaches may depend on the valuation."""
+    params = ["q0", "q1"]
+    n_racers = rng.randint(2, 4)
+    places = [("race", 1)] + [(f"w{i}", 0) for i in range(n_racers)]
+
+    def interval():
+        lo, hi = (rng.choice(params) if rng.random() < 0.5 else rng.randint(0, 5) for _ in range(2))
+        if isinstance(lo, int) and isinstance(hi, int) and lo > hi:
+            lo, hi = hi, lo
+        return lo, hi
+
+    transitions = {}
+    for i in range(n_racers):
+        transitions[f"win{i}"] = {"pre": {"race": 1}, "post": {f"w{i}": 1}, "interval": interval()}
+        if rng.random() < 0.6:
+            transitions[f"back{i}"] = {"pre": {f"w{i}": 1}, "post": {"race": 1}, "interval": interval()}
+    return make_net(places, transitions, parameters=params)
+
+
 def random_walk_states(rng: random.Random, net, steps=25):
     """States sampled along one random unit-step run."""
     from tpnsynth import initial_state, successors

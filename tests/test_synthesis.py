@@ -22,7 +22,7 @@ from tpnsynth import (
     parse_formula,
     parse_gmec,
 )
-from tpnsynth import semantics, synthesis
+from tpnsynth import semantics, synthesis, tctl
 from tpnsynth.petri import implicit_domain
 from tpnsynth.synthesis import (
     SynthesisProblem,
@@ -228,6 +228,32 @@ class TestSynthesize:
         assert res.explored == 20 and res.failures and res.satisfying
         assert len(made) == len(set(made))
         assert len(made) == sum(patch is not None for row in problem.net.steps.patches for patch in row)
+
+    def test_a_box_evaluates_each_constraint_once_per_marking(self, monkeypatch):
+        # constraint values are cached per marking id in the net's table, so
+        # a sweep evaluates a (constraint, marking) pair once, k-bound stops
+        # included, and every evaluation is one cache entry
+        evaluated = []
+        compile_gmec = tctl.compile_gmec
+
+        def counting(index, phi):
+            holds = compile_gmec(index, phi)
+
+            def count(m):
+                evaluated.append((phi, m))
+                return holds(m)
+
+            return count
+
+        monkeypatch.setattr(tctl, "compile_gmec", counting)
+        phi = parse_formula("E (M(p) <= 3) U[0,8] (M(a)+M(b)+M(p)=0)")
+        problem = SynthesisProblem(_two_sources(), phi, {"g": (1, 4), "e": (0, 4)}, ExploreLimits(2, 5000))
+        res = synthesize(problem, jobs=1)
+        assert res.explored == 20 and res.failures and res.satisfying
+        assert len(evaluated) == len(set(evaluated))
+        props = problem.net.steps.props
+        assert len(props) == 2  # one entry per constraint of the formula
+        assert len(evaluated) == sum(len(values) for values in props.values())
 
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_fewer_than_one_job_is_an_input_error(self, param_net, jobs):

@@ -46,6 +46,7 @@ from _gen import (
     random_concrete_net,
     random_formula,
     random_parametric_net,
+    random_race_net,
     random_response,
     random_step_graph,
     step_graph,
@@ -403,6 +404,35 @@ class TestPlan:
             assert check(c, g, plan) == check(c, g, phi, leadsto=leadsto)
         assert pickle.loads(pickle.dumps(plan)) == plan
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_a_warm_table_checks_as_a_cold_one(self, seed):
+        # instances share their net's table and its cached constraint values;
+        # an unpickled copy of the net made before any table starts cold. In
+        # a race net, a later valuation may reach markings no earlier one did
+        rng = random.Random(seed)
+        net = (random_race_net if rng.random() < 2 / 3 else random_parametric_net)(rng)
+        blob = pickle.dumps(net)
+        places = list(net.places)
+        plans = [compile_plan(net, random_formula(rng, places, depth=2, max_bound=4)) for _ in range(3)]
+        box = {p: (0, 4) for p in net.parameters}
+        vals = list(enumerate_valuations(implicit_domain(net), box, order=net.parameters))
+        for v in rng.sample(vals, min(8, len(vals))):
+            warm = instantiate(net, v)
+            try:
+                g = build(warm, ExploreLimits(k_bound=3, max_states=2000))
+            except KBoundError:
+                continue
+            if not g.complete:
+                continue
+            copy = pickle.loads(blob)
+            assert "steps" not in vars(copy)
+            cold = instantiate(copy, v)
+            cold_g = build(cold, ExploreLimits(k_bound=3, max_states=2000))
+            for plan in plans:  # every node's labels, and then the verdict and witness
+                assert _Checker(g).label(plan) == _Checker(cold_g).label(plan)
+                assert check(warm, g, plan) == check(cold, cold_g, plan)
+
     def test_equal_subformulas_share_one_entry(self, net_a):
         plan = compile_plan(net_a, parse_formula("EF[0,2](M(p2)>=1) | (M(p1)>=1 & EF[0,2](M(p2)>=1))"))
         assert sum(op[0] is EU for op in plan.ops) == 1
@@ -460,9 +490,18 @@ F, D = Fire("t"), Delay()
 ZERO_TO = [TimeInterval(0, 0), TimeInterval(0, 3), TimeInterval(0, 3, True, False), TimeInterval(0, INF)]
 
 
+def _until(ch, exists, phi, iv, psi) -> frozenset:
+    """``ch.until`` on node sets: phi and psi become one flag per node, and
+    the flags it returns become the set of flagged nodes."""
+    flags = [bytes(v in s for v in range(ch.n)) for s in (phi, psi)]
+    out = ch.until(exists, flags[0], iv, flags[1])
+    assert type(out) is bytes and len(out) == ch.n and set(out) <= {0, 1}
+    return frozenset(v for v, f in enumerate(out) if f)
+
+
 def _until_all(ch, exists, phi, psi):
     """The labelled result for every interval in ZERO_TO."""
-    return [ch.until(exists, phi, iv, psi) for iv in ZERO_TO]
+    return [_until(ch, exists, phi, iv, psi) for iv in ZERO_TO]
 
 
 def _intervals(rng):
@@ -499,7 +538,7 @@ class TestLabelledUntil:
                 psi = frozenset(v for v in nodes if rng.random() < 0.25)
                 for iv in _intervals(rng):
                     for exists in (True, False):
-                        assert ch.until(exists, phi, iv, psi) == product_until(g, exists, phi, iv, psi)
+                        assert _until(ch, exists, phi, iv, psi) == product_until(g, exists, phi, iv, psi)
                         shifted += iv.int_low() > 0
         assert shifted >= 20_000
 
@@ -512,7 +551,7 @@ class TestLabelledUntil:
                 psi = frozenset(v for v in range(len(g)) if rng.random() < 0.15)
                 for iv in rng.sample(_intervals(rng), 4):
                     for exists in (True, False):
-                        assert ch.until(exists, phi, iv, psi) == product_until(g, exists, phi, iv, psi)
+                        assert _until(ch, exists, phi, iv, psi) == product_until(g, exists, phi, iv, psi)
 
     def test_au_fails_on_zero_time_cycle_avoiding_psi(self):
         # 0 and 1 fire back and forth forever; only a delay from 0 reaches 2
@@ -541,8 +580,8 @@ class TestLabelledUntil:
         g = step_graph(succ)
         ch = _Checker(g)
         phi, psi = frozenset(range(4)), frozenset({4})
-        assert ch.until(True, phi, TimeInterval(0, 0), psi) == frozenset({1, 2, 3, 4})
-        assert ch.until(True, phi, TimeInterval(0, 1), psi) == frozenset(range(5))
+        assert _until(ch, True, phi, TimeInterval(0, 0), psi) == frozenset({1, 2, 3, 4})
+        assert _until(ch, True, phi, TimeInterval(0, 1), psi) == frozenset(range(5))
         assert product_until(g, True, phi, TimeInterval(0, 0), psi) == frozenset({1, 2, 3, 4})
 
     def test_eu_needs_psi_inside_a_positive_lower_bound(self):
@@ -550,14 +589,14 @@ class TestLabelledUntil:
         ch = _Checker(step_graph([[(D, 1)], [(D, 2)], [(D, 3)], [(D, 3)]]))
         every = frozenset(range(4))
         early = frozenset({0, 1})  # psi at times 0 and 1 only
-        assert 0 not in ch.until(True, every, TimeInterval(2, 2), early)
-        assert 0 in ch.until(True, every, TimeInterval(1, 1), early)
+        assert 0 not in _until(ch, True, every, TimeInterval(2, 2), early)
+        assert 0 in _until(ch, True, every, TimeInterval(1, 1), early)
         late = frozenset({3})  # psi from time 3 on
-        assert 0 not in ch.until(True, every, TimeInterval(2, 2), late)
-        assert 0 in ch.until(True, every, TimeInterval(3, 3), late)
+        assert 0 not in _until(ch, True, every, TimeInterval(2, 2), late)
+        assert 0 in _until(ch, True, every, TimeInterval(3, 3), late)
         # psi at time 2, but the node that delays into it at time 1 is not phi
-        assert 0 in ch.until(True, every, TimeInterval(2, 2), frozenset({2}))
-        assert 0 not in ch.until(True, frozenset({0, 2, 3}), TimeInterval(2, 2), frozenset({2}))
+        assert 0 in _until(ch, True, every, TimeInterval(2, 2), frozenset({2}))
+        assert 0 not in _until(ch, True, frozenset({0, 2, 3}), TimeInterval(2, 2), frozenset({2}))
 
     def test_au_fails_on_zero_time_cycle_before_the_lower_bound(self):
         # at time 1, node 1 may fire to 2 and back forever; its delay reaches
@@ -565,18 +604,18 @@ class TestLabelledUntil:
         succ = [[(D, 1)], [(F, 2), (D, 3)], [(F, 1)], [(D, 3)]]
         ch = _Checker(step_graph(succ))
         phi, psi = frozenset(range(3)), frozenset({3})
-        assert 0 not in ch.until(False, phi, TimeInterval(2, 3), psi)
-        assert 0 in ch.until(True, phi, TimeInterval(2, 3), psi)
+        assert 0 not in _until(ch, False, phi, TimeInterval(2, 3), psi)
+        assert 0 in _until(ch, True, phi, TimeInterval(2, 3), psi)
         acyclic = _Checker(step_graph([[(D, 1)], [(F, 2), (D, 3)], [(D, 3)], [(D, 3)]]))
-        assert 0 in acyclic.until(False, phi, TimeInterval(2, 3), psi)
+        assert 0 in _until(acyclic, False, phi, TimeInterval(2, 3), psi)
 
     def test_au_fails_at_dead_end_before_the_lower_bound(self):
         # 0 may fire into dead end 1 at time 0 or delay into 2
         ch = _Checker(step_graph([[(F, 1), (D, 2)], [], [(D, 2)]]))
         phi, psi = frozenset(range(3)), frozenset({1, 2})
-        assert 0 not in ch.until(False, phi, TimeInterval(1, INF), psi)
-        assert 0 in ch.until(True, phi, TimeInterval(1, INF), psi)
-        assert 0 in ch.until(False, phi, TimeInterval(0, INF), psi)
+        assert 0 not in _until(ch, False, phi, TimeInterval(1, INF), psi)
+        assert 0 in _until(ch, True, phi, TimeInterval(1, INF), psi)
+        assert 0 in _until(ch, False, phi, TimeInterval(0, INF), psi)
 
 
 def test_check_leaves_no_predecessor_state_on_the_graph(net_a):
@@ -642,6 +681,47 @@ class TestHorizonGuards:
         g = build(net_a)
         with pytest.raises(InputError):
             states_satisfying(g, pg("M(nope) >= 1"))
+
+
+class TestPropCache:
+    def test_unknown_place_fails_on_a_graph_without_nodes(self):
+        # the initial marking exceeds the k-bound: the partial graph has no
+        # node, and the constraint is still compiled on its first sight
+        from tpnsynth import states_satisfying
+
+        net = instantiate(make_net([("p", 3)], {"t": {"pre": {"p": 1}, "interval": (1, 1)}}), {})
+        with pytest.raises(KBoundError) as exc:
+            build(net, ExploreLimits(k_bound=2))
+        partial = exc.value.partial
+        assert len(partial) == 0
+        assert states_satisfying(partial, parse_gmec("M(p) >= 1")) == set()
+        for _ in range(2):  # a failed compile leaves nothing cached
+            with pytest.raises(InputError, match="nope"):
+                states_satisfying(partial, parse_gmec("M(nope) >= 1"))
+
+    def test_a_check_caches_only_its_graph_own_markings(self):
+        # with x = 1 the token must go to q by time 1; with x = 5 it may go
+        # to q or, at time 3, to r, a marking the x = 1 graph never reaches
+        net = make_net(
+            [("p", 1), ("q", 0), ("r", 0)],
+            {
+                "fast": {"pre": {"p": 1}, "post": {"q": 1}, "interval": (0, "x")},
+                "slow": {"pre": {"p": 1}, "post": {"r": 1}, "interval": (3, 3)},
+            },
+            parameters=["x"],
+        )
+        tab, r = net.steps, parse_gmec("M(r) >= 1")
+        narrow, wide = instantiate(net, {"x": 1}), instantiate(net, {"x": 5})
+        g = build(narrow)
+        own = {key[0] for key in g.keys}
+        assert not check(narrow, g, parse_formula("EF[0,inf](M(r)>=1)")).holds
+        assert set(tab.props[r]) == own and len(own) == 2
+        # the wide graph brings one more marking, evaluated on top of the cache
+        assert check(wide, build(wide), parse_formula("EF[0,inf](M(r)>=1)")).holds
+        assert set(tab.props[r]) == set(range(3)) == set(tab.props[TRUE_GMEC])
+        # a new constraint on the narrow graph reads only its own two ids
+        assert check(narrow, g, parse_formula("EF[0,1](M(q)>=1)")).holds
+        assert set(tab.props[parse_gmec("M(q) >= 1")]) == own
 
 
 class TestZenoLoop:
