@@ -259,23 +259,20 @@ class StepTable:
 
     * ``need[t]``: (place, max(pre, read)) pairs with a positive weight;
     * ``inhibit[t]``: (place, threshold) pairs of its inhibitor arcs;
-    * ``delta[t]``: (place, post - pre) pairs where the change is nonzero;
-    * ``affected[t]``: sorted indices of t itself and of every transition
-      whose guard reads a place in ``delta[t]``; firing t can change the
-      enabledness of no other transition.
+    * ``delta[t]``: (place, post - pre) pairs where the change is nonzero.
 
     Nothing in a table depends on a valuation, so every instance of a
     parametric net (``instantiate``) steps on the net's own table, which is
     built, and the net validated, once.
 
     The table also interns the markings its net reaches: ``markings[id]``
-    is a marking tuple, ``mindex`` maps it back to its id, and
-    ``patches[id]`` caches one bound-free ``semantics.fire_patch`` per
-    transition. The initial marking has id 0, and ``start`` holds the
-    source of each clock slot of its key (``semantics.bounds``): the slot
-    itself where the initial marking enables the transition, else 0.
-    ``props`` caches constraint values for the checker: it maps a ``Gmec``
-    to ``{marking id: 0 or 1}``, values only, so the table still pickles.
+    is a marking tuple, ``mindex`` maps it back to its id,
+    ``enabled_at[id]`` holds the sorted indices of the transitions it
+    enables, tested once, on first sight, and ``patches[id]`` caches one
+    bound-free ``semantics.fire_patch`` per transition. The initial
+    marking has id 0. ``props`` caches constraint values for the checker:
+    it maps a ``Gmec`` to ``{marking id: 0 or 1}``, values only, so the
+    table still pickles.
     """
 
     def __init__(self, n: Net):
@@ -293,21 +290,17 @@ class StepTable:
             tuple((p, post[p] - pre[p]) for p in places if post[p] != pre[p])
             for pre, post in zip(n.pre, n.post)
         )
-        reads = [{p for p, _ in need + inh} for need, inh in zip(self.need, self.inhibit)]
-        self.affected = tuple(
-            tuple(u for u, r in enumerate(reads) if u == t or any(p in r for p, _ in delta))
-            for t, delta in enumerate(self.delta)
-        )
-        self.markings, self.mindex, self.patches, self.props = [], {}, [], {}
+        self.markings, self.mindex, self.enabled_at, self.patches, self.props = [], {}, [], [], {}
         self.intern(tuple(n.initial))
-        self.start = tuple([1 + i if self.enabled(n.initial, i % self.nt) else 0 for i in range(2 * self.nt)])
 
     def intern(self, m: tuple) -> int:
-        """The id of marking tuple m, given on first sight."""
+        """The id of marking tuple m, given, and its transitions tested,
+        on first sight."""
         mid = self.mindex.get(m)
         if mid is None:
             mid = self.mindex[m] = len(self.markings)
             self.markings.append(m)
+            self.enabled_at.append(tuple([t for t in range(self.nt) if self.enabled(m, t)]))
             self.patches.append([None] * self.nt)
         return mid
 
@@ -473,16 +466,11 @@ def newly_enabled_set(n: Net, m: Marking, fired: str) -> set:
     transition or not enabled at m."""
     if fired not in n.transition_index:
         raise InputError(f"unknown transition {fired!r}")
-    tab = n.steps
-    fi = n.transition_index[fired]
-    if not tab.enabled(m, fi):
+    before = enabled_set(n, m)
+    if fired not in before:
         raise PreconditionError(f"transition {fired!r} is not enabled at {m}")
-    m2 = fire_marking(n, m, fi)
-    return {
-        n.transitions[u]
-        for u in tab.affected[fi]
-        if tab.enabled(m2, u) and (u == fi or not tab.enabled(m, u))
-    }
+    after = enabled_set(n, fire_marking(n, m, n.transition_index[fired]))
+    return (after - before) | ({fired} & after)
 
 
 def validate_net(n: Net) -> list:

@@ -13,12 +13,13 @@ each transition's remaining low bound, then each remaining high bound, with
 -1 for a disabled transition's slots and for an unbounded high; an
 instance's static ``bounds`` have the same shape. Firing t depends on the
 marking alone: ``fire_patch`` turns a (marking, transition) pair into the
-successor's marking id and bound-free slot writes, re-testing only the
-transitions whose guard reads a changed place; a unit delay lowers every
-positive bound by one. ``successor_keys``, the one successor function of
-the explorer (``statespace.build``) and the State API alike, applies the
-patches, cached per marking id, with an instance's bounds, and the delay,
-numbered -1 in the same idiom as a disabled slot.
+successor's marking id and bound-free slot writes, read off both markings'
+enabled transitions, tested once per marking when the table interns it
+(``StepTable.enabled_at``); a unit delay lowers every positive bound by
+one. ``successor_keys``, the one successor function of the explorer
+(``statespace.build``) and the State API alike, reads only the transitions
+its key's marking enables: it applies the patches, cached per marking id,
+with an instance's bounds, and the delay, numbered -1 like a disabled slot.
 ``initial_state``, ``successors``, ``fire`` and ``elapse`` pack their State
 argument, step, and turn the resulting keys back into States with
 ``materialise``, which shares one TimeInterval per distinct (low, high).
@@ -29,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .errors import PreconditionError, TimeOverrunError
+from .errors import InputError, PreconditionError, TimeOverrunError
 from .petri import INF, ConcreteNet, Marking, StepTable, TimeInterval
 
 
@@ -106,11 +107,11 @@ def fireable_set(n: ConcreteNet, s: State) -> set:
 
 def fire(n: ConcreteNet, s: State, t: str) -> State:
     ti = n.transition_index[t]
-    c = s.clocks[ti]
-    if c is None or c.low != 0:
+    tab, b = n.steps, bounds(n)
+    key = _key(tab, s)
+    if key[1 + ti]:  # disabled (-1) or still waiting
         raise PreconditionError(f"transition {t!r} is not fireable")
-    tab = n.steps
-    return materialise(tab, [dict(successor_keys(tab, bounds(n), _key(tab, s)))[ti]])[0]
+    return materialise(tab, [dict(successor_keys(tab, b, key))[ti]])[0]
 
 
 def successors(n: ConcreteNet, s: State):
@@ -145,63 +146,78 @@ def replay(n: ConcreteNet, labels) -> list:
 # ---------------------------------------------------------------------------
 # Packed states (layout in the module docstring). Keys reached from
 # ``initial_key`` keep the invariant that a transition has a clock iff the
-# marking enables it; ``fire_patch`` relies on it.
+# marking enables it; ``successor_keys`` relies on it, and ``_key`` checks
+# it for a State given from outside.
 
 
 def bounds(n: ConcreteNet) -> tuple:
     """The static bounds of an instance in key shape: -1, every low, then
     every high, -1 for an infinite one."""
+    if not isinstance(n, ConcreteNet):
+        raise InputError("a parametric net has no states: step instantiate(net, valuation)")
     ivs = n.intervals
     return (-1,) + tuple([iv.low for iv in ivs]) + tuple([-1 if iv.unbounded else iv.high for iv in ivs])
 
 
 def initial_key(n: ConcreteNet, b: tuple) -> tuple:
-    """The initial key under the instance's bounds ``b``."""
-    return (0,) + tuple([b[src] for src in n.steps.start])
+    """The initial key under the instance's bounds ``b``: the initial
+    marking has id 0, and -1 fills the slots of the transitions it disables."""
+    nt, on = n.steps.nt, n.steps.enabled_at[0]
+    return (0,) + tuple([b[i] if (i - 1) % nt in on else -1 for i in range(1, 1 + 2 * nt)])
 
 
-def fire_patch(tab: StepTable, m: tuple, t: int) -> tuple:
-    """Firing t, enabled in marking m, as (successor marking id, writes)
-    that turn every key with marking m into its t-successor under any
-    bounds b: a write (slot, source) sets the slot to b[source], 0 (-1) for
-    both clock slots of each transition t disables and the slot itself for
-    those of t and of each transition t newly enables; every other slot
-    keeps its value. Only ``affected[t]`` is re-tested: no other
-    transition's guard reads a changed place."""
-    nt, enabled = tab.nt, tab.enabled
-    m2 = list(m)
+def fire_patch(tab: StepTable, mid: int, t: int) -> tuple:
+    """Firing t, enabled in the marking of id mid, as (successor marking
+    id, writes) that turn every key with that marking into its t-successor
+    under any bounds b: a write (slot, source) sets the slot to b[source],
+    0 (-1) for both clock slots of each transition t disables and the slot
+    itself for those of t and of each transition t newly enables; every
+    other slot keeps its value. Which are which is read off the two
+    markings' ``enabled_at``, with no enabledness test."""
+    nt = tab.nt
+    m2 = list(tab.markings[mid])
     for p, d in tab.delta[t]:
         m2[p] += d
+    mid2 = tab.intern(tuple(m2))
+    on, on2 = tab.enabled_at[mid], tab.enabled_at[mid2]
     writes = []
-    for u in tab.affected[t]:
-        if not enabled(m2, u):
+    for u in sorted({*on, *on2}):
+        if u not in on2:
             writes += ((1 + u, 0), (1 + nt + u, 0))
-        elif u == t or not enabled(m, u):
+        elif u == t or u not in on:
             writes += ((1 + u, 1 + u), (1 + nt + u, 1 + nt + u))
-    return tab.intern(tuple(m2)), writes
+    return mid2, writes
 
 
 def successor_keys(tab: StepTable, b: tuple, key: tuple) -> list:
     """(transition index, key) per successor of a key under the instance's
     bounds ``b``: fires in transition order, each the key under its
     ``fire_patch`` (made once per marking id and transition, for every
-    instance), then the unit delay, indexed -1."""
-    nt = tab.nt
-    row = tab.patches[key[0]]
-    out = []
-    for t in range(nt):
-        if key[1 + t]:  # disabled (-1) or still waiting
+    instance), then the unit delay, indexed -1. Only the transitions the
+    key's marking enables are read."""
+    mid, hi = key[0], 1 + tab.nt
+    on, row = tab.enabled_at[mid], tab.patches[mid]
+    out, urgent = [], False
+    for t in on:
+        if key[1 + t]:  # still waiting
             continue
         patch = row[t]
         if patch is None:
-            patch = row[t] = fire_patch(tab, tab.markings[key[0]], t)
+            patch = row[t] = fire_patch(tab, mid, t)
         k = list(key)
         k[0], writes = patch
         for slot, src in writes:
             k[slot] = b[src]
         out.append((t, tuple(k)))
-    if 0 not in key[1 + nt :]:
-        out.append((-1, delay_key(key)))
+        urgent = urgent or not key[hi + t]  # a high of 0 (its low is 0 too) refuses the delay
+    if not urgent:
+        k = list(key)
+        for t in on:
+            if k[1 + t]:
+                k[1 + t] -= 1
+            if k[hi + t] > 0:
+                k[hi + t] -= 1
+        out.append((-1, tuple(k)))
     return out
 
 
@@ -212,9 +228,18 @@ def delay_key(key: tuple, d: int = 1) -> tuple:
 
 
 def _key(tab: StepTable, s: State) -> tuple:
-    clocks = s.clocks
+    """The key of a State; PreconditionError, with nothing interned, when
+    its marking has the wrong length or a negative count, or its clocks
+    are not those of the transitions the marking enables."""
+    m, clocks = tuple(s.marking), s.clocks
+    if len(m) != tab.np or min(m, default=0) < 0 or len(clocks) != tab.nt:
+        raise PreconditionError(f"marking {m} with {len(clocks)} clocks is not a state of the net")
+    mid = tab.mindex.get(m)
+    on = tab.enabled_at[mid] if mid is not None else tuple([t for t in range(tab.nt) if tab.enabled(m, t)])
+    if tuple([t for t, c in enumerate(clocks) if c is not None]) != on:
+        raise PreconditionError(f"the clocks of a state at {m} are not those of the transitions {m} enables")
     return (
-        (tab.intern(tuple(s.marking)),)
+        (tab.intern(m),)
         + tuple([-1 if c is None else c.low for c in clocks])
         + tuple([-1 if c is None or c.unbounded else c.high for c in clocks])
     )

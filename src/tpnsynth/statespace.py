@@ -13,14 +13,15 @@ step table; ``ReachGraph.states`` materialises ``State`` objects when first
 read.
 
 A graph has many clock nodes per marking, and the successors come from
-``semantics.successor_keys``, which makes the bound-free fire patch of each
-(marking, transition) pair once per net, for all its instances: a node's
-fire successor is a copy of its key with the patch written in, with no
-enabledness test, so that work grows with the markings, not with the
-nodes. The table outlives a build, so each build tests its own k-bound,
-once per marking it reaches. The checker reads the markings through the
-table by id, and derives its own predecessor lists from ``succ``; the graph
-keeps none.
+``semantics.successor_keys``, which reads only the transitions the node's
+marking enables and makes the bound-free fire patch of each (marking,
+transition) pair once per net, for all its instances: a node's fire
+successor is a copy of its key with the patch written in, with no
+enabledness test, so that enabledness work grows with the markings, and a
+node's work with its enabled transitions, not with the net. The table
+outlives a build, so each build tests its own k-bound, once per marking it
+reaches. The checker reads the markings through the table by id, and
+derives its own predecessor lists from ``succ``; the graph keeps none.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from tpnsynth import (
     max_elapse,
     successors,
 )
-from tpnsynth.semantics import Delay, Fire
+from tpnsynth.semantics import Delay, Fire, State
 
 from _gen import random_concrete_net, random_walk_states
 
@@ -150,6 +150,41 @@ class TestFire:
                     for k in range(len(net.places)):
                         assert s2.marking[k] == s.marking[k] - net.pre[i][k] + net.post[i][k]
                         assert s2.marking[k] >= 0
+
+
+class TestMalformedStates:
+    """A State that is not one of the net's is refused with
+    PreconditionError before anything is interned in the net's table."""
+
+    @pytest.mark.parametrize(
+        "marking, clocks",
+        [
+            ((1, 0), (TimeInterval(0, 1), TimeInterval(0, 1))),  # u clocked, not enabled
+            ((1, 0), (None, None)),  # t enabled, not clocked
+            ((1, 0), (TimeInterval(0, 1),)),  # one clock short
+            ((2, -1), (TimeInterval(0, 1), None)),  # a negative count
+            ((1,), (TimeInterval(0, 1), None)),  # a short marking
+        ],
+    )
+    def test_refused_before_interning(self, marking, clocks):
+        net = concrete(
+            [("p", 1), ("q", 0)],
+            {
+                "t": {"pre": {"p": 1}, "post": {"q": 1}, "interval": (0, 1)},
+                "u": {"pre": {"q": 1}, "post": {"p": 1}, "interval": (0, 1)},
+            },
+        )
+        s, tab = State(marking, clocks), net.steps
+        interned = list(tab.markings)
+        for call in (
+            lambda: fire(net, s, "t"),
+            lambda: fire(net, s, "u"),
+            lambda: successors(net, s),
+            lambda: elapse(net, s, 1),
+        ):
+            with pytest.raises(PreconditionError):
+                call()
+        assert tab.markings == interned and len(tab.enabled_at) == len(interned)
 
 
 class TestSuccessors:

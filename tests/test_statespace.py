@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 from collections import deque
 
@@ -8,8 +9,11 @@ from hypothesis import strategies as st
 
 from tpnsynth import (
     ExploreLimits,
+    IllFormedIntervalError,
+    InputError,
     KBoundError,
     TimeInterval,
+    TpnError,
     apply_label,
     build,
     eval_gmec,
@@ -23,7 +27,14 @@ from tpnsynth import (
 from tpnsynth.petri import INF, StepTable
 from tpnsynth.semantics import Delay, Fire, elapse, fireable_set, fire
 
-from _gen import outcome, random_concrete_net, random_gmec, reference_build
+from _gen import (
+    outcome,
+    random_concrete_net,
+    random_gmec,
+    random_parametric_net,
+    random_race_net,
+    reference_build,
+)
 
 
 class TestBuild:
@@ -57,6 +68,15 @@ class TestBuild:
             build(net, ExploreLimits(k_bound=3))
         assert exc.value.partial is not None
         assert max(exc.value.marking) == 4
+
+    def test_an_uninstantiated_net_is_refused_by_name(self):
+        for net in (
+            make_net([("p", 1)], {"t": {"pre": {"p": 1}, "interval": (1, "a")}}, parameters=["a"]),
+            make_net([("p", 1)], {"t": {"pre": {"p": 1}, "interval": (1, 2)}}),
+        ):
+            for call in (build, initial_state):
+                with pytest.raises(InputError, match=r"instantiate\(net, valuation\)"):
+                    call(net)
 
     def test_capacity_stop_is_flagged(self, net_a):
         g = build(net_a, ExploreLimits(max_states=2))
@@ -186,6 +206,26 @@ class TestMatchesReferenceBuilder:
             for lim in order:
                 assert outcome(build, net, lim) == outcome(reference_build, net, lim)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k_bound=st.integers(1, 3),
+        vals=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=2, max_size=5),
+    )
+    def test_same_graph_for_race_instances_in_sequence(self, seed, k_bound, vals):
+        # which racer wins depends on the valuation, so a later instance may
+        # reach markings no earlier one did: its build reads the enabledness
+        # that earlier instances interned in the shared table, and adds its own
+        net = random_race_net(random.Random(seed))
+        lim = ExploreLimits(k_bound, 3000)
+        for q0, q1 in vals:
+            try:
+                c = instantiate(net, {"q0": q0, "q1": q1})
+            except IllFormedIntervalError:
+                continue
+            assert c.steps is net.steps
+            assert outcome(build, c, lim) == outcome(reference_build, c, lim)
+
 
 def _graph(net, lim):
     """The built graph, or the partial graph of a k-bound stop."""
@@ -236,16 +276,24 @@ class TestMarkingIndex:
                 assert labels == fires or labels == fires + [-1]
 
     def test_enabledness_tests_scale_with_markings(self, monkeypatch):
-        # fire patches are made once per (marking, transition): wider
-        # intervals add clock nodes but no enabledness test, and the
-        # instances of one parametric net share their net's patches, so the
-        # second instance makes none at all
-        calls = []
-        enabled = StepTable.enabled
+        # a table tests a marking's transitions once, when it interns it: a
+        # fresh table makes exactly markings x nt tests, all inside intern,
+        # and wider intervals add clock nodes but no test. The instances of
+        # one parametric net share their net's table, so the second instance
+        # makes none at all
+        calls, depth = [], [0]
+        enabled, intern = StepTable.enabled, StepTable.intern
 
         def counting(self, m, t):
-            calls.append(t)
+            calls.append(depth[0] > 0)
             return enabled(self, m, t)
+
+        def interning(self, m):
+            depth[0] += 1
+            try:
+                return intern(self, m)
+            finally:
+                depth[0] -= 1
 
         def oscillators():
             return make_net(
@@ -260,18 +308,43 @@ class TestMarkingIndex:
             )
 
         monkeypatch.setattr(StepTable, "enabled", counting)
+        monkeypatch.setattr(StepTable, "intern", interning)
         shared = oscillators()
         for parametric in (False, True):
             nodes, tests = [], []
             for hi in (2, 6):
-                net = instantiate(shared if parametric else oscillators(), {"h0": hi, "h1": hi + 1})
                 calls.clear()
+                net = instantiate(shared if parametric else oscillators(), {"h0": hi, "h1": hi + 1})
                 g = build(net)
                 assert g.complete and len(net.steps.markings) == 4
+                assert all(calls)
                 nodes.append(len(g))
                 tests.append(len(calls))
             assert nodes[0] < nodes[1]
-            assert tests[0] > 0 and tests[1] == (0 if parametric else tests[0])
+            assert tests == [4 * 4, 0 if parametric else 4 * 4]
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k_bound=st.integers(1, 3))
+    def test_enabled_at_lists_each_markings_enabled_transitions(self, seed, k_bound):
+        # on the table of a first build, then on a warm copy of it, pickled
+        # and unpickled with its net, that later instances add markings to
+        def check(tab):
+            assert [list(on) for on in tab.enabled_at] == [
+                [t for t in range(tab.nt) if tab.enabled(m, t)] for m in tab.markings
+            ]
+
+        rng = random.Random(seed)
+        net = random_parametric_net(rng)
+        for _ in range(3):
+            try:
+                c = instantiate(net, {p: rng.randint(0, 5) for p in net.parameters})
+            except TpnError:  # outside the domain, or an interval with low > high
+                continue
+            _graph(c, ExploreLimits(k_bound, 3000))
+            check(net.steps)
+            warm = pickle.loads(pickle.dumps(net))
+            assert vars(warm.steps) == vars(net.steps)
+            net = warm
 
 
 class TestStatesSatisfying:
