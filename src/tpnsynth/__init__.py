@@ -71,6 +71,7 @@ from .tctl import (
     Prop,
     Verdict,
     check,
+    desugar,
     eval_gmec,
     format_formula,
     format_gmec,

@@ -29,7 +29,7 @@ from .petri import NAME, NAT, instantiate
 from .semantics import Delay, initial_state, successors
 from .statespace import ExploreLimits, build
 from .synthesis import SynthesisProblem, synthesize
-from .tctl import check, compile_plan, format_formula, parse_formula, parse_formula_file
+from .tctl import check, compile_plan, desugar, format_formula, parse_formula, parse_formula_file
 from .version import __version__
 
 EXIT_OK = 0
@@ -240,7 +240,7 @@ def cmd_graph(ns, argv, started):
 def cmd_check(ns, argv, started):
     net = _concrete(parse_net_file(ns.net), ns)
     phi = _load_formula(ns)
-    plan = compile_plan(net, phi, ns.leadsto)
+    plan = compile_plan(net, desugar(phi, ns.leadsto))
     graph = build(net, _limits(ns))
     verdict = check(net, graph, plan)
     witness = [_label_json(l) for l in verdict.witness] if verdict.witness is not None else None
@@ -262,7 +262,7 @@ def cmd_check(ns, argv, started):
 def cmd_synth(ns, argv, started):
     net = parse_net_file(ns.net)
     phi = _load_formula(ns)
-    problem = SynthesisProblem(net, phi, _parse_box(ns.box), _limits(ns), leadsto=ns.leadsto)
+    problem = SynthesisProblem(net, desugar(phi, ns.leadsto), _parse_box(ns.box), _limits(ns))
     result = synthesize(problem, jobs=ns.jobs)
     inputs = [ns.net] + ([ns.formula] if ns.formula else [])
     if ns.format == "csv":

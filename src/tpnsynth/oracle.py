@@ -25,11 +25,12 @@ from .semantics import Delay, initial_state, successors
 from .tctl import AU, EU, Formula, Implies, Not, Prop, compile_gmec, desugar
 
 
-def brute_force_check(n: ConcreteNet, phi: Formula, leadsto: str = "ag") -> bool:
-    """True iff the initial state satisfies the formula. Each until caps
-    accumulated time at its own interval's saturation class, so no horizon
-    has to be supplied."""
-    return _holds(n, initial_state(n), desugar(phi, leadsto))
+def brute_force_check(n: ConcreteNet, phi: Formula) -> bool:
+    """True iff the initial state satisfies the formula, a response read
+    as "ag" (``desugar(phi, "paper")`` gives the paper's reading). Each
+    until caps accumulated time at its own interval's saturation class, so
+    no horizon has to be supplied."""
+    return _holds(n, initial_state(n), desugar(phi))
 
 
 def _holds(n: ConcreteNet, state, phi) -> bool:

@@ -227,6 +227,12 @@ class Net:
     def transition_index(self):
         return {t: i for i, t in enumerate(self.transitions)}
 
+    def transition_number(self, t: str) -> int:
+        """The index of transition ``t``; InputError for an unknown name."""
+        if t not in self.transition_index:
+            raise InputError(f"unknown transition {t!r}")
+        return self.transition_index[t]
+
     @cached_property
     def steps(self) -> "StepTable":
         """The net's step table, built once; raises InputError when
@@ -464,12 +470,11 @@ def newly_enabled_set(n: Net, m: Marking, fired: str) -> set:
     """Transitions whose enabling is created by firing ``fired`` from m:
     enabled at the successor marking and either equal to the fired
     transition or not enabled at m."""
-    if fired not in n.transition_index:
-        raise InputError(f"unknown transition {fired!r}")
+    ti = n.transition_number(fired)
     before = enabled_set(n, m)
     if fired not in before:
         raise PreconditionError(f"transition {fired!r} is not enabled at {m}")
-    after = enabled_set(n, fire_marking(n, m, n.transition_index[fired]))
+    after = enabled_set(n, fire_marking(n, m, ti))
     return (after - before) | ({fired} & after)
 
 

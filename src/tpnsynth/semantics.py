@@ -46,7 +46,7 @@ class State:
     clocks: tuple  # tuple[Optional[TimeInterval], ...]
 
     def clock(self, net: ConcreteNet, t: str) -> Optional[TimeInterval]:
-        return self.clocks[net.transition_index[t]]
+        return self.clocks[net.transition_number(t)]
 
 
 @dataclass(frozen=True)
@@ -82,13 +82,10 @@ def initial_state(n: ConcreteNet) -> State:
 
 
 def max_elapse(n: ConcreteNet, s: State):
-    """Largest admissible delay: the minimum remaining upper bound over
-    enabled transitions, inf when nothing constrains time."""
-    best = INF
-    for c in s.clocks:
-        if c is not None and c.high < best:
-            best = c.high
-    return best
+    """Largest admissible delay: the least non-negative high slot of the
+    state's key, inf when nothing constrains time."""
+    tab = n.steps
+    return min([h for h in _key(tab, s)[1 + tab.nt:] if h >= 0], default=INF)
 
 
 def elapse(n: ConcreteNet, s: State, d: int) -> State:
@@ -101,12 +98,13 @@ def elapse(n: ConcreteNet, s: State, d: int) -> State:
 
 
 def fireable_set(n: ConcreteNet, s: State) -> set:
-    """Enabled transitions whose remaining lower bound has reached zero."""
-    return {n.transitions[i] for i, c in enumerate(s.clocks) if c is not None and c.low == 0}
+    """The transitions that may fire now: the fires of ``successor_keys``."""
+    tab = n.steps
+    return {n.transitions[t] for t, _ in successor_keys(tab, bounds(n), _key(tab, s)) if t >= 0}
 
 
 def fire(n: ConcreteNet, s: State, t: str) -> State:
-    ti = n.transition_index[t]
+    ti = n.transition_number(t)
     tab, b = n.steps, bounds(n)
     key = _key(tab, s)
     if key[1 + ti]:  # disabled (-1) or still waiting

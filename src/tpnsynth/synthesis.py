@@ -36,17 +36,17 @@ from .tctl import Formula, Plan, check, compile_plan
 
 @dataclass(frozen=True)
 class SynthesisProblem:
-    """A parametric net, a formula, the box to sweep, the exploration
-    limits and the response reading. The formula is compiled into ``plan``
-    on construction, so a formula the net cannot check is an InputError
-    here rather than a failure per valuation. A problem pickles whole,
-    plan included, so it can be sent to a worker process as it is."""
+    """A parametric net, a formula, the box to sweep and the exploration
+    limits. A response in the formula is read as "ag"; pass ``desugar(phi,
+    "paper")`` for the paper's reading. The formula is compiled into
+    ``plan`` on construction, so a formula the net cannot check is an
+    InputError here rather than a failure per valuation. A problem pickles
+    whole, plan included, so it can be sent to a worker process as it is."""
 
     net: Net
     formula: Formula
     box: Mapping[str, tuple]  # parameter -> (low, high), inclusive
     limits: ExploreLimits = field(default_factory=ExploreLimits)
-    leadsto: str = "ag"
 
     def __post_init__(self):
         missing = [p for p in self.net.parameters if p not in self.box]
@@ -64,7 +64,7 @@ class SynthesisProblem:
 
     @cached_property
     def plan(self) -> Plan:
-        return compile_plan(self.net, self.formula, self.leadsto)
+        return compile_plan(self.net, self.formula)
 
 
 @dataclass

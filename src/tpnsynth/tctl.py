@@ -1,8 +1,10 @@
 """Token-count constraints (GMEC), timed CTL formulas, their text parsers,
 and the model checker over a reachability graph.
 
-A formula is checked through a plan (``compile_plan``), made once per formula:
-the formula is desugared into its Prop/Not/Implies/EU/AU core, equal
+Formula text is split by one token regex and read by a recursive-descent
+parser. A formula is checked through a plan (``compile_plan``), made once per
+formula: the formula is desugared into its Prop/Not/Implies/EU/AU core
+(``desugar``, the one reader of the response reading), equal
 subformulas are shared, and the result is a postorder tuple of operators,
 plain data that pickles. The checker labels a graph with one node set per
 plan entry in one flat loop; a node set is a ``bytes`` of one flag (0 or 1)
@@ -50,6 +52,7 @@ earlier position; the witness position itself need not satisfy phi.
 from __future__ import annotations
 
 import operator
+import re
 from collections import deque
 from dataclasses import dataclass
 from itertools import compress
@@ -231,8 +234,17 @@ def _check_leadsto_interval(iv: TimeInterval, pos=None):
         raise FormulaSyntaxError("response interval must start at a closed 0", pos)
 
 
+_READINGS = {"ag": AG, "paper": AF}  # response reading -> the operator around it
+
+
 def desugar(phi: Formula, leadsto: str = "ag") -> Formula:
-    """Rewrite derived operators into the Prop/Not/Implies/EU/AU core."""
+    """Rewrite derived operators into the Prop/Not/Implies/EU/AU core. This
+    is the one place that reads the response ``a -->[0,m] b``: under
+    ``leadsto="ag"``, the default and the reading of every other entry
+    point, as AG[0,inf](a => AF[0,m] b); under ``"paper"`` with AF[0,inf]
+    in place of that AG. Any other reading raises InputError."""
+    if leadsto not in _READINGS:
+        raise InputError(f"unknown response reading {leadsto!r}: expected 'ag' or 'paper'")
     true = Prop(TRUE_GMEC)
     if isinstance(phi, Prop):
         return phi
@@ -258,11 +270,8 @@ def desugar(phi: Formula, leadsto: str = "ag") -> Formula:
         return Not(EU(true, phi.interval, Not(desugar(phi.sub, leadsto))))
     if isinstance(phi, LeadsTo):
         _check_leadsto_interval(phi.interval)
-        everywhere = TimeInterval(0, INF)
         body = Implies(Prop(phi.left), AU(true, phi.interval, Prop(phi.right)))
-        if leadsto == "paper":
-            return desugar(AF(everywhere, body), leadsto)
-        return desugar(AG(everywhere, body), leadsto)
+        return desugar(_READINGS[leadsto](TimeInterval(0, INF), body), leadsto)
     raise InputError(f"not a formula: {phi!r}")
 
 
@@ -273,37 +282,28 @@ _SYMBOLS = [
     "-->", "/\\", "\\/", "=>", "<=", ">=", "==", "(", ")", "[", "]", ",",
     "*", "+", "-", "<", ">", "=", "&", "|", "!",
 ]
+_ALIASES = {"/\\": "&", "\\/": "|", "==": "="}
+# one token after optional whitespace: the longest symbol, a natural or a
+# name (ASCII only, as in nets), any other character being an error
+_TOKEN = re.compile(
+    r"\s*(?:(?P<sym>%s)|(?P<INT>%s)|(?P<NAME>%s)|(?P<bad>\S))"
+    % ("|".join(map(re.escape, sorted(_SYMBOLS, key=len, reverse=True))), NAT.pattern, NAME.pattern)
+)
 
 
 def _tokenize(text: str):
-    toks, i, n = [], 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        matched = False
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                kind = {"/\\": "&", "\\/": "|", "==": "="}.get(sym, sym)
-                toks.append((kind, kind, i))
-                i += len(sym)
-                matched = True
-                break
-        if matched:
-            continue
-        num = NAT.match(text, i)  # ASCII only, as in nets
-        if num:
-            toks.append(("INT", int(num.group()), i))
-            i = num.end()
-            continue
-        name = NAME.match(text, i)
-        if name:
-            toks.append(("NAME", name.group(), i))
-            i = name.end()
-            continue
-        raise FormulaSyntaxError(f"unexpected character {ch!r}", pos=i)
-    toks.append(("EOF", None, n))
+    toks = []
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        word, at = m[kind], m.start(kind)
+        if kind == "sym":
+            kind = word = _ALIASES.get(word, word)
+        elif kind == "INT":
+            word = int(word)
+        elif kind == "bad":
+            raise FormulaSyntaxError(f"unexpected character {word!r}", pos=at)
+        toks.append((kind, word, at))
+    toks.append(("EOF", None, len(text)))
     return toks
 
 
@@ -312,8 +312,8 @@ class _Parser:
 
     Each level returns a token-count constraint (``Atom``/``BoolOp``) while
     its text is a boolean combination of atoms; anything temporal, or
-    negated, lifts it to a formula (``_prop``), with & and | over formulas
-    desugared into the Not/Implies core.
+    negated, lifts it to a formula (``_prop``), and ``_combine`` joins two
+    operands either way.
     """
 
     def __init__(self, text: str):
@@ -321,13 +321,17 @@ class _Parser:
         self.i = 0
         self.formula_pos = None  # column of the first temporal or negation token
 
-    def peek(self, k=0):
-        return self.toks[min(self.i + k, len(self.toks) - 1)]
+    def peek(self):
+        return self.toks[self.i]
 
     def next(self):
         t = self.toks[self.i]
         self.i += 1
         return t
+
+    def accept(self, kind):
+        """Consume the next token if it is of ``kind``; None if not."""
+        return self.next() if self.peek()[0] == kind else None
 
     def expect(self, kind):
         t = self.next()
@@ -361,13 +365,9 @@ class _Parser:
 
     def implication(self):
         left = self.disjunction()
+        if self.accept("=>"):
+            return _combine("implies", left, self.implication())  # right associative
         t = self.peek()
-        if t[0] == "=>":
-            self.next()
-            right = self.implication()  # right associative
-            if isinstance(left, Gmec) and isinstance(right, Gmec):
-                return BoolOp("implies", left, right)
-            return Implies(_prop(left), _prop(right))
         if t[0] == "-->":
             self.lifts(t)
             iv = self.interval()
@@ -382,24 +382,14 @@ class _Parser:
 
     def disjunction(self):
         node = self.conjunction()
-        while self.peek()[0] == "|":
-            self.next()
-            rhs = self.conjunction()
-            if isinstance(node, Gmec) and isinstance(rhs, Gmec):
-                node = BoolOp("or", node, rhs)
-            else:
-                node = lor(_prop(node), _prop(rhs))
+        while self.accept("|"):
+            node = _combine("or", node, self.conjunction())
         return node
 
     def conjunction(self):
         node = self.unary()
-        while self.peek()[0] == "&":
-            self.next()
-            rhs = self.unary()
-            if isinstance(node, Gmec) and isinstance(rhs, Gmec):
-                node = BoolOp("and", node, rhs)
-            else:
-                node = land(_prop(node), _prop(rhs))
+        while self.accept("&"):
+            node = _combine("and", node, self.unary())
         return node
 
     def unary(self):
@@ -407,16 +397,13 @@ class _Parser:
         if t[0] == "!":
             self.lifts(t)
             return Not(_prop(self.unary()))
-        if t[0] == "NAME" and t[1] in ("EF", "AF", "EG", "AG"):
+        if t[0] == "NAME" and t[1] in _PATH_OPERATORS:
             self.lifts(t)
             iv = self.interval()
-            sub = _prop(self.unary())
-            cls = {"EF": EF, "AF": AF, "EG": EG, "AG": AG}[t[1]]
-            return cls(iv, sub)
+            return _PATH_OPERATORS[t[1]](iv, _prop(self.unary()))
         if t[0] == "NAME" and t[1] in ("E", "A"):
             return self.until(t[1])
-        if t[0] == "(":
-            self.next()
+        if self.accept("("):
             node = self.implication()
             self.expect(")")
             return node
@@ -424,9 +411,7 @@ class _Parser:
 
     def until(self, quantifier):
         self.lifts(self.peek())
-        bracketed = self.peek()[0] == "["
-        if bracketed:
-            self.next()
+        bracketed = self.accept("[")
         left = _prop(self.unary())
         t = self.next()
         if t[0] != "NAME" or t[1] != "U":
@@ -462,46 +447,44 @@ class _Parser:
 
     def atom(self) -> Atom:
         t = self.peek()
-        if t[0] == "NAME" and t[1] == "true":
+        if t[0] == "NAME" and t[1] in ("true", "false"):
             self.next()
-            return TRUE_GMEC
-        if t[0] == "NAME" and t[1] == "false":
-            self.next()
-            return FALSE_GMEC
-        coeffs = {}
-        sign = 1
-        first = True
-        while True:
-            t = self.peek()
-            if t[0] == "+":
-                self.next()
-                sign = 1
-            elif t[0] == "-":
-                self.next()
-                sign = -1
-            elif not first:
-                break
+            return TRUE_GMEC if t[1] == "true" else FALSE_GMEC
+        coeffs, sign = {}, 1
+        while True:  # [sign] term, then (sign term)*
+            if self.peek()[0] in ("+", "-"):
+                sign = 1 if self.next()[0] == "+" else -1
             coeff = 1
-            t = self.peek()
-            if t[0] == "INT":
+            if self.peek()[0] == "INT":
                 coeff = self.next()[1]
-                if self.peek()[0] == "*":
-                    self.next()
-            t = self.peek()
+                self.accept("*")
+            t = self.next()
             if not (t[0] == "NAME" and t[1] == "M"):
                 raise FormulaSyntaxError("expected a token-count term M(place)", pos=t[2])
-            self.next()
             self.expect("(")
             place = self.expect("NAME")[1]
             self.expect(")")
             coeffs[place] = coeffs.get(place, 0) + sign * coeff
-            first = False
+            if self.peek()[0] not in ("+", "-"):
+                break
         t = self.next()
         if t[0] not in RELATIONS:
             raise FormulaSyntaxError("expected a comparison relation", pos=t[2])
-        rel = t[0]
         bound = self.expect("INT")[1]
-        return Atom(tuple(sorted(coeffs.items())), rel, bound)
+        return Atom(tuple(sorted(coeffs.items())), t[0], bound)
+
+
+_PATH_OPERATORS = {"EF": EF, "AF": AF, "EG": EG, "AG": AG}
+_LIFTED = {"implies": Implies, "or": lor, "and": land}
+
+
+def _combine(op: str, left, right):
+    """``left op right`` for op 'implies', 'or' or 'and': one constraint
+    when both operands are constraints, else a formula in the Not/Implies
+    core."""
+    if isinstance(left, Gmec) and isinstance(right, Gmec):
+        return BoolOp(op, left, right)
+    return _LIFTED[op](_prop(left), _prop(right))
 
 
 def _prop(node) -> Formula:
@@ -596,8 +579,9 @@ class Plan:
     ops: tuple
 
 
-def compile_plan(n: Net, phi: Formula, leadsto: str = "ag") -> Plan:
-    """Compile ``phi`` under the given response reading. Raises InputError
+def compile_plan(n: Net, phi: Formula) -> Plan:
+    """Compile ``phi``, reading a response ``-->`` as "ag" (pass
+    ``desugar(phi, "paper")`` for the paper's reading). Raises InputError
     when the formula names a place ``n`` (parametric or concrete) lacks
     (``compile_gmec``), and HorizonError when an until interval's least
     integer exceeds ``MAX_DELAY_LAYERS``."""
@@ -618,7 +602,7 @@ def compile_plan(n: Net, phi: Formula, leadsto: str = "ag") -> Plan:
             op = (type(f), walk(f.left), f.interval, walk(f.right))
         return index.setdefault(op, len(index))
 
-    walk(desugar(phi, leadsto))
+    walk(desugar(phi))
     return Plan(tuple(index))
 
 
@@ -731,24 +715,20 @@ class _Checker:
         return None
 
 
-def check(
-    n: ConcreteNet,
-    g: ReachGraph,
-    phi: Union[Formula, Plan],
-    leadsto: str = "ag",
-) -> Verdict:
+def check(n: ConcreteNet, g: ReachGraph, phi: Union[Formula, Plan]) -> Verdict:
     """Decide whether the initial state satisfies the formula.
 
-    ``phi`` is a formula, compiled here under the ``leadsto`` reading, or a
-    plan compiled once by ``compile_plan``, which carries its own reading
-    and ignores ``leadsto``. The plan is labelled bottom-up, one node set
-    of flags per entry, its constraints compiled against the places of the
-    graph's net and their values cached in the net's step table; a
-    constraint on a place that net lacks raises InputError.
+    ``phi`` is a formula, compiled here with ``compile_plan`` (a response
+    ``-->`` read as "ag"; ``desugar(phi, "paper")`` gives the paper's
+    reading), or a plan compiled once by ``compile_plan``. The plan is
+    labelled bottom-up, one node set of flags per entry, its constraints
+    compiled against the places of the graph's net and their values cached
+    in the net's step table; a constraint on a place that net lacks raises
+    InputError.
 
     Returns a witness trace for a holding top-level existential until (EF
     included) and a counterexample trace for a failing top-level universal
-    invariant (AG and the response operator in its default reading).
+    invariant (AG and the response operator in its "ag" reading).
     The least integer of every until interval, which is the number of
     one-delay pre-images in front of its delay layers, may be at most
     ``MAX_DELAY_LAYERS``; ``compile_plan`` raises HorizonError for a larger
@@ -756,7 +736,7 @@ def check(
     """
     if not g.complete:
         raise IncompleteGraphError("refusing to check an incomplete graph")
-    plan = phi if isinstance(phi, Plan) else compile_plan(n, phi, leadsto)
+    plan = phi if isinstance(phi, Plan) else compile_plan(n, phi)
     checker = _Checker(g)
     sat = checker.label(plan)
     root = len(plan.ops) - 1

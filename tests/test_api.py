@@ -29,7 +29,7 @@ PUBLIC_NAMES = {
     "synthesize",
     # tctl
     "AF", "AG", "AU", "Atom", "BoolOp", "EF", "EG", "EU", "Formula", "Gmec",
-    "Implies", "LeadsTo", "Not", "Prop", "Verdict", "check", "eval_gmec",
+    "Implies", "LeadsTo", "Not", "Prop", "Verdict", "check", "desugar", "eval_gmec",
     "format_formula", "format_gmec", "parse_formula", "parse_formula_file",
     "parse_gmec",
 }

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tpnsynth import build, instantiate
+from tpnsynth import SynthesisProblem, build, desugar, instantiate, parse_formula, parse_net, synthesize
 from tpnsynth.biomodels import build_circadian_clock
 from tpnsynth.cli import main
 
@@ -445,9 +445,29 @@ class TestShippedModel:
 class TestLeadsToFlag:
     def test_paper_mode_changes_the_verdict(self, net_file, capsys):
         phi = "(M(p1)>=1) -->[0,0] (M(p2)>=9)"
-        code_ag, _, _ = run(capsys, "check", net_file, "--formula-text", phi)
-        code_paper, _, _ = run(capsys, "check", net_file, "--formula-text", phi, "--leadsto", "paper")
+        code_ag, out_ag, _ = run(capsys, "check", net_file, "--formula-text", phi)
+        code_paper, out_paper, _ = run(capsys, "check", net_file, "--formula-text", phi, "--leadsto", "paper")
         assert (code_ag, code_paper) == (1, 0)
+        typed = "(M(p1) >= 1) -->[0,0] (M(p2) >= 9)"  # reported as typed, not desugared
+        assert out_ag.splitlines()[0] == f"FAILS  {typed}" and out_paper.splitlines()[0] == f"HOLDS  {typed}"
+
+    def test_synth_readings_are_the_library_readings(self, tmp_path, capsys):
+        # t1 fires at td: "ag" needs td <= 2, "paper" holds once t1 has fired
+        path = tmp_path / "param.tpnet"
+        path.write_text(PARAM_NET)
+        text = "(M(p1)>=1) -->[0,2] (M(p2)>=1)"
+        net, phi = parse_net(PARAM_NET), parse_formula(text)
+        sets = {}
+        for reading in ("ag", "paper"):
+            code, out, _ = run(
+                capsys, "synth", str(path), "--formula-text", text, "--box", "td=1..4",
+                "--leadsto", reading, "--format", "json", "--jobs", "1",
+            )
+            assert code == 0
+            sets[reading] = json.loads(out)["result"]["satisfying"]
+            expected = synthesize(SynthesisProblem(net, desugar(phi, reading), {"td": (1, 4)}))
+            assert sets[reading] == expected.satisfying
+        assert sets == {"ag": [{"td": 1}, {"td": 2}], "paper": [{"td": t} for t in range(1, 5)]}
 
 
 class TestLightDurationSweep:

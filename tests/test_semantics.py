@@ -4,6 +4,7 @@ import pytest
 
 from tpnsynth import (
     INF,
+    InputError,
     PreconditionError,
     TimeInterval,
     TimeOverrunError,
@@ -15,6 +16,7 @@ from tpnsynth import (
     instantiate,
     make_net,
     max_elapse,
+    newly_enabled_set,
     successors,
 )
 from tpnsynth.semantics import Delay, Fire, State
@@ -108,6 +110,16 @@ class TestFire:
         with pytest.raises(PreconditionError):
             fire(net_a, initial_state(net_a), "t1")
 
+    def test_unknown_transition_name_is_an_input_error(self, net_a):
+        s = elapse(net_a, initial_state(net_a), 2)
+        for call in (
+            lambda: fire(net_a, s, "nope"),
+            lambda: s.clock(net_a, "nope"),
+            lambda: newly_enabled_set(net_a, s.marking, "nope"),
+        ):
+            with pytest.raises(InputError, match="unknown transition 'nope'"):
+                call()
+
     def test_self_loop_resets_clock(self):
         net = concrete(
             [("p1", 1)],
@@ -181,6 +193,8 @@ class TestMalformedStates:
             lambda: fire(net, s, "u"),
             lambda: successors(net, s),
             lambda: elapse(net, s, 1),
+            lambda: fireable_set(net, s),
+            lambda: max_elapse(net, s),
         ):
             with pytest.raises(PreconditionError):
                 call()

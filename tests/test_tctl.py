@@ -38,7 +38,7 @@ from tpnsynth.semantics import Delay, Fire
 from tpnsynth.statespace import ExploreLimits
 from tpnsynth.petri import implicit_domain
 from tpnsynth.synthesis import enumerate_valuations
-from tpnsynth.tctl import TRUE_GMEC, Implies, _Checker, compile_plan, desugar
+from tpnsynth.tctl import TRUE_GMEC, Implies, _Checker, _tokenize, compile_plan, desugar
 
 from _gen import (
     mutate_text,
@@ -244,6 +244,32 @@ class TestParserProperties:
         assert exc.value.pos == pos
 
 
+class TestTokens:
+    """The documented symbol spellings, and the longest symbol winning."""
+
+    @pytest.mark.parametrize(
+        "alias, plain",
+        [(r"M(a)>=1 /\ M(b)>=1", "M(a)>=1 & M(b)>=1"), (r"M(a)>=1 \/ M(b)>=1", "M(a)>=1 | M(b)>=1"), ("M(a)==1", "M(a)=1")],
+    )
+    def test_aliases_read_as_their_plain_symbols(self, alias, plain):
+        assert parse_gmec(alias) == parse_gmec(plain)
+
+    def test_longest_symbol_wins(self):
+        assert [t[0] for t in _tokenize(r"-->-=>>=<= /\\/==")] == ["-->", "-", "=>", ">=", "<=", "&", "|", "=", "EOF"]
+        a, b = Atom((("a", 1), ("b", -1)), ">=", 1), Atom((("b", 1),), "<=", 2)
+        assert parse_gmec("M(a)-M(b)>=1=>M(b)<=2") == BoolOp("implies", a, b)
+        assert parse_formula("M(a)-M(b)>=1-->[0,2]M(b)<=2") == LeadsTo(a, TimeInterval(0, 2), b)
+
+    def test_a_coefficient_needs_no_star(self):
+        assert parse_gmec("3 M(p) >= 1") == parse_gmec("3*M(p) >= 1") == Atom((("p", 3),), ">=", 1)
+
+    @pytest.mark.parametrize("text, pos", [("*M(p)>=1", 0), ("M(q) + *M(p) >= 1", 7)])
+    def test_a_star_without_a_coefficient_fails_at_its_column(self, text, pos):
+        with pytest.raises(FormulaSyntaxError) as exc:
+            parse_gmec(text)
+        assert exc.value.pos == pos
+
+
 class TestCheckNetA:
     def test_ef_within_window_with_witness(self, net_a):
         g = build(net_a)
@@ -375,8 +401,8 @@ class TestDifferentialOracle:
             phis = [random_formula(rng, places, depth=1, max_bound=3) for _ in range(5)]
             for phi in phis + [random_response(extra, places, max_bound=3)]:
                 for leadsto in ("ag", "paper"):
-                    expected = brute_force_check(net, phi, leadsto=leadsto)
-                    assert check(net, g, phi, leadsto=leadsto).holds == expected
+                    read = desugar(phi, leadsto)
+                    assert check(net, g, read).holds == brute_force_check(net, read)
                 pairs += 1
                 responses += "-->" in format_formula(phi)
         assert pairs >= 180
@@ -390,7 +416,7 @@ class TestPlan:
         net = random_parametric_net(rng)
         places = list(net.places)
         phi = rng.choice([random_formula(rng, places, depth=2, max_bound=4), random_response(rng, places, 4)])
-        plan = compile_plan(net, phi, leadsto)
+        plan = compile_plan(net, desugar(phi, leadsto))
         box = {p: (0, 4) for p in net.parameters}
         vals = list(enumerate_valuations(implicit_domain(net), box, order=net.parameters))
         for v in rng.sample(vals, min(4, len(vals))):
@@ -401,7 +427,7 @@ class TestPlan:
                 continue
             if not g.complete:
                 continue
-            assert check(c, g, plan) == check(c, g, phi, leadsto=leadsto)
+            assert check(c, g, plan) == check(c, g, desugar(phi, leadsto))
         assert pickle.loads(pickle.dumps(plan)) == plan
 
     @settings(max_examples=60, deadline=None)
@@ -634,13 +660,18 @@ class TestLeadsToModes:
         # is gone
         g = build(net_a)
         phi = parse_formula("(M(p1)>=1) -->[0,0] (M(p2)>=9)")
-        assert not check(net_a, g, phi, leadsto="ag").holds
-        assert check(net_a, g, phi, leadsto="paper").holds
+        assert not check(net_a, g, desugar(phi, "ag")).holds
+        assert check(net_a, g, desugar(phi, "paper")).holds
 
     def test_modes_agree_when_antecedent_is_permanent(self, net_a):
         g = build(net_a)
         phi = parse_formula("(M(p1)+M(p2)>=1) -->[0,3] (M(p2)>=1)")
-        assert check(net_a, g, phi, leadsto="ag").holds == check(net_a, g, phi, leadsto="paper").holds
+        assert check(net_a, g, desugar(phi, "ag")).holds == check(net_a, g, desugar(phi, "paper")).holds
+
+    @pytest.mark.parametrize("reading", ["Paper", "AG", "bogus", ""])
+    def test_unknown_reading_is_an_input_error(self, reading):
+        with pytest.raises(InputError, match="unknown response reading"):
+            desugar(parse_formula("(M(p1)>=1) -->[0,0] (M(p2)>=9)"), reading)
 
 
 class TestHorizonGuards:
