@@ -128,10 +128,8 @@ def _parse_box(items):
 
 
 def _load_formula(ns):
-    if ns.formula_text:
+    if ns.formula_text is not None:
         return parse_formula(ns.formula_text)
-    if not ns.formula:
-        raise InputError("a formula file (--formula) or --formula-text is required")
     return parse_formula_file(ns.formula)
 
 
@@ -309,12 +307,16 @@ def _build_parser():
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, with_limits=True, formats=("text", "json")):
+    def common(p, with_limits=True, formats=("text", "json"), with_formula=False):
         p.add_argument("net", help="net file (.tpnet)")
         p.add_argument("--format", choices=formats, default="text")
         if with_limits:
             p.add_argument("--k-bound", type=_count(1), default=ExploreLimits().k_bound)
             p.add_argument("--max-states", type=_count(1), default=ExploreLimits().max_states)
+        if with_formula:  # exactly one of the two
+            one = p.add_mutually_exclusive_group(required=True)
+            one.add_argument("--formula", help="formula file (.tctl)")
+            one.add_argument("--formula-text", help="formula given inline")
 
     p = sub.add_parser("validate", help="check a net file for structural problems")
     common(p, with_limits=False)
@@ -333,17 +335,13 @@ def _build_parser():
     p.set_defaults(fn=cmd_graph)
 
     p = sub.add_parser("check", help="model check a formula")
-    common(p)
-    p.add_argument("--formula", help="formula file (.tctl)")
-    p.add_argument("--formula-text", help="formula given inline")
+    common(p, with_formula=True)
     p.add_argument("--valuation", "-v", action="append", metavar="NAME=NAT")
     p.add_argument("--leadsto", choices=["ag", "paper"], default="ag")
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("synth", help="synthesize satisfying integer valuations")
-    common(p, formats=("text", "json", "csv"))
-    p.add_argument("--formula", help="formula file (.tctl)")
-    p.add_argument("--formula-text")
+    common(p, formats=("text", "json", "csv"), with_formula=True)
     p.add_argument("--box", action="append", metavar="NAME=LO..HI", required=True)
     p.add_argument("--jobs", type=_count(1), default=_cpus())
     p.add_argument("--leadsto", choices=["ag", "paper"], default="ag")

@@ -10,12 +10,12 @@ thrown away; a sweep checks at most ``MAX_VALUATIONS``. What does not
 depend on the valuation is done once per problem: the formula is compiled
 into one check plan (``SynthesisProblem.plan``), and every instance steps
 on the net's one table (``Net.steps``), so a valuation costs one
-instantiation, one graph and one labelling. Sweeps are embarrassingly
-parallel. One process pool is kept per process and reused by every sweep
-that needs its worker count; a problem, plan and warm table included, is
-plain data that pickles whole, so the workers receive it with each chunk
-of valuations and hold no state between sweeps. Results are merged in enumeration order, so the output is
-independent of worker count.
+instantiation, one graph and one check of what its verdict needs. Sweeps
+are embarrassingly parallel. One process pool is kept per process and
+reused by every sweep that needs its worker count; a problem, plan and warm
+table included, is plain data that pickles whole, so the workers receive it
+with each chunk of valuations and hold no state between sweeps. Results are
+merged in enumeration order, so the output is independent of worker count.
 """
 
 from __future__ import annotations

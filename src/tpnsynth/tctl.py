@@ -6,9 +6,10 @@ parser. A formula is checked through a plan (``compile_plan``), made once per
 formula: the formula is desugared into its Prop/Not/Implies/EU/AU core
 (``desugar``, the one reader of the response reading), equal
 subformulas are shared, and the result is a postorder tuple of operators,
-plain data that pickles. The checker labels a graph with one node set per
-plan entry in one flat loop; a node set is a ``bytes`` of one flag (0 or 1)
-per node, so Not is a ``translate`` and Implies one ``map`` over two sets.
+plain data that pickles. The checker decides Not and Implies at the initial
+node alone, an Implies with a failing left side skipping its right side, and
+labels any other entry, on first request, with a node set: a ``bytes`` of one
+flag (0 or 1) per node, so Not is a ``translate`` and Implies one ``map``.
 A constraint is evaluated at most once per marking of the net's step table,
 and cached there (``StepTable.props``), so a sweep over many valuations of one
 net evaluates it once per distinct marking it reaches; each graph spreads
@@ -40,9 +41,9 @@ resolution with fresh counts, started from the delay edges into the set
 below it: the phi-nodes from which some (E) or every (A) path crosses fire
 edges through phi-nodes and then takes one delay edge into that set.
 ``MAX_DELAY_LAYERS`` bounds a, the number of pre-images, against a huge
-lower bound typed in by a user; ``compile_plan`` refuses a larger a. The
-checker derives its fire and delay predecessor lists from the graph's int
-edges (t < 0 is the delay), and they die with it.
+lower bound typed in by a user; ``compile_plan`` refuses a larger a. On its
+first until, the checker derives its fire and delay predecessor lists from
+the graph's int edges (t < 0 is the delay), and they die with it.
 
 Until is position-based: ``E phi U_I psi`` holds when some path reaches a
 psi-state at an accumulated time inside I with phi true at every strictly
@@ -55,6 +56,7 @@ import operator
 import re
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 from typing import Optional, Union
 
@@ -613,29 +615,46 @@ class _Checker:
     def __init__(self, graph: ReachGraph):
         self.g = graph
         self.n = len(graph)
-        self.fire_preds = fire_preds = [[] for _ in graph.succ]  # per node: sources of fire in-edges
-        self.delay_preds = delay_preds = [[] for _ in graph.succ]  # and of delay in-edges
-        for u, outs in enumerate(graph.succ):
+
+    @cached_property
+    def preds(self) -> tuple:
+        """Per node: the sources of its fire in-edges, and of its delay ones."""
+        fire, delay = [[] for _ in self.g.succ], [[] for _ in self.g.succ]
+        for u, outs in enumerate(self.g.succ):
             for t, v in outs:
-                (delay_preds if t < 0 else fire_preds)[v].append(u)
-        self.outdeg = list(map(len, graph.succ))  # per node: the out-edges an AU needs resolved
+                (delay if t < 0 else fire)[v].append(u)
+        return fire, delay
+
+    def nodes(self, plan: Plan, i: int, sat: dict) -> bytes:
+        """The node set of plan entry i, one flag (0 or 1) per node in a
+        ``bytes``, made on first request and kept in ``sat`` (entry -> set)."""
+        if i not in sat:
+            op = plan.ops[i]
+            sub = lambda k: self.nodes(plan, op[k], sat)  # the node set of operand op[k]
+            if op[0] is Prop:
+                sat[i] = _nodes_where(self.g, op[1])
+            elif op[0] is Not:
+                sat[i] = sub(1).translate(FLIP)
+            elif op[0] is Implies:
+                sat[i] = bytes(map(operator.or_, sub(1).translate(FLIP), sub(2)))
+            else:
+                sat[i] = self.until(op[0] is EU, sub(1), op[2], sub(3))
+        return sat[i]
+
+    def at_initial(self, plan: Plan, i: int, sat: dict) -> bool:
+        """Whether plan entry i holds at the initial node: a Not or Implies
+        decided there alone, short-circuit; any other entry from ``nodes``."""
+        op = plan.ops[i]
+        if op[0] is Not:
+            return not self.at_initial(plan, op[1], sat)
+        if op[0] is Implies:
+            return not self.at_initial(plan, op[1], sat) or self.at_initial(plan, op[2], sat)
+        return bool(self.nodes(plan, i, sat)[self.g.initial])
 
     def label(self, plan: Plan) -> list:
-        """The node set of every plan entry, in plan order, as one flag
-        (0 or 1) per node in a ``bytes``."""
-        sat = []
-        for op in plan.ops:
-            kind = op[0]
-            if kind is Prop:
-                out = _nodes_where(self.g, op[1])
-            elif kind is Not:
-                out = sat[op[1]].translate(FLIP)
-            elif kind is Implies:
-                out = bytes(map(operator.or_, sat[op[1]].translate(FLIP), sat[op[2]]))
-            else:
-                out = self.until(kind is EU, sat[op[1]], op[2], sat[op[3]])
-            sat.append(out)
-        return sat
+        """The node set of every plan entry, in plan order."""
+        sat = {}
+        return [self.nodes(plan, i, sat) for i in range(len(plan.ops))]
 
     def until(self, exists: bool, satphi: bytes, iv: TimeInterval, satpsi: bytes) -> bytes:
         """Flags of the nodes satisfying E (exists) or A phi U_iv psi: delay
@@ -643,8 +662,8 @@ class _Checker:
         iv.int_low()``, behind ``a`` one-delay pre-images. An unbounded
         interval takes every layer, resolved in one pass."""
         a, n = iv.int_low(), self.n
-        fire_preds, delay_preds = self.fire_preds, self.delay_preds
-        need = [1] * n if exists else self.outdeg
+        fire_preds, delay_preds = self.preds
+        need = [1] * n if exists else list(map(len, self.g.succ))  # out-edges to resolve
         counts = need.copy()
         psi = list(compress(range(n), satpsi))
         for v in psi:
@@ -652,27 +671,27 @@ class _Checker:
         sources = [u for v in psi for u in fire_preds[v]]
         span = iv.int_high() - a
         if span == INF:  # every layer holds: one pass back through both kinds of edge
-            out = psi + self._resolve(satphi, counts, sources + [u for v in psi for u in delay_preds[v]], True)
+            sources += [u for v in psi for u in delay_preds[v]]
+            out = psi + self._resolve(satphi, counts, sources, fire_preds, delay_preds)
         else:
-            out, t, layer = [], 0, psi + self._resolve(satphi, counts, sources)
+            out, t, layer = [], 0, psi + self._resolve(satphi, counts, sources, fire_preds)
             while layer and t <= span:  # layer t: the nodes that arrive at psi at time t
                 out += layer
                 t += 1
-                layer = self._resolve(satphi, counts, [u for v in layer for u in delay_preds[v]])
+                layer = self._resolve(satphi, counts, [u for v in layer for u in delay_preds[v]], fire_preds)
         for _ in range(a):
-            out = self._resolve(satphi, need.copy(), [u for v in out for u in delay_preds[v]])
+            out = self._resolve(satphi, need.copy(), [u for v in out for u in delay_preds[v]], fire_preds)
         flags = bytearray(n)
         for v in out:
             flags[v] = 1
         return bytes(flags)
 
-    def _resolve(self, satphi: bytes, counts, sources, delays=False) -> list:
+    def _resolve(self, satphi: bytes, counts, sources, fire_preds, delay_preds=None) -> list:
         """The phi-nodes that the out-edges in ``sources`` (one entry per
         edge) resolve, directly or back through fire edges, and through
-        delay edges too when ``delays``. ``counts[u]`` is how many more of
-        u's out-edges must resolve before u does; a node resolves once,
-        when it reaches 0."""
-        fire_preds, delay_preds = self.fire_preds, self.delay_preds
+        delay edges too when ``delay_preds`` is given. ``counts[u]`` is how
+        many more of u's out-edges must resolve before u does; a node
+        resolves once, when it reaches 0."""
         resolved = []
         while sources:
             u = sources.pop()
@@ -680,14 +699,14 @@ class _Checker:
             if counts[u] == 0 and satphi[u]:
                 resolved.append(u)
                 sources += fire_preds[u]
-                if delays:
+                if delay_preds is not None:
                     sources += delay_preds[u]
         return resolved
 
-    def witness_eu(self, plan: Plan, sat: list, i: int) -> Optional[list]:
+    def witness_eu(self, plan: Plan, sat, i: int) -> Optional[list]:
         """Shortest label path showing the existential until of plan entry
-        i at the initial node, given the labels ``sat`` of the plan; all
-        pre-target positions satisfy the left operand."""
+        i at the initial node, given ``sat[j]``, the node set of entry j, for
+        i and its operands; all pre-target positions satisfy the left one."""
         if not sat[i][self.g.initial]:
             return None
         _, left, iv, right = plan.ops[i]
@@ -720,11 +739,11 @@ def check(n: ConcreteNet, g: ReachGraph, phi: Union[Formula, Plan]) -> Verdict:
 
     ``phi`` is a formula, compiled here with ``compile_plan`` (a response
     ``-->`` read as "ag"; ``desugar(phi, "paper")`` gives the paper's
-    reading), or a plan compiled once by ``compile_plan``. The plan is
-    labelled bottom-up, one node set of flags per entry, its constraints
-    compiled against the places of the graph's net and their values cached
-    in the net's step table; a constraint on a place that net lacks raises
-    InputError.
+    reading), or a plan compiled once by ``compile_plan``. Only what the
+    verdict needs is labelled (see the module notes), one node set of flags
+    per entry, its constraints compiled against the places of the graph's
+    net and their values cached in the net's step table; a constraint on a
+    place that net lacks raises InputError.
 
     Returns a witness trace for a holding top-level existential until (EF
     included) and a counterexample trace for a failing top-level universal
@@ -737,10 +756,8 @@ def check(n: ConcreteNet, g: ReachGraph, phi: Union[Formula, Plan]) -> Verdict:
     if not g.complete:
         raise IncompleteGraphError("refusing to check an incomplete graph")
     plan = phi if isinstance(phi, Plan) else compile_plan(n, phi)
-    checker = _Checker(g)
-    sat = checker.label(plan)
-    root = len(plan.ops) - 1
-    holds = bool(sat[root][g.initial])
+    checker, sat, root = _Checker(g), {}, len(plan.ops) - 1
+    holds = checker.at_initial(plan, root, sat)
     op = plan.ops[root]
     witness = None
     if op[0] is EU and holds:

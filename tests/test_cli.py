@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import importlib.util
 import io
 import json
@@ -180,6 +181,28 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "bad.tctl" in err and "UTF-8" in err
 
+    ONE_FORMULA = [("check", "-v", "td=2"), ("synth", "--box", "td=1..3", "--jobs", "1")]
+
+    @pytest.mark.parametrize("command", ONE_FORMULA)
+    @pytest.mark.parametrize("formula", [("--formula-text", "EF[0,3](M(p2)>=1)", "--formula", "missing.tctl"), ()])
+    def test_both_formula_flags_or_neither_exit_two_before_the_net(self, capsys, command, formula):
+        name, *rest = command
+        with pytest.raises(SystemExit) as exc:
+            main([name, "missing.tpnet", *formula, *rest])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "--formula" in out.err and "missing" not in out.err
+
+    @pytest.mark.parametrize("command", ONE_FORMULA)
+    def test_empty_formula_text_is_a_syntax_error(self, tmp_path, capsys, command):
+        path = tmp_path / "param.tpnet"
+        path.write_text(PARAM_NET)
+        name, *rest = command
+        code, out, err = run(capsys, name, str(path), "--formula-text", "", *rest)
+        assert code == 2 and out == ""
+        assert "M(place)" in err
+
 
 class TestCountFlags:
     SYNTH = ("synth", "--formula-text", "EF[0,3](M(p2)>=1)", "--box", "td=1..3")
@@ -223,7 +246,7 @@ class TestCountFlags:
         from tpnsynth.cli import _build_parser, _limits
         from tpnsynth.statespace import ExploreLimits
 
-        ns = _build_parser().parse_args(["check", net_file])
+        ns = _build_parser().parse_args(["check", net_file, "--formula-text", "true"])
         assert _limits(ns) == ExploreLimits()
 
     @pytest.mark.parametrize(
@@ -645,6 +668,24 @@ def test_script_refuses_zero_jobs_before_any_work(script):
     assert proc.returncode == 2
     assert proc.stdout == ""  # both scripts print before their first check
     assert "--jobs" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_case_study_prints_the_same_lines_at_one_and_two_jobs():
+    """scripts/run_case_study.py, all but its "done in" line, at --jobs 1
+    and --jobs 2: a change that alters a case-study line on purpose
+    updates this digest."""
+    outs = []
+    for jobs in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, os.path.join(SCRIPTS, "run_case_study.py"), "--jobs", jobs],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append("".join(line for line in proc.stdout.splitlines(True) if not line.startswith("done in")))
+    assert outs[0] == outs[1]
+    assert hashlib.sha256(outs[0].encode()).hexdigest() == (
+        "bcd9bd768ed697f67b38158539235be10e31c083cba93df8324be8cdd7f22e30"
+    )
 
 
 def test_structure_search_filter_keeps_the_shipped_clock():

@@ -652,6 +652,58 @@ def test_check_leaves_no_predecessor_state_on_the_graph(net_a):
     assert set(vars(g)) == {"net", "keys", "succ", "complete"}
 
 
+class TestLazyCheck:
+    @settings(max_examples=80, deadline=None)
+    @given(rng=st.randoms(use_true_random=False))
+    def test_verdict_equals_the_full_labelling_and_the_oracle(self, rng):
+        # check decides Not/Implies at the initial node and labels only what
+        # that asks for; label labels every entry on every node
+        net = (random_race_net if rng.random() < 0.5 else random_parametric_net)(rng)
+        box = {p: (0, 4) for p in net.parameters}
+        vals = list(enumerate_valuations(implicit_domain(net), box, order=net.parameters))
+        if not vals:
+            return
+        c = instantiate(net, rng.choice(vals))
+        try:
+            g = build(c, ExploreLimits(k_bound=3, max_states=100))
+        except KBoundError:
+            return
+        if not g.complete:
+            return
+        for _ in range(3):
+            phi = random_formula(rng, list(net.places), depth=2, max_bound=4)
+            plan = compile_plan(net, phi)
+            ch = _Checker(g)
+            full = ch.label(plan)
+            root, op = len(plan.ops) - 1, plan.ops[-1]
+            eu = root if op[0] is EU else op[1] if op[0] is Not and plan.ops[op[1]][0] is EU else None
+            v = check(c, g, plan)
+            assert v.holds == bool(full[root][g.initial]) == brute_force_check(c, phi)
+            assert v.witness == (None if eu is None else ch.witness_eu(plan, full, eu))
+
+    def test_a_failing_conjunct_labels_no_until_of_the_next(self, net_a, monkeypatch):
+        labelled = []
+        until = _Checker.until
+        monkeypatch.setattr(_Checker, "until", lambda self, *args: labelled.append(args[2]) or until(self, *args))
+        g = build(net_a)
+        fails, holds = "EF[0,1](M(p2)>=1)", "AF[0,5](M(p2)>=1)"
+        assert not check(net_a, g, parse_formula(f"{fails} & {holds}")).holds
+        assert labelled == [TimeInterval(0, 1)]
+        labelled.clear()
+        assert not check(net_a, g, parse_formula(f"{holds} & {fails}")).holds
+        assert labelled == [TimeInterval(0, 5), TimeInterval(0, 1)]
+
+    def test_a_prop_only_check_builds_no_predecessor_lists(self, net_a, monkeypatch):
+        made = []
+        preds = _Checker.preds.func
+        monkeypatch.setattr(_Checker, "preds", property(lambda self: made.append(self) or preds(self)))
+        g = build(net_a)
+        assert check(net_a, g, parse_formula("M(p1)=1 & !(M(p2)>=1 | M(p1)=0)")).holds
+        assert made == []
+        assert check(net_a, g, parse_formula("M(p1)=1 & EF[2,3](M(p2)>=1)")).holds
+        assert made
+
+
 class TestLeadsToModes:
     def test_paper_reading_differs_from_default(self, net_a):
         # antecedent holds initially, consequent is unreachable: the
