@@ -1,14 +1,17 @@
-"""One digest of the checker's and the graph export's outputs over a fixed
-420-run matrix.
+"""One digest of the checker's, the graph export's and the synthesizer's
+outputs over a fixed 520-run matrix.
 
 Runs ``tpnsynth check --format json`` in-process over the 10 query files of
 ``models/queries/`` x ``models/circadian.tpnet`` and its flag:t_g, flag:t_a,
 jetlag:30,6 and knockout:t_b,t_f compositions x tau_g 1, 2, 3, 5 x both
 ``--leadsto`` readings (400 runs), then ``tpnsynth graph --format json`` over
-the 5 nets x the 4 tau_g values (20 runs), and prints the sha256 of every
+the 5 nets x the 4 tau_g values (20 runs), then ``tpnsynth synth --format
+json`` over the 5 nets x the 10 query files with ``--box tau_g=1..13`` at
+``--jobs 1`` and ``--jobs 2`` (100 runs), and prints the sha256 of every
 run's exit code, standard output and standard error, with ``timing_ms``
 removed from each JSON report. Two checkouts that print the same digest gave
-the same answers, witnesses, graphs and messages on every run.
+the same answers, witnesses, graphs, satisfying sets (in order) and messages
+on every run.
 
   python scripts/compare_outputs.py                 # this checkout's src/
   python scripts/compare_outputs.py --src OTHER/src # another checkout's
@@ -37,6 +40,8 @@ COMPOSITIONS = {  # file name: observer specs
 }
 TAU_G = (1, 2, 3, 5)
 LEADSTO = ("ag", "paper")
+SYNTH_BOX = "tau_g=1..13"
+SYNTH_JOBS = ("1", "2")
 
 
 def run(main, argv):
@@ -79,6 +84,12 @@ def main():
                 for leadsto in LEADSTO
             ]
             matrix += [["graph", name, "-v", f"tau_g={tau_g}"] for name in COMPOSITIONS for tau_g in TAU_G]
+            matrix += [
+                ["synth", name, "--formula", f"queries/{query}", "--box", SYNTH_BOX, "--jobs", jobs]
+                for name in COMPOSITIONS
+                for query in queries
+                for jobs in SYNTH_JOBS
+            ]
             for argv in matrix:
                 argv += ["--format", "json"]
                 code, out, err = run(cli_main, argv)

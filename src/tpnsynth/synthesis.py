@@ -10,19 +10,22 @@ thrown away; a sweep checks at most ``MAX_VALUATIONS``. What does not
 depend on the valuation is done once per problem: the formula is compiled
 into one check plan (``SynthesisProblem.plan``), and every instance steps
 on the net's one table (``Net.steps``), so a valuation costs one
-instantiation, one graph and one check of what its verdict needs. Sweeps
-are embarrassingly parallel. One process pool is kept per process and
-reused by every sweep that needs its worker count; a problem, plan and warm
-table included, is plain data that pickles whole, so the workers receive it
-with each chunk of valuations and hold no state between sweeps. Results are
-merged in enumeration order, so the output is independent of worker count.
+instantiation, one graph and at most one check of what its verdict needs:
+the unit of work, a chunk of valuations (``check_chunk``), checks each
+graph shape once, and many valuations build one shape with other clock
+values. Sweeps are embarrassingly parallel. One process pool is kept per
+process, its modules imported by the first sweep that needs one, and reused
+by every sweep that needs its worker count; a problem, plan and warm table
+included, is plain data that pickles whole, so the workers receive it with
+each chunk and hold no state between sweeps. Results are merged in
+enumeration order, so the output is independent of worker count.
 """
 
 from __future__ import annotations
 
+import atexit
+import marshal
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import islice
@@ -146,23 +149,40 @@ def enumerate_valuations(d: ParamDomain, box: Mapping[str, tuple], order=None):
         yield from walk(0)
 
 
-def check_valuation(p: SynthesisProblem, v):
-    """(holds, error) for one valuation; exploration failures are data."""
-    try:
-        concrete = instantiate(p.net, v)
-        graph = build(concrete, p.limits)
-        return check(concrete, graph, p.plan).holds, None
-    except KBoundError as exc:
-        return False, f"k-bound: {exc}"
-    except TpnError as exc:
-        return False, f"{type(exc).__name__}: {exc}"
+def check_chunk(p: SynthesisProblem, vals) -> list:
+    """(holds, error) per valuation of ``vals``, in order, all on the one
+    table of ``p.net``; exploration failures are data.
+
+    A verdict reads only the plan, ``succ``, the initial node 0 and the
+    values of the constraints at each node's marking, and ``succ`` decides
+    those markings: node 0 holds the net's initial one, a delay keeps a
+    marking and a fire edge's transition decides the next. So the verdict
+    of a complete graph is checked once per chunk for each ``succ``, keyed
+    by its marshal bytes (version 2, which writes no back-references), and
+    the memo dies with the chunk. Incomplete graphs, which ``check``
+    refuses, and valuations that raise never enter it."""
+    memo, results = {}, []
+    for v in vals:
+        try:
+            concrete = instantiate(p.net, v)
+            graph = build(concrete, p.limits)
+            shape = graph.complete and marshal.dumps(graph.succ, 2)
+            holds = memo.get(shape)
+            if holds is None:
+                holds = memo[shape] = check(concrete, graph, p.plan).holds
+            results.append((holds, None))
+        except KBoundError as exc:
+            results.append((False, f"k-bound: {exc}"))
+        except TpnError as exc:
+            results.append((False, f"{type(exc).__name__}: {exc}"))
+    return results
 
 
 MAX_VALUATIONS = 100_000  # largest number of domain points a sweep checks
+CHUNK = 1024  # most valuations a sweep in one process checks under one memo
 
 # The process's sweep pool, as (workers, executor), kept between calls: a
-# pool costs more to start than a small box costs to check. The
-# interpreter's exit joins it.
+# pool costs more to start than a small box costs to check.
 _pool = None
 # Each chunk carries the pickled problem (2-4.5 KB on the case study, a few
 # tenths of a millisecond to dump and load against about one per valuation),
@@ -171,14 +191,31 @@ _pool = None
 _MIN_CHUNK = 8
 
 
-def _pool_of(workers: int) -> ProcessPoolExecutor:
-    """The kept pool, replaced first if it has a different worker count."""
+@atexit.register
+def _shut_pool_down():
+    """Shut the kept pool down at exit, while the modules it needs are
+    whole: they are imported after this one and torn down before it."""
+    if _pool is not None:
+        _pool[1].shutdown()
+
+
+def _pool_map(p: SynthesisProblem, chunks: list, workers: int) -> list:
+    """``check_chunk`` of each chunk in the kept pool, which is replaced
+    first if it has a different worker count and dropped if it breaks. The
+    pool's modules are imported here, by the first sweep that needs one."""
     global _pool
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     if _pool is None or _pool[0] != workers:
         if _pool is not None:
             _pool[1].shutdown()
         _pool = workers, ProcessPoolExecutor(max_workers=workers)
-    return _pool[1]
+    try:
+        return list(_pool[1].map(partial(check_chunk, p), chunks))
+    except BrokenProcessPool:
+        _pool = None  # a broken pool takes no more work; the next call starts a new one
+        raise
 
 
 def synthesize(p: SynthesisProblem, jobs: int = 1) -> SynthesisResult:
@@ -186,10 +223,10 @@ def synthesize(p: SynthesisProblem, jobs: int = 1) -> SynthesisResult:
     processes (at least 1). A valuation whose check fails with a library
     error, such as a k-bound, is reported in ``failures`` rather than
     raised; a box of more than ``MAX_VALUATIONS`` is an InputError before
-    any is checked. With jobs > 1 the valuations go to a pool of one
-    worker per valuation up to ``jobs``, kept for later calls of that size,
-    and each chunk of valuations is sent with the problem."""
-    global _pool
+    any is checked. The valuations are checked in chunks (``check_chunk``):
+    here, of at most ``CHUNK``; with jobs > 1, in a pool of one worker per
+    valuation up to ``jobs``, kept for later calls of that size, each chunk
+    sent with the problem."""
     if jobs < 1:
         raise InputError(f"jobs must be at least 1, got {jobs}")
     points = enumerate_valuations(implicit_domain(p.net), p.box, order=p.net.parameters)
@@ -198,17 +235,12 @@ def synthesize(p: SynthesisProblem, jobs: int = 1) -> SynthesisResult:
         raise InputError(f"the box has more than {MAX_VALUATIONS} valuations in the domain")
     if jobs > 1 and len(vals) > 1:
         workers = min(jobs, len(vals))
-        chunk = max(min(_MIN_CHUNK, -(-len(vals) // workers)), len(vals) // (4 * workers))
-        pool = _pool_of(workers)
-        try:
-            results = list(pool.map(partial(check_valuation, p), vals, chunksize=chunk))
-        except BrokenProcessPool:
-            _pool = None  # a broken pool takes no more work; the next call starts a new one
-            raise
+        size = max(min(_MIN_CHUNK, -(-len(vals) // workers)), len(vals) // (4 * workers))
+        chunks = _pool_map(p, [vals[i : i + size] for i in range(0, len(vals), size)], workers)
     else:
-        results = [check_valuation(p, v) for v in vals]
+        chunks = [check_chunk(p, vals[i : i + CHUNK]) for i in range(0, len(vals), CHUNK)]
     satisfying, failures = [], []
-    for v, (holds, err) in zip(vals, results):
+    for v, (holds, err) in zip(vals, (r for chunk in chunks for r in chunk)):
         if err is not None:
             failures.append((v, err))
         elif holds:

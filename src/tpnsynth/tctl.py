@@ -4,12 +4,13 @@ and the model checker over a reachability graph.
 Formula text is split by one token regex and read by a recursive-descent
 parser. A formula is checked through a plan (``compile_plan``), made once per
 formula: the formula is desugared into its Prop/Not/Implies/EU/AU core
-(``desugar``, the one reader of the response reading), equal
-subformulas are shared, and the result is a postorder tuple of operators,
-plain data that pickles. The checker decides Not and Implies at the initial
-node alone, an Implies with a failing left side skipping its right side, and
-labels any other entry, on first request, with a node set: a ``bytes`` of one
-flag (0 or 1) per node, so Not is a ``translate`` and Implies one ``map``.
+(``desugar``, the one reader of the response reading), a double negation
+below the root's operands is dropped, equal subformulas are shared, and the
+result is a postorder tuple of operators, plain data that pickles. The
+checker decides Not and Implies at the initial node alone, an Implies with a
+failing left side skipping its right side, and labels any other entry, on
+first request, with a node set: a ``bytes`` of one flag (0 or 1) per node,
+so Not is a ``translate`` and Implies one ``map``.
 A constraint is evaluated at most once per marking of the net's step table,
 and cached there (``StepTable.props``), so a sweep over many valuations of one
 net evaluates it once per distinct marking it reaches; each graph spreads
@@ -586,25 +587,29 @@ def compile_plan(n: Net, phi: Formula) -> Plan:
     ``desugar(phi, "paper")`` for the paper's reading). Raises InputError
     when the formula names a place ``n`` (parametric or concrete) lacks
     (``compile_gmec``), and HorizonError when an until interval's least
-    integer exceeds ``MAX_DELAY_LAYERS``."""
+    integer exceeds ``MAX_DELAY_LAYERS``. ``Not(Not x)`` is compiled as x
+    below the root's operands; at the root and its operands it is kept, as
+    the witness rules of ``check`` read their operators."""
     index = {}  # entry -> position; insertion order is postorder
 
-    def walk(f) -> int:
+    def walk(f, depth) -> int:
         if isinstance(f, Prop):
             compile_gmec(n.place_index, f.gmec)  # unknown places fail here, before any graph
             op = (Prop, f.gmec)
         elif isinstance(f, Not):
-            op = (Not, walk(f.sub))
+            if depth > 1 and isinstance(f.sub, Not):
+                return walk(f.sub.sub, depth)
+            op = (Not, walk(f.sub, depth + 1))
         elif isinstance(f, Implies):
-            op = (Implies, walk(f.left), walk(f.right))
+            op = (Implies, walk(f.left, depth + 1), walk(f.right, depth + 1))
         else:  # EU or AU, the rest of the core
             a = f.interval.int_low()
             if a > MAX_DELAY_LAYERS:  # decided here, before any graph
                 raise HorizonError(f"interval lower bound {a} exceeds the delay-layer limit {MAX_DELAY_LAYERS}")
-            op = (type(f), walk(f.left), f.interval, walk(f.right))
+            op = (type(f), walk(f.left, depth + 1), f.interval, walk(f.right, depth + 1))
         return index.setdefault(op, len(index))
 
-    walk(desugar(phi))
+    walk(desugar(phi), 0)
     return Plan(tuple(index))
 
 

@@ -709,12 +709,13 @@ def test_structure_search_filter_keeps_the_shipped_clock():
 
 
 def test_output_digest_is_pinned():
-    """The 420-run ``check`` and ``graph`` ``--format json`` matrix of
-    scripts/compare_outputs.py (its messages and exit codes included): a
-    change that alters an output on purpose updates this digest."""
+    """The 520-run ``check``, ``graph`` and ``synth`` ``--format json``
+    matrix of scripts/compare_outputs.py (its messages and exit codes
+    included): a change that alters an output on purpose updates this
+    digest."""
     proc = subprocess.run(
         [sys.executable, os.path.join(SCRIPTS, "compare_outputs.py")],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "5c4b50f7c49d01c11c2b479d138c3cdaf4bd0eb595b249521c013aa99f75ac32  420 runs\n"
+    assert proc.stdout == "9353b7df2d9930bedbb59afb9e28fbca3cb5f76aa83685b643204566d396b095  520 runs\n"

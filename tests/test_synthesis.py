@@ -1,19 +1,26 @@
 import itertools
+import os
 import pickle
 import random
+import subprocess
+import sys
 from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tpnsynth import (
     ExploreLimits,
     FormulaSyntaxError,
     InputError,
+    KBoundError,
     LeadsTo,
     LinearConstraint,
     ParamDomain,
     TimeInterval,
+    TpnError,
     build,
     check,
     domain_contains,
@@ -26,12 +33,13 @@ from tpnsynth import semantics, synthesis, tctl
 from tpnsynth.petri import implicit_domain
 from tpnsynth.synthesis import (
     SynthesisProblem,
+    check_chunk,
     enumerate_valuations,
     summarize,
     synthesize,
 )
 
-from _gen import random_formula, random_parametric_net
+from _gen import random_formula, random_parametric_net, random_race_net
 
 
 def lc(coeffs, rel, bound):
@@ -196,6 +204,17 @@ class TestSynthesize:
         assert a.satisfying == b.satisfying == c.satisfying
         assert a.summary == b.summary == c.summary
 
+    def test_a_kept_pool_exits_quietly(self):
+        # this file imports the pool's modules after tpnsynth, so teardown
+        # clears them first; the pool is shut down at exit, before that, and
+        # its collection afterwards raises nothing
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__, "-k", "parallel_equals_serial"],
+            capture_output=True, text=True, timeout=120, cwd=os.path.dirname(os.path.dirname(__file__)),
+        )
+        assert proc.returncode == 0, proc.stdout
+        assert proc.stderr == ""
+
     def test_parallel_equals_serial_with_k_bound_failures(self):
         limits = ExploreLimits(k_bound=2, max_states=5000)
         problem = SynthesisProblem(_two_sources(), _EMPTIED, {"g": (1, 4), "e": (0, 4)}, limits)
@@ -264,18 +283,19 @@ class TestSynthesize:
     def test_workers_capped_at_the_valuation_count(self, monkeypatch, param_net):
         started = []
 
-        class InProcess:  # records the pool size and maps here, starting no process
+        class InProcess:  # records the pool size and the chunks, and maps here, starting no process
             def __init__(self, max_workers):
                 started.append(max_workers)
 
-            def map(self, fn, items, chunksize=1):
-                return map(pickle.loads(pickle.dumps(fn)), items)
+            def map(self, fn, chunks):
+                started.append([len(chunk) for chunk in chunks])
+                return map(pickle.loads(pickle.dumps(fn)), chunks)
 
-        monkeypatch.setattr("tpnsynth.synthesis.ProcessPoolExecutor", InProcess)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcess)
         monkeypatch.setattr("tpnsynth.synthesis._pool", None)  # neither a kept pool nor this fake outlives the test
         problem = SynthesisProblem(param_net, parse_formula("EF[0,2](M(p2)>=1)"), {"td": (0, 3)})
         res = synthesize(problem, jobs=64)  # td >= 1: three valuations
-        assert started == [3]
+        assert started == [3, [1, 1, 1]]
         assert res.satisfying == [{"td": 1}, {"td": 2}] and res.explored == 3
 
     def test_pool_kept_per_worker_count_and_dropped_when_broken(self, monkeypatch, param_net):
@@ -288,16 +308,16 @@ class TestSynthesize:
                 self.workers = max_workers
                 log.append(("start", max_workers))
 
-            def map(self, fn, items, chunksize=1):
+            def map(self, fn, items):
                 if Recording.breaks:
                     raise BrokenProcessPool("a worker died")
-                chunks.append(chunksize)
+                chunks.append([len(chunk) for chunk in items])
                 return map(pickle.loads(pickle.dumps(fn)), items)
 
             def shutdown(self):
                 log.append(("shutdown", self.workers))
 
-        monkeypatch.setattr("tpnsynth.synthesis.ProcessPoolExecutor", Recording)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Recording)
         monkeypatch.setattr("tpnsynth.synthesis._pool", None)
         problem = SynthesisProblem(param_net, parse_formula("EF[0,4](M(p2)>=1)"), {"td": (0, 8)})
         serial = synthesize(problem, jobs=1)
@@ -306,7 +326,7 @@ class TestSynthesize:
         assert log == [("start", 2)]
         runs.append(synthesize(problem, jobs=3))
         assert log == [("start", 2), ("shutdown", 2), ("start", 3)]
-        assert chunks == [4, 4, 3]  # eight valuations: every worker gets a chunk
+        assert chunks == [[4, 4], [4, 4], [3, 3, 2]]  # eight valuations: every worker gets a chunk
         for res in runs:
             assert (res.satisfying, res.explored, res.failures, res.summary) == (
                 serial.satisfying, serial.explored, serial.failures, serial.summary)
@@ -334,6 +354,125 @@ class TestSynthesize:
             SynthesisProblem(param_net, parse_formula("EF[0,1](M(p2)>=1)"), {})
 
 
+def memo_free(p):
+    """(satisfying, failures, explored) of a sweep that checks every graph:
+    instantiate, build and check per valuation, on a copy of the problem,
+    which shares no table with any other sweep."""
+    p = pickle.loads(pickle.dumps(p))
+    vals = list(enumerate_valuations(implicit_domain(p.net), p.box, order=p.net.parameters))
+    satisfying, failures = [], []
+    for v in vals:
+        try:
+            c = instantiate(p.net, v)
+            holds = check(c, build(c, p.limits), p.plan).holds
+        except KBoundError as exc:
+            failures.append((v, f"k-bound: {exc}"))
+        except TpnError as exc:
+            failures.append((v, f"{type(exc).__name__}: {exc}"))
+        else:
+            if holds:
+                satisfying.append(v)
+    return satisfying, failures, len(vals)
+
+
+def _race():
+    """Two transitions race for one token, each into its own place: which
+    marking a valuation reaches first depends on x against y."""
+    return make_net(
+        [("race", 1), ("a", 0), ("b", 0)],
+        {
+            "to_a": {"pre": {"race": 1}, "post": {"a": 1}, "interval": ("x", "x")},
+            "to_b": {"pre": {"race": 1}, "post": {"b": 1}, "interval": ("y", "y")},
+        },
+        parameters=["x", "y"],
+    )
+
+
+class TestChunkMemo:
+    @given(rng=st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_a_sweep_equals_the_memo_free_loop(self, rng):
+        # incomplete graphs (a small state cap) and k-bound stops are never
+        # memoised; every other valuation is read off its graph's shape
+        net = (random_race_net if rng.random() < 0.5 else random_parametric_net)(rng)
+        phi = random_formula(rng, list(net.places), depth=2, max_bound=4)
+        limits = ExploreLimits(k_bound=3, max_states=rng.choice([6, 40, 2000]))
+        problem = SynthesisProblem(net, phi, {p: (0, 4) for p in net.parameters}, limits)
+        res = synthesize(problem, jobs=1)
+        assert (res.satisfying, res.failures, res.explored) == memo_free(problem)
+
+    def test_check_runs_once_per_distinct_shape_in_a_chunk(self, monkeypatch):
+        # y is the high bound of a transition that a [d,d] one disables:
+        # every y >= d gives the same marking ids and edges, with other
+        # clock values in the keys
+        net = make_net(
+            [("p", 1), ("q", 1), ("r", 0), ("s", 0)],
+            {
+                "a": {"pre": {"p": 1}, "post": {"r": 1}, "interval": ("d", "d")},
+                "b": {"pre": {"q": 1}, "read": {"p": 1}, "post": {"s": 1}, "interval": (0, "y")},
+            },
+            parameters=["d", "y"],
+        )
+        problem = SynthesisProblem(net, parse_formula("EF[0,1](M(r)>=1 & M(s)=0)"), {"d": (1, 2), "y": (0, 4)})
+        vals = list(enumerate_valuations(implicit_domain(net), problem.box, order=net.parameters))
+        shapes = set()
+        for v in vals:
+            g = build(instantiate(net, v))
+            shapes.add((tuple(key[0] for key in g.keys), tuple(map(tuple, g.succ))))
+        assert 1 < len(shapes) < len(vals)
+        checked = []
+        monkeypatch.setattr(synthesis, "check", lambda c, g, plan: checked.append(g) or check(c, g, plan))
+        results = check_chunk(problem, vals)
+        assert len(checked) == len(shapes)
+        monkeypatch.undo()
+        assert [holds for holds, _ in results] == [check(c, build(c), problem.plan).holds
+                                                   for c in (instantiate(net, v) for v in vals)]
+
+    def test_equal_markings_with_other_edges_are_other_shapes(self):
+        # y=0 lets back1 fire at once, y=1 makes it wait: both graphs visit
+        # the same markings in the same node order, and only y=1 is off the
+        # race place at time 2 on every path
+        net = make_net(
+            [("race", 1), ("w0", 0), ("w1", 0)],
+            {
+                "win0": {"pre": {"race": 1}, "post": {"w0": 1}, "interval": (1, 2)},
+                "back0": {"pre": {"w0": 1}, "post": {"race": 1}, "interval": (1, 3)},
+                "win1": {"pre": {"race": 1}, "post": {"w1": 1}, "interval": (1, 3)},
+                "back1": {"pre": {"w1": 1}, "post": {"race": 1}, "interval": ("y", 1)},
+            },
+            parameters=["y"],
+        )
+        graphs = [build(instantiate(net, {"y": y})) for y in (0, 1)]
+        assert [[key[0] for key in g.keys] for g in graphs[1:]] == [[key[0] for key in graphs[0].keys]]
+        assert graphs[0].succ != graphs[1].succ
+        problem = SynthesisProblem(net, parse_formula("AF[2,2](M(race) < 1)"), {"y": (0, 1)})
+        assert check_chunk(problem, [{"y": 0}, {"y": 1}]) == [(False, None), (True, None)]
+
+    def test_an_incomplete_graph_is_refused_whatever_its_edges(self):
+        # at b=2 the state cap cuts the delay out of clock (0,1), which
+        # leaves the edges of the complete b=1 graph
+        net = make_net([("p", 1)], {"t": {"pre": {"p": 1}, "post": {"p": 1}, "interval": (1, "b")}}, parameters=["b"])
+        limits = ExploreLimits(max_states=2)
+        graphs = [build(instantiate(net, {"b": b}), limits) for b in (1, 2)]
+        assert graphs[0].succ == graphs[1].succ and [g.complete for g in graphs] == [True, False]
+        problem = SynthesisProblem(net, parse_formula("EF[0,1](M(p)=1)"), {"b": (1, 2)}, limits)
+        assert check_chunk(problem, [{"b": 1}, {"b": 2}]) == [
+            (True, None), (False, "IncompleteGraphError: refusing to check an incomplete graph")]
+
+    def test_copies_interning_markings_in_other_orders_agree(self):
+        problem = SynthesisProblem(_race(), parse_formula("EF[0,3](M(a)>=1)"), {"x": (0, 3), "y": (0, 3)})
+        first, second = (pickle.loads(pickle.dumps(problem)) for _ in range(2))
+        check_chunk(first, [{"x": 1, "y": 2}])  # interns a's marking before b's
+        check_chunk(second, [{"x": 2, "y": 1}])  # and b's before a's
+        vals = list(enumerate_valuations(implicit_domain(problem.net), problem.box, order=["x", "y"]))
+        assert check_chunk(first, vals) == check_chunk(second, vals)
+        ids = [p.net.steps.mindex for p in (first, second)]
+        assert ids[0].keys() == ids[1].keys() and ids[0] != ids[1]
+        satisfying = [v for v in vals if v["x"] <= v["y"]]  # a is reached, by time x <= 3
+        assert synthesize(first).satisfying == synthesize(second).satisfying == satisfying
+        assert memo_free(problem)[0] == satisfying
+
+
 class TestSummarize:
     def test_interval_projection(self):
         sats = [{"t": v} for v in range(6, 13)]
@@ -347,10 +486,6 @@ class TestSummarize:
     def test_diagonal_is_not_box_exact(self):
         summary, exact = summarize([{"a": 0, "b": 1}, {"a": 1, "b": 0}], ["a", "b"])
         assert summary == {"a": [0, 1], "b": [0, 1]} and not exact
-
-
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 
 @given(

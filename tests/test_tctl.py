@@ -1,3 +1,4 @@
+import os
 import pickle
 import random
 import sys
@@ -30,15 +31,17 @@ from tpnsynth import (
     instantiate,
     make_net,
     parse_formula,
+    parse_formula_file,
     parse_gmec,
     replay,
 )
+from tpnsynth.netfile import parse_net_file
 from tpnsynth.petri import INF
 from tpnsynth.semantics import Delay, Fire
 from tpnsynth.statespace import ExploreLimits
 from tpnsynth.petri import implicit_domain
 from tpnsynth.synthesis import enumerate_valuations
-from tpnsynth.tctl import TRUE_GMEC, Implies, _Checker, _tokenize, compile_plan, desugar
+from tpnsynth.tctl import TRUE_GMEC, Implies, Verdict, _Checker, _tokenize, compile_plan, desugar
 
 from _gen import (
     mutate_text,
@@ -464,6 +467,29 @@ class TestPlan:
         assert sum(op[0] is EU for op in plan.ops) == 1
         props = [op for op in plan.ops if op[0] is Prop]
         assert len(props) == 3  # M(p2)>=1, M(p1)>=1 and the EF's true
+
+    def test_double_negations_fold_below_the_root_operands(self, net_a):
+        ef, g = parse_formula("EF[0,2](M(p2)>=1)"), build(net_a)
+        assert check(net_a, g, ef).holds
+        plan = compile_plan(net_a, Not(Not(Not(Not(ef)))))
+        assert [op[0] for op in plan.ops] == [Prop, Prop, EU, Not, Not]  # the root and its operand stay
+        assert check(net_a, g, plan) == Verdict(True, None)
+        plan = compile_plan(net_a, Not(Not(Not(ef))))  # as Not(EU), it would have a counterexample
+        assert [op[0] for op in plan.ops] == [Prop, Prop, EU, Not, Not, Not]
+        assert check(net_a, g, plan) == Verdict(False, None)
+        plan = compile_plan(net_a, Not(Implies(Not(Not(ef)), Not(ef))))
+        assert [op[0] for op in plan.ops] == [Prop, Prop, EU, Not, Implies, Not]
+
+    def test_query_plan_sizes(self):
+        models = os.path.join(os.path.dirname(__file__), os.pardir, "models")
+        net = parse_net_file(os.path.join(models, "circadian.tpnet"))
+        plans = {
+            name: compile_plan(net, parse_formula_file(os.path.join(models, "queries", f"{name}.tctl"))).ops
+            for name in ("phi_i", "phi_a", "phi_b", "phi_c")
+        }
+        assert {name: len(ops) for name, ops in plans.items()} == {"phi_i": 35, "phi_a": 14, "phi_b": 14, "phi_c": 9}
+        root = plans["phi_c"][-1]  # Not(Not EU) keeps its shape at the root, so it has no witness
+        assert root[0] is Not and plans["phi_c"][root[1]][0] is Not
 
     def test_plan_checks_any_net_naming_its_places(self, net_a):
         phis = [parse_formula(f"EF{iv}(M(p2)>=1 & M(p1)=0)") for iv in ("[2,3]", "[0,1]")]
