@@ -1,8 +1,8 @@
 """End-to-end circadian case study: reproduces every published number the
 reconstruction can reach and reports reconstructed-vs-expected where it
 cannot. Runs in under 1 s on a shared 2-core x86 VM (Intel Xeon) with
-Python 3.11: over twelve runs each it reported "done in 0.16s" to "done in
-0.30s" at --jobs 1 and "done in 0.26s" to "done in 0.30s" at --jobs 2, whose
+Python 3.11: over twenty runs each it reported "done in 0.16s" to "done in
+0.28s" at --jobs 1 and "done in 0.26s" to "done in 0.32s" at --jobs 2, whose
 timed part includes starting the pool and importing its modules.
 
   python scripts/run_case_study.py [--jobs N] [--quick]

@@ -234,6 +234,12 @@ class Net:
         return self.transition_index[t]
 
     @cached_property
+    def fixed_intervals(self) -> tuple:
+        """The TimeInterval of each interval that no parameter bounds, made
+        once; None for each parametric one, which ``instantiate`` evaluates."""
+        return tuple([None if iv.referenced_params() else iv.evaluate({}) for iv in self.intervals])
+
+    @cached_property
     def steps(self) -> "StepTable":
         """The net's step table, built once; raises InputError when
         ``validate_net`` finds the net ill formed."""
@@ -421,7 +427,8 @@ def implicit_domain(n: Net) -> ParamDomain:
 
 
 def instantiate(n: Net, v: Valuation) -> ConcreteNet:
-    """Evaluate every parametric interval at ``v``; structure is unchanged.
+    """Evaluate every parametric interval at ``v``; structure is unchanged,
+    and the constant intervals are the net's own (``Net.fixed_intervals``).
 
     The instance steps on ``n.steps``, the net's own table. An ill-formed
     ``n`` has no table, so its instance gets its own, and with it its own
@@ -440,7 +447,7 @@ def instantiate(n: Net, v: Valuation) -> ConcreteNet:
         read=n.read,
         inhibit=n.inhibit,
         initial=n.initial,
-        intervals=tuple(j.evaluate(v) for j in n.intervals),
+        intervals=tuple([j.evaluate(v) if iv is None else iv for iv, j in zip(n.fixed_intervals, n.intervals)]),
         domain=ParamDomain(),
     )
     try:

@@ -9,16 +9,22 @@ are generated, in lexicographic order, and no box point is tested and
 thrown away; a sweep checks at most ``MAX_VALUATIONS``. What does not
 depend on the valuation is done once per problem: the formula is compiled
 into one check plan (``SynthesisProblem.plan``), and every instance steps
-on the net's one table (``Net.steps``), so a valuation costs one
-instantiation, one graph and at most one check of what its verdict needs:
-the unit of work, a chunk of valuations (``check_chunk``), checks each
-graph shape once, and many valuations build one shape with other clock
-values. Sweeps are embarrassingly parallel. One process pool is kept per
-process, its modules imported by the first sweep that needs one, and reused
-by every sweep that needs its worker count; a problem, plan and warm table
-included, is plain data that pickles whole, so the workers receive it with
-each chunk and hold no state between sweeps. Results are merged in
-enumeration order, so the output is independent of worker count.
+on the net's one table (``Net.steps``), so a valuation costs at most one
+instantiation, one graph and one check of what its verdict needs. The unit
+of work, a chunk of domain points (``check_chunk``, which takes no other
+valuation), reuses the verdict of a complete graph for every valuation that
+agrees with it on the parameters the graph reads, those bounding a
+transition one of its markings enables: such a valuation builds the same
+graph, so it needs no instance, build or check. It also checks each graph
+shape once, as valuations that differ in what a graph reads may still
+build one shape with other clock values.
+
+Sweeps are embarrassingly parallel. One process pool is kept per process,
+its modules imported by the first sweep that needs one, and reused by every
+sweep that needs its worker count; a problem, plan and warm table included,
+is plain data that pickles whole, so the workers receive it with each chunk
+and hold no state between sweeps. Results are merged in enumeration order,
+so the output is independent of worker count.
 """
 
 from __future__ import annotations
@@ -29,12 +35,12 @@ import sys
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import islice
-from typing import Mapping
+from typing import Mapping, Optional
 
 from .errors import InputError, KBoundError, TpnError
 from .petri import Net, ParamDomain, implicit_domain, instantiate
 from .statespace import ExploreLimits, build
-from .tctl import Formula, Plan, check, compile_plan
+from .tctl import Formula, Plan, compile_plan, decide
 
 
 @dataclass(frozen=True)
@@ -151,25 +157,45 @@ def enumerate_valuations(d: ParamDomain, box: Mapping[str, tuple], order=None):
 
 def check_chunk(p: SynthesisProblem, vals) -> list:
     """(holds, error) per valuation of ``vals``, in order, all on the one
-    table of ``p.net``; exploration failures are data.
+    table of ``p.net``; exploration failures are data. Every valuation must
+    be a point of ``enumerate_valuations(implicit_domain(p.net), p.box)``,
+    which always instantiates, because one answered from the first memo
+    below is not instantiated.
 
-    A verdict reads only the plan, ``succ``, the initial node 0 and the
-    values of the constraints at each node's marking, and ``succ`` decides
-    those markings: node 0 holds the net's initial one, a delay keeps a
-    marking and a fire edge's transition decides the next. So the verdict
-    of a complete graph is checked once per chunk for each ``succ``, keyed
-    by its marshal bytes (version 2, which writes no back-references), and
-    the memo dies with the chunk. Incomplete graphs, which ``check``
-    refuses, and valuations that raise never enter it."""
-    memo, results = {}, []
+    Two memos, which die with the chunk, hold the verdicts of complete
+    graphs; incomplete graphs, which ``decide`` refuses, and valuations that
+    raise enter neither. The first is keyed by the values of the parameters
+    that bound a transition enabled at one of the graph's markings, and it
+    is exact. A build reads only the static bounds of the transitions that
+    the initial marking enables and of those a fire newly enables at its
+    successor's marking, and every successor a complete graph's build
+    computes is one of its nodes. So the build of a valuation that agrees
+    on those parameters reads the same bound slots with the same values in
+    the same order, and makes the same keys and ``succ``.
+
+    The second is keyed by the shape, the marshal bytes (version 2, which
+    writes no back-references) of ``succ``, and catches graphs that differ
+    only in clock values: a verdict reads only the plan, ``succ``, the
+    initial node 0 and the constraints at each node's marking, and ``succ``
+    decides those markings, as node 0 holds the net's initial one, a delay
+    keeps a marking and a fire edge's transition decides the next."""
+    reads = [iv.referenced_params() for iv in p.net.intervals]  # per transition
+    known, shapes, results = {}, {}, []  # known: parameter names -> {their values: verdict}
     for v in vals:
+        holds = _known(known, v)
+        if holds is not None:
+            results.append((holds, None))
+            continue
         try:
-            concrete = instantiate(p.net, v)
-            graph = build(concrete, p.limits)
+            graph = build(instantiate(p.net, v), p.limits)
             shape = graph.complete and marshal.dumps(graph.succ, 2)
-            holds = memo.get(shape)
+            holds = shapes.get(shape)
             if holds is None:
-                holds = memo[shape] = check(concrete, graph, p.plan).holds
+                holds = shapes[shape] = decide(graph, p.plan)
+            on = graph.net.steps.enabled_at  # per marking id
+            read = set().union(*[reads[t] for m in {key[0] for key in graph.keys} for t in on[m]])
+            names = tuple([x for x in p.net.parameters if x in read])
+            known.setdefault(names, {})[tuple([v[x] for x in names])] = holds
             results.append((holds, None))
         except KBoundError as exc:
             results.append((False, f"k-bound: {exc}"))
@@ -178,8 +204,18 @@ def check_chunk(p: SynthesisProblem, vals) -> list:
     return results
 
 
+def _known(known: dict, v) -> Optional[bool]:
+    """The verdict memoised for a valuation that agrees with v on the
+    parameters its graph read, or None."""
+    for names, verdicts in known.items():
+        holds = verdicts.get(tuple([v[x] for x in names]))
+        if holds is not None:
+            return holds
+    return None
+
+
 MAX_VALUATIONS = 100_000  # largest number of domain points a sweep checks
-CHUNK = 1024  # most valuations a sweep in one process checks under one memo
+CHUNK = 1024  # most valuations a sweep in one process checks under one pair of memos
 
 # The process's sweep pool, as (workers, executor), kept between calls: a
 # pool costs more to start than a small box costs to check.

@@ -739,6 +739,16 @@ class _Checker:
         return None
 
 
+def decide(g: ReachGraph, plan: Plan, sat: Optional[dict] = None) -> bool:
+    """Whether the initial node of ``g`` satisfies ``plan``: the verdict of
+    ``check``, with no witness. Only what it needs is labelled, and the node
+    sets made go into ``sat`` (entry -> flags) when one is given. Raises
+    IncompleteGraphError for an incomplete graph."""
+    if not g.complete:
+        raise IncompleteGraphError("refusing to check an incomplete graph")
+    return _Checker(g).at_initial(plan, len(plan.ops) - 1, {} if sat is None else sat)
+
+
 def check(n: ConcreteNet, g: ReachGraph, phi: Union[Formula, Plan]) -> Verdict:
     """Decide whether the initial state satisfies the formula.
 
@@ -750,7 +760,8 @@ def check(n: ConcreteNet, g: ReachGraph, phi: Union[Formula, Plan]) -> Verdict:
     net and their values cached in the net's step table; a constraint on a
     place that net lacks raises InputError.
 
-    Returns a witness trace for a holding top-level existential until (EF
+    The verdict is ``decide``'s, which refuses an incomplete graph. Returns
+    a witness trace for a holding top-level existential until (EF
     included) and a counterexample trace for a failing top-level universal
     invariant (AG and the response operator in its "ag" reading).
     The least integer of every until interval, which is the number of
@@ -758,15 +769,13 @@ def check(n: ConcreteNet, g: ReachGraph, phi: Union[Formula, Plan]) -> Verdict:
     ``MAX_DELAY_LAYERS``; ``compile_plan`` raises HorizonError for a larger
     one. Upper bounds are not limited.
     """
-    if not g.complete:
-        raise IncompleteGraphError("refusing to check an incomplete graph")
     plan = phi if isinstance(phi, Plan) else compile_plan(n, phi)
-    checker, sat, root = _Checker(g), {}, len(plan.ops) - 1
-    holds = checker.at_initial(plan, root, sat)
+    sat, root = {}, len(plan.ops) - 1
+    holds = decide(g, plan, sat)
     op = plan.ops[root]
     witness = None
     if op[0] is EU and holds:
-        witness = checker.witness_eu(plan, sat, root)
+        witness = _Checker(g).witness_eu(plan, sat, root)
     elif op[0] is Not and plan.ops[op[1]][0] is EU and not holds:
-        witness = checker.witness_eu(plan, sat, op[1])
+        witness = _Checker(g).witness_eu(plan, sat, op[1])
     return Verdict(holds, witness)

@@ -114,6 +114,39 @@ def random_race_net(rng: random.Random):
     return make_net(places, transitions, parameters=params)
 
 
+def random_gated_net(rng: random.Random):
+    """Two or three transitions race for the token on ``race``, and those
+    after the first may give it back; the first, which waits q0, puts a
+    token on ``gate``. The transitions bounded by q1 and q2 need the gate
+    (a pre or read arc) or an empty ``race`` (an inhibitor arc), so whether
+    a valuation's graph reads them depends on q0. A read arc on the gate
+    refills ``done`` until the k-bound stops the build. q3, when present,
+    is named by the domain alone."""
+    params = ["q0", "q1", "q2"] + (["q3"] if rng.random() < 0.3 else [])
+    n_racers = rng.randint(2, 3)
+    places = [("race", 1), ("gate", 0), ("done", 0)] + [(f"w{i}", 0) for i in range(n_racers)]
+
+    def interval(name=None):
+        lo, hi = (name if name and rng.random() < 0.5 else rng.randint(0, 4) for _ in range(2))
+        if isinstance(lo, int) and isinstance(hi, int) and lo > hi:
+            lo, hi = hi, lo
+        return lo, hi
+
+    transitions = {}
+    for i in range(n_racers):
+        iv = ("q0", rng.choice(["q0", None])) if i == 0 else interval(rng.choice(["q0", None]))
+        transitions[f"win{i}"] = {"pre": {"race": 1}, "post": {f"w{i}": 1}, "interval": iv}
+        if i and rng.random() < 0.4:
+            transitions[f"back{i}"] = {"pre": {f"w{i}": 1}, "post": {"race": 1}, "interval": interval()}
+    transitions["win0"]["post"]["gate"] = 1
+    for q in ("q1", "q2"):
+        gates = [{"pre": {"gate": 1}}, {"read": {"gate": 1}}, {"inhibit": {"race": 1}, "pre": {"w1": 1}}]
+        arcs = rng.choices(gates, [3, 1, 2])[0]
+        transitions[f"on_{q}"] = {**arcs, "post": {"done": 1}, "interval": interval(q)}
+    constraints = [LinearConstraint.make({"q3": 1, "q0": 1}, "<=", rng.randint(2, 6))] if "q3" in params else []
+    return make_net(places, transitions, parameters=params, constraints=constraints)
+
+
 def random_walk_states(rng: random.Random, net, steps=25):
     """States sampled along one random unit-step run."""
     from tpnsynth import initial_state, successors

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tpnsynth import (
+    ConcreteNet,
     DomainError,
     ExploreLimits,
     IllFormedIntervalError,
@@ -19,6 +20,7 @@ from tpnsynth import (
     build,
     domain_contains,
     enabled_set,
+    enumerate_valuations,
     eval_constraint,
     instantiate,
     make_net,
@@ -28,7 +30,7 @@ from tpnsynth import (
 from tpnsynth.petri import INF, RELATIONS, Net, StepTable, fire_marking, implicit_domain, net_spec
 from tpnsynth.semantics import bounds
 
-from _gen import outcome, random_concrete_net, random_parametric_net, reference_build
+from _gen import outcome, random_concrete_net, random_gated_net, random_parametric_net, reference_build
 
 
 def lc(coeffs, rel, bound):
@@ -173,6 +175,23 @@ class TestInstantiate:
     def test_no_parameters_keeps_intervals(self):
         net = make_net([("p", 1)], {"t": {"pre": {"p": 1}, "interval": (2, 3)}})
         assert instantiate(net, {}).intervals == (TimeInterval(2, 3),)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rng=st.randoms(use_true_random=False))
+    def test_instance_equals_every_interval_evaluated(self, rng):
+        # constant intervals are made once per net and shared by its instances
+        net = (random_gated_net if rng.random() < 0.5 else random_parametric_net)(rng)
+        box = {p: (0, 4) for p in net.parameters}
+        vals = list(enumerate_valuations(implicit_domain(net), box, order=net.parameters))
+        if not vals:
+            return
+        picked = [rng.choice(vals) for _ in range(2)]
+        instances = [instantiate(net, v) for v in picked]
+        for c, v in zip(instances, picked):
+            assert c == ConcreteNet(net.places, net.transitions, (), net.pre, net.post, net.read, net.inhibit,
+                                    net.initial, tuple(iv.evaluate(v) for iv in net.intervals))
+        for a, b, iv in zip(instances[0].intervals, instances[1].intervals, net.intervals):
+            assert (a is b) == (not iv.referenced_params())
 
     def test_valuation_outside_domain_rejected(self):
         net = make_net(

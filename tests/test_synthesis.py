@@ -24,6 +24,7 @@ from tpnsynth import (
     build,
     check,
     domain_contains,
+    enabled_set,
     instantiate,
     make_net,
     parse_formula,
@@ -39,7 +40,7 @@ from tpnsynth.synthesis import (
     synthesize,
 )
 
-from _gen import random_formula, random_parametric_net, random_race_net
+from _gen import random_formula, random_gated_net, random_parametric_net, random_race_net
 
 
 def lc(coeffs, rel, bound):
@@ -388,18 +389,98 @@ def _race():
     )
 
 
+def read_values(net, v, limits=ExploreLimits()):
+    """The values at v of the parameters bounding a transition that some
+    marking of v's graph enables, found through the public API."""
+    g = build(instantiate(net, v), limits)
+    on = set().union(*(enabled_set(net, s.marking) for s in g.states))
+    read = set().union(*(iv.referenced_params() for t, iv in zip(net.transitions, net.intervals) if t in on))
+    return tuple(sorted((p, v[p]) for p in read))
+
+
+def counting_builds(monkeypatch):
+    """The graphs ``check_chunk`` builds from now on, appended as built."""
+    built = []
+    monkeypatch.setattr(synthesis, "build", lambda c, lim: built.append(c) or build(c, lim))
+    return built
+
+
+def _gated():
+    """The race's winner at time a opens the gate, and the gate's transition
+    waits b: b is read only where a <= 2, when ``open`` can win."""
+    return make_net(
+        [("race", 1), ("gate", 0), ("away", 0), ("done", 0)],
+        {
+            "open": {"pre": {"race": 1}, "post": {"gate": 1}, "interval": ("a", "a")},
+            "leave": {"pre": {"race": 1}, "post": {"away": 1}, "interval": (2, 2)},
+            "shut": {"pre": {"gate": 1}, "post": {"done": 1}, "interval": ("b", "b")},
+        },
+        parameters=["a", "b"],
+    )
+
+
 class TestChunkMemo:
     @given(rng=st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
     def test_a_sweep_equals_the_memo_free_loop(self, rng):
         # incomplete graphs (a small state cap) and k-bound stops are never
-        # memoised; every other valuation is read off its graph's shape
-        net = (random_race_net if rng.random() < 0.5 else random_parametric_net)(rng)
+        # memoised; every other valuation is read off the values of the
+        # parameters its graph reads, or else off its graph's shape
+        make, width = rng.choice([(random_race_net, 4), (random_parametric_net, 4), (random_gated_net, 3)])
+        net = make(rng)
         phi = random_formula(rng, list(net.places), depth=2, max_bound=4)
         limits = ExploreLimits(k_bound=3, max_states=rng.choice([6, 40, 2000]))
-        problem = SynthesisProblem(net, phi, {p: (0, 4) for p in net.parameters}, limits)
+        problem = SynthesisProblem(net, phi, {p: (0, width) for p in net.parameters}, limits)
         res = synthesize(problem, jobs=1)
         assert (res.satisfying, res.failures, res.explored) == memo_free(problem)
+
+    def test_a_chunk_builds_once_per_distinct_read_values(self, monkeypatch):
+        problem = SynthesisProblem(_gated(), parse_formula("EF[0,4](M(done)>=1)"), {"a": (0, 4), "b": (0, 3)})
+        vals = list(enumerate_valuations(implicit_domain(problem.net), problem.box, order=["a", "b"]))
+        distinct = {read_values(problem.net, v) for v in vals}
+        assert len(distinct) == 3 * 4 + 2  # (a, b) for a <= 2, a alone above
+        built = counting_builds(monkeypatch)
+        results = check_chunk(problem, vals)
+        assert len(built) == len(distinct)
+        satisfying = [v for v, (holds, _) in zip(vals, results) if holds]
+        assert satisfying == [v for v in vals if v["a"] <= 2 and v["a"] + v["b"] <= 4] == memo_free(problem)[0]
+
+    @pytest.mark.parametrize("stop", ["max_states", "k_bound"])
+    def test_a_cut_graph_never_enters_the_memo(self, monkeypatch, stop):
+        # the cut graph's markings enable t alone, which a bounds; u, which b
+        # bounds, is enabled only beyond the cut: at the state cap's dropped
+        # node, or at the marking over the k-bound
+        net = make_net(
+            [("p", 1), ("q", 0)],
+            {
+                "t": {"pre": {"p": 1}, "post": {"q": 4 if stop == "k_bound" else 1}, "interval": ("a", "a")},
+                "u": {"pre": {"q": 1}, "interval": ("b", "b")},
+            },
+            parameters=["a", "b"],
+        )
+        limits = ExploreLimits(k_bound=3, max_states=2) if stop == "max_states" else ExploreLimits(k_bound=3)
+        problem = SynthesisProblem(net, parse_formula("EF[0,3](M(q)>=1)"), {"a": (1, 1), "b": (0, 1)}, limits)
+        cut = build(instantiate(net, {"a": 1, "b": 0}), ExploreLimits(k_bound=9, max_states=2))
+        assert {s.marking for s in cut.states} == {(1, 0)}
+        built = counting_builds(monkeypatch)
+        results = check_chunk(problem, [{"a": 1, "b": 0}, {"a": 1, "b": 1}])
+        assert len(built) == 2 and all(err for _, err in results)
+        assert [(v, err) for v, (_, err) in zip(({"a": 1, "b": 0}, {"a": 1, "b": 1}), results)] == memo_free(problem)[1]
+
+    def test_a_parameter_of_the_domain_alone_is_never_read(self, monkeypatch):
+        net = make_net(
+            [("p", 1), ("q", 0)],
+            {"t": {"pre": {"p": 1}, "post": {"q": 1}, "interval": ("a", "a")}},
+            parameters=["a", "c"],
+            constraints=[lc({"a": 1, "c": 1}, "<=", 4)],
+        )
+        problem = SynthesisProblem(net, parse_formula("EF[0,1](M(q)>=1)"), {"a": (0, 2), "c": (0, 3)})
+        vals = list(enumerate_valuations(implicit_domain(net), problem.box, order=["a", "c"]))
+        assert {read_values(net, v) for v in vals} == {(("a", a),) for a in range(3)}
+        built = counting_builds(monkeypatch)
+        results = check_chunk(problem, vals)
+        assert len(built) == 3 and len(vals) == 11
+        assert [v for v, (holds, _) in zip(vals, results) if holds] == [v for v in vals if v["a"] <= 1]
 
     def test_check_runs_once_per_distinct_shape_in_a_chunk(self, monkeypatch):
         # y is the high bound of a transition that a [d,d] one disables:
@@ -421,7 +502,7 @@ class TestChunkMemo:
             shapes.add((tuple(key[0] for key in g.keys), tuple(map(tuple, g.succ))))
         assert 1 < len(shapes) < len(vals)
         checked = []
-        monkeypatch.setattr(synthesis, "check", lambda c, g, plan: checked.append(g) or check(c, g, plan))
+        monkeypatch.setattr(synthesis, "decide", lambda g, plan: checked.append(g) or tctl.decide(g, plan))
         results = check_chunk(problem, vals)
         assert len(checked) == len(shapes)
         monkeypatch.undo()

@@ -41,7 +41,7 @@ from tpnsynth.semantics import Delay, Fire
 from tpnsynth.statespace import ExploreLimits
 from tpnsynth.petri import implicit_domain
 from tpnsynth.synthesis import enumerate_valuations
-from tpnsynth.tctl import TRUE_GMEC, Implies, Verdict, _Checker, _tokenize, compile_plan, desugar
+from tpnsynth.tctl import TRUE_GMEC, Implies, Verdict, _Checker, _tokenize, compile_plan, decide, desugar
 
 from _gen import (
     mutate_text,
@@ -682,8 +682,9 @@ class TestLazyCheck:
     @settings(max_examples=80, deadline=None)
     @given(rng=st.randoms(use_true_random=False))
     def test_verdict_equals_the_full_labelling_and_the_oracle(self, rng):
-        # check decides Not/Implies at the initial node and labels only what
-        # that asks for; label labels every entry on every node
+        # check, and decide, its verdict alone, settle Not/Implies at the
+        # initial node and label only what that asks for; label labels every
+        # entry on every node
         net = (random_race_net if rng.random() < 0.5 else random_parametric_net)(rng)
         box = {p: (0, 4) for p in net.parameters}
         vals = list(enumerate_valuations(implicit_domain(net), box, order=net.parameters))
@@ -704,7 +705,7 @@ class TestLazyCheck:
             root, op = len(plan.ops) - 1, plan.ops[-1]
             eu = root if op[0] is EU else op[1] if op[0] is Not and plan.ops[op[1]][0] is EU else None
             v = check(c, g, plan)
-            assert v.holds == bool(full[root][g.initial]) == brute_force_check(c, phi)
+            assert v.holds == decide(g, plan) == bool(full[root][g.initial]) == brute_force_check(c, phi)
             assert v.witness == (None if eu is None else ch.witness_eu(plan, full, eu))
 
     def test_a_failing_conjunct_labels_no_until_of_the_next(self, net_a, monkeypatch):
