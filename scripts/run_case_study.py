@@ -1,9 +1,10 @@
 """End-to-end circadian case study: reproduces every published number the
 reconstruction can reach and reports reconstructed-vs-expected where it
 cannot. Runs in under 1 s on a shared 2-core x86 VM (Intel Xeon) with
-Python 3.11: over twenty runs each it reported "done in 0.16s" to "done in
-0.28s" at --jobs 1 and "done in 0.26s" to "done in 0.32s" at --jobs 2, whose
-timed part includes starting the pool and importing its modules.
+Python 3.11: over twenty alternating runs each it reported "done in 0.13s"
+to "done in 0.23s" at --jobs 1 and "done in 0.15s" to "done in 0.23s" at
+--jobs 2, whose timed part includes starting the pool and importing its
+modules.
 
   python scripts/run_case_study.py [--jobs N] [--quick]
 """
@@ -33,8 +34,8 @@ from tpnsynth.biomodels import (
     apply_observer,
     build_circadian_clock,
 )
-from tpnsynth.cli import _count, _cpus
-from tpnsynth.synthesis import SynthesisProblem, synthesize
+from tpnsynth.cli import _count
+from tpnsynth.synthesis import SynthesisProblem, synthesize, usable_cpus
 
 LIM = ExploreLimits(k_bound=2, max_states=200_000)
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -192,7 +193,7 @@ def jet_lag():
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--jobs", type=_count(1), default=_cpus())
+    ap.add_argument("--jobs", type=_count(1), default=usable_cpus())
     ap.add_argument("--quick", action="store_true")
     ns = ap.parse_args()
     t0 = time.monotonic()

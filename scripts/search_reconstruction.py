@@ -23,9 +23,10 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 from tpnsynth import ExploreLimits, build, check, instantiate, make_net, parse_formula
 from tpnsynth.biomodels import EventFlag, apply_observer
-from tpnsynth.cli import _count, _cpus
+from tpnsynth.cli import _count
 from tpnsynth.errors import TpnError
 from tpnsynth.petri import LinearConstraint
+from tpnsynth.synthesis import usable_cpus
 
 LIM = ExploreLimits(k_bound=2, max_states=60_000)
 SAFE = ExploreLimits(k_bound=1, max_states=60_000)  # a 2-token marking raises KBoundError
@@ -164,7 +165,7 @@ def score(v):
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--quick", action="store_true", help="fix delays at their nominal values")
-    ap.add_argument("--jobs", type=_count(1), default=_cpus())
+    ap.add_argument("--jobs", type=_count(1), default=usable_cpus())
     ns = ap.parse_args()
     todo = list(variants(ns.quick))
     print(f"evaluating {len(todo)} structure variants", flush=True)

@@ -11,7 +11,6 @@ import csv
 import hashlib
 import io
 import json
-import os
 import random
 import sys
 import time
@@ -28,7 +27,7 @@ from .netfile import parse_net_file, serialize_net
 from .petri import NAME, NAT, instantiate
 from .semantics import Delay, initial_state, successors
 from .statespace import ExploreLimits, build
-from .synthesis import SynthesisProblem, synthesize
+from .synthesis import SynthesisProblem, synthesize, usable_cpus
 from .tctl import check, compile_plan, desugar, format_formula, parse_formula, parse_formula_file
 from .version import __version__
 
@@ -81,13 +80,6 @@ def _count(least: int):
             raise argparse.ArgumentTypeError(str(exc)) from None
 
     return parse
-
-
-def _cpus() -> int:
-    """The CPUs this process may run on, the default worker count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _limits(ns) -> ExploreLimits:
@@ -343,7 +335,7 @@ def _build_parser():
     p = sub.add_parser("synth", help="synthesize satisfying integer valuations")
     common(p, formats=("text", "json", "csv"), with_formula=True)
     p.add_argument("--box", action="append", metavar="NAME=LO..HI", required=True)
-    p.add_argument("--jobs", type=_count(1), default=_cpus())
+    p.add_argument("--jobs", type=_count(1), default=usable_cpus())
     p.add_argument("--leadsto", choices=["ag", "paper"], default="ag")
     p.set_defaults(fn=cmd_synth)
 

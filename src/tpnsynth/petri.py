@@ -433,6 +433,8 @@ def instantiate(n: Net, v: Valuation) -> ConcreteNet:
     The instance steps on ``n.steps``, the net's own table. An ill-formed
     ``n`` has no table, so its instance gets its own, and with it its own
     diagnostics, when first stepped."""
+    if isinstance(n, ConcreteNet):
+        raise InputError("a concrete net is an instance already: step it as it is")
     for p in n.parameters:
         if p not in v:
             raise InputError(f"valuation missing parameter {p!r}")

@@ -19,18 +19,20 @@ graph, so it needs no instance, build or check. It also checks each graph
 shape once, as valuations that differ in what a graph reads may still
 build one shape with other clock values.
 
-Sweeps are embarrassingly parallel. One process pool is kept per process,
-its modules imported by the first sweep that needs one, and reused by every
-sweep that needs its worker count; a problem, plan and warm table included,
-is plain data that pickles whole, so the workers receive it with each chunk
-and hold no state between sweeps. Results are merged in enumeration order,
-so the output is independent of worker count.
+Sweeps are embarrassingly parallel. Every worker count cuts the box into
+one chunk per worker, of at most ``CHUNK``, so a worker checks its share
+under one pair of memos. One worker runs here; more share one process pool
+kept per process, its modules imported by the first sweep that needs one;
+a problem, plan and warm table included, pickles whole, so the workers
+receive it with each chunk and hold no state between sweeps. Results are
+merged in enumeration order, so the output is independent of worker count.
 """
 
 from __future__ import annotations
 
 import atexit
 import marshal
+import os
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -215,16 +217,19 @@ def _known(known: dict, v) -> Optional[bool]:
 
 
 MAX_VALUATIONS = 100_000  # largest number of domain points a sweep checks
-CHUNK = 1024  # most valuations a sweep in one process checks under one pair of memos
+CHUNK = 1024  # most valuations a worker checks under one pair of memos
 
 # The process's sweep pool, as (workers, executor), kept between calls: a
 # pool costs more to start than a small box costs to check.
 _pool = None
-# Each chunk carries the pickled problem (2-4.5 KB on the case study, a few
-# tenths of a millisecond to dump and load against about one per valuation),
-# so a chunk holds at least this many valuations, unless that would leave a
-# worker without one; a large box is cut into about four chunks per worker.
-_MIN_CHUNK = 8
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: the most workers a sweep starts,
+    and the default worker count of the command line and the scripts."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @atexit.register
@@ -256,27 +261,25 @@ def _pool_map(p: SynthesisProblem, chunks: list, workers: int) -> list:
 
 def synthesize(p: SynthesisProblem, jobs: int = 1) -> SynthesisResult:
     """Check every valuation of the box in the implicit domain, in ``jobs``
-    processes (at least 1). A valuation whose check fails with a library
-    error, such as a k-bound, is reported in ``failures`` rather than
-    raised; a box of more than ``MAX_VALUATIONS`` is an InputError before
-    any is checked. The valuations are checked in chunks (``check_chunk``):
-    here, of at most ``CHUNK``; with jobs > 1, in a pool of one worker per
-    valuation up to ``jobs``, kept for later calls of that size, each chunk
-    sent with the problem."""
+    processes (at least 1), but never more than one per valuation or per
+    usable CPU. A valuation whose check fails with a library error, such as
+    a k-bound, is reported in ``failures`` rather than raised; a box of more
+    than ``MAX_VALUATIONS`` is an InputError before any is checked. The box
+    is cut into chunks (``check_chunk``) of one worker's share, at most
+    ``CHUNK``; one worker checks them here, more in the kept pool of their
+    size, each chunk sent with the problem."""
     if jobs < 1:
         raise InputError(f"jobs must be at least 1, got {jobs}")
     points = enumerate_valuations(implicit_domain(p.net), p.box, order=p.net.parameters)
     vals = list(islice(points, MAX_VALUATIONS + 1))
     if len(vals) > MAX_VALUATIONS:
         raise InputError(f"the box has more than {MAX_VALUATIONS} valuations in the domain")
-    if jobs > 1 and len(vals) > 1:
-        workers = min(jobs, len(vals))
-        size = max(min(_MIN_CHUNK, -(-len(vals) // workers)), len(vals) // (4 * workers))
-        chunks = _pool_map(p, [vals[i : i + size] for i in range(0, len(vals), size)], workers)
-    else:
-        chunks = [check_chunk(p, vals[i : i + CHUNK]) for i in range(0, len(vals), CHUNK)]
+    workers = max(1, min(jobs, len(vals), usable_cpus()))
+    size = max(1, min(CHUNK, -(-len(vals) // workers)))
+    chunks = [vals[i : i + size] for i in range(0, len(vals), size)]
+    results = map(partial(check_chunk, p), chunks) if workers == 1 else _pool_map(p, chunks, workers)
     satisfying, failures = [], []
-    for v, (holds, err) in zip(vals, (r for chunk in chunks for r in chunk)):
+    for v, (holds, err) in zip(vals, (r for chunk in results for r in chunk)):
         if err is not None:
             failures.append((v, err))
         elif holds:

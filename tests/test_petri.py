@@ -193,6 +193,11 @@ class TestInstantiate:
         for a, b, iv in zip(instances[0].intervals, instances[1].intervals, net.intervals):
             assert (a is b) == (not iv.referenced_params())
 
+    def test_an_instance_is_not_instantiated_again(self):
+        c = instantiate(make_net([("p", 1)], {"t": {"pre": {"p": 1}, "interval": (1, 2)}}), {})
+        with pytest.raises(InputError, match="instance already"):
+            instantiate(c, {})
+
     def test_valuation_outside_domain_rejected(self):
         net = make_net(
             [("p", 1)],

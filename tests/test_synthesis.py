@@ -124,6 +124,29 @@ def _two_sources():
 _EMPTIED = parse_formula("EF[0,8](M(a)+M(b)+M(p)=0)")
 
 
+def in_process_pool(monkeypatch, cpus=64):
+    """Stand an in-process executor in for the sweep's process pool, and
+    report ``cpus`` usable CPUs, so no process starts. Returns the log: the
+    worker count of each pool started, then the chunk sizes of each map."""
+    log = []
+
+    class InProcess:
+        def __init__(self, max_workers):
+            log.append(max_workers)
+
+        def map(self, fn, chunks):
+            log.append([len(chunk) for chunk in chunks])
+            return map(pickle.loads(pickle.dumps(fn)), chunks)
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcess)
+    monkeypatch.setattr(synthesis, "_pool", None)  # neither a kept pool nor this fake outlives the test
+    monkeypatch.setattr(synthesis, "usable_cpus", lambda: cpus)
+    return log
+
+
 class TestSynthesize:
     def test_simple_window(self, param_net):
         phi = parse_formula("EF[0,3](M(p2)>=1)")
@@ -282,22 +305,40 @@ class TestSynthesize:
             synthesize(problem, jobs=jobs)
 
     def test_workers_capped_at_the_valuation_count(self, monkeypatch, param_net):
-        started = []
-
-        class InProcess:  # records the pool size and the chunks, and maps here, starting no process
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def map(self, fn, chunks):
-                started.append([len(chunk) for chunk in chunks])
-                return map(pickle.loads(pickle.dumps(fn)), chunks)
-
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcess)
-        monkeypatch.setattr("tpnsynth.synthesis._pool", None)  # neither a kept pool nor this fake outlives the test
+        started = in_process_pool(monkeypatch, cpus=64)
         problem = SynthesisProblem(param_net, parse_formula("EF[0,2](M(p2)>=1)"), {"td": (0, 3)})
         res = synthesize(problem, jobs=64)  # td >= 1: three valuations
         assert started == [3, [1, 1, 1]]
         assert res.satisfying == [{"td": 1}, {"td": 2}] and res.explored == 3
+
+    def test_workers_capped_at_the_usable_cpus(self, monkeypatch, param_net):
+        started = in_process_pool(monkeypatch, cpus=2)
+        problem = SynthesisProblem(param_net, parse_formula("EF[0,2](M(p2)>=1)"), {"td": (0, 9)})
+        res = synthesize(problem, jobs=64)
+        assert started == [2, [5, 4]]
+        assert res.satisfying == [{"td": 1}, {"td": 2}] and res.explored == 9
+        started = in_process_pool(monkeypatch, cpus=1)
+        assert synthesize(problem, jobs=64).satisfying == res.satisfying and started == []  # one CPU: no pool
+
+    def test_each_worker_gets_one_chunk_of_its_share(self, monkeypatch, param_net):
+        started = in_process_pool(monkeypatch)
+        problem = SynthesisProblem(param_net, parse_formula("EF[0,40](M(p2)>=1)"), {"td": (0, 100)})
+        res = synthesize(problem, jobs=2)  # td >= 1: a hundred valuations
+        assert started == [2, [50, 50]]
+        assert res.satisfying == synthesize(problem, jobs=1).satisfying == [{"td": td} for td in range(1, 41)]
+
+    def test_no_chunk_holds_more_than_CHUNK(self, monkeypatch, param_net):
+        monkeypatch.setattr(synthesis, "CHUNK", 16)
+        started = in_process_pool(monkeypatch)
+        problem = SynthesisProblem(param_net, parse_formula("EF[0,40](M(p2)>=1)"), {"td": (0, 100)})
+        sizes, check_chunk = [], synthesis.check_chunk
+        with monkeypatch.context() as m:  # records the chunks of one process, which the pool cannot pickle
+            m.setattr(synthesis, "check_chunk", lambda p, vals: sizes.append(len(vals)) or check_chunk(p, vals))
+            serial = synthesize(problem, jobs=1)
+        res = synthesize(problem, jobs=2)
+        assert sizes == [16] * 6 + [4]
+        assert started == [2, [16] * 6 + [4]]
+        assert res.satisfying == serial.satisfying == [{"td": td} for td in range(1, 41)]
 
     def test_pool_kept_per_worker_count_and_dropped_when_broken(self, monkeypatch, param_net):
         log, chunks = [], []
@@ -319,7 +360,8 @@ class TestSynthesize:
                 log.append(("shutdown", self.workers))
 
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Recording)
-        monkeypatch.setattr("tpnsynth.synthesis._pool", None)
+        monkeypatch.setattr(synthesis, "_pool", None)
+        monkeypatch.setattr(synthesis, "usable_cpus", lambda: 64)
         problem = SynthesisProblem(param_net, parse_formula("EF[0,4](M(p2)>=1)"), {"td": (0, 8)})
         serial = synthesize(problem, jobs=1)
         assert log == []
@@ -425,14 +467,19 @@ class TestChunkMemo:
     def test_a_sweep_equals_the_memo_free_loop(self, rng):
         # incomplete graphs (a small state cap) and k-bound stops are never
         # memoised; every other valuation is read off the values of the
-        # parameters its graph reads, or else off its graph's shape
+        # parameters its graph reads, or else off its graph's shape, at
+        # every worker count, whose chunks hold the memos
         make, width = rng.choice([(random_race_net, 4), (random_parametric_net, 4), (random_gated_net, 3)])
         net = make(rng)
         phi = random_formula(rng, list(net.places), depth=2, max_bound=4)
         limits = ExploreLimits(k_bound=3, max_states=rng.choice([6, 40, 2000]))
         problem = SynthesisProblem(net, phi, {p: (0, width) for p in net.parameters}, limits)
-        res = synthesize(problem, jobs=1)
-        assert (res.satisfying, res.failures, res.explored) == memo_free(problem)
+        expected = memo_free(problem)
+        with pytest.MonkeyPatch.context() as m:
+            in_process_pool(m)
+            for jobs in range(1, 5):
+                res = synthesize(problem, jobs=jobs)
+                assert (res.satisfying, res.failures, res.explored) == expected
 
     def test_a_chunk_builds_once_per_distinct_read_values(self, monkeypatch):
         problem = SynthesisProblem(_gated(), parse_formula("EF[0,4](M(done)>=1)"), {"a": (0, 4), "b": (0, 3)})
