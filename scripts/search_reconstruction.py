@@ -170,7 +170,7 @@ def main():
     todo = list(variants(ns.quick))
     print(f"evaluating {len(todo)} structure variants", flush=True)
     results = []
-    with Pool(min(ns.jobs, len(todo))) as pool:
+    with Pool(min(ns.jobs, len(todo), usable_cpus())) as pool:
         for i, res in enumerate(pool.imap_unordered(score, todo, chunksize=8)):
             if res is not None:
                 results.append(res)

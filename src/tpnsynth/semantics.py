@@ -8,21 +8,28 @@ elapse is additive.
 
 All stepping runs on packed keys over the net's step table
 (``petri.StepTable``, cached as ``net.steps``), shared by every instance of
-a parametric net. A key is one flat int tuple: the id of its marking, then
-each transition's remaining low bound, then each remaining high bound, with
--1 for a disabled transition's slots and for an unbounded high; an
-instance's static ``bounds`` have the same shape. Firing t depends on the
-marking alone: ``fire_patch`` turns a (marking, transition) pair into the
-successor's marking id and bound-free slot writes, read off both markings'
-enabled transitions, tested once per marking when the table interns it
-(``StepTable.enabled_at``); a unit delay lowers every positive bound by
-one. ``successor_keys``, the one successor function of the explorer
+a parametric net. A key is one int with one bit field per transition and
+the id of its marking in the top bits; an instance's ``Layout`` (made once
+per instance by ``layout``) fixes the field width from its largest start
+value. A disabled transition's field is 0. An enabled bounded clock stores
+its remaining high plus one, and its remaining low is implied: a clock
+starts, and a fire restarts it, at its static (low, high), and a unit delay lowers both by one until
+the low reaches 0, after which only the high falls, so the low is always
+max(0, high - (static high - static low)). An enabled unbounded clock stores
+its remaining low plus one. Firing t depends on the marking alone:
+``fire_patch`` turns a (marking, transition) pair into the successor's
+marking id, the clocks that stop and those that start, read off both
+markings' enabled transitions, tested once per marking when the table
+interns it (``StepTable.enabled_at``); each instance turns a patch into a
+keep and a start mask once, and a fire is ``key & keep | start``. A unit
+delay is one subtraction of the unit bits of the enabled bounded clocks
+and of the enabled unbounded ones whose low is still positive.
+``successor_keys``, the one successor function of the explorer
 (``statespace.build``) and the State API alike, reads only the transitions
-its key's marking enables: it applies the patches, cached per marking id,
-with an instance's bounds, and the delay, numbered -1 like a disabled slot.
-``initial_state``, ``successors``, ``fire`` and ``elapse`` pack their State
-argument, step, and turn the resulting keys back into States with
-``materialise``, which shares one TimeInterval per distinct (low, high).
+its key's marking enables, and numbers the delay -1. ``initial_state``,
+``successors``, ``fire`` and ``elapse`` pack their State argument, step,
+and turn the resulting keys back into States with ``materialise``, which
+shares one TimeInterval per distinct (low, high).
 """
 
 from __future__ import annotations
@@ -78,46 +85,55 @@ def step_labels(n: ConcreteNet) -> list:
 
 
 def initial_state(n: ConcreteNet) -> State:
-    return materialise(n.steps, [initial_key(n, bounds(n))])[0]
+    lay = layout(n)
+    return materialise(lay, [lay.initial])[0]
 
 
 def max_elapse(n: ConcreteNet, s: State):
-    """Largest admissible delay: the least non-negative high slot of the
-    state's key, inf when nothing constrains time."""
-    tab = n.steps
-    return min([h for h in _key(tab, s)[1 + tab.nt:] if h >= 0], default=INF)
+    """Largest admissible delay: the least remaining high of the state's
+    bounded clocks, inf when nothing constrains time."""
+    lay = layout(n)
+    key = _key(lay, s)
+    on = lay.tab.enabled_at[key >> lay.shift]
+    return min([(key >> lay.shifts[t] & lay.field) - 1 for t in on if lay.gap[t] is not None], default=INF)
 
 
 def elapse(n: ConcreteNet, s: State, d: int) -> State:
+    """d time units pass: every remaining high drops by d, and every
+    remaining low by d, stopping at 0. No enabled high may be below d."""
     if not isinstance(d, int) or d < 1:
         raise PreconditionError(f"delay must be a positive integer, got {d!r}")
     if d > max_elapse(n, s):
         raise TimeOverrunError(f"delay {d} exceeds max elapse {max_elapse(n, s)}")
-    tab = n.steps
-    return materialise(tab, [delay_key(_key(tab, s), d)])[0]
+    lay = layout(n)
+    key = _key(lay, s)
+    for t in lay.tab.enabled_at[key >> lay.shift]:
+        sh = lay.shifts[t]
+        key -= (d if lay.gap[t] is not None else min(d, (key >> sh & lay.field) - 1)) << sh
+    return materialise(lay, [key])[0]
 
 
 def fireable_set(n: ConcreteNet, s: State) -> set:
     """The transitions that may fire now: the fires of ``successor_keys``."""
-    tab = n.steps
-    return {n.transitions[t] for t, _ in successor_keys(tab, bounds(n), _key(tab, s)) if t >= 0}
+    lay = layout(n)
+    return {n.transitions[t] for t, _ in successor_keys(lay, _key(lay, s)) if t >= 0}
 
 
 def fire(n: ConcreteNet, s: State, t: str) -> State:
     ti = n.transition_number(t)
-    tab, b = n.steps, bounds(n)
-    key = _key(tab, s)
-    if key[1 + ti]:  # disabled (-1) or still waiting
+    lay = layout(n)
+    key = dict(successor_keys(lay, _key(lay, s))).get(ti)
+    if key is None:  # disabled or still waiting
         raise PreconditionError(f"transition {t!r} is not fireable")
-    return materialise(tab, [dict(successor_keys(tab, b, key))[ti]])[0]
+    return materialise(lay, [key])[0]
 
 
 def successors(n: ConcreteNet, s: State):
     """Fire successors in transition order, then a unit delay if time may
     elapse. Ordering is part of the contract (graph building relies on it)."""
-    tab = n.steps
-    steps = successor_keys(tab, bounds(n), _key(tab, s))
-    states = materialise(tab, [k for _, k in steps])
+    lay = layout(n)
+    steps = successor_keys(lay, _key(lay, s))
+    states = materialise(lay, [k for _, k in steps])
     return [
         (Fire(n.transitions[ti]) if ti >= 0 else Delay(1), s2)
         for (ti, _), s2 in zip(steps, states)
@@ -143,92 +159,124 @@ def replay(n: ConcreteNet, labels) -> list:
 
 # ---------------------------------------------------------------------------
 # Packed states (layout in the module docstring). Keys reached from
-# ``initial_key`` keep the invariant that a transition has a clock iff the
-# marking enables it; ``successor_keys`` relies on it, and ``_key`` checks
-# it for a State given from outside.
+# ``Layout.initial`` keep the invariant that a transition has a clock iff the
+# marking enables it, and that a bounded clock's low is implied by its high;
+# ``successor_keys`` relies on both, and ``_key`` checks them for a State
+# given from outside.
 
 
-def bounds(n: ConcreteNet) -> tuple:
-    """The static bounds of an instance in key shape: -1, every low, then
-    every high, -1 for an infinite one."""
+class Layout:
+    """The packed key layout of one instance, made by ``layout``.
+
+    Per transition t: ``gap[t]`` is high - low of its static interval, None
+    when it is unbounded; ``start[t]`` is the field a fire that starts its
+    clock writes, one more than its static high, or than its static low when
+    it is unbounded; ``fires_at[t]`` is the largest field at which its low
+    is 0, so that it may fire. Every field is ``width`` bits wide, enough
+    for the largest start, and t's sits ``shifts[t] = t * width`` bits up;
+    ``field`` masks one, and the marking id sits ``shift`` bits up.
+    ``masks`` maps ``mid * nt + t`` to the ``_fire_masks`` of t at the
+    marking of id mid, made when it first fires. ``initial`` is the key of
+    the initial state, and ``step`` bundles what ``successor_keys`` reads."""
+
+    def __init__(self, n: ConcreteNet):
+        tab = self.tab = n.steps
+        gap, start = [], []
+        for iv in n.intervals:
+            gap.append(None if iv.high == INF else iv.high - iv.low)
+            start.append(1 + (iv.low if iv.high == INF else iv.high))
+        w = self.width = max(start, default=1).bit_length()
+        self.field, self.shift, self.shifts = (1 << w) - 1, tab.nt * w, tuple(range(0, tab.nt * w, w))
+        self.gap, self.start = tuple(gap), tuple(start)
+        self.fires_at = tuple([1 if g is None else g + 1 for g in gap])
+        self.masks = {}
+        self.initial = sum([start[t] << self.shifts[t] for t in tab.enabled_at[0]])
+        self.step = (self.shift, tab.enabled_at, tab.nt, self.shifts, self.field, self.fires_at, self.gap, self.masks)
+
+
+def layout(n: ConcreteNet) -> Layout:
+    """The key layout of an instance, made on first use and kept with it."""
     if not isinstance(n, ConcreteNet):
         raise InputError("a parametric net has no states: step instantiate(net, valuation)")
-    ivs = n.intervals
-    return (-1,) + tuple([iv.low for iv in ivs]) + tuple([-1 if iv.unbounded else iv.high for iv in ivs])
-
-
-def initial_key(n: ConcreteNet, b: tuple) -> tuple:
-    """The initial key under the instance's bounds ``b``: the initial
-    marking has id 0, and -1 fills the slots of the transitions it disables."""
-    nt, on = n.steps.nt, n.steps.enabled_at[0]
-    return (0,) + tuple([b[i] if (i - 1) % nt in on else -1 for i in range(1, 1 + 2 * nt)])
+    lay = vars(n).get("layout")
+    if lay is None:
+        lay = vars(n)["layout"] = Layout(n)
+    return lay
 
 
 def fire_patch(tab: StepTable, mid: int, t: int) -> tuple:
     """Firing t, enabled in the marking of id mid, as (successor marking
-    id, writes) that turn every key with that marking into its t-successor
-    under any bounds b: a write (slot, source) sets the slot to b[source],
-    0 (-1) for both clock slots of each transition t disables and the slot
-    itself for those of t and of each transition t newly enables; every
-    other slot keeps its value. Which are which is read off the two
-    markings' ``enabled_at``, with no enabledness test."""
-    nt = tab.nt
+    id, stops, starts), which holds for every instance: the transitions t
+    disables stop, t itself (when the successor enables it) and each
+    transition t newly enables start, and every other clock runs on. Which
+    are which is read off the two markings' ``enabled_at``, with no
+    enabledness test."""
     m2 = list(tab.markings[mid])
     for p, d in tab.delta[t]:
         m2[p] += d
     mid2 = tab.intern(tuple(m2))
     on, on2 = tab.enabled_at[mid], tab.enabled_at[mid2]
-    writes = []
-    for u in sorted({*on, *on2}):
-        if u not in on2:
-            writes += ((1 + u, 0), (1 + nt + u, 0))
-        elif u == t or u not in on:
-            writes += ((1 + u, 1 + u), (1 + nt + u, 1 + nt + u))
-    return mid2, writes
+    return mid2, tuple([u for u in on if u not in on2]), tuple([u for u in on2 if u == t or u not in on])
 
 
-def successor_keys(tab: StepTable, b: tuple, key: tuple) -> list:
-    """(transition index, key) per successor of a key under the instance's
-    bounds ``b``: fires in transition order, each the key under its
-    ``fire_patch`` (made once per marking id and transition, for every
-    instance), then the unit delay, indexed -1. Only the transitions the
-    key's marking enables are read."""
-    mid, hi = key[0], 1 + tab.nt
-    on, row = tab.enabled_at[mid], tab.patches[mid]
-    out, urgent = [], False
-    for t in on:
-        if key[1 + t]:  # still waiting
+def _fire_masks(lay: Layout, mid: int, t: int) -> tuple:
+    """The instance's (keep, start) masks of ``fire_patch(tab, mid, t)``,
+    made once per instance from the table's patch, made once per net: the
+    t-successor of a key at marking mid is ``key & keep | start``. keep
+    clears the marking id and the fields that stop or start; start holds
+    the successor's marking id and the start field of each clock that
+    starts."""
+    tab, shifts, field = lay.tab, lay.shifts, lay.field
+    patch = tab.patches[mid][t]
+    if patch is None:
+        patch = tab.patches[mid][t] = fire_patch(tab, mid, t)
+    mid2, stops, starts = patch
+    keep, start = (1 << lay.shift) - 1, mid2 << lay.shift
+    for u in stops:
+        keep ^= field << shifts[u]
+    for u in starts:
+        keep ^= field << shifts[u]
+        start |= lay.start[u] << shifts[u]
+    masks = lay.masks[mid * tab.nt + t] = keep, start
+    return masks
+
+
+def successor_keys(lay: Layout, key: int) -> list:
+    """(transition index, key) per successor of a key: fires in transition
+    order, each ``key & keep | start`` under its ``_fire_masks``, then the
+    unit delay, indexed -1, ``key - dec``. Only the transitions the key's
+    marking enables are read. A clock may fire when its low is 0, and an
+    enabled bounded clock with a high of 0 refuses the delay; dec holds
+    the unit bits of the enabled bounded clocks and of the enabled
+    unbounded ones whose low is still positive."""
+    shift, enabled_at, nt, shifts, field, fires_at, gap, masks = lay.step
+    mid = key >> shift
+    base, out, dec, urgent = mid * nt, [], 0, False
+    for t in enabled_at[mid]:
+        sh = shifts[t]
+        f = key >> sh & field
+        if f > fires_at[t]:  # its low is positive
+            dec += 1 << sh
             continue
-        patch = row[t]
-        if patch is None:
-            patch = row[t] = fire_patch(tab, mid, t)
-        k = list(key)
-        k[0], writes = patch
-        for slot, src in writes:
-            k[slot] = b[src]
-        out.append((t, tuple(k)))
-        urgent = urgent or not key[hi + t]  # a high of 0 (its low is 0 too) refuses the delay
+        keep, start = masks.get(base + t) or _fire_masks(lay, mid, t)
+        out.append((t, key & keep | start))
+        if gap[t] is not None:  # bounded
+            if f == 1:  # a high of 0
+                urgent = True
+            else:
+                dec += 1 << sh
     if not urgent:
-        k = list(key)
-        for t in on:
-            if k[1 + t]:
-                k[1 + t] -= 1
-            if k[hi + t] > 0:
-                k[hi + t] -= 1
-        out.append((-1, tuple(k)))
+        out.append((-1, key - dec))
     return out
 
 
-def delay_key(key: tuple, d: int = 1) -> tuple:
-    """d time units pass: every bound drops by d, lows stop at 0. No
-    enabled high may be below d; the -1 slots stay as they are."""
-    return key[:1] + tuple([x - d if x >= d else (x if x < 0 else 0) for x in key[1:]])
-
-
-def _key(tab: StepTable, s: State) -> tuple:
+def _key(lay: Layout, s: State) -> int:
     """The key of a State; PreconditionError, with nothing interned, when
-    its marking has the wrong length or a negative count, or its clocks
-    are not those of the transitions the marking enables."""
+    its marking has the wrong length or a negative count, its clocks are
+    not those of the transitions the marking enables, or a clock is not
+    one the instance's intervals give: a bounded low other than its high
+    less the static gap (0 at least), or a bound above the static one."""
+    tab = lay.tab
     m, clocks = tuple(s.marking), s.clocks
     if len(m) != tab.np or min(m, default=0) < 0 or len(clocks) != tab.nt:
         raise PreconditionError(f"marking {m} with {len(clocks)} clocks is not a state of the net")
@@ -236,24 +284,42 @@ def _key(tab: StepTable, s: State) -> tuple:
     on = tab.enabled_at[mid] if mid is not None else tuple([t for t in range(tab.nt) if tab.enabled(m, t)])
     if tuple([t for t, c in enumerate(clocks) if c is not None]) != on:
         raise PreconditionError(f"the clocks of a state at {m} are not those of the transitions {m} enables")
-    return (
-        (tab.intern(m),)
-        + tuple([-1 if c is None else c.low for c in clocks])
-        + tuple([-1 if c is None or c.unbounded else c.high for c in clocks])
-    )
+    key = 0
+    for t in on:
+        c, gap = clocks[t], lay.gap[t]
+        if gap is None:
+            f, ok = c.low + 1, c.unbounded
+        else:
+            f, ok = c.high + 1, not c.unbounded and c.low == max(0, c.high - gap)
+        if not ok or f > lay.start[t]:
+            raise PreconditionError(f"clock {c} of transition {t} at {m} is not one the instance gives it")
+        key |= f << lay.shifts[t]
+    return key | tab.intern(m) << lay.shift
 
 
-def materialise(tab: StepTable, keys) -> list:
+def materialise(lay: Layout, keys) -> list:
     """One State per key; clocks with equal bounds share one TimeInterval."""
-    markings, hi0 = tab.markings, 1 + tab.nt
-    clock = _Clocks().__getitem__
-    return [State(markings[key[0]], tuple(map(clock, zip(key[1:hi0], key[hi0:])))) for key in keys]
+    markings, shift, field = lay.tab.markings, lay.shift, lay.field
+    clock = _Clocks(lay.gap).__getitem__
+    slots = list(enumerate(lay.shifts))
+    return [State(markings[key >> shift], tuple([clock((t, key >> sh & field)) for t, sh in slots])) for key in keys]
 
 
 class _Clocks(dict):
-    """(low, high) slot pair -> interned TimeInterval, None when disabled."""
+    """(transition, field) -> TimeInterval, None for the empty field; equal
+    intervals are one object."""
 
-    def __missing__(self, pair):
-        lo, hi = pair
-        iv = self[pair] = None if lo < 0 else TimeInterval(lo, INF if hi < 0 else hi)
+    def __init__(self, gap: tuple):
+        self.gap, self.shared = gap, {}
+
+    def __missing__(self, slot):
+        t, f = slot
+        gap = self.gap[t]
+        if not f:
+            iv = None
+        elif gap is None:
+            iv = TimeInterval(f - 1, INF)
+        else:
+            iv = TimeInterval(max(0, f - 1 - gap), f - 1)
+        iv = self[slot] = self.shared.setdefault(iv, iv)
         return iv

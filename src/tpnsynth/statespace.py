@@ -5,18 +5,18 @@ ordering contract (fires in transition order, then the unit delay) plus BFS
 makes two builds of the same net produce identical graphs.
 
 The search runs on packed keys (see ``semantics``): the BFS queue, the
-visited index and every hash are plain int tuples, and an edge is two ints,
-(transition index, target), with -1 for the unit delay; only
+visited index and every hash are plain ints, one per state, and an edge is
+two ints, (transition index, target), with -1 for the unit delay; only
 ``ReachGraph.edges`` and witnesses make labels (``semantics.step_labels``).
-A node is its key, whose first slot is the id of its marking in the net's
-step table; ``ReachGraph.states`` materialises ``State`` objects when first
-read.
+A node is its key, whose top bits hold the id of its marking in the net's
+step table; ``ReachGraph.mids`` lists those ids, one per node, and
+``ReachGraph.states`` materialises ``State`` objects when first read.
 
 A graph has many clock nodes per marking, and the successors come from
 ``semantics.successor_keys``, which reads only the transitions the node's
-marking enables and makes the bound-free fire patch of each (marking,
-transition) pair once per net, for all its instances: a node's fire
-successor is a copy of its key with the patch written in, with no
+marking enables: a fire is two mask operations, made once per instance
+from the bound-free patch of each (marking, transition) pair that the net
+makes once for all its instances, and a delay is one subtraction, with no
 enabledness test, so that enabledness work grows with the markings, and a
 node's work with its enabled transitions, not with the net. The table
 outlives a build, so each build tests its own k-bound, once per marking it
@@ -31,7 +31,7 @@ from functools import cached_property
 
 from .errors import InputError, KBoundError
 from .petri import ConcreteNet
-from .semantics import bounds, initial_key, materialise, step_labels, successor_keys
+from .semantics import layout, materialise, step_labels, successor_keys
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,8 @@ class ExploreLimits:
 @dataclass
 class ReachGraph:
     net: ConcreteNet
-    keys: list  # packed key per node index; it starts with the id of the node's marking
+    keys: list  # packed key per node index
+    mids: list  # per node: the id of its marking in the net's step table
     succ: list  # per node: (t, target index) per out-edge, t a transition index or -1 for the delay
     complete: bool = True
     initial = 0  # BFS numbers the initial state 0
@@ -55,7 +56,7 @@ class ReachGraph:
     @cached_property
     def states(self) -> list:
         """State per node index, materialised from the keys on first read."""
-        return materialise(self.net.steps, self.keys)
+        return materialise(layout(self.net), self.keys)
 
     @property
     def edges(self):
@@ -74,35 +75,36 @@ def build(n: ConcreteNet, lim: ExploreLimits = ExploreLimits()) -> ReachGraph:
     attached; hitting ``max_states`` returns a graph flagged
     ``complete=False``.
     """
-    tab, b, k_bound = n.steps, bounds(n), lim.k_bound
-    markings = tab.markings
-    k0 = initial_key(n, b)
-    m0 = markings[k0[0]]
+    lay, k_bound = layout(n), lim.k_bound
+    markings, shift = lay.tab.markings, lay.shift
+    k0, m0 = lay.initial, markings[0]
     if max(m0, default=0) > k_bound:
         raise KBoundError(
             f"initial marking exceeds k-bound {k_bound}",
-            partial=ReachGraph(n, [], [], complete=False),
+            partial=ReachGraph(n, [], [], [], complete=False),
             marking=m0,
         )
     index = {k0: 0}
-    keys, succ = [k0], [[]]  # a node's edge list is made when the node is found
-    bounded = {k0[0]}  # marking ids this build has tested against its k-bound
+    keys, mids, succ = [k0], [0], [[]]  # a node's edge list is made when the node is found
+    bounded = {0}  # marking ids this build has tested against its k-bound
     complete = True
     for key, outs in zip(keys, succ):  # both grow while they are walked: the BFS queue
-        for t, k2 in successor_keys(tab, b, key):
+        for t, k2 in successor_keys(lay, key):
             j = index.get(k2)
             if j is None:
-                if k2[0] not in bounded:
-                    m2 = markings[k2[0]]
+                mid2 = k2 >> shift
+                if mid2 not in bounded:
+                    m2 = markings[mid2]
                     if max(m2, default=0) > k_bound:
-                        partial = ReachGraph(n, keys, succ, complete=False)
+                        partial = ReachGraph(n, keys, mids, succ, complete=False)
                         raise KBoundError(f"marking {m2} exceeds k-bound {k_bound}", partial=partial, marking=m2)
-                    bounded.add(k2[0])
+                    bounded.add(mid2)
                 if len(keys) >= lim.max_states:
                     complete = False
                     continue
                 j = index[k2] = len(keys)
                 keys.append(k2)
+                mids.append(mid2)
                 succ.append([])
             outs.append((t, j))
-    return ReachGraph(n, keys, succ, complete=complete)
+    return ReachGraph(n, keys, mids, succ, complete=complete)

@@ -168,12 +168,14 @@ def check_chunk(p: SynthesisProblem, vals) -> list:
     graphs; incomplete graphs, which ``decide`` refuses, and valuations that
     raise enter neither. The first is keyed by the values of the parameters
     that bound a transition enabled at one of the graph's markings, and it
-    is exact. A build reads only the static bounds of the transitions that
+    is exact. A build steps by the static intervals of the transitions that
     the initial marking enables and of those a fire newly enables at its
-    successor's marking, and every successor a complete graph's build
+    successor's marking alone, and every successor a complete graph's build
     computes is one of its nodes. So the build of a valuation that agrees
-    on those parameters reads the same bound slots with the same values in
-    the same order, and makes the same keys and ``succ``.
+    on those parameters visits the same states in the same order, and makes
+    the same ``succ`` and marking ids; its keys may differ, as the field
+    width of a key follows every interval of the instance, but no memo
+    reads a key.
 
     The second is keyed by the shape, the marshal bytes (version 2, which
     writes no back-references) of ``succ``, and catches graphs that differ
@@ -195,7 +197,7 @@ def check_chunk(p: SynthesisProblem, vals) -> list:
             if holds is None:
                 holds = shapes[shape] = decide(graph, p.plan)
             on = graph.net.steps.enabled_at  # per marking id
-            read = set().union(*[reads[t] for m in {key[0] for key in graph.keys} for t in on[m]])
+            read = set().union(*[reads[t] for m in set(graph.mids) for t in on[m]])
             names = tuple([x for x in p.net.parameters if x in read])
             known.setdefault(names, {})[tuple([v[x] for x in names])] = holds
             results.append((holds, None))

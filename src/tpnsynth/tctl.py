@@ -14,8 +14,8 @@ so Not is a ``translate`` and Implies one ``map``.
 A constraint is evaluated at most once per marking of the net's step table,
 and cached there (``StepTable.props``), so a sweep over many valuations of one
 net evaluates it once per distinct marking it reaches; each graph spreads
-the values of its own marking ids to its nodes by the id that starts each
-key, in O(new markings + V).
+the values of its own marking ids to its nodes by ``ReachGraph.mids``, in
+O(new markings + V).
 
 Checking works per temporal operator over the graph, whose fire edges take
 no time and whose delay edges take one unit, in O((a+1)(V+E)) for an
@@ -141,8 +141,7 @@ def _nodes_where(g: ReachGraph, phi: Gmec) -> bytes:
     markings of other builds and State calls. The constraint is compiled
     against the place index of the net on its first sight in the table, so
     an unknown place raises InputError even on a graph without nodes."""
-    tab = g.net.steps
-    mids = [key[0] for key in g.keys]
+    tab, mids = g.net.steps, g.mids
     hit = tab.props.get(phi)
     new = set(mids).difference(hit or ())
     if hit is None or new:

@@ -252,11 +252,12 @@ def outcome(builder, net, lim):
 
 
 def step_graph(succ) -> ReachGraph:
-    """A graph over placeholder keys; ``succ`` lists (label, target) per
-    node, stored as int edges: 0 for any Fire, -1 for a Delay. Unlike
-    graphs of nets, these may have dead ends and several delays per node."""
+    """A graph over placeholder keys and marking ids; ``succ`` lists
+    (label, target) per node, stored as int edges: 0 for any Fire, -1 for
+    a Delay. Unlike graphs of nets, these may have dead ends and several
+    delays per node."""
     ints = [[(-1 if isinstance(label, Delay) else 0, j) for label, j in outs] for outs in succ]
-    return ReachGraph(None, [None] * len(succ), ints)
+    return ReachGraph(None, [None] * len(succ), [None] * len(succ), ints)
 
 
 def random_step_graph(rng: random.Random, max_nodes=10, max_out=3, p_delay=0.4):

@@ -688,15 +688,50 @@ def test_case_study_prints_the_same_lines_at_one_and_two_jobs():
     )
 
 
+def _search_script():
+    path = os.path.join(SCRIPTS, "search_reconstruction.py")
+    spec = importlib.util.spec_from_file_location("search_reconstruction", path)
+    search = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(search)
+    return search
+
+
+def test_structure_search_pool_is_capped_at_the_usable_cpus(monkeypatch, capsys):
+    """scripts/search_reconstruction.py starts at most one process per
+    usable CPU, whatever --jobs asks for, and none beyond the variants;
+    the pool is a stand-in that starts no process."""
+    search, sizes = _search_script(), []
+
+    class Pool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap_unordered(self, func, items, chunksize=1):
+            return map(func, items)
+
+    monkeypatch.setattr(search, "Pool", Pool)
+    monkeypatch.setattr(search, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(search, "score", lambda variant: None)
+    for jobs, count in (("64", 5), ("1", 5), ("64", 1)):
+        monkeypatch.setattr(search, "variants", lambda quick=False, count=count: [{}] * count)
+        monkeypatch.setattr(sys, "argv", ["search_reconstruction.py", "--jobs", jobs])
+        assert search.main() == 1  # the stand-in scores no variant
+    assert sizes == [2, 1, 1]
+    assert "no variant passes the hard filter" in capsys.readouterr().out
+
+
 def test_structure_search_filter_keeps_the_shipped_clock():
     """The nominal filter of scripts/search_reconstruction.py keeps the
     variant that ships as ``build_circadian_clock`` and drops one with
     another complex-formation delay, so a change under the explorer
     cannot silently empty the search."""
-    path = os.path.join(SCRIPTS, "search_reconstruction.py")
-    spec = importlib.util.spec_from_file_location("search_reconstruction", path)
-    search = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(search)
+    search = _search_script()
     shipped = dict(
         d_c=6, f_read=(), d_f=6, b_read=("P_L1",), d_b=0,
         g_read=("P_PC1",), a_role=("pc_down", ("P_G1",)),

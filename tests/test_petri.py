@@ -28,7 +28,7 @@ from tpnsynth import (
     validate_net,
 )
 from tpnsynth.petri import INF, RELATIONS, Net, StepTable, fire_marking, implicit_domain, net_spec
-from tpnsynth.semantics import bounds
+from tpnsynth.semantics import layout
 
 from _gen import outcome, random_concrete_net, random_gated_net, random_parametric_net, reference_build
 
@@ -401,11 +401,14 @@ class TestSharedStepTable:
             parameters=["a", "b"],
         )
         assert not {"low", "high", "instance"} & set(dir(net.steps))
-        for v in ({"a": 0, "b": 2}, {"a": 3, "b": 3}):
+        for v, width in (({"a": 0, "b": 2}, 2), ({"a": 3, "b": 3}, 3)):
             c = instantiate(net, v)
             assert c.steps is net.steps
-            # key-shaped: -1 for a disabled clock, the lows, the highs (-1 for inf)
-            assert bounds(c) == (-1, v["a"], 1, v["b"], -1)
+            # one field per clock: the high plus one of a bounded clock, the
+            # low plus one of an unbounded one, each wide enough for the largest
+            lay = layout(c)
+            assert lay.start == (v["b"] + 1, 2)
+            assert lay.width == width
             fresh = StepTable(c)  # the same table built from the instance alone
             assert vars(fresh) == vars(c.steps)
 
@@ -431,7 +434,8 @@ class TestSharedStepTable:
     )
     def test_instances_built_alternately_share_markings_and_patches(self, pairs):
         # the fire patch of t2 restarts t1, whose bounds differ between the
-        # instances: the patch names the slots, and each instance fills them
+        # instances: the patch names the clocks, and each instance makes its
+        # own masks from it
         net = make_net(
             [("p1", 1), ("p2", 0)],
             {
@@ -446,11 +450,12 @@ class TestSharedStepTable:
         tab = net.steps
         assert all(c.steps is tab for c in cs)
         assert tab.markings == [(1, 0), (0, 1)]
-        # one bound-free patch per (marking, transition) either instance fired:
-        # t1 disables itself and starts t2; t2 restarts t1 and disables itself
+        # one bound-free patch (successor id, stops, starts) per (marking,
+        # transition) either instance fired: t1 stops itself and starts t2;
+        # t2 stops itself and restarts t1
         assert tab.patches == [
-            [(1, [(1, 0), (3, 0), (2, 2), (4, 4)]), None],
-            [None, (0, [(1, 1), (3, 3), (2, 0), (4, 0)])],
+            [(1, (0,), (1,)), None],
+            [None, (0, (1,), (0,))],
         ]
 
 

@@ -165,8 +165,9 @@ class TestFire:
 
 
 class TestMalformedStates:
-    """A State that is not one of the net's is refused with
-    PreconditionError before anything is interned in the net's table."""
+    """A State that is not one of the net's, or has a clock that the
+    instance's intervals never give, is refused with PreconditionError
+    before anything is interned in the net's table."""
 
     @pytest.mark.parametrize(
         "marking, clocks",
@@ -176,6 +177,9 @@ class TestMalformedStates:
             ((1, 0), (TimeInterval(0, 1),)),  # one clock short
             ((2, -1), (TimeInterval(0, 1), None)),  # a negative count
             ((1,), (TimeInterval(0, 1), None)),  # a short marking
+            ((1, 0), (TimeInterval(1, 1), None)),  # a low that [0,1] never keeps at high 1
+            ((1, 0), (TimeInterval(0, 2), None)),  # a high above the static one
+            ((1, 0), (TimeInterval(0, INF), None)),  # an unbounded clock for [0,1]
         ],
     )
     def test_refused_before_interning(self, marking, clocks):

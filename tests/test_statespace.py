@@ -24,8 +24,8 @@ from tpnsynth import (
     parse_gmec,
     states_satisfying,
 )
-from tpnsynth.petri import INF, StepTable
-from tpnsynth.semantics import Delay, Fire, elapse, fireable_set, fire
+from tpnsynth.petri import INF, StepTable, net_spec
+from tpnsynth.semantics import Delay, Fire, _key, elapse, fireable_set, fire, layout, successors
 
 from _gen import (
     outcome,
@@ -227,6 +227,53 @@ class TestMatchesReferenceBuilder:
             assert outcome(build, c, lim) == outcome(reference_build, c, lim)
 
 
+def _reshaped(rng, big):
+    """A random concrete net whose intervals are redrawn: some unbounded,
+    some with low == high, and, when ``big``, one with both bounds above
+    2**20, which widens every field of the instance's keys."""
+    places, transitions, _, _ = net_spec(random_concrete_net(rng, max_places=4, max_transitions=4))
+    for spec in transitions.values():
+        lo = rng.randint(0, 4)
+        spec["interval"] = rng.choice([(lo, None), (lo, lo), (lo, lo + rng.randint(1, 3))])
+    if big:
+        spec = transitions[rng.choice(list(transitions))]
+        lo = 2**20 + rng.randint(0, 3)
+        spec["interval"] = rng.choice([(lo, None), (lo, lo), (lo, lo + rng.randint(1, 3))])
+    return instantiate(make_net(places, transitions), {})
+
+
+class TestIntKeys:
+    """Each state is one int under its instance's layout: the build equals
+    the dense reference builder's, including unbounded and point intervals,
+    bounds that widen the fields, k-bound stops and state cuts; every key
+    decodes to its State and encodes back, and a delay of d is d unit
+    delays."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        big=st.booleans(),
+        k_bound=st.integers(1, 4),
+        max_states=st.integers(1, 60),
+        d=st.integers(1, 6),
+    )
+    def test_same_graph_round_trip_and_delays(self, seed, big, k_bound, max_states, d):
+        net = _reshaped(random.Random(seed), big)
+        lay = layout(net)
+        assert lay.width == max(lay.start).bit_length() and (lay.width > 20) == big
+        for lim in (ExploreLimits(k_bound, 400), ExploreLimits(k_bound, max_states)):
+            assert outcome(build, net, lim) == outcome(reference_build, net, lim)
+        g = _graph(net, ExploreLimits(k_bound, max_states))  # its states equal the reference's, above
+        assert [_key(lay, s) for s in g.states] == g.keys
+        for s in g.states:
+            if max_elapse(net, s) < d:
+                continue
+            s2 = s
+            for _ in range(d):
+                s2 = dict(successors(net, s2))[Delay(1)]
+            assert elapse(net, s, d) == s2
+
+
 def _graph(net, lim):
     """The built graph, or the partial graph of a k-bound stop."""
     try:
@@ -236,8 +283,8 @@ def _graph(net, lim):
 
 
 class TestMarkingIndex:
-    """The net's step table interns the markings: each key starts with the
-    id of its node's marking, Props are evaluated once per marking, and
+    """The net's step table interns the markings: ``g.mids`` holds the id
+    of each node's marking, Props are evaluated once per marking, and
     every edge is two ints. Complete, k-bound partial and cut graphs
     alike."""
 
@@ -251,7 +298,7 @@ class TestMarkingIndex:
         for lim in (ExploreLimits(max_states=3000), ExploreLimits(k_bound, max_states)):
             g = _graph(net, lim)
             ref = outcome(reference_build, net, lim)[0]
-            assert [tab.markings[key[0]] for key in g.keys] == [s.marking for s in ref]
+            assert [tab.markings[mid] for mid in g.mids] == [s.marking for s in ref]
             assert tab.mindex == {m: mid for mid, m in enumerate(tab.markings)}
             expected = {i for i, s in enumerate(ref) if eval_gmec(dict(zip(net.places, s.marking)), phi)}
             assert states_satisfying(g, phi) == expected
@@ -265,7 +312,7 @@ class TestMarkingIndex:
         nt = len(net.transitions)
         for lim in (ExploreLimits(max_states=3000), ExploreLimits(k_bound, max_states)):
             g = _graph(net, lim)
-            assert len(g.succ) == len(g.keys)
+            assert len(g.succ) == len(g.keys) == len(g.mids)
             for outs in g.succ:
                 assert all(type(e) is tuple and len(e) == 2 for e in outs)
                 assert all(type(t) is int and type(j) is int and 0 <= j < len(g) for t, j in outs)

@@ -546,7 +546,7 @@ class TestChunkMemo:
         shapes = set()
         for v in vals:
             g = build(instantiate(net, v))
-            shapes.add((tuple(key[0] for key in g.keys), tuple(map(tuple, g.succ))))
+            shapes.add((tuple(g.mids), tuple(map(tuple, g.succ))))
         assert 1 < len(shapes) < len(vals)
         checked = []
         monkeypatch.setattr(synthesis, "decide", lambda g, plan: checked.append(g) or tctl.decide(g, plan))
@@ -571,7 +571,7 @@ class TestChunkMemo:
             parameters=["y"],
         )
         graphs = [build(instantiate(net, {"y": y})) for y in (0, 1)]
-        assert [[key[0] for key in g.keys] for g in graphs[1:]] == [[key[0] for key in graphs[0].keys]]
+        assert graphs[0].mids == graphs[1].mids
         assert graphs[0].succ != graphs[1].succ
         problem = SynthesisProblem(net, parse_formula("AF[2,2](M(race) < 1)"), {"y": (0, 1)})
         assert check_chunk(problem, [{"y": 0}, {"y": 1}]) == [(False, None), (True, None)]

@@ -675,7 +675,7 @@ def test_check_leaves_no_predecessor_state_on_the_graph(net_a):
     g = build(net_a)
     assert check(net_a, g, parse_formula("EF[2,3](M(p2)>=1)")).witness
     assert check(net_a, g, parse_formula("AG[0,inf](M(p1)+M(p2)=1)")).holds
-    assert set(vars(g)) == {"net", "keys", "succ", "complete"}
+    assert set(vars(g)) == {"net", "keys", "mids", "succ", "complete"}
 
 
 class TestLazyCheck:
@@ -823,7 +823,7 @@ class TestPropCache:
         tab, r = net.steps, parse_gmec("M(r) >= 1")
         narrow, wide = instantiate(net, {"x": 1}), instantiate(net, {"x": 5})
         g = build(narrow)
-        own = {key[0] for key in g.keys}
+        own = set(g.mids)
         assert not check(narrow, g, parse_formula("EF[0,inf](M(r)>=1)")).holds
         assert set(tab.props[r]) == own and len(own) == 2
         # the wide graph brings one more marking, evaluated on top of the cache
