@@ -4,7 +4,8 @@ A state pairs a marking with a clock function that assigns a dynamic
 interval (remaining low, remaining high) to every enabled transition.
 Successor generation emits unit delays only; a delay of d is the d-fold
 composition of unit steps, which reaches exactly the same states because
-elapse is additive.
+elapse is additive. ``statespace.build`` folds a run of delays during which
+no transition may fire into one edge, whose length ``delay_run`` gives.
 
 All stepping runs on packed keys over the net's step table
 (``petri.StepTable``, cached as ``net.steps``), shared by every instance of
@@ -191,7 +192,8 @@ class Layout:
         self.fires_at = tuple([1 if g is None else g + 1 for g in gap])
         self.masks = {}
         self.initial = sum([start[t] << self.shifts[t] for t in tab.enabled_at[0]])
-        self.step = (self.shift, tab.enabled_at, tab.nt, self.shifts, self.field, self.fires_at, self.gap, self.masks)
+        units = tuple([1 << sh for sh in self.shifts])  # one unit of each field
+        self.step = (self.shift, tab.enabled_at, tab.nt, self.shifts, self.field, self.fires_at, self.gap, self.masks, units)
 
 
 def layout(n: ConcreteNet) -> Layout:
@@ -249,14 +251,13 @@ def successor_keys(lay: Layout, key: int) -> list:
     enabled bounded clock with a high of 0 refuses the delay; dec holds
     the unit bits of the enabled bounded clocks and of the enabled
     unbounded ones whose low is still positive."""
-    shift, enabled_at, nt, shifts, field, fires_at, gap, masks = lay.step
+    shift, enabled_at, nt, shifts, field, fires_at, gap, masks, units = lay.step
     mid = key >> shift
     base, out, dec, urgent = mid * nt, [], 0, False
     for t in enabled_at[mid]:
-        sh = shifts[t]
-        f = key >> sh & field
+        f = key >> shifts[t] & field
         if f > fires_at[t]:  # its low is positive
-            dec += 1 << sh
+            dec += units[t]
             continue
         keep, start = masks.get(base + t) or _fire_masks(lay, mid, t)
         out.append((t, key & keep | start))
@@ -264,10 +265,23 @@ def successor_keys(lay: Layout, key: int) -> list:
             if f == 1:  # a high of 0
                 urgent = True
             else:
-                dec += 1 << sh
+                dec += units[t]
     if not urgent:
         out.append((-1, key - dec))
     return out
+
+
+def delay_run(lay: Layout, key: int) -> int:
+    """How many unit delays a key at which no transition may fire takes
+    before one may: every enabled clock then falls by one per delay, so
+    the run ends when the first field reaches its ``fires_at``."""
+    shift, enabled_at, _, shifts, field, fires_at = lay.step[:6]
+    w = None
+    for t in enabled_at[key >> shift]:  # a loop: no comprehension frame per call
+        d = (key >> shifts[t] & field) - fires_at[t]
+        if w is None or d < w:
+            w = d
+    return w
 
 
 def _key(lay: Layout, s: State) -> int:

@@ -1,37 +1,51 @@
-"""Explicit reachability graph over the unit-step semantics.
+"""Explicit reachability graph over the unit-step semantics, each run of
+delays folded into one edge.
 
 Breadth-first exploration with deterministic node numbering: the successor
-ordering contract (fires in transition order, then the unit delay) plus BFS
+ordering contract (fires in transition order, then the delay) plus BFS
 makes two builds of the same net produce identical graphs.
 
 The search runs on packed keys (see ``semantics``): the BFS queue, the
 visited index and every hash are plain ints, one per state, and an edge is
 two ints, (transition index, target), with -1 for the unit delay; only
 ``ReachGraph.edges`` and witnesses make labels (``semantics.step_labels``).
-A node is its key, whose top bits hold the id of its marking in the net's
-step table; ``ReachGraph.mids`` lists those ids, one per node, and
-``ReachGraph.states`` materialises ``State`` objects when first read.
+At a key where no transition may fire, every enabled clock falls by one per
+delay and the marking stays, so the key falls by one fixed amount per delay
+until one may fire, ``semantics.delay_run`` delays on: such a node gets one
+edge, (-w, target), for the whole run, and the states inside it are no
+nodes, so build cost follows events, not time units. A fire may land inside
+another node's run, which then shares its tail; ``ReachGraph.runs`` lists,
+per run target, the node w delays before it for each w.
 
-A graph has many clock nodes per marking, and the successors come from
-``semantics.successor_keys``, which reads only the transitions the node's
-marking enables: a fire is two mask operations, made once per instance
-from the bound-free patch of each (marking, transition) pair that the net
-makes once for all its instances, and a delay is one subtraction, with no
-enabledness test, so that enabledness work grows with the markings, and a
-node's work with its enabled transitions, not with the net. The table
-outlives a build, so each build tests its own k-bound, once per marking it
-reaches. The checker reads the markings through the table by id, and
-derives its own predecessor lists from ``succ``; the graph keeps none.
+The graph answers in unit steps: ``len(g)`` counts unit-step states, and
+``states``, ``edges`` and witnesses walk the unit positions of
+``ReachGraph.unit_view`` in the unfolded BFS order. ``max_states`` counts
+unit-step states, and a k-bound or state-cap stop is the unfolded BFS's
+own, partial graph included, as the folded BFS meets markings in another
+order.
+
+A node is its key, whose top bits hold the id of its marking in the net's
+step table; ``ReachGraph.mids`` lists those ids, one per node. The
+successors come from ``semantics.successor_keys``, which reads only the
+transitions the node's marking enables: a fire is two mask operations,
+made once per instance from the bound-free patch of each (marking,
+transition) pair that the net makes once for all its instances, and a delay
+is one subtraction, with no enabledness test, so that enabledness work
+grows with the markings, and a node's work with its enabled transitions,
+not with the net. The table outlives a build, so each build tests its own
+k-bound, once per marking it reaches. The checker reads the markings
+through the table by id, and derives its own predecessor lists from
+``succ`` and ``runs``; the graph keeps none.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import InputError, KBoundError
 from .petri import ConcreteNet
-from .semantics import layout, materialise, step_labels, successor_keys
+from .semantics import delay_run, layout, materialise, step_labels, successor_keys
 
 
 @dataclass(frozen=True)
@@ -49,32 +63,86 @@ class ReachGraph:
     net: ConcreteNet
     keys: list  # packed key per node index
     mids: list  # per node: the id of its marking in the net's step table
-    succ: list  # per node: (t, target index) per out-edge, t a transition index or -1 for the delay
+    succ: list  # per node: (t, target index) per out-edge, t a transition index, or -w for w unit delays
     complete: bool = True
+    runs: dict = field(default_factory=dict)  # run target -> {w: node w delays before it, where nothing may fire}
     initial = 0  # BFS numbers the initial state 0
+
+    def __len__(self):
+        """The number of unit-step states: the nodes, and the states inside
+        each target's longest run that are no node."""
+        return len(self.keys) + sum([max(ws) - len(ws) for ws in self.runs.values()])
+
+    def unit_view(self) -> tuple:
+        """The unit-step graph the folded one stands for, as (step,
+        longest). A unit position is a node index, or (j, d) for the state
+        d delays before node j on a run into j, where no node lies;
+        ``longest`` maps each run target j to (w, k), its longest run, from
+        node k. step(p) lists the unit out-edges (t, q) of position p, fires
+        in transition order, then the delay, t = -1."""
+        succ, runs = self.succ, self.runs
+
+        def at(j, d):
+            return j if d == 0 else runs[j].get(d, (j, d))
+
+        def step(p):
+            if type(p) is int:
+                return [(-1, at(j, -t - 1)) if t < 0 else (t, j) for t, j in succ[p]]
+            return [(-1, at(p[0], p[1] - 1))]
+
+        return step, {j: (max(ws), ws[max(ws)]) for j, ws in runs.items()}
+
+    def positions(self, step=None) -> list:
+        """The unit positions in unit-step BFS order (fires in transition
+        order, then the delay): unit state i is at ``positions()[i]``."""
+        order, step = [0][: len(self.keys)], step or self.unit_view()[0]
+        seen = set(order)
+        for p in order:  # grows while it is walked: the BFS queue
+            for _, q in step(p):
+                if q not in seen:
+                    seen.add(q)
+                    order.append(q)
+        return order
 
     @cached_property
     def states(self) -> list:
-        """State per node index, materialised from the keys on first read."""
-        return materialise(layout(self.net), self.keys)
+        """State per unit-step state, materialised on first read."""
+        step, runs = self.unit_view()
+        keys = self.keys
+
+        def key(p):
+            if type(p) is int:
+                return keys[p]
+            (j, d), (w, k) = p, runs[p[0]]
+            return keys[j] + (keys[k] - keys[j]) // w * d
+
+        return materialise(layout(self.net), [key(p) for p in self.positions(step)])
 
     @property
     def edges(self):
-        labels = step_labels(self.net)
-        return [(i, labels[t], j) for i, outs in enumerate(self.succ) for t, j in outs]
-
-    def __len__(self):
-        return len(self.keys)
+        """(source, StepLabel, target) per unit-step edge, in unit-step
+        numbering."""
+        labels, (step, _) = step_labels(self.net), self.unit_view()
+        order = self.positions(step)
+        number = {p: i for i, p in enumerate(order)}
+        return [(i, labels[t], number[q]) for i, p in enumerate(order) for t, q in step(p)]
 
 
 def build(n: ConcreteNet, lim: ExploreLimits = ExploreLimits()) -> ReachGraph:
-    """BFS closure of the successor relation from the initial state.
+    """BFS closure of the successor relation from the initial state, each
+    run of delays folded into one edge.
 
     An ill-formed net raises InputError (``Net.steps``). A marking
     exceeding ``k_bound`` raises KBoundError with the partial graph
-    attached; hitting ``max_states`` returns a graph flagged
-    ``complete=False``.
+    attached; more than ``max_states`` unit-step states return a graph
+    flagged ``complete=False``. Both stops are those of the unfolded BFS,
+    partial graph included: the folded one meets markings in another
+    order, so it hands such a net over to the unfolded one.
     """
+    return _explore(n, lim, True)
+
+
+def _explore(n: ConcreteNet, lim: ExploreLimits, fold: bool) -> ReachGraph:
     lay, k_bound = layout(n), lim.k_bound
     markings, shift = lay.tab.markings, lay.shift
     k0, m0 = lay.initial, markings[0]
@@ -88,18 +156,32 @@ def build(n: ConcreteNet, lim: ExploreLimits = ExploreLimits()) -> ReachGraph:
     keys, mids, succ = [k0], [0], [[]]  # a node's edge list is made when the node is found
     bounded = {0}  # marking ids this build has tested against its k-bound
     complete = True
+    cap, folds = lim.max_states, []  # cap: max_states less the states inside runs, a shared tail once per run
     for key, outs in zip(keys, succ):  # both grow while they are walked: the BFS queue
-        for t, k2 in successor_keys(lay, key):
+        steps = successor_keys(lay, key)
+        if steps[0][0] < 0 and fold and steps[0][1] != key:  # no transition may fire until the run ends
+            w = delay_run(lay, key)
+            if w > 1:
+                steps = [(-w, key - (key - steps[0][1]) * w)]
+                folds.append((steps[0][1], w, key))
+                cap -= w - 1
+                if len(keys) > cap:  # perhaps more unit-step states than max_states: the unfolded BFS decides
+                    return _explore(n, lim, False)
+        for t, k2 in steps:
             j = index.get(k2)
             if j is None:
                 mid2 = k2 >> shift
                 if mid2 not in bounded:
                     m2 = markings[mid2]
                     if max(m2, default=0) > k_bound:
+                        if fold:
+                            return _explore(n, lim, False)
                         partial = ReachGraph(n, keys, mids, succ, complete=False)
                         raise KBoundError(f"marking {m2} exceeds k-bound {k_bound}", partial=partial, marking=m2)
                     bounded.add(mid2)
-                if len(keys) >= lim.max_states:
+                if len(keys) >= cap:
+                    if fold:
+                        return _explore(n, lim, False)
                     complete = False
                     continue
                 j = index[k2] = len(keys)
@@ -107,4 +189,11 @@ def build(n: ConcreteNet, lim: ExploreLimits = ExploreLimits()) -> ReachGraph:
                 mids.append(mid2)
                 succ.append([])
             outs.append((t, j))
-    return ReachGraph(n, keys, mids, succ, complete=complete)
+    runs = {}
+    for k2, w, key in folds:
+        ws = runs.setdefault(index[k2], {})
+        ws[w] = index[key]
+        one = index.get(k2 + (key - k2) // w)  # a node one delay before the target is folded into no run
+        if one is not None:
+            ws[1] = one
+    return ReachGraph(n, keys, mids, succ, complete, runs)

@@ -171,18 +171,22 @@ def check_chunk(p: SynthesisProblem, vals) -> list:
     is exact. A build steps by the static intervals of the transitions that
     the initial marking enables and of those a fire newly enables at its
     successor's marking alone, and every successor a complete graph's build
-    computes is one of its nodes. So the build of a valuation that agrees
-    on those parameters visits the same states in the same order, and makes
-    the same ``succ`` and marking ids; its keys may differ, as the field
-    width of a key follows every interval of the instance, but no memo
-    reads a key.
+    computes is one of its nodes. A run's length, too, reads only the
+    clocks of the transitions its marking enables. So the build of a
+    valuation that agrees on those parameters visits the same states in the
+    same order, and makes the same ``succ``, weights included, and marking
+    ids; its keys may differ, as the field width of a key follows every
+    interval of the instance, but no memo reads a key.
 
     The second is keyed by the shape, the marshal bytes (version 2, which
     writes no back-references) of ``succ``, and catches graphs that differ
     only in clock values: a verdict reads only the plan, ``succ``, the
-    initial node 0 and the constraints at each node's marking, and ``succ``
-    decides those markings, as node 0 holds the net's initial one, a delay
-    keeps a marking and a fire edge's transition decides the next."""
+    graph's ``runs``, the initial node 0 and the constraints at each node's
+    marking. ``succ`` decides the rest: ``runs`` holds the nodes whose one
+    edge is a delay, by target and weight, for each target that a delay of
+    two or more reaches, and node 0 holds the net's initial marking, a delay
+    of any weight keeps a marking and a fire edge's transition decides the
+    next."""
     reads = [iv.referenced_params() for iv in p.net.intervals]  # per transition
     known, shapes, results = {}, {}, []  # known: parameter names -> {their values: verdict}
     for v in vals:

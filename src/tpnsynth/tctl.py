@@ -9,28 +9,39 @@ below the root's operands is dropped, equal subformulas are shared, and the
 result is a postorder tuple of operators, plain data that pickles. The
 checker decides Not and Implies at the initial node alone, an Implies with a
 failing left side skipping its right side, and labels any other entry, on
-first request, with a node set: a ``bytes`` of one flag (0 or 1) per node,
-so Not is a ``translate`` and Implies one ``map``.
+first request, with a node set (below); Not is a ``translate`` of its flags
+and Implies one ``map``.
 A constraint is evaluated at most once per marking of the net's step table,
 and cached there (``StepTable.props``), so a sweep over many valuations of one
 net evaluates it once per distinct marking it reaches; each graph spreads
 the values of its own marking ids to its nodes by ``ReachGraph.mids``, in
 O(new markings + V).
 
-Checking works per temporal operator over the graph, whose fire edges take
-no time and whose delay edges take one unit, in O((a+1)(V+E)) for an
-interval whose least integer is a, whatever its upper bound. Every until is
-decided by one backward counter resolution: a node needs one (E) or all (A)
-of its out-edges resolved, and once it has them and satisfies phi it
-resolves and passes that on to its predecessors. The psi-nodes, with what
-they resolve through fire edges, form delay layer 0; layer t+1 is what the
-delay edges into layer t resolve, the counts carrying over. Layers come in
-order of time, so layer t holds the nodes whose earliest (E) or latest (A)
-arrival at psi is t. A node that never resolves -- a dead end, on or leading
-to a psi-avoiding cycle, or outside phi -- never arrives. An until over
+Checking works per temporal operator over the folded graph (``statespace``):
+a fire takes no time, a delay edge of weight w takes w units, and no fire
+lies inside a run. A node set is a ``bytes`` of one flag (0 or 1) per node
+and, for each run where it flips, the offsets from its source (1 to w-1) at
+which it flips: a Prop never does, as a run keeps its marking. An until
+costs O((a+1)(V+E)) for an interval whose least integer is a, whatever its
+upper bound, where V and E count folded nodes and edges, a run's edge
+weighted by its operands' flips. It is decided by one backward counter
+resolution: a node needs one (E) or all (A) of its out-edges resolved, and
+once it has them and satisfies phi it resolves and passes that on to its
+predecessors. The psi-nodes, with what they resolve through fire edges,
+form delay layer 0; layer t+1 is what the unit delays into layer t resolve,
+the counts carrying over. A run's source is released by its run alone: into
+layer p by a first psi offset p with phi before it, into layer t+w when phi
+holds all along and the target resolves in layer t, never when phi breaks
+first; releases wait in buckets by layer. Layers come in order of time, so
+layer t holds the nodes whose earliest (E) or latest (A) arrival at psi is
+t. A node that never resolves -- a dead end, on or leading to a
+psi-avoiding cycle, or outside phi -- never arrives. An until over
 ``[0,b]`` holds at layers 0 to b. Over ``[0,inf)`` every layer holds, and
 the resolved set is the least fixpoint of the counts whatever the order, so
 it is resolved in one pass back through fire and delay edges together.
+Along a run, walked back from its target, a psi offset is layer 0, a phi
+offset one more than the next and any other never resolves, so the until
+flips at most once per stretch of constant operands.
 
 Any other interval, with integers a..b (b may be inf), is that until over
 ``[0, b-a]`` behind a delay pre-images; no layer holds when b < a, as in
@@ -40,11 +51,14 @@ precedes the psi-position and satisfies phi, and the rest of the path is a
 closed-0 until over the shifted interval. One pre-image is the same
 resolution with fresh counts, started from the delay edges into the set
 below it: the phi-nodes from which some (E) or every (A) path crosses fire
-edges through phi-nodes and then takes one delay edge into that set.
+edges through phi-nodes and then takes one delay into that set; along a
+run, phi at an offset and the set one offset on.
 ``MAX_DELAY_LAYERS`` bounds a, the number of pre-images, against a huge
 lower bound typed in by a user; ``compile_plan`` refuses a larger a. On its
 first until, the checker derives its fire and delay predecessor lists from
-the graph's int edges (t < 0 is the delay), and they die with it.
+the graph's int edges (t < 0 is a delay) and ``ReachGraph.runs``, and they
+die with it. Witnesses walk the unit-step positions
+(``ReachGraph.unit_view``), as on an unfolded graph.
 
 Until is position-based: ``E phi U_I psi`` holds when some path reaches a
 psi-state at an accumulated time inside I with phi true at every strictly
@@ -55,6 +69,7 @@ from __future__ import annotations
 
 import operator
 import re
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -129,8 +144,10 @@ def eval_gmec(m, phi: Gmec) -> bool:
 
 
 def states_satisfying(g: ReachGraph, phi: Gmec) -> set:
-    """Node indices whose marking satisfies the token-count constraint."""
-    return set(compress(range(len(g)), _nodes_where(g, phi)))
+    """Unit-step state indices whose marking satisfies the token-count
+    constraint: a state inside a run has its target's marking."""
+    flags = _nodes_where(g, phi)
+    return {i for i, p in enumerate(g.positions()) if flags[p if type(p) is int else p[0]]}
 
 
 def _nodes_where(g: ReachGraph, phi: Gmec) -> bytes:
@@ -612,35 +629,45 @@ def compile_plan(n: Net, phi: Formula) -> Plan:
     return Plan(tuple(index))
 
 
-FLIP = bytes.maketrans(b"\0\1", b"\1\0")  # complements a node set of flags
+FLIP = bytes.maketrans(b"\0\1", b"\1\0")  # complements a node set's flags
 
 
 class _Checker:
     def __init__(self, graph: ReachGraph):
         self.g = graph
-        self.n = len(graph)
+        self.n = len(graph.keys)
 
     @cached_property
     def preds(self) -> tuple:
-        """Per node: the sources of its fire in-edges, and of its delay ones."""
-        fire, delay = [[] for _ in self.g.succ], [[] for _ in self.g.succ]
+        """Per node: the sources of its fire in-edges, and of its one-delay
+        in-edges; and (k, w, j) per run of w >= 2 delays from node k to j."""
+        fire, delay = [[] for _ in self.g.succ], [()] * len(self.g.succ)  # most nodes have no delay in-edge
         for u, outs in enumerate(self.g.succ):
             for t, v in outs:
-                (delay if t < 0 else fire)[v].append(u)
-        return fire, delay
+                if t < 0:
+                    delay[v] += (u,)
+                else:
+                    fire[v].append(u)
+        runs = [(k, w, j) for j, ws in self.g.runs.items() for w, k in ws.items() if w > 1]
+        for k, _, j in runs:
+            delay[j] = tuple([u for u in delay[j] if u != k])
+        return fire, delay, runs
 
-    def nodes(self, plan: Plan, i: int, sat: dict) -> bytes:
-        """The node set of plan entry i, one flag (0 or 1) per node in a
-        ``bytes``, made on first request and kept in ``sat`` (entry -> set)."""
+    def nodes(self, plan: Plan, i: int, sat: dict) -> tuple:
+        """The node set of plan entry i (see the module notes), made on
+        first request and kept in ``sat`` (entry -> node set)."""
         if i not in sat:
             op = plan.ops[i]
             sub = lambda k: self.nodes(plan, op[k], sat)  # the node set of operand op[k]
             if op[0] is Prop:
-                sat[i] = _nodes_where(self.g, op[1])
+                sat[i] = _nodes_where(self.g, op[1]), {}
             elif op[0] is Not:
-                sat[i] = sub(1).translate(FLIP)
+                flags, runs = sub(1)
+                sat[i] = flags.translate(FLIP), runs
             elif op[0] is Implies:
-                sat[i] = bytes(map(operator.or_, sub(1).translate(FLIP), sub(2)))
+                (fa, ra), (fb, rb) = sub(1), sub(2)
+                runs = {k: r for k in ra.keys() | rb.keys() if (r := _merge(_implies, fa[k], ra.get(k, ()), fb[k], rb.get(k, ())))}
+                sat[i] = bytes(map(operator.or_, fa.translate(FLIP), fb)), runs
             else:
                 sat[i] = self.until(op[0] is EU, sub(1), op[2], sub(3))
         return sat[i]
@@ -653,42 +680,79 @@ class _Checker:
             return not self.at_initial(plan, op[1], sat)
         if op[0] is Implies:
             return not self.at_initial(plan, op[1], sat) or self.at_initial(plan, op[2], sat)
-        return bool(self.nodes(plan, i, sat)[self.g.initial])
+        return bool(self.nodes(plan, i, sat)[0][self.g.initial])
 
     def label(self, plan: Plan) -> list:
         """The node set of every plan entry, in plan order."""
         sat = {}
         return [self.nodes(plan, i, sat) for i in range(len(plan.ops))]
 
-    def until(self, exists: bool, satphi: bytes, iv: TimeInterval, satpsi: bytes) -> bytes:
-        """Flags of the nodes satisfying E (exists) or A phi U_iv psi: delay
-        layers 0 to ``int_high - a`` of the closed-0 until, with ``a =
-        iv.int_low()``, behind ``a`` one-delay pre-images. An unbounded
-        interval takes every layer, resolved in one pass."""
-        a, n = iv.int_low(), self.n
-        fire_preds, delay_preds = self.preds
+    def until(self, exists: bool, phi: tuple, iv: TimeInterval, psi: tuple) -> tuple:
+        """The node set of E (exists) or A phi U_iv psi, given those of phi
+        and psi: delay layers 0 to ``int_high - a`` of the closed-0 until,
+        with ``a = iv.int_low()``, behind ``a`` one-delay pre-images. An
+        unbounded interval takes every layer, resolved in one pass."""
+        (satphi, phiruns), (satpsi, psiruns) = phi, psi
+        a, n, span = iv.int_low(), self.n, iv.int_high() - iv.int_low()
+        if span < 0:
+            return bytes(n), {}
+        fire_preds, delay_preds, runs = self.preds
         need = [1] * n if exists else list(map(len, self.g.succ))  # out-edges to resolve
         counts = need.copy()
-        psi = list(compress(range(n), satpsi))
-        for v in psi:
+        psis = list(compress(range(n), satpsi))
+        for v in psis:
             counts[v] = 0
-        sources = [u for v in psi for u in fire_preds[v]]
-        span = iv.int_high() - a
+        sources = [u for v in psis for u in fire_preds[v]]
+        early, late = {}, {}  # run sources released by a psi offset (by layer), or by their target (by target)
+        for k, w, j in runs:
+            if satphi[k] and not satpsi[k]:
+                p, f = psiruns.get(k, (w,))[0], phiruns.get(k, (w,))[0]
+                if p < w and p <= f:
+                    early.setdefault(p, []).append(k)
+                elif f == w:
+                    late.setdefault(j, []).append((k, w))
         if span == INF:  # every layer holds: one pass back through both kinds of edge
-            sources += [u for v in psi for u in delay_preds[v]]
-            out = psi + self._resolve(satphi, counts, sources, fire_preds, delay_preds)
+            if late:
+                delay_preds = delay_preds.copy()
+                for j, ks in late.items():
+                    delay_preds[j] += tuple([k for k, _ in ks])
+            sources += [u for v in psis for u in delay_preds[v]] + [k for ks in early.values() for k in ks]
+            out = psis + self._resolve(satphi, counts, sources, fire_preds, delay_preds)
+            flags = _flags(n, out)
+            ends = {j: 0 for _, _, j in runs if flags[j]}
         else:
-            out, t, layer = [], 0, psi + self._resolve(satphi, counts, sources, fire_preds)
-            while layer and t <= span:  # layer t: the nodes that arrive at psi at time t
+            ends, pending = {}, {j for _, _, j in runs}  # ends: the layer of each run target that resolves
+            out, t, layer = [], 0, psis + self._resolve(satphi, counts, sources, fire_preds)
+            while t <= span:  # layer t: the nodes that arrive at psi at time t
                 out += layer
-                t += 1
-                layer = self._resolve(satphi, counts, [u for v in layer for u in delay_preds[v]], fire_preds)
-        for _ in range(a):
-            out = self._resolve(satphi, need.copy(), [u for v in out for u in delay_preds[v]], fire_preds)
-        flags = bytearray(n)
-        for v in out:
-            flags[v] = 1
-        return bytes(flags)
+                for j in [j for j in pending if counts[j] <= 0 and (satphi[j] or satpsi[j])]:  # resolved by now
+                    pending.remove(j)
+                    ends[j] = t
+                    for k, w in late.get(j, ()):
+                        early.setdefault(t + w, []).append(k)
+                if not (layer or early):
+                    break
+                t = t + 1 if layer else min(early)
+                layer = self._resolve(satphi, counts, [u for v in layer for u in delay_preds[v]] + early.pop(t, []), fire_preds)
+            flags = _flags(n, out)
+        inner = {}  # the flips along each run; constant operands flip once at most, where the layer reaches span
+        for k, w, j in runs:
+            if k in phiruns or k in psiruns:
+                r = _until_run(satphi[k], phiruns.get(k, ()), satpsi[k], psiruns.get(k, ()), w, ends.get(j, INF), span)
+            elif span < INF and satphi[k] and not satpsi[k] and 0 < ends.get(j, INF) + w - span < w:
+                r = (ends[j] + w - span,)
+            else:
+                continue
+            if r:
+                inner[k] = r
+        for _ in range(a):  # a one-delay pre-image: phi now, and the set one delay on
+            sources = [u for v in out for u in delay_preds[v]]
+            sources += [k for k, w, j in runs if flags[k] ^ (inner.get(k, (w,))[0] == 1)]
+            out = self._resolve(satphi, need.copy(), sources, fire_preds)
+            shifted = [(k, _shift(flags[k], inner.get(k, ()), w, flags[j])) for k, w, j in runs]
+            inner = {k: r for k, (s0, s) in shifted if (r := _merge(operator.and_, satphi[k], phiruns.get(k, ()), s0, s))}
+            flags = _flags(n, out)
+        return flags, inner
 
     def _resolve(self, satphi: bytes, counts, sources, fire_preds, delay_preds=None) -> list:
         """The phi-nodes that the out-edges in ``sources`` (one entry per
@@ -710,10 +774,19 @@ class _Checker:
     def witness_eu(self, plan: Plan, sat, i: int) -> Optional[list]:
         """Shortest label path showing the existential until of plan entry
         i at the initial node, given ``sat[j]``, the node set of entry j, for
-        i and its operands; all pre-target positions satisfy the left one."""
-        if not sat[i][self.g.initial]:
+        i and its operands; all pre-target positions satisfy the left one.
+        The search walks the unit-step positions (``ReachGraph.unit_view``)."""
+        if not sat[i][0][self.g.initial]:
             return None
         _, left, iv, right = plan.ops[i]
+        step, runs = self.g.unit_view()
+
+        def holds(s, p):  # node set s at unit position p
+            if type(p) is int:
+                return s[0][p]
+            (j, d), (w, k) = p, runs[p[0]]
+            return s[0][k] ^ (bisect_right(s[1].get(k, ()), w - d) & 1)
+
         satphi, satpsi = sat[left], sat[right]
         H = iv.horizon
         start = (self.g.initial, 0)
@@ -721,16 +794,16 @@ class _Checker:
         queue = deque([start])
         while queue:
             v, c = queue.popleft()
-            if satpsi[v] and iv.contains(c):
+            if iv.contains(c) and holds(satpsi, v):
                 labels, path = step_labels(self.g.net), []
                 cur = (v, c)
                 while parent[cur] is not None:
                     cur, t = parent[cur]
                     path.append(labels[t])
                 return path[::-1]
-            if not satphi[v]:
+            if not holds(satphi, v):
                 continue
-            for t, w in self.g.succ[v]:
+            for t, w in step(v):
                 nxt = (w, min(c + 1, H) if t < 0 else c)
                 if nxt not in parent:
                     parent[nxt] = ((v, c), t)
@@ -738,10 +811,78 @@ class _Checker:
         return None
 
 
+def _flags(n: int, nodes) -> bytes:
+    flags = bytearray(n)
+    for v in nodes:
+        flags[v] = 1
+    return bytes(flags)
+
+
+def _implies(x, y):
+    return (not x) or y
+
+
+def _merge(op, x0: int, xs: tuple, y0: int, ys: tuple) -> tuple:
+    """The offsets where op(x, y) flips along a run, x starting at x0 and
+    flipping at the offsets xs, y likewise."""
+    out, r = [], op(x0, y0)
+    if xs or ys:
+        fx, fy = set(xs), set(ys)
+        for o in sorted(fx | fy):
+            x0 ^= o in fx
+            y0 ^= o in fy
+            if op(x0, y0) != r:
+                r = not r
+                out.append(o)
+    return tuple(out)
+
+
+def _shift(x0: int, xs: tuple, w: int, end: int) -> tuple:
+    """A run label one delay on, as (x0, xs) for ``_merge``: at offset o the
+    label at o + 1, where offset w is the run's target, whose flag is end."""
+    last = x0 ^ (len(xs) & 1)
+    return x0 ^ (xs[:1] == (1,)), tuple([o - 1 for o in xs if o > 1]) + ((w - 1,) if last != end else ())
+
+
+def _until_run(phi0: int, phis: tuple, psi0: int, psis: tuple, w: int, end, span) -> tuple:
+    """The offsets where a closed-0 until over [0, span] flips along a run
+    of w delays, given its operands there (as for ``_merge``) and ``end``,
+    the layer of the run's target (inf when it does not resolve). Walked
+    back from the target, a psi position is layer 0, a phi position one
+    more than the next and any other never resolves, so each stretch of
+    constant operands holds on a suffix."""
+    cuts = sorted(set(phis) | set(psis))
+    spans, x, y, lo = [], phi0, psi0, 0  # (lo, hi, phi, psi) per stretch
+    for o in cuts:
+        spans.append((lo, o, x, y))
+        x ^= o in phis
+        y ^= o in psis
+        lo = o
+    spans.append((lo, w, x, y))
+    layer, labels = end, []  # labels: back to front, (lo, first offset that holds, hi) per stretch
+    for lo, hi, x, y in reversed(spans):
+        if y:
+            layer, first = 0, lo
+        elif not x or layer == INF:
+            layer, first = INF, hi
+        else:
+            first = min(hi, max(lo, layer + hi - span))
+            layer += hi - lo
+        labels.append((lo, first, hi))
+    out, r = [], None
+    for lo, first, hi in reversed(labels):
+        for o, v, e in ((lo, 0, first), (first, 1, hi)):
+            if o < e and v != r:
+                if r is not None:
+                    out.append(o)
+                r = v
+    return tuple(out)
+
+
 def decide(g: ReachGraph, plan: Plan, sat: Optional[dict] = None) -> bool:
     """Whether the initial node of ``g`` satisfies ``plan``: the verdict of
     ``check``, with no witness. Only what it needs is labelled, and the node
-    sets made go into ``sat`` (entry -> flags) when one is given. Raises
+    sets made go into ``sat`` (entry -> node set) when one is given. Raises
     IncompleteGraphError for an incomplete graph."""
     if not g.complete:
         raise IncompleteGraphError("refusing to check an incomplete graph")
@@ -754,8 +895,8 @@ def check(n: ConcreteNet, g: ReachGraph, phi: Union[Formula, Plan]) -> Verdict:
     ``phi`` is a formula, compiled here with ``compile_plan`` (a response
     ``-->`` read as "ag"; ``desugar(phi, "paper")`` gives the paper's
     reading), or a plan compiled once by ``compile_plan``. Only what the
-    verdict needs is labelled (see the module notes), one node set of flags
-    per entry, its constraints compiled against the places of the graph's
+    verdict needs is labelled (see the module notes), one node set per
+    entry, its constraints compiled against the places of the graph's
     net and their values cached in the net's step table; a constraint on a
     place that net lacks raises InputError.
 

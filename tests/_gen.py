@@ -238,6 +238,17 @@ def reference_build(n, lim=ExploreLimits()) -> RefGraph:
     return RefGraph(states, succ, complete)
 
 
+def reference_graph(n, ref: RefGraph) -> ReachGraph:
+    """The reference's unit-step graph as a ReachGraph with no run, made
+    from its states and labels alone: what the checker reads of a graph."""
+    from tpnsynth.semantics import _key, layout
+
+    number = {t: i for i, t in enumerate(n.transitions)}
+    succ = [[(-1 if isinstance(label, Delay) else number[label.transition], j) for label, j in outs] for outs in ref.succ]
+    keys = [_key(layout(n), s) for s in ref.states]
+    return ReachGraph(n, keys, [n.steps.mindex[s.marking] for s in ref.states], succ, ref.complete)
+
+
 def outcome(builder, net, lim):
     """What ``builder`` (``build`` or ``reference_build``) gives under
     ``lim``: states, labelled edges, complete flag, and the marking of a
@@ -258,6 +269,63 @@ def step_graph(succ) -> ReachGraph:
     delays per node."""
     ints = [[(-1 if isinstance(label, Delay) else 0, j) for label, j in outs] for outs in succ]
     return ReachGraph(None, [None] * len(succ), [None] * len(succ), ints)
+
+
+def unit_graph(g: ReachGraph) -> ReachGraph:
+    """The unit-step graph a folded graph stands for, as a ``step_graph``
+    numbered like ``g.edges``."""
+    succ = [[] for _ in range(len(g))]
+    for i, label, j in g.edges:
+        succ[i].append((label, j))
+    return step_graph(succ)
+
+
+def _run_positions(g: ReachGraph):
+    """Per run (k, w): the unit-step numbers of offsets 0..w-1 of the run
+    of w delays from node k, and the number of each node."""
+    step, _ = g.unit_view()
+    order = g.positions(step)
+    number = {p: i for i, p in enumerate(order)}
+    runs = {}
+    for k, outs in enumerate(g.succ):
+        if len(outs) == 1 and outs[0][0] < -1:
+            p, at = k, []
+            for _ in range(-outs[0][0]):
+                at.append(number[p])
+                p = step(p)[0][1]
+            runs[k] = at
+    return runs, [number[k] for k in range(len(g.keys))]
+
+
+def node_numbers(g: ReachGraph) -> list:
+    """The unit-step number (as in ``g.states``) of each node."""
+    return _run_positions(g)[1]
+
+
+def node_set(g: ReachGraph, units) -> tuple:
+    """The checker's node set, on the folded graph g, of a set of unit-step
+    states: a flag per node, and per run the offsets where the flag flips."""
+    runs, nodes = _run_positions(g)
+    flips = {}
+    for k, at in runs.items():
+        flags = [u in units for u in at]
+        flips[k] = tuple(o for o in range(1, len(at)) if flags[o] != flags[o - 1])
+    return bytes(u in units for u in nodes), {k: f for k, f in flips.items() if f}
+
+
+def unit_set(g: ReachGraph, s) -> frozenset:
+    """The unit-step states of the checker's node set s on the folded graph
+    g, numbered like ``g.edges``."""
+    runs, nodes = _run_positions(g)
+    flags, flips = s
+    out = {u for u, f in zip(nodes, flags) if f}
+    for k, at in runs.items():
+        f = flags[k]
+        for o, u in enumerate(at):
+            f ^= o in flips.get(k, ())
+            if f:
+                out.add(u)
+    return frozenset(out)
 
 
 def random_step_graph(rng: random.Random, max_nodes=10, max_out=3, p_delay=0.4):

@@ -28,6 +28,7 @@ from tpnsynth.petri import INF, StepTable, net_spec
 from tpnsynth.semantics import Delay, Fire, _key, elapse, fireable_set, fire, layout, successors
 
 from _gen import (
+    node_numbers,
     outcome,
     random_concrete_net,
     random_gmec,
@@ -264,7 +265,14 @@ class TestIntKeys:
         for lim in (ExploreLimits(k_bound, 400), ExploreLimits(k_bound, max_states)):
             assert outcome(build, net, lim) == outcome(reference_build, net, lim)
         g = _graph(net, ExploreLimits(k_bound, max_states))  # its states equal the reference's, above
-        assert [_key(lay, s) for s in g.states] == g.keys
+        units, nodes = [_key(lay, s) for s in g.states], node_numbers(g)
+        assert [units[u] for u in nodes] == g.keys
+        for k, outs in enumerate(g.succ):  # a delay-only node's edge: w unit delays, with no fire before the last
+            if len(outs) == 1 and outs[0][0] < 0 and outs[0][1] != k:
+                (t, j), s = outs[0], g.states[nodes[k]]
+                assert elapse(net, s, -t) == g.states[nodes[j]]
+                assert not any(fireable_set(net, elapse(net, s, o)) for o in range(1, -t))
+                assert not g.complete or fireable_set(net, g.states[nodes[j]])
         for s in g.states:
             if max_elapse(net, s) < d:
                 continue
@@ -298,7 +306,8 @@ class TestMarkingIndex:
         for lim in (ExploreLimits(max_states=3000), ExploreLimits(k_bound, max_states)):
             g = _graph(net, lim)
             ref = outcome(reference_build, net, lim)[0]
-            assert [tab.markings[mid] for mid in g.mids] == [s.marking for s in ref]
+            assert len(g) == len(ref)
+            assert [tab.markings[mid] for mid in g.mids] == [ref[u].marking for u in node_numbers(g)]
             assert tab.mindex == {m: mid for mid, m in enumerate(tab.markings)}
             expected = {i for i, s in enumerate(ref) if eval_gmec(dict(zip(net.places, s.marking)), phi)}
             assert states_satisfying(g, phi) == expected
@@ -307,20 +316,21 @@ class TestMarkingIndex:
     @given(seed=st.integers(0, 2**32 - 1), k_bound=st.integers(1, 4), max_states=st.integers(1, 200))
     def test_edges_are_int_pairs_with_one_delay_last(self, seed, k_bound, max_states):
         # per node: fires (t, target) in ascending transition index t, then
-        # at most one delay (-1, target)
+        # at most one delay (-1, target); a node where nothing may fire has
+        # one edge, (-w, target) for its run of w >= 1 delays
         net = random_concrete_net(random.Random(seed))
         nt = len(net.transitions)
         for lim in (ExploreLimits(max_states=3000), ExploreLimits(k_bound, max_states)):
             g = _graph(net, lim)
-            assert len(g.succ) == len(g.keys) == len(g.mids)
+            assert len(g.succ) == len(g.keys) == len(g.mids) <= len(g)
             for outs in g.succ:
                 assert all(type(e) is tuple and len(e) == 2 for e in outs)
-                assert all(type(t) is int and type(j) is int and 0 <= j < len(g) for t, j in outs)
+                assert all(type(t) is int and type(j) is int and 0 <= j < len(g.keys) for t, j in outs)
                 labels = [t for t, _ in outs]
-                fires = [t for t in labels if t != -1]
+                fires = [t for t in labels if t >= 0]
                 assert all(0 <= t < nt for t in fires)
                 assert fires == sorted(set(fires))
-                assert labels == fires or labels == fires + [-1]
+                assert labels == fires or labels == fires + [-1] or (not fires and len(labels) == 1 and labels[0] < 0)
 
     def test_enabledness_tests_scale_with_markings(self, monkeypatch):
         # a table tests a marking's transitions once, when it interns it: a

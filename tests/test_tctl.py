@@ -45,6 +45,7 @@ from tpnsynth.tctl import TRUE_GMEC, Implies, Verdict, _Checker, _tokenize, comp
 
 from _gen import (
     mutate_text,
+    node_set,
     product_until,
     random_concrete_net,
     random_formula,
@@ -53,6 +54,8 @@ from _gen import (
     random_response,
     random_step_graph,
     step_graph,
+    unit_graph,
+    unit_set,
 )
 
 
@@ -543,12 +546,20 @@ ZERO_TO = [TimeInterval(0, 0), TimeInterval(0, 3), TimeInterval(0, 3, True, Fals
 
 
 def _until(ch, exists, phi, iv, psi) -> frozenset:
-    """``ch.until`` on node sets: phi and psi become one flag per node, and
-    the flags it returns become the set of flagged nodes."""
-    flags = [bytes(v in s for v in range(ch.n)) for s in (phi, psi)]
-    out = ch.until(exists, flags[0], iv, flags[1])
-    assert type(out) is bytes and len(out) == ch.n and set(out) <= {0, 1}
-    return frozenset(v for v, f in enumerate(out) if f)
+    """``ch.until`` on sets of unit-step states: phi and psi become node
+    sets of the checker's graph, and the node set it returns becomes the
+    set of unit-step states. A step graph has one unit-step state per node
+    and no run; a net graph's node set is its canonical folded form."""
+    g = ch.g
+    if g.net is None:
+        flags = [(bytes(v in s for v in range(ch.n)), {}) for s in (phi, psi)]
+        out, runs = ch.until(exists, flags[0], iv, flags[1])
+        assert type(out) is bytes and len(out) == ch.n and set(out) <= {0, 1} and runs == {}
+        return frozenset(v for v, f in enumerate(out) if f)
+    out = ch.until(exists, node_set(g, phi), iv, node_set(g, psi))
+    units = unit_set(g, out)
+    assert out == node_set(g, units)
+    return units
 
 
 def _until_all(ch, exists, phi, psi):
@@ -595,15 +606,18 @@ class TestLabelledUntil:
         assert shifted >= 20_000
 
     def test_agrees_with_product_on_net_graphs(self):
+        # on the folded graph, against the product over the unit-step graph
+        # it stands for; at bound 15 most graphs have runs
         rng = random.Random(73)
-        for net, g in _graphs_for(rng, 15, max_places=3, max_transitions=3, max_bound=4):
-            ch = _Checker(g)
+        for net, g in [*_graphs_for(rng, 15, max_places=3, max_transitions=3, max_bound=4),
+                       *_graphs_for(rng, 15, max_places=3, max_transitions=3, max_bound=15)]:
+            ch, unit = _Checker(g), unit_graph(g)
             for _ in range(6):
                 phi = frozenset(v for v in range(len(g)) if rng.random() < 0.8)
                 psi = frozenset(v for v in range(len(g)) if rng.random() < 0.15)
                 for iv in rng.sample(_intervals(rng), 4):
                     for exists in (True, False):
-                        assert _until(ch, exists, phi, iv, psi) == product_until(g, exists, phi, iv, psi)
+                        assert _until(ch, exists, phi, iv, psi) == product_until(unit, exists, phi, iv, psi)
 
     def test_au_fails_on_zero_time_cycle_avoiding_psi(self):
         # 0 and 1 fire back and forth forever; only a delay from 0 reaches 2
@@ -675,7 +689,7 @@ def test_check_leaves_no_predecessor_state_on_the_graph(net_a):
     g = build(net_a)
     assert check(net_a, g, parse_formula("EF[2,3](M(p2)>=1)")).witness
     assert check(net_a, g, parse_formula("AG[0,inf](M(p1)+M(p2)=1)")).holds
-    assert set(vars(g)) == {"net", "keys", "mids", "succ", "complete"}
+    assert set(vars(g)) == {"net", "keys", "mids", "succ", "complete", "runs"}
 
 
 class TestLazyCheck:
@@ -705,7 +719,7 @@ class TestLazyCheck:
             root, op = len(plan.ops) - 1, plan.ops[-1]
             eu = root if op[0] is EU else op[1] if op[0] is Not and plan.ops[op[1]][0] is EU else None
             v = check(c, g, plan)
-            assert v.holds == decide(g, plan) == bool(full[root][g.initial]) == brute_force_check(c, phi)
+            assert v.holds == decide(g, plan) == bool(full[root][0][g.initial]) == brute_force_check(c, phi)
             assert v.witness == (None if eu is None else ch.witness_eu(plan, full, eu))
 
     def test_a_failing_conjunct_labels_no_until_of_the_next(self, net_a, monkeypatch):
