@@ -34,8 +34,8 @@ is one subtraction, with no enabledness test, so that enabledness work
 grows with the markings, and a node's work with its enabled transitions,
 not with the net. The table outlives a build, so each build tests its own
 k-bound, once per marking it reaches. The checker reads the markings
-through the table by id, and derives its own predecessor lists from
-``succ`` and ``runs``; the graph keeps none.
+through the table by id, and derives its own predecessor lists and runs
+from ``succ``; the graph keeps no predecessor list.
 """
 
 from __future__ import annotations
@@ -86,9 +86,10 @@ class ReachGraph:
             return j if d == 0 else runs[j].get(d, (j, d))
 
         def step(p):
-            if type(p) is int:
-                return [(-1, at(j, -t - 1)) if t < 0 else (t, j) for t, j in succ[p]]
-            return [(-1, at(p[0], p[1] - 1))]
+            if type(p) is not int:
+                return [(-1, at(p[0], p[1] - 1))]
+            outs = succ[p]  # a run's edge is its source's only one
+            return [(-1, at(outs[0][1], -outs[0][0] - 1))] if outs and outs[0][0] < -1 else outs
 
         return step, {j: (max(ws), ws[max(ws)]) for j, ws in runs.items()}
 
@@ -96,11 +97,17 @@ class ReachGraph:
         """The unit positions in unit-step BFS order (fires in transition
         order, then the delay): unit state i is at ``positions()[i]``."""
         order, step = [0][: len(self.keys)], step or self.unit_view()[0]
-        seen = set(order)
+        seen, inner = bytearray(len(self.keys)), set()  # met so far: a flag per node, and the states inside runs
+        if order:
+            seen[0] = 1
         for p in order:  # grows while it is walked: the BFS queue
             for _, q in step(p):
-                if q not in seen:
-                    seen.add(q)
+                if type(q) is int:
+                    if not seen[q]:
+                        seen[q] = 1
+                        order.append(q)
+                elif q not in inner:
+                    inner.add(q)
                     order.append(q)
         return order
 
@@ -124,8 +131,13 @@ class ReachGraph:
         numbering."""
         labels, (step, _) = step_labels(self.net), self.unit_view()
         order = self.positions(step)
-        number = {p: i for i, p in enumerate(order)}
-        return [(i, labels[t], number[q]) for i, p in enumerate(order) for t, q in step(p)]
+        number, inner = [0] * len(self.keys), {}  # unit numbers: an int per node, and the states inside runs
+        for i, p in enumerate(order):
+            if type(p) is int:
+                number[p] = i
+            else:
+                inner[p] = i
+        return [(i, labels[t], number[q] if type(q) is int else inner[q]) for i, p in enumerate(order) for t, q in step(p)]
 
 
 def build(n: ConcreteNet, lim: ExploreLimits = ExploreLimits()) -> ReachGraph:

@@ -181,10 +181,8 @@ def check_chunk(p: SynthesisProblem, vals) -> list:
     The second is keyed by the shape, the marshal bytes (version 2, which
     writes no back-references) of ``succ``, and catches graphs that differ
     only in clock values: a verdict reads only the plan, ``succ``, the
-    graph's ``runs``, the initial node 0 and the constraints at each node's
-    marking. ``succ`` decides the rest: ``runs`` holds the nodes whose one
-    edge is a delay, by target and weight, for each target that a delay of
-    two or more reaches, and node 0 holds the net's initial marking, a delay
+    initial node 0 and the constraints at each node's marking, and ``succ``
+    decides those markings, as node 0 holds the net's initial one, a delay
     of any weight keeps a marking and a fire edge's transition decides the
     next."""
     reads = [iv.referenced_params() for iv in p.net.intervals]  # per transition

@@ -55,9 +55,9 @@ edges through phi-nodes and then takes one delay into that set; along a
 run, phi at an offset and the set one offset on.
 ``MAX_DELAY_LAYERS`` bounds a, the number of pre-images, against a huge
 lower bound typed in by a user; ``compile_plan`` refuses a larger a. On its
-first until, the checker derives its fire and delay predecessor lists from
-the graph's int edges (t < 0 is a delay) and ``ReachGraph.runs``, and they
-die with it. Witnesses walk the unit-step positions
+first until, the checker derives its fire and delay predecessor lists and
+its runs from the graph's int edges (t = -1 a unit delay, t < -1 a run),
+and they die with it. Witnesses walk the unit-step positions
 (``ReachGraph.unit_view``), as on an unfolded graph.
 
 Until is position-based: ``E phi U_I psi`` holds when some path reaches a
@@ -641,16 +641,15 @@ class _Checker:
     def preds(self) -> tuple:
         """Per node: the sources of its fire in-edges, and of its one-delay
         in-edges; and (k, w, j) per run of w >= 2 delays from node k to j."""
-        fire, delay = [[] for _ in self.g.succ], [()] * len(self.g.succ)  # most nodes have no delay in-edge
+        fire, delay, runs = [[] for _ in self.g.succ], [()] * len(self.g.succ), []  # most nodes have no delay in-edge
         for u, outs in enumerate(self.g.succ):
             for t, v in outs:
-                if t < 0:
+                if t >= 0:
+                    fire[v].append(u)
+                elif t == -1:
                     delay[v] += (u,)
                 else:
-                    fire[v].append(u)
-        runs = [(k, w, j) for j, ws in self.g.runs.items() for w, k in ws.items() if w > 1]
-        for k, _, j in runs:
-            delay[j] = tuple([u for u in delay[j] if u != k])
+                    runs.append((u, -t, v))
         return fire, delay, runs
 
     def nodes(self, plan: Plan, i: int, sat: dict) -> tuple:
@@ -712,21 +711,21 @@ class _Checker:
                 elif f == w:
                     late.setdefault(j, []).append((k, w))
         if span == INF:  # every layer holds: one pass back through both kinds of edge
+            inf_preds = delay_preds  # and a run's source behind its target when phi holds all along
             if late:
-                delay_preds = delay_preds.copy()
+                inf_preds = delay_preds.copy()
                 for j, ks in late.items():
-                    delay_preds[j] += tuple([k for k, _ in ks])
-            sources += [u for v in psis for u in delay_preds[v]] + [k for ks in early.values() for k in ks]
-            out = psis + self._resolve(satphi, counts, sources, fire_preds, delay_preds)
+                    inf_preds[j] += tuple([k for k, _ in ks])
+            sources += [u for v in psis for u in inf_preds[v]] + [k for ks in early.values() for k in ks]
+            out = psis + self._resolve(satphi, counts, sources, fire_preds, inf_preds)
             flags = _flags(n, out)
             ends = {j: 0 for _, _, j in runs if flags[j]}
         else:
-            ends, pending = {}, {j for _, _, j in runs}  # ends: the layer of each run target that resolves
+            ends, targets = {}, {j for _, _, j in runs}  # ends: the layer of each run target that resolves
             out, t, layer = [], 0, psis + self._resolve(satphi, counts, sources, fire_preds)
             while t <= span:  # layer t: the nodes that arrive at psi at time t
                 out += layer
-                for j in [j for j in pending if counts[j] <= 0 and (satphi[j] or satpsi[j])]:  # resolved by now
-                    pending.remove(j)
+                for j in targets.intersection(layer):
                     ends[j] = t
                     for k, w in late.get(j, ()):
                         early.setdefault(t + w, []).append(k)
@@ -740,7 +739,7 @@ class _Checker:
             if k in phiruns or k in psiruns:
                 r = _until_run(satphi[k], phiruns.get(k, ()), satpsi[k], psiruns.get(k, ()), w, ends.get(j, INF), span)
             elif span < INF and satphi[k] and not satpsi[k] and 0 < ends.get(j, INF) + w - span < w:
-                r = (ends[j] + w - span,)
+                r = (ends[j] + w - span,)  # _until_run's one stretch, inline, as most runs have constant operands
             else:
                 continue
             if r:

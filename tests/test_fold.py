@@ -23,7 +23,8 @@ from tpnsynth import (
     states_satisfying,
 )
 from tpnsynth import biomodels as bio
-from tpnsynth.tctl import AU, EU, Not, _Checker, compile_plan, desugar, eval_gmec
+from tpnsynth.petri import INF
+from tpnsynth.tctl import AU, EU, Not, _Checker, _until_run, compile_plan, desugar, eval_gmec
 
 from _gen import (
     outcome,
@@ -184,6 +185,16 @@ class TestFoldedDifferential:
                     for op in ("EF", "AF", "EG", "AG"):
                         phi = parse_formula(f"{op}[{a},{b}](AF[0,{c}](M(r)=1) => M(q)=0)")
                         _same_labels(g, unit, compile_plan(net, phi))
+
+    def test_constant_operands_flip_where_the_layer_reaches_the_span(self):
+        # the checker flips a run of constant operands inline, as this one
+        # stretch of _until_run: phi alone holds from offset end + w - span on
+        for w in range(1, 8):
+            for end in (*range(10), INF):
+                for span in (*range(10), INF):
+                    flip = end + w - span
+                    assert _until_run(1, (), 0, (), w, end, span) == ((flip,) if 0 < flip < w else ())
+                    assert _until_run(0, (), 0, (), w, end, span) == _until_run(1, (), 1, (), w, end, span) == ()
 
 
 CLOCK_LIMITS = ExploreLimits(k_bound=2, max_states=200_000)
