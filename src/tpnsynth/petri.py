@@ -280,9 +280,10 @@ class StepTable:
     The table also interns the markings its net reaches: ``markings[id]``
     is a marking tuple, ``mindex`` maps it back to its id,
     ``enabled_at[id]`` holds the sorted indices of the transitions it
-    enables, tested once, on first sight, and ``patches[id]`` caches one
-    bound-free ``semantics.fire_patch`` per transition. The initial
-    marking has id 0. ``props`` caches constraint values for the checker:
+    enables, tested once, on first sight, and ``peak[id]`` its largest
+    token count. The initial marking has id 0. ``masks`` maps a key's
+    field width to the ``semantics._fire_masks`` made at that width, which
+    read no bound. ``props`` caches constraint values for the checker:
     it maps a ``Gmec`` to ``{marking id: 0 or 1}``, values only, so the
     table still pickles.
     """
@@ -302,7 +303,7 @@ class StepTable:
             tuple((p, post[p] - pre[p]) for p in places if post[p] != pre[p])
             for pre, post in zip(n.pre, n.post)
         )
-        self.markings, self.mindex, self.enabled_at, self.patches, self.props = [], {}, [], [], {}
+        self.markings, self.mindex, self.enabled_at, self.peak, self.masks, self.props = [], {}, [], [], {}, {}
         self.intern(tuple(n.initial))
 
     def intern(self, m: tuple) -> int:
@@ -313,7 +314,7 @@ class StepTable:
             mid = self.mindex[m] = len(self.markings)
             self.markings.append(m)
             self.enabled_at.append(tuple([t for t in range(self.nt) if self.enabled(m, t)]))
-            self.patches.append([None] * self.nt)
+            self.peak.append(max(m, default=0))
         return mid
 
     def enabled(self, m, t: int) -> bool:

@@ -10,21 +10,23 @@ no transition may fire into one edge, whose length ``delay_run`` gives.
 All stepping runs on packed keys over the net's step table
 (``petri.StepTable``, cached as ``net.steps``), shared by every instance of
 a parametric net. A key is one int with one bit field per transition and
-the id of its marking in the top bits; an instance's ``Layout`` (made once
-per instance by ``layout``) fixes the field width from its largest start
-value. A disabled transition's field is 0. An enabled bounded clock stores
-its remaining high plus one, and its remaining low is implied: a clock
-starts, and a fire restarts it, at its static (low, high), and a unit delay lowers both by one until
-the low reaches 0, after which only the high falls, so the low is always
-max(0, high - (static high - static low)). An enabled unbounded clock stores
-its remaining low plus one. Firing t depends on the marking alone:
-``fire_patch`` turns a (marking, transition) pair into the successor's
-marking id, the clocks that stop and those that start, read off both
-markings' enabled transitions, tested once per marking when the table
-interns it (``StepTable.enabled_at``); each instance turns a patch into a
-keep and a start mask once, and a fire is ``key & keep | start``. A unit
-delay is one subtraction of the unit bits of the enabled bounded clocks
-and of the enabled unbounded ones whose low is still positive.
+the id of its marking in the top bits. A field is 0 when its transition
+is disabled, else a clock: the time since the transition was enabled, plus
+one. A clock may fire from its static low plus one on. A bounded clock at
+its static high plus one refuses the delay, and an unbounded one stops
+counting at its static low plus one, past which time changes none of its
+futures (the clock cap of Alur & Dill's timed automata). A unit delay is
+one addition of the unit bits of the enabled bounded clocks and of the
+enabled unbounded ones still below their low. An instance's ``Layout``
+(made once per instance by ``layout``) holds only those two thresholds per
+transition and the field width, wide enough for the largest cap. A fire
+starts a clock at 1, whatever its interval, so it depends on the marking
+and the width alone: each
+(marking, transition) pair gets a keep and a start mask once per width
+(``_fire_masks``), kept in the table for every instance of that width, and a
+fire is ``key & keep | start``. The successor's marking, and which clocks
+stop and start, are read off both markings' enabled transitions, tested
+once per marking when the table interns it (``StepTable.enabled_at``).
 ``successor_keys``, the one successor function of the explorer
 (``statespace.build``) and the State API alike, reads only the transitions
 its key's marking enables, and numbers the delay -1. ``initial_state``,
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import InputError, PreconditionError, TimeOverrunError
-from .petri import INF, ConcreteNet, Marking, StepTable, TimeInterval
+from .petri import INF, ConcreteNet, Marking, TimeInterval
 
 
 @dataclass(frozen=True)
@@ -96,7 +98,7 @@ def max_elapse(n: ConcreteNet, s: State):
     lay = layout(n)
     key = _key(lay, s)
     on = lay.tab.enabled_at[key >> lay.shift]
-    return min([(key >> lay.shifts[t] & lay.field) - 1 for t in on if lay.gap[t] is not None], default=INF)
+    return min([lay.highs[t] - (key >> lay.shifts[t] & lay.field) for t in on if lay.highs[t]], default=INF)
 
 
 def elapse(n: ConcreteNet, s: State, d: int) -> State:
@@ -110,7 +112,7 @@ def elapse(n: ConcreteNet, s: State, d: int) -> State:
     key = _key(lay, s)
     for t in lay.tab.enabled_at[key >> lay.shift]:
         sh = lay.shifts[t]
-        key -= (d if lay.gap[t] is not None else min(d, (key >> sh & lay.field) - 1)) << sh
+        key += (d if lay.highs[t] else min(d, lay.lows[t] - (key >> sh & lay.field))) << sh
     return materialise(lay, [key])[0]
 
 
@@ -161,39 +163,38 @@ def replay(n: ConcreteNet, labels) -> list:
 # ---------------------------------------------------------------------------
 # Packed states (layout in the module docstring). Keys reached from
 # ``Layout.initial`` keep the invariant that a transition has a clock iff the
-# marking enables it, and that a bounded clock's low is implied by its high;
-# ``successor_keys`` relies on both, and ``_key`` checks them for a State
-# given from outside.
+# marking enables it, and that a clock never passes its cap; ``successor_keys``
+# relies on both, and ``_key`` checks them for a State given from outside.
 
 
 class Layout:
     """The packed key layout of one instance, made by ``layout``.
 
-    Per transition t: ``gap[t]`` is high - low of its static interval, None
-    when it is unbounded; ``start[t]`` is the field a fire that starts its
-    clock writes, one more than its static high, or than its static low when
-    it is unbounded; ``fires_at[t]`` is the largest field at which its low
-    is 0, so that it may fire. Every field is ``width`` bits wide, enough
-    for the largest start, and t's sits ``shifts[t] = t * width`` bits up;
-    ``field`` masks one, and the marking id sits ``shift`` bits up.
-    ``masks`` maps ``mid * nt + t`` to the ``_fire_masks`` of t at the
-    marking of id mid, made when it first fires. ``initial`` is the key of
-    the initial state, and ``step`` bundles what ``successor_keys`` reads."""
+    A clock that has run e time units since its transition was enabled
+    holds e + 1, and stands for the dynamic interval (max(0, low - e),
+    high - e). Per transition t, ``lows[t]`` is its static low plus one,
+    the least field at which it may fire, and ``highs[t]`` its static high
+    plus one, the field at which it refuses the delay, or 0 when it is
+    unbounded; a field stops at its high, or at its low when it is
+    unbounded. Those two tuples are all the instance owns. Every field is
+    ``width`` bits wide, enough for the largest of them, and t's sits
+    ``shifts[t] = t * width`` bits up; ``field`` masks one, and the marking
+    id sits ``shift`` bits up. ``masks``, the table's ``_fire_masks`` at this
+    width keyed by ``mid * nt + t``, and ``initial``, the initial state's
+    key, a 1 in each field that the initial marking enables, hang on the
+    width alone, so every instance of that width shares them. ``step``
+    bundles what ``successor_keys`` reads."""
 
     def __init__(self, n: ConcreteNet):
         tab = self.tab = n.steps
-        gap, start = [], []
-        for iv in n.intervals:
-            gap.append(None if iv.high == INF else iv.high - iv.low)
-            start.append(1 + (iv.low if iv.high == INF else iv.high))
-        w = self.width = max(start, default=1).bit_length()
+        lows = self.lows = tuple([iv.low + 1 for iv in n.intervals])
+        highs = self.highs = tuple([0 if iv.high == INF else iv.high + 1 for iv in n.intervals])
+        w = self.width = max(lows + highs, default=1).bit_length()  # a bounded high is at least its low
         self.field, self.shift, self.shifts = (1 << w) - 1, tab.nt * w, tuple(range(0, tab.nt * w, w))
-        self.gap, self.start = tuple(gap), tuple(start)
-        self.fires_at = tuple([1 if g is None else g + 1 for g in gap])
-        self.masks = {}
-        self.initial = sum([start[t] << self.shifts[t] for t in tab.enabled_at[0]])
         units = tuple([1 << sh for sh in self.shifts])  # one unit of each field
-        self.step = (self.shift, tab.enabled_at, tab.nt, self.shifts, self.field, self.fires_at, self.gap, self.masks, units)
+        self.masks = tab.masks.setdefault(w, {})
+        self.initial = sum([units[t] for t in tab.enabled_at[0]])
+        self.step = (self.shift, tab.enabled_at, tab.nt, self.shifts, self.field, lows, highs, self.masks, units)
 
 
 def layout(n: ConcreteNet) -> Layout:
@@ -206,39 +207,30 @@ def layout(n: ConcreteNet) -> Layout:
     return lay
 
 
-def fire_patch(tab: StepTable, mid: int, t: int) -> tuple:
-    """Firing t, enabled in the marking of id mid, as (successor marking
-    id, stops, starts), which holds for every instance: the transitions t
-    disables stop, t itself (when the successor enables it) and each
-    transition t newly enables start, and every other clock runs on. Which
-    are which is read off the two markings' ``enabled_at``, with no
-    enabledness test."""
+def _fire_masks(lay: Layout, mid: int, t: int) -> tuple:
+    """The (keep, start) masks of firing t, enabled in the marking of id
+    mid: the t-successor of a key at mid is ``key & keep | start``. The
+    transitions t disables stop, t itself (when the successor enables it)
+    and each transition t newly enables start at 1, and every other clock
+    runs on; which are which is read off the two markings' ``enabled_at``,
+    with no enabledness test. keep clears the marking id and the fields
+    that stop or restart; start holds the successor's marking id and a 1 in
+    each field that starts. No bound enters, so the pair is made once per
+    (marking, transition, width) and kept in the table's cache for the
+    width."""
+    tab, shifts, field = lay.tab, lay.shifts, lay.field
     m2 = list(tab.markings[mid])
     for p, d in tab.delta[t]:
         m2[p] += d
     mid2 = tab.intern(tuple(m2))
     on, on2 = tab.enabled_at[mid], tab.enabled_at[mid2]
-    return mid2, tuple([u for u in on if u not in on2]), tuple([u for u in on2 if u == t or u not in on])
-
-
-def _fire_masks(lay: Layout, mid: int, t: int) -> tuple:
-    """The instance's (keep, start) masks of ``fire_patch(tab, mid, t)``,
-    made once per instance from the table's patch, made once per net: the
-    t-successor of a key at marking mid is ``key & keep | start``. keep
-    clears the marking id and the fields that stop or start; start holds
-    the successor's marking id and the start field of each clock that
-    starts."""
-    tab, shifts, field = lay.tab, lay.shifts, lay.field
-    patch = tab.patches[mid][t]
-    if patch is None:
-        patch = tab.patches[mid][t] = fire_patch(tab, mid, t)
-    mid2, stops, starts = patch
     keep, start = (1 << lay.shift) - 1, mid2 << lay.shift
-    for u in stops:
-        keep ^= field << shifts[u]
-    for u in starts:
-        keep ^= field << shifts[u]
-        start |= lay.start[u] << shifts[u]
+    for u in on:
+        if u == t or u not in on2:
+            keep ^= field << shifts[u]
+    for u in on2:
+        if u == t or u not in on:
+            start |= 1 << shifts[u]
     masks = lay.masks[mid * tab.nt + t] = keep, start
     return masks
 
@@ -246,39 +238,39 @@ def _fire_masks(lay: Layout, mid: int, t: int) -> tuple:
 def successor_keys(lay: Layout, key: int) -> list:
     """(transition index, key) per successor of a key: fires in transition
     order, each ``key & keep | start`` under its ``_fire_masks``, then the
-    unit delay, indexed -1, ``key - dec``. Only the transitions the key's
-    marking enables are read. A clock may fire when its low is 0, and an
-    enabled bounded clock with a high of 0 refuses the delay; dec holds
-    the unit bits of the enabled bounded clocks and of the enabled
-    unbounded ones whose low is still positive."""
-    shift, enabled_at, nt, shifts, field, fires_at, gap, masks, units = lay.step
+    unit delay, indexed -1, ``key + inc``. Only the transitions the key's
+    marking enables are read. A clock may fire from its low on, and an
+    enabled bounded clock at its high refuses the delay; inc holds the unit
+    bits of the enabled bounded clocks and of the enabled unbounded ones
+    still below their low."""
+    shift, enabled_at, nt, shifts, field, lows, highs, masks, units = lay.step
     mid = key >> shift
-    base, out, dec, urgent = mid * nt, [], 0, False
+    base, out, inc, urgent = mid * nt, [], 0, False
     for t in enabled_at[mid]:
         f = key >> shifts[t] & field
-        if f > fires_at[t]:  # its low is positive
-            dec += units[t]
+        if f < lows[t]:  # below its low
+            inc += units[t]
             continue
         keep, start = masks.get(base + t) or _fire_masks(lay, mid, t)
         out.append((t, key & keep | start))
-        if gap[t] is not None:  # bounded
-            if f == 1:  # a high of 0
-                urgent = True
-            else:
-                dec += units[t]
+        h = highs[t]
+        if f == h:  # at its high
+            urgent = True
+        elif h:  # bounded
+            inc += units[t]
     if not urgent:
-        out.append((-1, key - dec))
+        out.append((-1, key + inc))
     return out
 
 
 def delay_run(lay: Layout, key: int) -> int:
     """How many unit delays a key at which no transition may fire takes
-    before one may: every enabled clock then falls by one per delay, so
-    the run ends when the first field reaches its ``fires_at``."""
-    shift, enabled_at, _, shifts, field, fires_at = lay.step[:6]
+    before one may: every enabled clock then rises by one per delay, so
+    the run ends when the first field reaches its low."""
+    shift, enabled_at, _, shifts, field, lows = lay.step[:6]
     w = None
     for t in enabled_at[key >> shift]:  # a loop: no comprehension frame per call
-        d = (key >> shifts[t] & field) - fires_at[t]
+        d = lows[t] - (key >> shifts[t] & field)
         if w is None or d < w:
             w = d
     return w
@@ -300,12 +292,13 @@ def _key(lay: Layout, s: State) -> int:
         raise PreconditionError(f"the clocks of a state at {m} are not those of the transitions {m} enables")
     key = 0
     for t in on:
-        c, gap = clocks[t], lay.gap[t]
-        if gap is None:
-            f, ok = c.low + 1, c.unbounded
+        c, low, high = clocks[t], lay.lows[t], lay.highs[t]
+        if c.unbounded:
+            f, ok = low - c.low, not high
         else:
-            f, ok = c.high + 1, not c.unbounded and c.low == max(0, c.high - gap)
-        if not ok or f > lay.start[t]:
+            f = high - c.high
+            ok = high and c.low == max(0, low - f)
+        if not ok or f < 1:
             raise PreconditionError(f"clock {c} of transition {t} at {m} is not one the instance gives it")
         key |= f << lay.shifts[t]
     return key | tab.intern(m) << lay.shift
@@ -314,7 +307,7 @@ def _key(lay: Layout, s: State) -> int:
 def materialise(lay: Layout, keys) -> list:
     """One State per key; clocks with equal bounds share one TimeInterval."""
     markings, shift, field = lay.tab.markings, lay.shift, lay.field
-    clock = _Clocks(lay.gap).__getitem__
+    clock = _Clocks(lay).__getitem__
     slots = list(enumerate(lay.shifts))
     return [State(markings[key >> shift], tuple([clock((t, key >> sh & field)) for t, sh in slots])) for key in keys]
 
@@ -323,17 +316,17 @@ class _Clocks(dict):
     """(transition, field) -> TimeInterval, None for the empty field; equal
     intervals are one object."""
 
-    def __init__(self, gap: tuple):
-        self.gap, self.shared = gap, {}
+    def __init__(self, lay: Layout):
+        self.lows, self.highs, self.shared = lay.lows, lay.highs, {}
 
     def __missing__(self, slot):
         t, f = slot
-        gap = self.gap[t]
+        low, high = self.lows[t], self.highs[t]
         if not f:
             iv = None
-        elif gap is None:
-            iv = TimeInterval(f - 1, INF)
+        elif high:
+            iv = TimeInterval(max(0, low - f), high - f)
         else:
-            iv = TimeInterval(max(0, f - 1 - gap), f - 1)
+            iv = TimeInterval(low - f, INF)
         iv = self[slot] = self.shared.setdefault(iv, iv)
         return iv

@@ -9,8 +9,8 @@ The search runs on packed keys (see ``semantics``): the BFS queue, the
 visited index and every hash are plain ints, one per state, and an edge is
 two ints, (transition index, target), with -1 for the unit delay; only
 ``ReachGraph.edges`` and witnesses make labels (``semantics.step_labels``).
-At a key where no transition may fire, every enabled clock falls by one per
-delay and the marking stays, so the key falls by one fixed amount per delay
+At a key where no transition may fire, every enabled clock rises by one per
+delay and the marking stays, so the key rises by one fixed amount per delay
 until one may fire, ``semantics.delay_run`` delays on: such a node gets one
 edge, (-w, target), for the whole run, and the states inside it are no
 nodes, so build cost follows events, not time units. A fire may land inside
@@ -28,14 +28,14 @@ A node is its key, whose top bits hold the id of its marking in the net's
 step table; ``ReachGraph.mids`` lists those ids, one per node. The
 successors come from ``semantics.successor_keys``, which reads only the
 transitions the node's marking enables: a fire is two mask operations,
-made once per instance from the bound-free patch of each (marking,
-transition) pair that the net makes once for all its instances, and a delay
-is one subtraction, with no enabledness test, so that enabledness work
-grows with the markings, and a node's work with its enabled transitions,
-not with the net. The table outlives a build, so each build tests its own
-k-bound, once per marking it reaches. The checker reads the markings
-through the table by id, and derives its own predecessor lists and runs
-from ``succ``; the graph keeps no predecessor list.
+whose masks the table keeps per key width for every instance of the net,
+and a delay is one addition, with no enabledness test, so that enabledness
+work grows with the markings, and a node's work with its enabled
+transitions, not with the net. The table records each marking's largest
+token count when it interns it, so a build tests its own k-bound with one
+lookup per node it finds. The checker reads the markings through the table
+by id, and derives its own predecessor lists and runs from ``succ``; the
+graph keeps no predecessor list.
 """
 
 from __future__ import annotations
@@ -93,15 +93,20 @@ class ReachGraph:
 
         return step, {j: (max(ws), ws[max(ws)]) for j, ws in runs.items()}
 
-    def positions(self, step=None) -> list:
+    def positions(self, step=None, outs=None) -> list:
         """The unit positions in unit-step BFS order (fires in transition
-        order, then the delay): unit state i is at ``positions()[i]``."""
+        order, then the delay): unit state i is at ``positions()[i]``. When
+        given, ``outs`` gets step(p) of each position in that order."""
         order, step = [0][: len(self.keys)], step or self.unit_view()[0]
         seen, inner = bytearray(len(self.keys)), set()  # met so far: a flag per node, and the states inside runs
         if order:
             seen[0] = 1
+        keep = outs.append if outs is not None else None
         for p in order:  # grows while it is walked: the BFS queue
-            for _, q in step(p):
+            ps = step(p)
+            if keep:
+                keep(ps)
+            for _, q in ps:
                 if type(q) is int:
                     if not seen[q]:
                         seen[q] = 1
@@ -129,15 +134,9 @@ class ReachGraph:
     def edges(self):
         """(source, StepLabel, target) per unit-step edge, in unit-step
         numbering."""
-        labels, (step, _) = step_labels(self.net), self.unit_view()
-        order = self.positions(step)
-        number, inner = [0] * len(self.keys), {}  # unit numbers: an int per node, and the states inside runs
-        for i, p in enumerate(order):
-            if type(p) is int:
-                number[p] = i
-            else:
-                inner[p] = i
-        return [(i, labels[t], number[q] if type(q) is int else inner[q]) for i, p in enumerate(order) for t, q in step(p)]
+        labels, outs = step_labels(self.net), []
+        number = {p: i for i, p in enumerate(self.positions(None, outs))}
+        return [(i, labels[t], number[q]) for i, ps in enumerate(outs) for t, q in ps]
 
 
 def build(n: ConcreteNet, lim: ExploreLimits = ExploreLimits()) -> ReachGraph:
@@ -156,17 +155,16 @@ def build(n: ConcreteNet, lim: ExploreLimits = ExploreLimits()) -> ReachGraph:
 
 def _explore(n: ConcreteNet, lim: ExploreLimits, fold: bool) -> ReachGraph:
     lay, k_bound = layout(n), lim.k_bound
-    markings, shift = lay.tab.markings, lay.shift
-    k0, m0 = lay.initial, markings[0]
-    if max(m0, default=0) > k_bound:
+    markings, peak, shift = lay.tab.markings, lay.tab.peak, lay.shift
+    k0 = lay.initial
+    if peak[0] > k_bound:
         raise KBoundError(
             f"initial marking exceeds k-bound {k_bound}",
             partial=ReachGraph(n, [], [], [], complete=False),
-            marking=m0,
+            marking=markings[0],
         )
     index = {k0: 0}
     keys, mids, succ = [k0], [0], [[]]  # a node's edge list is made when the node is found
-    bounded = {0}  # marking ids this build has tested against its k-bound
     complete = True
     cap, folds = lim.max_states, []  # cap: max_states less the states inside runs, a shared tail once per run
     for key, outs in zip(keys, succ):  # both grow while they are walked: the BFS queue
@@ -183,14 +181,12 @@ def _explore(n: ConcreteNet, lim: ExploreLimits, fold: bool) -> ReachGraph:
             j = index.get(k2)
             if j is None:
                 mid2 = k2 >> shift
-                if mid2 not in bounded:
+                if peak[mid2] > k_bound:
+                    if fold:
+                        return _explore(n, lim, False)
                     m2 = markings[mid2]
-                    if max(m2, default=0) > k_bound:
-                        if fold:
-                            return _explore(n, lim, False)
-                        partial = ReachGraph(n, keys, mids, succ, complete=False)
-                        raise KBoundError(f"marking {m2} exceeds k-bound {k_bound}", partial=partial, marking=m2)
-                    bounded.add(mid2)
+                    partial = ReachGraph(n, keys, mids, succ, complete=False)
+                    raise KBoundError(f"marking {m2} exceeds k-bound {k_bound}", partial=partial, marking=m2)
                 if len(keys) >= cap:
                     if fold:
                         return _explore(n, lim, False)

@@ -175,8 +175,9 @@ def check_chunk(p: SynthesisProblem, vals) -> list:
     clocks of the transitions its marking enables. So the build of a
     valuation that agrees on those parameters visits the same states in the
     same order, and makes the same ``succ``, weights included, and marking
-    ids; its keys may differ, as the field width of a key follows every
-    interval of the instance, but no memo reads a key.
+    ids. Its keys' fields agree too, as a clock counts elapsed time from 1;
+    only their width may differ, as it follows every interval of the
+    instance, and no memo reads a key.
 
     The second is keyed by the shape, the marshal bytes (version 2, which
     writes no back-references) of ``succ``, and catches graphs that differ

@@ -404,13 +404,15 @@ class TestSharedStepTable:
         for v, width in (({"a": 0, "b": 2}, 2), ({"a": 3, "b": 3}, 3)):
             c = instantiate(net, v)
             assert c.steps is net.steps
-            # one field per clock: the high plus one of a bounded clock, the
-            # low plus one of an unbounded one, each wide enough for the largest
+            # the instance owns each clock's low and high plus one, 0 for an
+            # unbounded high; a field is wide enough for the largest cap: the
+            # high plus one of a bounded clock, the low plus one of an unbounded one
             lay = layout(c)
-            assert lay.start == (v["b"] + 1, 2)
+            assert (lay.lows, lay.highs) == ((v["a"] + 1, 2), (v["b"] + 1, 0))
             assert lay.width == width
-            fresh = StepTable(c)  # the same table built from the instance alone
-            assert vars(fresh) == vars(c.steps)
+            fresh = StepTable(c)  # the same table built from the instance alone, but for the masks
+            assert {**vars(fresh), "masks": None} == {**vars(c.steps), "masks": None}
+        assert sorted(net.steps.masks) == [2, 3]
 
     @settings(max_examples=40, deadline=None)
     @given(rng=st.randoms(use_true_random=False))
@@ -421,7 +423,7 @@ class TestSharedStepTable:
             c = instantiate(net, v)
         except TpnError:  # outside the domain, or an interval with low > high
             return
-        assert vars(c.steps) == vars(StepTable(c))
+        assert {**vars(c.steps), "masks": None} == {**vars(StepTable(c)), "masks": None}
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -432,10 +434,10 @@ class TestSharedStepTable:
             unique=True,
         )
     )
-    def test_instances_built_alternately_share_markings_and_patches(self, pairs):
-        # the fire patch of t2 restarts t1, whose bounds differ between the
-        # instances: the patch names the clocks, and each instance makes its
-        # own masks from it
+    def test_instances_built_alternately_share_markings_and_masks(self, pairs):
+        # the fire of t2 restarts t1, whose bounds differ between the
+        # instances: a restarted clock holds 1 whatever its bounds, so the
+        # instances of one width share the masks
         net = make_net(
             [("p1", 1), ("p2", 0)],
             {
@@ -450,13 +452,16 @@ class TestSharedStepTable:
         tab = net.steps
         assert all(c.steps is tab for c in cs)
         assert tab.markings == [(1, 0), (0, 1)]
-        # one bound-free patch (successor id, stops, starts) per (marking,
-        # transition) either instance fired: t1 stops itself and starts t2;
-        # t2 stops itself and restarts t1
-        assert tab.patches == [
-            [(1, (0,), (1,)), None],
-            [None, (0, (1,), (0,))],
-        ]
+        # one (keep, start) pair per (marking, transition) either instance
+        # fired, per field width: t1 clears its own field and the marking id
+        # and starts t2 at 1 in marking 1; t2 clears its own field and
+        # restarts t1 at 1 in marking 0
+        widths = {layout(c).width for c in cs}
+        assert widths == {max(b + 1, 3).bit_length() for _, b in pairs}
+        assert tab.masks == {
+            w: {0: ((1 << w) - 1 ^ (1 << 2 * w) - 1, 1 << 2 * w | 1 << w), 3: ((1 << 2 * w) - 1 ^ (1 << w) - 1 << w, 1)}
+            for w in widths
+        }
 
 
 @given(st.integers(0, 5), st.integers(0, 5), st.booleans())

@@ -24,13 +24,15 @@ from tpnsynth import (
     parse_gmec,
     states_satisfying,
 )
+from tpnsynth import semantics
 from tpnsynth.petri import INF, StepTable, net_spec
-from tpnsynth.semantics import Delay, Fire, _key, elapse, fireable_set, fire, layout, successors
+from tpnsynth.semantics import Delay, Fire, _key, elapse, fireable_set, fire, layout, materialise, successors
 
 from _gen import (
     node_numbers,
     outcome,
     random_concrete_net,
+    random_gated_net,
     random_gmec,
     random_parametric_net,
     random_race_net,
@@ -261,7 +263,8 @@ class TestIntKeys:
     def test_same_graph_round_trip_and_delays(self, seed, big, k_bound, max_states, d):
         net = _reshaped(random.Random(seed), big)
         lay = layout(net)
-        assert lay.width == max(lay.start).bit_length() and (lay.width > 20) == big
+        assert lay.width == max([h or lo for lo, h in zip(lay.lows, lay.highs)]).bit_length()
+        assert (lay.width > 20) == big
         for lim in (ExploreLimits(k_bound, 400), ExploreLimits(k_bound, max_states)):
             assert outcome(build, net, lim) == outcome(reference_build, net, lim)
         g = _graph(net, ExploreLimits(k_bound, max_states))  # its states equal the reference's, above
@@ -288,6 +291,68 @@ def _graph(net, lim):
         return build(net, lim)
     except KBoundError as exc:
         return exc.partial
+
+
+class TestSharedMasks:
+    """A fire writes 1 into each clock it starts, whatever the bounds, so
+    the instances of a net share their table's fire masks per key width:
+    instances built alternately, at equal and at different widths, each
+    build what the reference builds, and a later instance at a width
+    already seen makes no mask pair its valuation's earlier instance did
+    not make."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k_bound=st.integers(1, 4), max_states=st.integers(1, 400))
+    def test_instances_built_alternately_equal_the_reference(self, seed, k_bound, max_states):
+        rng = random.Random(seed)
+        net = rng.choice([random_parametric_net, random_race_net, random_gated_net])(rng)
+        vals = []
+        for top in (3, 3, 12, 3, 30, 12):  # caps up to 4, 13 and 31: widths of 1 to 5 bits
+            v = {p: rng.randint(0, top) for p in net.parameters}
+            try:
+                instantiate(net, v)
+            except TpnError:  # outside the domain, or an interval with low > high
+                continue
+            vals.append(v)
+        lim, tab = ExploreLimits(k_bound, max_states), net.steps
+        for v in vals:
+            c = instantiate(net, v)
+            assert outcome(build, c, lim) == outcome(reference_build, c, lim)
+            lay, g = layout(c), _graph(c, lim)
+            assert lay.masks is tab.masks[lay.width]
+            units = [_key(lay, s) for s in g.states]
+            assert materialise(lay, units) == g.states
+            assert [units[u] for u in node_numbers(g)] == g.keys
+        made = {w: dict(masks) for w, masks in tab.masks.items()}
+        for v in vals:  # a new instance of each valuation, at a width already seen
+            _graph(instantiate(net, v), lim)
+        assert tab.masks == made
+
+    def test_a_second_instance_at_a_seen_width_makes_no_fire_masks(self, monkeypatch):
+        made = []
+        fire_masks = semantics._fire_masks
+
+        def counting(lay, mid, t):
+            made.append((mid, t, lay.width))
+            return fire_masks(lay, mid, t)
+
+        monkeypatch.setattr(semantics, "_fire_masks", counting)
+        net = make_net(
+            [("A", 1), ("B", 0)],
+            {
+                "up": {"pre": {"A": 1}, "post": {"B": 1}, "interval": ("a", "b")},
+                "down": {"pre": {"B": 1}, "post": {"A": 1}, "interval": (1, None)},
+            },
+            parameters=["a", "b"],
+        )
+        counts = []
+        for v in ({"a": 1, "b": 4}, {"a": 0, "b": 6}, {"a": 5, "b": 5}, {"a": 2, "b": 9}, {"a": 9, "b": 14}):
+            made.clear()
+            c = instantiate(net, v)
+            assert outcome(build, c, ExploreLimits()) == outcome(reference_build, c, ExploreLimits())
+            counts.append((layout(c).width, len(made)))
+        # caps 5, 7 and 6 share a width of 3 bits; 10 and 15 share 4
+        assert counts == [(3, 2), (3, 0), (3, 0), (4, 2), (4, 0)]
 
 
 class TestMarkingIndex:

@@ -248,29 +248,30 @@ class TestSynthesize:
         copy = pickle.loads(pickle.dumps(problem)).net.steps
         assert len(tab.markings) > 1 and vars(copy) == vars(tab)
         assert copy.mindex == {m: mid for mid, m in enumerate(copy.markings)}
-        assert len(copy.patches) == len(copy.markings)
+        assert len(copy.peak) == len(copy.markings) and copy.masks
         parallel = synthesize(problem, jobs=2)
         assert serial.failures and serial.satisfying
         assert all("k-bound" in msg for _, msg in serial.failures)
         assert (parallel.satisfying, parallel.explored, parallel.failures) == (
             serial.satisfying, serial.explored, serial.failures)
 
-    def test_a_box_makes_one_fire_patch_per_marking_and_transition(self, monkeypatch):
-        # every instance steps on its net's table, so the patch of a (marking,
-        # transition) pair is made once for the whole box, k-bound stops included
+    def test_a_box_makes_one_mask_pair_per_marking_transition_and_width(self, monkeypatch):
+        # every instance steps on its net's table, and a fire reads no bound,
+        # so the masks of a (marking, transition) pair are made once per key
+        # width for the whole box, k-bound stops included
         made = []
-        fire_patch = semantics.fire_patch
+        fire_masks = semantics._fire_masks
 
-        def counting(tab, m, t):
-            made.append((m, t))
-            return fire_patch(tab, m, t)
+        def counting(lay, m, t):
+            made.append((m, t, lay.width))
+            return fire_masks(lay, m, t)
 
-        monkeypatch.setattr(semantics, "fire_patch", counting)
+        monkeypatch.setattr(semantics, "_fire_masks", counting)
         problem = SynthesisProblem(_two_sources(), _EMPTIED, {"g": (1, 4), "e": (0, 4)}, ExploreLimits(2, 5000))
         res = synthesize(problem, jobs=1)
         assert res.explored == 20 and res.failures and res.satisfying
-        assert len(made) == len(set(made))
-        assert len(made) == sum(patch is not None for row in problem.net.steps.patches for patch in row)
+        assert len(made) == len(set(made)) == sum(map(len, problem.net.steps.masks.values()))
+        assert len({w for _, _, w in made}) > 1
 
     def test_a_box_evaluates_each_constraint_once_per_marking(self, monkeypatch):
         # constraint values are cached per marking id in the net's table, so
