@@ -196,12 +196,6 @@ class ParamDomain:
     def contains(self, v: Valuation) -> bool:
         return all(c.evaluate(v) for c in self.constraints)
 
-    def params(self) -> set:
-        out = set()
-        for c in self.constraints:
-            out |= c.params()
-        return out
-
 
 @dataclass(frozen=True)
 class Net:

@@ -36,12 +36,14 @@ first; releases wait in buckets by layer. Layers come in order of time, so
 layer t holds the nodes whose earliest (E) or latest (A) arrival at psi is
 t. A node that never resolves -- a dead end, on or leading to a
 psi-avoiding cycle, or outside phi -- never arrives. An until over
-``[0,b]`` holds at layers 0 to b. Over ``[0,inf)`` every layer holds, and
-the resolved set is the least fixpoint of the counts whatever the order, so
-it is resolved in one pass back through fire and delay edges together.
+``[0,b]`` holds at layers 0 to b, and over ``[0,inf)`` at every layer; the
+walk is the same for both, jumps from an empty layer to the next waiting
+release and stops when none waits, so an unbounded until resolves each node
+once, the least fixpoint of the counts.
 Along a run, walked back from its target, a psi offset is layer 0, a phi
 offset one more than the next and any other never resolves, so the until
-flips at most once per stretch of constant operands.
+flips at most once per stretch of constant operands: a run released by its
+target at layer t flips at offset t + w - b, when that lies inside it.
 
 Any other interval, with integers a..b (b may be inf), is that until over
 ``[0, b-a]`` behind a delay pre-images; no layer holds when b < a, as in
@@ -640,8 +642,8 @@ class _Checker:
     @cached_property
     def preds(self) -> tuple:
         """Per node: the sources of its fire in-edges, and of its one-delay
-        in-edges; and (k, w, j) per run of w >= 2 delays from node k to j."""
-        fire, delay, runs = [[] for _ in self.g.succ], [()] * len(self.g.succ), []  # most nodes have no delay in-edge
+        in-edges; and k -> (w, j) per run of w >= 2 delays from node k to j."""
+        fire, delay, runs = [[] for _ in self.g.succ], [()] * len(self.g.succ), {}  # most nodes have no delay in-edge
         for u, outs in enumerate(self.g.succ):
             for t, v in outs:
                 if t >= 0:
@@ -649,7 +651,7 @@ class _Checker:
                 elif t == -1:
                     delay[v] += (u,)
                 else:
-                    runs.append((u, -t, v))
+                    runs[u] = -t, v
         return fire, delay, runs
 
     def nodes(self, plan: Plan, i: int, sat: dict) -> tuple:
@@ -689,8 +691,10 @@ class _Checker:
     def until(self, exists: bool, phi: tuple, iv: TimeInterval, psi: tuple) -> tuple:
         """The node set of E (exists) or A phi U_iv psi, given those of phi
         and psi: delay layers 0 to ``int_high - a`` of the closed-0 until,
-        with ``a = iv.int_low()``, behind ``a`` one-delay pre-images. An
-        unbounded interval takes every layer, resolved in one pass."""
+        with ``a = iv.int_low()``, behind ``a`` one-delay pre-images; every
+        layer when the interval is unbounded. A run whose operands are
+        constant gets its flip when its target's layer releases it; one
+        whose operands flip, from ``_until_run`` after the walk."""
         (satphi, phiruns), (satpsi, psiruns) = phi, psi
         a, n, span = iv.int_low(), self.n, iv.int_high() - iv.int_low()
         if span < 0:
@@ -703,61 +707,46 @@ class _Checker:
             counts[v] = 0
         sources = [u for v in psis for u in fire_preds[v]]
         early, late = {}, {}  # run sources released by a psi offset (by layer), or by their target (by target)
-        for k, w, j in runs:
+        for k, (w, j) in runs.items():
             if satphi[k] and not satpsi[k]:
                 p, f = psiruns.get(k, (w,))[0], phiruns.get(k, (w,))[0]
                 if p < w and p <= f:
                     early.setdefault(p, []).append(k)
                 elif f == w:
                     late.setdefault(j, []).append((k, w))
-        if span == INF:  # every layer holds: one pass back through both kinds of edge
-            inf_preds = delay_preds  # and a run's source behind its target when phi holds all along
-            if late:
-                inf_preds = delay_preds.copy()
-                for j, ks in late.items():
-                    inf_preds[j] += tuple([k for k, _ in ks])
-            sources += [u for v in psis for u in inf_preds[v]] + [k for ks in early.values() for k in ks]
-            out = psis + self._resolve(satphi, counts, sources, fire_preds, inf_preds)
-            flags = _flags(n, out)
-            ends = {j: 0 for _, _, j in runs if flags[j]}
-        else:
-            ends, targets = {}, {j for _, _, j in runs}  # ends: the layer of each run target that resolves
-            out, t, layer = [], 0, psis + self._resolve(satphi, counts, sources, fire_preds)
-            while t <= span:  # layer t: the nodes that arrive at psi at time t
-                out += layer
-                for j in targets.intersection(layer):
-                    ends[j] = t
-                    for k, w in late.get(j, ()):
-                        early.setdefault(t + w, []).append(k)
-                if not (layer or early):
-                    break
-                t = t + 1 if layer else min(early)
-                layer = self._resolve(satphi, counts, [u for v in layer for u in delay_preds[v]] + early.pop(t, []), fire_preds)
-            flags = _flags(n, out)
-        inner = {}  # the flips along each run; constant operands flip once at most, where the layer reaches span
-        for k, w, j in runs:
-            if k in phiruns or k in psiruns:
-                r = _until_run(satphi[k], phiruns.get(k, ()), satpsi[k], psiruns.get(k, ()), w, ends.get(j, INF), span)
-            elif span < INF and satphi[k] and not satpsi[k] and 0 < ends.get(j, INF) + w - span < w:
-                r = (ends[j] + w - span,)  # _until_run's one stretch, inline, as most runs have constant operands
-            else:
-                continue
-            if r:
+        ends, inner = {}, {}  # ends: the layer of each run target that resolves; inner: the flips along each run
+        targets = {j for _, j in runs.values()}
+        out, t, layer = [], 0, psis + self._resolve(satphi, counts, sources, fire_preds)
+        while t <= span:  # layer t: the nodes that arrive at psi at time t
+            out += layer
+            for j in targets.intersection(layer):
+                ends[j] = t
+                for k, w in late.get(j, ()):  # phi holds along k's run: k arrives w after j
+                    early.setdefault(t + w, []).append(k)
+                    if 0 < t + w - span < w:  # and the until holds from the offset whose layer is span on
+                        inner[k] = (t + w - span,)
+            if not (layer or early):
+                break
+            t = t + 1 if layer else min(early)
+            layer = self._resolve(satphi, counts, [u for v in layer for u in delay_preds[v]] + early.pop(t, []), fire_preds)
+        flags = _flags(n, out)
+        for k in phiruns.keys() | psiruns.keys():  # a run whose operands flip
+            w, j = runs[k]
+            if r := _until_run(satphi[k], phiruns.get(k, ()), satpsi[k], psiruns.get(k, ()), w, ends.get(j, INF), span):
                 inner[k] = r
         for _ in range(a):  # a one-delay pre-image: phi now, and the set one delay on
             sources = [u for v in out for u in delay_preds[v]]
-            sources += [k for k, w, j in runs if flags[k] ^ (inner.get(k, (w,))[0] == 1)]
+            sources += [k for k, (w, j) in runs.items() if flags[k] ^ (inner.get(k, (w,))[0] == 1)]
             out = self._resolve(satphi, need.copy(), sources, fire_preds)
-            shifted = [(k, _shift(flags[k], inner.get(k, ()), w, flags[j])) for k, w, j in runs]
+            shifted = [(k, _shift(flags[k], inner.get(k, ()), w, flags[j])) for k, (w, j) in runs.items()]
             inner = {k: r for k, (s0, s) in shifted if (r := _merge(operator.and_, satphi[k], phiruns.get(k, ()), s0, s))}
             flags = _flags(n, out)
         return flags, inner
 
-    def _resolve(self, satphi: bytes, counts, sources, fire_preds, delay_preds=None) -> list:
+    def _resolve(self, satphi: bytes, counts, sources, fire_preds) -> list:
         """The phi-nodes that the out-edges in ``sources`` (one entry per
-        edge) resolve, directly or back through fire edges, and through
-        delay edges too when ``delay_preds`` is given. ``counts[u]`` is how
-        many more of u's out-edges must resolve before u does; a node
+        edge) resolve, directly or back through fire edges. ``counts[u]`` is
+        how many more of u's out-edges must resolve before u does; a node
         resolves once, when it reaches 0."""
         resolved = []
         while sources:
@@ -766,8 +755,6 @@ class _Checker:
             if counts[u] == 0 and satphi[u]:
                 resolved.append(u)
                 sources += fire_preds[u]
-                if delay_preds is not None:
-                    sources += delay_preds[u]
         return resolved
 
     def witness_eu(self, plan: Plan, sat, i: int) -> Optional[list]:

@@ -187,8 +187,9 @@ class TestFoldedDifferential:
                         _same_labels(g, unit, compile_plan(net, phi))
 
     def test_constant_operands_flip_where_the_layer_reaches_the_span(self):
-        # the checker flips a run of constant operands inline, as this one
-        # stretch of _until_run: phi alone holds from offset end + w - span on
+        # one stretch of _until_run, as the checker flips a run of constant
+        # operands in the loop that releases it once its target resolves at
+        # layer end: phi alone holds from offset end + w - span on
         for w in range(1, 8):
             for end in (*range(10), INF):
                 for span in (*range(10), INF):

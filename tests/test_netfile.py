@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tpnsynth import NetSyntaxError
+from tpnsynth.cli import main
 from tpnsynth.netfile import parse_net, serialize_net
 from tpnsynth.petri import LinearConstraint
 
@@ -85,6 +86,43 @@ trans t pre a*2 post b read c inhibit b*3 interval [0,inf)
         net = parse_net(f"place p 1\ntrans t pre p interval [2,inf{close}")
         assert net.intervals[0].high is None
         assert "interval [2,inf)" in serialize_net(net)
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("net a b\nplace p 1\ntrans t pre p interval [0,1]", 1, "exactly one name"),
+            ("place\ntrans t interval [0,1]", 1, "place needs a name"),
+            ("place p 1 2\ntrans t pre p interval [0,1]", 1, "too many fields"),
+            ("place p 1\nparam\ntrans t pre p interval [0,1]", 2, "single name"),
+            ("place p 1\nparam a\nparam a\ntrans t pre p interval [a,a]", 3, "duplicate parameter"),
+            ("place p 1\ntrans\n", 2, "trans needs a name"),
+            ("place p 1\ntrans t pre p interval [0,1]\ntrans t interval [0,1]", 3, "duplicate transition"),
+            ("net a\ntrans t interval [0,1]", 1, "at least one place"),
+            ("net a\nplace p 1", 1, "at least one transition"),
+            ("place p 1\ntrans p interval [0,1]", 2, "name of a place"),
+            ("place p 1\nparam a\ndomain b >= 1\ntrans t pre p interval [a,a]", 3, "unknown parameters"),
+            ("place p 1\ntrans t pre p interval", 2, "needs a [lo,hi]"),
+            ("place p 1\ntrans t pre p*0 interval [0,1]", 2, "must be positive"),
+            ("place p 1\nparam a\ndomain 1/0*a >= 1\ntrans t pre p interval [a,a]", 3, "bad coefficient"),
+            ("place p 1\nparam a\ndomain a.b >= 1\ntrans t pre p interval [a,a]", 3, "bad parameter name"),
+            ("place p 1\nparam a\ndomain + >= 1\ntrans t pre p interval [a,a]", 3, "no parameter terms"),
+        ],
+        ids=[
+            "net-two-names", "place-no-name", "place-too-many-fields", "param-no-name", "param-duplicate",
+            "trans-no-name", "trans-duplicate", "no-place", "no-transition", "trans-named-like-place",
+            "domain-undeclared-param", "interval-no-bound", "weight-zero", "coefficient-over-zero",
+            "constraint-bad-param-name", "constraint-no-param-term",
+        ],
+    )
+    def test_each_syntax_error_at_its_line(self, text, line, message, tmp_path, capsys):
+        with pytest.raises(NetSyntaxError) as exc:
+            parse_net(text)
+        assert exc.value.line == line and message in str(exc.value)
+        path = tmp_path / "bad.tpnet"
+        path.write_text(text)
+        assert main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"line {line}: " in err and message in err
 
     def test_rational_coefficients(self):
         net = parse_net(

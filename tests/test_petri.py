@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -380,6 +381,42 @@ class TestValidate:
         assert validate_net(bad) == ["place and transition names must be disjoint"]
         with pytest.raises(InputError, match="^place and transition names must be disjoint$"):
             make_net([("p", 1)], {"p": {"pre": {"p": 1}, "interval": (0, 1)}})
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"transitions": ("t1", "t1")}, "duplicate transition name"),
+            ({"initial": (1,)}, "initial marking length does not match place count"),
+            ({"initial": (1, -1)}, "initial marking has a negative or non-integer count"),
+            ({"post": ((0, 1),)}, "post vector count does not match transition count"),
+            ({"read": ((0, -1), (0, 0))}, "transition 't1': negative read weight"),
+            ({"intervals": (ParamInterval(2, 3),)}, "interval count does not match transition count"),
+            ({"intervals": (ParamInterval(5, 2), ParamInterval(1, 4))}, "transition 't1': interval low exceeds high"),
+            (
+                {"intervals": (TimeInterval(2, 3), ParamInterval(1, 4))},
+                "transition 't1': concrete interval in a parametric net",
+            ),
+            ({"intervals": ((2, 3), ParamInterval(1, 4))}, "transition 't1': bad interval object"),
+            (
+                {"domain": ParamDomain((lc({"x": 1}, ">=", 1),))},
+                "domain constraint references unknown parameter 'x'",
+            ),
+        ],
+        ids=[
+            "duplicate-transition", "initial-length", "initial-negative", "vector-count", "negative-weight",
+            "interval-count", "low-over-high", "concrete-interval", "bad-interval-object", "domain-unknown-param",
+        ],
+    )
+    def test_each_diagnostic_of_a_net_built_directly(self, change, message):
+        net = make_net(
+            [("p1", 1), ("p2", 0)],
+            {"t1": {"pre": {"p1": 1}, "post": {"p2": 1}, "interval": (2, 3)}, "t2": {"pre": {"p2": 1}, "interval": (1, 4)}},
+        )
+        bad = dataclasses.replace(net, **change)
+        assert validate_net(bad) == [message]
+        with pytest.raises(InputError) as err:
+            bad.steps
+        assert str(err.value) == message
 
     def test_make_net_reports_a_duplicate_place_through_validate_net(self):
         with pytest.raises(InputError, match="^duplicate place name$"):

@@ -31,6 +31,8 @@ from tpnsynth import (
     parse_gmec,
 )
 from tpnsynth import semantics, synthesis, tctl
+from tpnsynth.cli import main
+from tpnsynth.netfile import serialize_net
 from tpnsynth.petri import implicit_domain
 from tpnsynth.synthesis import (
     SynthesisProblem,
@@ -392,6 +394,19 @@ class TestSynthesize:
         phi = LeadsTo(parse_gmec("M(p1)>=1"), TimeInterval(1, 3), parse_gmec("M(p2)>=1"))
         with pytest.raises(FormulaSyntaxError, match="closed 0"):
             SynthesisProblem(param_net, phi, {"td": (0, 8)})
+
+    def test_a_box_range_over_sys_maxsize_points_fails_before_enumeration(self, param_net, tmp_path, monkeypatch, capsys):
+        def enumerate_nothing(*args, **kwargs):
+            raise AssertionError("enumerated a box that is refused as input")
+
+        monkeypatch.setattr(synthesis, "enumerate_valuations", enumerate_nothing)
+        with pytest.raises(InputError, match="more than"):
+            SynthesisProblem(param_net, parse_formula("EF[0,1](M(p2)>=1)"), {"td": (0, sys.maxsize)})
+        path = tmp_path / "param.tpnet"
+        path.write_text(serialize_net(param_net))
+        code = main(["synth", str(path), "--formula-text", "EF[0,1](M(p2)>=1)", "--box", f"td=0..{sys.maxsize}"])
+        out = capsys.readouterr()
+        assert code == 2 and out.out == "" and "more than" in out.err
 
     def test_box_must_cover_parameters(self, param_net):
         with pytest.raises(InputError):

@@ -190,6 +190,16 @@ class TestParseFormula:
         phi = parse_formula("!EF[0,2](M(a)>=1)")
         assert isinstance(phi, Not) and isinstance(phi.sub, EF)
 
+    def test_unterminated_interval_fails_at_its_column(self):
+        with pytest.raises(FormulaSyntaxError, match="unterminated interval") as exc:
+            parse_formula("EF[0,3 M(p)>=1")
+        assert exc.value.pos == 7
+
+    @pytest.mark.parametrize("text", ["true", "false", "EF[0,3](true) & !(false)"])
+    def test_true_and_false_round_trip_through_formatter(self, text):
+        phi = parse_formula(text)
+        assert parse_formula(format_formula(phi)) == phi
+
     def test_roundtrip_through_formatter(self):
         # the parser prefers constraint-level implication when both sides
         # are plain constraints, so compare modulo that lifting
