@@ -1,8 +1,8 @@
 """End-to-end circadian case study: reproduces every published number the
 reconstruction can reach and reports reconstructed-vs-expected where it
 cannot. Runs in under 1 s on a shared 2-core x86 VM (Intel Xeon) with
-Python 3.11: over twenty alternating runs each it reported "done in 0.13s"
-to "done in 0.23s" at --jobs 1 and "done in 0.15s" to "done in 0.23s" at
+Python 3.11: over twenty alternating runs each it reported "done in 0.07s"
+to "done in 0.12s" at --jobs 1 and "done in 0.11s" to "done in 0.17s" at
 --jobs 2, whose timed part includes starting the pool and importing its
 modules.
 

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success / property holds, 1 property fails, 2 usage or input
-error, 3 resource limit hit.
+error, 3 resource limit hit, 141 (128 + SIGPIPE) stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import random
 import sys
 import time
@@ -35,6 +36,7 @@ EXIT_OK = 0
 EXIT_FAILS = 1
 EXIT_INPUT = 2
 EXIT_LIMIT = 3
+EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer its reader left
 
 
 def _digest(path):
@@ -359,7 +361,14 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         ns = parser.parse_args(argv)
-        return ns.fn(ns, ["tpnsynth"] + argv, started)
+        code = ns.fn(ns, ["tpnsynth"] + argv, started)
+        sys.stdout.flush()  # a reader that left shows here, not at exit
+        return code
+    except BrokenPipeError:  # not an input error: what is left to write goes nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())  # so the flush at exit cannot raise again
+        os.close(devnull)
+        return EXIT_PIPE
     except (KBoundError, IncompleteGraphError, HorizonError) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_LIMIT

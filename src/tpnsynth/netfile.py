@@ -94,7 +94,7 @@ def parse_net(text: str) -> Net:
 def parse_net_file(path) -> Net:
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            text = fh.read().removeprefix("\ufeff")  # a BOM is UTF-8; "utf-8-sig" would count error offsets past it
     except UnicodeDecodeError as exc:
         raise InputError(f"net file {str(path)!r} is not UTF-8: {exc.reason} at byte {exc.start}") from None
     return parse_net(text)

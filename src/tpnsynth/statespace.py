@@ -60,6 +60,12 @@ class ExploreLimits:
 
 @dataclass
 class ReachGraph:
+    """A folded reachability graph (see the module notes). Every node of a
+    ``build`` graph, complete, cut by the state cap or left partial by a
+    k-bound stop, is reachable from node 0 along ``succ``: BFS numbers a
+    node when it lists the edge into it. So is every offset of every run,
+    through the run's edge; ``tctl`` decides a root ``EF[0,inf)`` by that."""
+
     net: ConcreteNet
     keys: list  # packed key per node index
     mids: list  # per node: the id of its marking in the net's step table

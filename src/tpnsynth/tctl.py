@@ -10,7 +10,12 @@ result is a postorder tuple of operators, plain data that pickles. The
 checker decides Not and Implies at the initial node alone, an Implies with a
 failing left side skipping its right side, and labels any other entry, on
 first request, with a node set (below); Not is a ``translate`` of its flags
-and Implies one ``map``.
+and Implies one ``map``. An ``E true U[0,inf) psi`` met there, the core of
+an EF[0,inf), of an AG[0,inf) and of every response, is decided by one scan
+of psi's node set, with no node set of its own: every node and every run
+offset of a ``build`` graph is reachable from the initial node
+(``ReachGraph``), so the until holds there exactly when psi holds anywhere.
+The same entry below a temporal operator is labelled as any other.
 A constraint is evaluated at most once per marking of the net's step table,
 and cached there (``StepTable.props``), so a sweep over many valuations of one
 net evaluates it once per distinct marking it reaches; each graph spreads
@@ -525,7 +530,7 @@ def parse_formula_file(path) -> Formula:
     """Parse a .tctl file; lines starting with # are comments."""
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+            lines = fh.read().removeprefix("\ufeff").splitlines()  # a BOM is UTF-8, as in parse_net_file
     except UnicodeDecodeError as exc:
         raise InputError(f"formula file {str(path)!r} is not UTF-8: {exc.reason} at byte {exc.start}") from None
     return parse_formula("\n".join(line for line in lines if not line.lstrip().startswith("#")))
@@ -675,12 +680,17 @@ class _Checker:
 
     def at_initial(self, plan: Plan, i: int, sat: dict) -> bool:
         """Whether plan entry i holds at the initial node: a Not or Implies
-        decided there alone, short-circuit; any other entry from ``nodes``."""
+        decided there alone, short-circuit; an ``E true U[0,inf) psi`` by
+        one scan of psi's node set (see the module notes), with no node set
+        made for the until itself; any other entry from ``nodes``."""
         op = plan.ops[i]
         if op[0] is Not:
             return not self.at_initial(plan, op[1], sat)
         if op[0] is Implies:
             return not self.at_initial(plan, op[1], sat) or self.at_initial(plan, op[2], sat)
+        if op[0] is EU and plan.ops[op[1]] == (Prop, TRUE_GMEC) and op[2].int_low() == 0 and op[2].int_high() == INF:
+            flags, runs = self.nodes(plan, op[3], sat)
+            return 1 in flags or bool(runs)  # a run entry is never empty: psi holds at some offset of it
         return bool(self.nodes(plan, i, sat)[0][self.g.initial])
 
     def label(self, plan: Plan) -> list:
@@ -757,13 +767,13 @@ class _Checker:
                 sources += fire_preds[u]
         return resolved
 
-    def witness_eu(self, plan: Plan, sat, i: int) -> Optional[list]:
+    def witness_eu(self, plan: Plan, sat: dict, i: int) -> Optional[list]:
         """Shortest label path showing the existential until of plan entry
-        i at the initial node, given ``sat[j]``, the node set of entry j, for
-        i and its operands; all pre-target positions satisfy the left one.
-        The search walks the unit-step positions (``ReachGraph.unit_view``)."""
-        if not sat[i][0][self.g.initial]:
-            return None
+        i at the initial node, where it holds; all pre-target positions
+        satisfy its left operand. It reads only the operands' node sets
+        (``nodes``, kept in ``sat``), so a root until that ``at_initial``
+        decided by its scan stays unlabelled. The search walks the
+        unit-step positions (``ReachGraph.unit_view``)."""
         _, left, iv, right = plan.ops[i]
         step, runs = self.g.unit_view()
 
@@ -773,7 +783,7 @@ class _Checker:
             (j, d), (w, k) = p, runs[p[0]]
             return s[0][k] ^ (bisect_right(s[1].get(k, ()), w - d) & 1)
 
-        satphi, satpsi = sat[left], sat[right]
+        satphi, satpsi = self.nodes(plan, left, sat), self.nodes(plan, right, sat)
         H = iv.horizon
         start = (self.g.initial, 0)
         parent = {start: None}
@@ -867,8 +877,11 @@ def _until_run(phi0: int, phis: tuple, psi0: int, psis: tuple, w: int, end, span
 
 def decide(g: ReachGraph, plan: Plan, sat: Optional[dict] = None) -> bool:
     """Whether the initial node of ``g`` satisfies ``plan``: the verdict of
-    ``check``, with no witness. Only what it needs is labelled, and the node
-    sets made go into ``sat`` (entry -> node set) when one is given. Raises
+    ``check``, with no witness. Only what it needs is labelled: a root
+    ``E true U[0,inf) psi``, under Not and Implies alone, by a scan of psi's
+    node set, which takes a ``build`` graph, whose nodes are all reachable
+    from the initial one (see ``_Checker.at_initial``). The node sets made
+    go into ``sat`` (entry -> node set) when one is given. Raises
     IncompleteGraphError for an incomplete graph."""
     if not g.complete:
         raise IncompleteGraphError("refusing to check an incomplete graph")

@@ -265,8 +265,11 @@ def outcome(builder, net, lim):
 def step_graph(succ) -> ReachGraph:
     """A graph over placeholder keys and marking ids; ``succ`` lists
     (label, target) per node, stored as int edges: 0 for any Fire, -1 for
-    a Delay. Unlike graphs of nets, these may have dead ends and several
-    delays per node."""
+    a Delay. Unlike graphs of nets, these may have dead ends, several
+    delays per node and nodes unreachable from node 0, so hand-made and
+    ``random_step_graph`` ones go to ``_Checker.until`` alone, never to
+    ``decide`` or ``check``, whose root scan of ``E true U[0,inf)`` needs
+    every node reachable (``unit_graph``'s are, being a build's)."""
     ints = [[(-1 if isinstance(label, Delay) else 0, j) for label, j in outs] for outs in succ]
     return ReachGraph(None, [None] * len(succ), [None] * len(succ), ints)
 

@@ -181,6 +181,26 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "bad.tctl" in err and "UTF-8" in err
 
+    def test_byte_order_mark_is_read_as_utf8(self, tmp_path, capsys):
+        net, formula = tmp_path / "bom.tpnet", tmp_path / "bom.tctl"
+        net.write_bytes(b"\xef\xbb\xbf" + NET_A.lstrip().encode())  # the mark right before `place`
+        formula.write_bytes(b"\xef\xbb\xbf# reaches p2\nEF[2,3](M(p2)>=1)\n")
+        assert run(capsys, "validate", str(net)) == (0, "ok\n", "")
+        code, out, err = run(capsys, "check", str(net), "--formula", str(formula))
+        assert (code, err) == (0, "") and out.startswith("HOLDS  EF[2,3](M(p2) >= 1)\n")
+        formula.write_bytes(b"\xef\xbb\xbfEF[0,1](M(p2)>=1)\n")
+        assert run(capsys, "check", str(net), "--formula", str(formula))[0] == 1
+
+    @pytest.mark.parametrize("suffix", ["tpnet", "tctl"])
+    @pytest.mark.parametrize("data, at", [(b"\xff\xfe", 0), (b"\xef\xbb\xbfEF\xff", 5)])
+    def test_not_utf8_message_names_the_file_byte(self, net_file, tmp_path, capsys, suffix, data, at):
+        # the offset counts from the start of the file, a byte-order mark included
+        path = tmp_path / f"bad.{suffix}"
+        path.write_bytes(data)
+        argv = ["validate", str(path)] if suffix == "tpnet" else ["check", net_file, "--formula", str(path)]
+        kind = "net" if suffix == "tpnet" else "formula"
+        assert run(capsys, *argv) == (2, "", f"error: {kind} file {str(path)!r} is not UTF-8: invalid start byte at byte {at}\n")
+
     ONE_FORMULA = [("check", "-v", "td=2"), ("synth", "--box", "td=1..3", "--jobs", "1")]
 
     @pytest.mark.parametrize("command", ONE_FORMULA)
@@ -668,6 +688,24 @@ def test_script_refuses_zero_jobs_before_any_work(script):
     assert proc.returncode == 2
     assert proc.stdout == ""  # both scripts print before their first check
     assert "--jobs" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv, read", [
+    (["simulate", MODEL, "-v", "tau_g=1", "--steps", "2000"], 1),  # the reader leaves after one line of many
+    (["validate", MODEL], 0),  # the reader leaves before the one line, which is still buffered
+])
+def test_stdout_closed_by_its_reader_exits_141_quietly(argv, read):
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}  # stdout block-buffered, as in a shell
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tpnsynth.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**env, "PYTHONPATH": src},
+    )
+    assert [proc.stdout.readline()[:4] for _ in range(read)] == [b"t=0 "] * read
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 141
+    assert err == b""
 
 
 def test_case_study_prints_the_same_lines_at_one_and_two_jobs():

@@ -23,6 +23,7 @@ from tpnsynth import (
     states_satisfying,
 )
 from tpnsynth import biomodels as bio
+from tpnsynth import statespace
 from tpnsynth.petri import INF
 from tpnsynth.tctl import AU, EU, Not, _Checker, _until_run, compile_plan, desugar, eval_gmec
 
@@ -114,6 +115,40 @@ def _same_answers(net, g, ref, rng, oracle: bool):
             for reading in ("ag", "paper"):
                 read = desugar(f, reading)
                 assert check(net, g, read).holds == brute_force_check(net, read)
+
+
+class TestReachable:
+    """Every node of a ``build`` graph is reachable from node 0 along
+    ``succ`` (each node is numbered when the edge into it is listed), as
+    the checker's root scan of ``E true U[0,inf)`` assumes: complete
+    graphs, state-cap cuts, k-bound partial graphs and the unfolded
+    graph that a folded build falls back to."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["random", "race", "gated", "tail"]),
+        k_bound=st.integers(1, 4),
+        max_states=st.integers(1, 60),
+    )
+    def test_every_node_is_reachable_from_node_0(self, seed, kind, k_bound, max_states):
+        net = _net(random.Random(seed), kind)
+        if net is None:
+            return
+        for lim in (ExploreLimits(3, 3000), ExploreLimits(k_bound, max_states)):
+            for fold in (True, False):  # build's own graph, and the unfolded one it may fall back to
+                try:
+                    g = statespace._explore(net, lim, fold)
+                except KBoundError as exc:
+                    g = exc.partial
+                seen = {0} if g.keys else set()
+                todo = list(seen)
+                for u in todo:  # grows while it is walked
+                    for _, v in g.succ[u]:
+                        if v not in seen:
+                            seen.add(v)
+                            todo.append(v)
+                assert len(seen) == len(g.keys), (kind, lim, fold, g.complete)
 
 
 class TestFoldedDifferential:

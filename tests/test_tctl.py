@@ -49,6 +49,7 @@ from _gen import (
     product_until,
     random_concrete_net,
     random_formula,
+    random_gated_net,
     random_parametric_net,
     random_race_net,
     random_response,
@@ -730,7 +731,8 @@ class TestLazyCheck:
             eu = root if op[0] is EU else op[1] if op[0] is Not and plan.ops[op[1]][0] is EU else None
             v = check(c, g, plan)
             assert v.holds == decide(g, plan) == bool(full[root][0][g.initial]) == brute_force_check(c, phi)
-            assert v.witness == (None if eu is None else ch.witness_eu(plan, full, eu))
+            shown = eu is not None and full[eu][0][g.initial]  # check shows a witness of a holding until alone
+            assert v.witness == (ch.witness_eu(plan, dict(enumerate(full)), eu) if shown else None)
 
     def test_a_failing_conjunct_labels_no_until_of_the_next(self, net_a, monkeypatch):
         labelled = []
@@ -753,6 +755,127 @@ class TestLazyCheck:
         assert made == []
         assert check(net_a, g, parse_formula("M(p1)=1 & EF[2,3](M(p2)>=1)")).holds
         assert made
+
+
+UNBOUNDED = TimeInterval(0, INF)
+
+
+def _scan_root(rng, net, depth=1):
+    """A root the checker decides at the initial node: EF[0,inf), AG[0,inf)
+    and responses, the untils the root scan must leave to the labelling
+    (other intervals, a left operand other than true, an EF[0,inf) nested
+    in an AF), under Not and Implies. Half the left operands other than
+    true fail at the initial marking."""
+    places = list(net.places)
+    if depth and rng.random() < 0.5:
+        if rng.random() < 0.4:
+            return Not(_scan_root(rng, net, depth - 1))
+        return Implies(_scan_root(rng, net, depth - 1), _scan_root(rng, net, depth - 1))
+    sub = random_formula(rng, places, depth=rng.choice([0, 1]), max_bound=4)
+    roll = rng.randrange(6)
+    if roll == 0:
+        return EF(UNBOUNDED, sub)
+    if roll == 1:
+        return AG(UNBOUNDED, sub)
+    if roll == 2:
+        return random_response(rng, places, max_bound=4)
+    if roll == 3:
+        k = rng.randrange(len(places))
+        moved = Prop(Atom(((places[k], 1),), rng.choice(["<", ">"]), net.initial[k]))  # false at first
+        return EU(rng.choice([moved, random_formula(rng, places, depth=0)]), UNBOUNDED, sub)
+    if roll == 4:
+        return EF(rng.choice([TimeInterval(0, rng.randint(0, 4)), TimeInterval(1, INF), TimeInterval(0, INF, False)]), sub)
+    return AF(TimeInterval(0, rng.randint(0, 4)), EF(UNBOUNDED, random_formula(rng, places, depth=0)))
+
+
+# a 5-unit run from the initial node, then a zero-time burst through C:
+# EF[2,2] M(C)>=1 holds only at offset 3 of that run
+BURST = make_net(
+    [("A", 1), ("B", 0), ("C", 0), ("D", 0)],
+    {
+        "t1": {"pre": {"A": 1}, "post": {"B": 1}, "interval": (5, 5)},
+        "t2": {"pre": {"B": 1}, "post": {"C": 1}, "interval": (0, 0)},
+        "t3": {"pre": {"C": 1}, "post": {"D": 1}, "interval": (0, 0)},
+    },
+)
+# fires at once, so p1 is marked at time 0 alone
+AT_ONCE = make_net([("p1", 1), ("p2", 0)], {"t": {"pre": {"p1": 1}, "post": {"p2": 1}, "interval": (0, 0)}})
+NET_A = make_net([("p1", 1), ("p2", 0)], {"t1": {"pre": {"p1": 1}, "post": {"p2": 1}, "interval": (2, 3)}})
+
+
+class TestRootScan:
+    """``at_initial`` decides an ``E true U[0,inf) psi`` by one scan of
+    psi's node set, as every node and run offset of a build graph is
+    reachable; every other until, and any until below a temporal
+    operator, is labelled."""
+
+    @pytest.mark.parametrize("text, holds, untils", [
+        ("EF[0,inf](M(p2)>=1)", True, 0),
+        ("AG[0,inf](M(p1)+M(p2)=1)", True, 0),
+        ("AG[0,inf](M(p1)=1)", False, 0),
+        ("M(p1)=1 -->[0,3] M(p2)=1", True, 1),
+        ("AF[0,3](EF[0,inf](M(p2)>=1))", True, 2),
+        ("EF[0,inf](M(p2)>=1) & AF[0,3](EF[0,inf](M(p2)>=1))", True, 2),  # one shared entry, scanned and labelled
+        ("EF[0,1](M(p2)>=1)", False, 1),
+    ])
+    def test_untils_labelled_per_root(self, net_a, monkeypatch, text, holds, untils):
+        labelled = []
+        until = _Checker.until
+        monkeypatch.setattr(_Checker, "until", lambda self, *args: labelled.append(args[2]) or until(self, *args))
+        v = check(net_a, build(net_a), parse_formula(text))
+        assert (v.holds, len(labelled)) == (holds, untils)
+        assert v.holds == brute_force_check(net_a, parse_formula(text))
+
+    @pytest.mark.parametrize("net, phi, holds", [
+        pytest.param(NET_A, EF(TimeInterval(0, 1), Prop(parse_gmec("M(p2)>=1"))), False, id="ef-0-1-psi-later"),
+        pytest.param(NET_A, AG(TimeInterval(0, 1), Prop(parse_gmec("M(p1)=1"))), True, id="ag-0-1"),
+        pytest.param(AT_ONCE, EF(TimeInterval(1, INF), Prop(parse_gmec("M(p1)>=1"))), False, id="ef-1-inf-psi-at-0"),
+        pytest.param(AT_ONCE, EF(TimeInterval(0, INF, False), Prop(parse_gmec("M(p1)>=1"))), False, id="ef-open-0"),
+        pytest.param(AT_ONCE, AG(TimeInterval(1, INF), Prop(parse_gmec("M(p2)>=1"))), True, id="ag-1-inf"),
+        pytest.param(NET_A, EU(Prop(parse_gmec("M(p2)>=1")), UNBOUNDED, Prop(parse_gmec("M(p2)>=1"))), False,
+                     id="eu-phi-fails-first"),
+        pytest.param(NET_A, Not(EU(Prop(parse_gmec("M(p1)=0")), UNBOUNDED, Prop(parse_gmec("M(p2)>=1")))), True,
+                     id="not-eu-phi-fails-first"),
+        pytest.param(BURST, parse_formula("EF[0,inf](EF[2,2](M(C)>=1))"), True, id="ef-psi-inside-a-run"),
+        pytest.param(BURST, parse_formula("AG[0,inf](!EF[2,2](M(C)>=1))"), False, id="ag-psi-inside-a-run"),
+    ])
+    def test_scan_takes_only_closed_0_unbounded_untils_of_true(self, net, phi, holds):
+        c = instantiate(net, {})
+        g, plan = build(c), compile_plan(c, phi)
+        assert decide(g, plan) == check(c, g, plan).holds == brute_force_check(c, phi) == holds
+        assert bool(_Checker(g).label(plan)[-1][0][g.initial]) == holds
+
+    def test_psi_only_strictly_inside_a_run(self):
+        # psi's node set flags no node, so only its run entry shows it holds
+        c = instantiate(BURST, {})
+        g, plan = build(c), compile_plan(c, parse_formula("EF[0,inf](EF[2,2](M(C)>=1))"))
+        (w, j), = [(-t, j) for t, j in g.succ[0]]
+        psi = _Checker(g).label(plan)[plan.ops[-1][3]]
+        assert (w, j) == (5, 1) and psi == (bytes(len(g.keys)), {0: (3, 4)})
+        v = check(c, g, plan)
+        assert v.holds and v.witness == [Delay(1)] * 3
+
+    # derandomized: the oracle walks every simple path, so a rare draw of
+    # nested untils on a cyclic graph could take minutes
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(rng=st.randoms(use_true_random=False))
+    def test_decide_agrees_with_the_full_labelling_and_the_oracle(self, rng):
+        net = rng.choice([random_race_net, random_parametric_net, random_gated_net])(rng)
+        box = {p: (0, 4) for p in net.parameters}
+        vals = list(enumerate_valuations(implicit_domain(net), box, order=net.parameters))
+        if not vals:
+            return
+        c = instantiate(net, rng.choice(vals))
+        try:
+            g = build(c, ExploreLimits(k_bound=3, max_states=100))
+        except KBoundError:
+            return
+        if not g.complete:
+            return
+        for _ in range(5):
+            phi = _scan_root(rng, net)
+            plan = compile_plan(c, phi)
+            assert decide(g, plan) == bool(_Checker(g).label(plan)[-1][0][g.initial]) == brute_force_check(c, phi)
 
 
 class TestLeadsToModes:
