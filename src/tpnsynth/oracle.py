@@ -2,9 +2,9 @@
 
 Evaluates formulas by enumerating unit-step paths directly over the
 semantics, never touching the reachability graph or the delay-layer
-resolution of the main checker. Exponential; intended for nets
-within the documented limits (roughly: 6 places, 6 transitions, interval
-bounds up to 10).
+resolution of the main checker. Slow (a nested until is walked anew from
+each position that asks); intended for nets within the documented limits
+(roughly: 6 places, 6 transitions, interval bounds up to 10).
 
 Both untils share one depth-first path walk with an explicit stack, so path
 depth is bounded by memory rather than by the interpreter's recursion
@@ -13,8 +13,11 @@ class H (``TimeInterval.horizon``), past which membership in the interval no
 longer changes, and a path is cut once it revisits a (state, capped time)
 pair already on it: for existential untils a cycle cannot create progress,
 and for universal untils a reachable cycle avoiding the target is itself a
-refuting path. Since every until works out its own cap, the oracle takes no
-horizon and has no limit to hit.
+refuting path. A finished pair met again gets the quantifier's default, so
+each is walked once. That is exact: an E walk still meets all it reaches,
+and an A walk stops at its first refutation, while DFS finishes all that a
+pair reaches before the pair. Every until works out its own cap, so the
+oracle takes no horizon and has no limit to hit.
 """
 
 from __future__ import annotations
@@ -53,12 +56,14 @@ def _until(n: ConcreteNet, start, phi) -> bool:
     universal = isinstance(phi, AU)
     iv = phi.interval
     cap = iv.horizon
-    on_path = set()
+    on_path, done = set(), set()
     stack = []  # (state, capped time, successor iterator) per open position
 
     def visit(state, t):
         """The position's verdict, or None once it is pushed onto the stack
         to be decided by its successors."""
+        if (state, t) in done:
+            return universal  # finished before, with the default
         if iv.contains(t) and _holds(n, state, phi.right):
             return True
         if not _holds(n, state, phi.left) or (state, t) in on_path:
@@ -79,6 +84,7 @@ def _until(n: ConcreteNet, start, phi) -> bool:
         if step is None:  # every successor agreed with the quantifier's default
             stack.pop()
             on_path.remove((state, t))
+            done.add((state, t))
             continue
         label, nxt = step
         got = visit(nxt, min(t + label.amount, cap) if isinstance(label, Delay) else t)

@@ -14,8 +14,9 @@ delay and the marking stays, so the key rises by one fixed amount per delay
 until one may fire, ``semantics.delay_run`` delays on: such a node gets one
 edge, (-w, target), for the whole run, and the states inside it are no
 nodes, so build cost follows events, not time units. A fire may land inside
-another node's run, which then shares its tail; ``ReachGraph.runs`` lists,
-per run target, the node w delays before it for each w.
+another node's run. Integer states being exact (Popova-Zeugmann 1991), a
+delay line is deterministic, so the BFS then chains the nodes on each line,
+a run ending at the next node on its line, and no node lies inside a run.
 
 The graph answers in unit steps: ``len(g)`` counts unit-step states, and
 ``states``, ``edges`` and witnesses walk the unit positions of
@@ -40,7 +41,7 @@ graph keeps no predecessor list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InputError, KBoundError
@@ -54,8 +55,8 @@ class ExploreLimits:
     max_states: int = 1_000_000
 
     def __post_init__(self):
-        if self.k_bound < 1 or self.max_states < 1:
-            raise InputError("exploration limits must be positive")
+        if type(self.k_bound) is not int or type(self.max_states) is not int or self.k_bound < 1 or self.max_states < 1:
+            raise InputError("exploration limits must be positive ints")
 
 
 @dataclass
@@ -64,47 +65,42 @@ class ReachGraph:
     ``build`` graph, complete, cut by the state cap or left partial by a
     k-bound stop, is reachable from node 0 along ``succ``: BFS numbers a
     node when it lists the edge into it. So is every offset of every run,
-    through the run's edge; ``tctl`` decides a root ``EF[0,inf)`` by that."""
+    through the run's edge; ``tctl`` decides a root ``EF[0,inf)`` by that.
+    No node lies inside a run, so a state inside one has one predecessor."""
 
     net: ConcreteNet
     keys: list  # packed key per node index
     mids: list  # per node: the id of its marking in the net's step table
     succ: list  # per node: (t, target index) per out-edge, t a transition index, or -w for w unit delays
     complete: bool = True
-    runs: dict = field(default_factory=dict)  # run target -> {w: node w delays before it, where nothing may fire}
+    inner: int = 0  # the unit-step states inside runs, which are no nodes
     initial = 0  # BFS numbers the initial state 0
 
     def __len__(self):
-        """The number of unit-step states: the nodes, and the states inside
-        each target's longest run that are no node."""
-        return len(self.keys) + sum([max(ws) - len(ws) for ws in self.runs.values()])
+        """The number of unit-step states: the nodes and the states inside runs."""
+        return len(self.keys) + self.inner
 
-    def unit_view(self) -> tuple:
-        """The unit-step graph the folded one stands for, as (step,
-        longest). A unit position is a node index, or (j, d) for the state
-        d delays before node j on a run into j, where no node lies;
-        ``longest`` maps each run target j to (w, k), its longest run, from
-        node k. step(p) lists the unit out-edges (t, q) of position p, fires
-        in transition order, then the delay, t = -1."""
-        succ, runs = self.succ, self.runs
-
-        def at(j, d):
-            return j if d == 0 else runs[j].get(d, (j, d))
+    def unit_view(self):
+        """The unit-step graph the folded one stands for, as step(p): the unit
+        out-edges (t, q) of position p, fires in transition order, then the
+        delay, t = -1. A position is a node, or (k, o): o delays into k's run."""
+        succ = self.succ
 
         def step(p):
-            if type(p) is not int:
-                return [(-1, at(p[0], p[1] - 1))]
-            outs = succ[p]  # a run's edge is its source's only one
-            return [(-1, at(outs[0][1], -outs[0][0] - 1))] if outs and outs[0][0] < -1 else outs
+            if type(p) is int:
+                outs = succ[p]  # a run's edge is its source's only one
+                return [(-1, (p, 1))] if outs and outs[0][0] < -1 else outs
+            (k, o), (t, j) = p, succ[p[0]][0]
+            return [(-1, j if o + 1 == -t else (k, o + 1))]
 
-        return step, {j: (max(ws), ws[max(ws)]) for j, ws in runs.items()}
+        return step
 
-    def positions(self, step=None, outs=None) -> list:
-        """The unit positions in unit-step BFS order (fires in transition
-        order, then the delay): unit state i is at ``positions()[i]``. When
-        given, ``outs`` gets step(p) of each position in that order."""
-        order, step = [0][: len(self.keys)], step or self.unit_view()[0]
-        seen, inner = bytearray(len(self.keys)), set()  # met so far: a flag per node, and the states inside runs
+    def positions(self, outs=None) -> list:
+        """The unit positions in unit-step BFS order: unit state i is at
+        ``positions()[i]``. No node lies inside a run, so a state there is met
+        once. When given, ``outs`` gets step(p) of each position in order."""
+        order, step = [0][: len(self.keys)], self.unit_view()
+        seen = bytearray(len(self.keys))  # a flag per node met so far
         if order:
             seen[0] = 1
         keep = outs.append if outs is not None else None
@@ -113,35 +109,32 @@ class ReachGraph:
             if keep:
                 keep(ps)
             for _, q in ps:
-                if type(q) is int:
-                    if not seen[q]:
-                        seen[q] = 1
-                        order.append(q)
-                elif q not in inner:
-                    inner.add(q)
+                if type(q) is not int:  # inside a run, met from its one predecessor
+                    order.append(q)
+                elif not seen[q]:
+                    seen[q] = 1
                     order.append(q)
         return order
 
     @cached_property
     def states(self) -> list:
         """State per unit-step state, materialised on first read."""
-        step, runs = self.unit_view()
-        keys = self.keys
+        keys, succ = self.keys, self.succ
 
         def key(p):
             if type(p) is int:
                 return keys[p]
-            (j, d), (w, k) = p, runs[p[0]]
-            return keys[j] + (keys[k] - keys[j]) // w * d
+            (k, o), (t, j) = p, succ[p[0]][0]
+            return keys[k] + (keys[j] - keys[k]) // -t * o
 
-        return materialise(layout(self.net), [key(p) for p in self.positions(step)])
+        return materialise(layout(self.net), [key(p) for p in self.positions()])
 
     @property
     def edges(self):
         """(source, StepLabel, target) per unit-step edge, in unit-step
         numbering."""
         labels, outs = step_labels(self.net), []
-        number = {p: i for i, p in enumerate(self.positions(None, outs))}
+        number = {p: i for i, p in enumerate(self.positions(outs))}
         return [(i, labels[t], number[q]) for i, ps in enumerate(outs) for t, q in ps]
 
 
@@ -164,25 +157,21 @@ def _explore(n: ConcreteNet, lim: ExploreLimits, fold: bool) -> ReachGraph:
     markings, peak, shift = lay.tab.markings, lay.tab.peak, lay.shift
     k0 = lay.initial
     if peak[0] > k_bound:
-        raise KBoundError(
-            f"initial marking exceeds k-bound {k_bound}",
-            partial=ReachGraph(n, [], [], [], complete=False),
-            marking=markings[0],
-        )
+        empty = ReachGraph(n, [], [], [], complete=False)
+        raise KBoundError(f"initial marking exceeds k-bound {k_bound}", partial=empty, marking=markings[0])
     index = {k0: 0}
     keys, mids, succ = [k0], [0], [[]]  # a node's edge list is made when the node is found
     complete = True
-    cap, folds = lim.max_states, []  # cap: max_states less the states inside runs, a shared tail once per run
+    cap, lines = lim.max_states, {}  # cap: max_states less the states inside runs, a shared tail once per run
     for key, outs in zip(keys, succ):  # both grow while they are walked: the BFS queue
         steps = successor_keys(lay, key)
         if steps[0][0] < 0 and fold and steps[0][1] != key:  # no transition may fire until the run ends
             w = delay_run(lay, key)
-            if w > 1:
-                steps = [(-w, key - (key - steps[0][1]) * w)]
-                folds.append((steps[0][1], w, key))
-                cap -= w - 1
-                if len(keys) > cap:  # perhaps more unit-step states than max_states: the unfolded BFS decides
-                    return _explore(n, lim, False)
+            steps = [(-w, key - (key - steps[0][1]) * w)]
+            lines.setdefault(steps[0][1], []).append((w, key))  # the delay line into that target
+            cap -= w - 1
+            if len(keys) > cap:  # perhaps more unit-step states than max_states: the unfolded BFS decides
+                return _explore(n, lim, False)
         for t, k2 in steps:
             j = index.get(k2)
             if j is None:
@@ -203,11 +192,13 @@ def _explore(n: ConcreteNet, lim: ExploreLimits, fold: bool) -> ReachGraph:
                 mids.append(mid2)
                 succ.append([])
             outs.append((t, j))
-    runs = {}
-    for k2, w, key in folds:
-        ws = runs.setdefault(index[k2], {})
-        ws[w] = index[key]
-        one = index.get(k2 + (key - k2) // w)  # a node one delay before the target is folded into no run
-        if one is not None:
-            ws[1] = one
-    return ReachGraph(n, keys, mids, succ, complete, runs)
+    inner = lim.max_states - cap  # the sum of w - 1 over the runs, each shared tail less below
+    for k2, line in lines.items():  # chain each delay line: a run ends at the next node on its line
+        if len(line) > 1:
+            last, j = 0, index[k2]
+            for w, key in sorted(line):
+                k = index[key]
+                succ[k][0] = (last - w, j)
+                inner -= last  # k's run stops at j: j and j's own run were counted in it
+                last, j = w, k
+    return ReachGraph(n, keys, mids, succ, complete, inner)

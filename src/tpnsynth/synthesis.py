@@ -67,8 +67,8 @@ class SynthesisProblem:
         if unknown:
             raise InputError(f"box mentions unknown parameters {unknown}")
         for p, (lo, hi) in self.box.items():
-            if lo < 0 or lo > hi:
-                raise InputError(f"bad box range for {p!r}: {lo}..{hi}")
+            if type(lo) is not int or type(hi) is not int or lo < 0 or lo > hi:
+                raise InputError(f"bad box range for {p!r}: {lo!r}..{hi!r}")
             if hi - lo >= sys.maxsize:  # refused as input; a shorter range is walked lazily
                 raise InputError(f"box range for {p!r} has more than {sys.maxsize} points: {lo}..{hi}")
         self.plan  # compiled now: a formula that does not compile is an input error
@@ -112,6 +112,9 @@ def enumerate_valuations(d: ParamDomain, box: Mapping[str, tuple], order=None):
     so the bound is exact: every point reached is in the domain, and none
     is tested against it. A row with no nonzero coefficient is decided once."""
     params = list(order) if order is not None else sorted(box)
+    if sorted(params) != sorted(box):  # each box parameter once: nothing dropped, unknown or repeated
+        gap = sorted(set(box).difference(params))
+        raise InputError(f"order missing parameter {gap[0]!r}" if gap else f"order {params} does not name the box parameters {sorted(box)} once each")
     ranges = [box[p] for p in params]
     at = {p: k for k, p in enumerate(params)}
     slack = []  # per row: b minus the terms of the parameters assigned so far

@@ -152,7 +152,7 @@ def eval_gmec(m, phi: Gmec) -> bool:
 
 def states_satisfying(g: ReachGraph, phi: Gmec) -> set:
     """Unit-step state indices whose marking satisfies the token-count
-    constraint: a state inside a run has its target's marking."""
+    constraint: a state inside a run has its source's marking."""
     flags = _nodes_where(g, phi)
     return {i for i, p in enumerate(g.positions()) if flags[p if type(p) is int else p[0]]}
 
@@ -773,15 +773,14 @@ class _Checker:
         satisfy its left operand. It reads only the operands' node sets
         (``nodes``, kept in ``sat``), so a root until that ``at_initial``
         decided by its scan stays unlabelled. The search walks the
-        unit-step positions (``ReachGraph.unit_view``)."""
+        unit-step positions (``ReachGraph.unit_view``), where no node lies
+        inside a run: (k, o) is offset o of k's run."""
         _, left, iv, right = plan.ops[i]
-        step, runs = self.g.unit_view()
+        step = self.g.unit_view()
 
-        def holds(s, p):  # node set s at unit position p
-            if type(p) is int:
-                return s[0][p]
-            (j, d), (w, k) = p, runs[p[0]]
-            return s[0][k] ^ (bisect_right(s[1].get(k, ()), w - d) & 1)
+        def holds(s, p):  # node set s at unit position p, offset o of k's run (0 at node k)
+            k, o = (p, 0) if type(p) is int else p
+            return s[0][k] ^ (bisect_right(s[1].get(k, ()), o) & 1)
 
         satphi, satpsi = self.nodes(plan, left, sat), self.nodes(plan, right, sat)
         H = iv.horizon

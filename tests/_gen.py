@@ -286,8 +286,8 @@ def unit_graph(g: ReachGraph) -> ReachGraph:
 def _run_positions(g: ReachGraph):
     """Per run (k, w): the unit-step numbers of offsets 0..w-1 of the run
     of w delays from node k, and the number of each node."""
-    step, _ = g.unit_view()
-    order = g.positions(step)
+    step = g.unit_view()
+    order = g.positions()
     number = {p: i for i, p in enumerate(order)}
     runs = {}
     for k, outs in enumerate(g.succ):

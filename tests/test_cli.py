@@ -465,11 +465,11 @@ class TestShippedModel:
         query = os.path.join(here, os.pardir, "models", "queries", "q1_light_constant.tctl")
         dark = str(tmp_path / "dark.tpnet")
         # flip the initial light state, then freeze the switch-on transition
-        text = open(model).read().replace("place P_L0 0", "place P_L0 1").replace(
-            "place P_L1 1", "place P_L1 0"
-        )
+        with open(model) as f:
+            text = f.read().replace("place P_L0 0", "place P_L0 1").replace("place P_L1 1", "place P_L1 0")
         src = str(tmp_path / "dark_src.tpnet")
-        open(src, "w").write(text)
+        with open(src, "w") as f:
+            f.write(text)
         code, _, _ = run(capsys, "compose", src, "--observer", "inhibit:t_on", "-o", dark)
         assert code == 0
         code, out, _ = run(capsys, "check", dark, "--formula", query, "-v", "tau_g=1")

@@ -44,8 +44,8 @@ from _gen import (
 
 def _tail_net(rng: random.Random):
     """A clock of up to 30 units raced by transitions with wide intervals,
-    each on its own token: their fires land inside each other's runs, so
-    runs share their tails. A reset may restart the clock."""
+    each on its own token: their fires land on each other's delay lines,
+    which ``build`` chains. A reset may restart the clock."""
     long = rng.randint(6, 30)
     places = [("p", 1), ("r", 0)]
     transitions = {"t_long": {"pre": {"p": 1}, "post": {"r": 1}, "interval": (long, rng.choice([long, long + 3, None]))}}
@@ -62,8 +62,8 @@ def _tail_net(rng: random.Random):
 
 def _net(rng: random.Random, kind: str):
     """A concrete net of the kind, with interval bounds up to 30: long runs
-    of delays, and transitions whose wide intervals fire into the middle
-    of another node's run."""
+    of delays, and transitions whose wide intervals fire onto the delay
+    line of another node's run."""
     if kind == "random":
         return random_concrete_net(rng, max_bound=rng.choice([5, 12, 30]))
     if kind == "tail":
@@ -151,6 +151,36 @@ class TestReachable:
                 assert len(seen) == len(g.keys), (kind, lim, fold, g.complete)
 
 
+class TestRunShape:
+    """``build`` chains the delay-only nodes of one delay line, so no node
+    key lies inside a run, and the unit-step states are the nodes and the
+    states inside runs, each counted once."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["random", "race", "gated", "tail"]),
+        k_bound=st.integers(1, 4),
+    )
+    def test_no_node_lies_inside_a_run(self, seed, kind, k_bound):
+        net = _net(random.Random(seed), kind)
+        if net is None:
+            return
+        try:
+            g = build(net, ExploreLimits(k_bound, 3000))
+        except KBoundError as exc:
+            g = exc.partial
+        keys, inner = set(g.keys), 0
+        for k, outs in enumerate(g.succ):
+            if outs and outs[0][0] < -1:
+                t, j = outs[0]
+                w = -t
+                dec = (g.keys[j] - g.keys[k]) // w
+                assert not any(g.keys[k] + dec * o in keys for o in range(1, w)), (kind, k, outs)
+                inner += w - 1
+        assert len(g) == len(g.keys) + inner
+
+
 class TestFoldedDifferential:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -181,8 +211,9 @@ class TestFoldedDifferential:
 
     def test_runs_that_share_a_tail(self):
         # t_a fires at any time in [0,5] while t_long waits 10, so each fire
-        # lands inside the run of the one before it: six runs of 10..5
-        # delays into one target
+        # lands on the delay line of the one before it: six delay-only nodes
+        # 10..5 delays before one target, chained so that each run ends at
+        # the next node on the line
         net = instantiate(
             make_net(
                 [("p", 1), ("q", 1), ("r", 0)],
@@ -195,7 +226,9 @@ class TestFoldedDifferential:
         )
         g, ref = build(net), reference_build(net)
         unit = reference_graph(net, ref)
-        assert [sorted(ws) for ws in g.runs.values()] == [[5, 6, 7, 8, 9, 10]]
+        chain = [1, 4, 7, 9, 11, 13]
+        assert [g.succ[k] for k in chain[:-1]] == [[(-1, j)] for j in chain[1:]]
+        assert g.succ[13] == [(-5, 3)] and g.inner == 4
         assert len(g.keys) < len(g) == len(ref.states)
         assert (g.states, g.edges) == (ref.states, ref.edges)
         for text in [

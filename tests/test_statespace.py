@@ -41,6 +41,11 @@ from _gen import (
 
 
 class TestBuild:
+    @pytest.mark.parametrize("kw", [{"k_bound": 2.5}, {"max_states": 10.0}, {"k_bound": True}, {"max_states": "100"}])
+    def test_limits_that_are_not_ints_are_an_input_error(self, kw):
+        with pytest.raises(InputError, match="must be positive ints"):
+            ExploreLimits(**kw)
+
     def test_net_a_enumeration(self, net_a):
         g = build(net_a)
         assert g.complete
@@ -270,12 +275,12 @@ class TestIntKeys:
         g = _graph(net, ExploreLimits(k_bound, max_states))  # its states equal the reference's, above
         units, nodes = [_key(lay, s) for s in g.states], node_numbers(g)
         assert [units[u] for u in nodes] == g.keys
-        for k, outs in enumerate(g.succ):  # a delay-only node's edge: w unit delays, with no fire before the last
-            if len(outs) == 1 and outs[0][0] < 0 and outs[0][1] != k:
-                (t, j), s = outs[0], g.states[nodes[k]]
-                assert elapse(net, s, -t) == g.states[nodes[j]]
-                assert not any(fireable_set(net, elapse(net, s, o)) for o in range(1, -t))
-                assert not g.complete or fireable_set(net, g.states[nodes[j]])
+        delay_only = {k for k, outs in enumerate(g.succ) if len(outs) == 1 and outs[0][0] < 0 and outs[0][1] != k}
+        for k in delay_only:  # w unit delays, with no fire before the last, to a fire or the next delay-only node
+            (t, j), s = g.succ[k][0], g.states[nodes[k]]
+            assert elapse(net, s, -t) == g.states[nodes[j]]
+            assert not any(fireable_set(net, elapse(net, s, o)) for o in range(1, -t))
+            assert not g.complete or fireable_set(net, g.states[nodes[j]]) or j in delay_only
         for s in g.states:
             if max_elapse(net, s) < d:
                 continue

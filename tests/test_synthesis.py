@@ -94,6 +94,16 @@ class TestEnumerate:
         assert list(enumerate_valuations(ParamDomain((lc({}, "<=", 0),)), {})) == [{}]
         assert list(enumerate_valuations(ParamDomain((lc({}, ">", 0),)), {})) == []
 
+    def test_an_order_name_the_box_lacks_is_an_input_error(self):
+        with pytest.raises(InputError, match="does not name the box parameters"):
+            list(enumerate_valuations(ParamDomain(), {"x": (0, 3)}, order=["x", "z"]))
+
+    def test_a_box_parameter_the_order_omits_is_an_input_error(self):
+        with pytest.raises(InputError, match="missing parameter 'y'"):
+            list(enumerate_valuations(ParamDomain(), {"x": (0, 3), "y": (0, 3)}, order=["x"]))
+        with pytest.raises(InputError, match="once each"):
+            list(enumerate_valuations(ParamDomain(), {"x": (0, 3), "y": (0, 3)}, order=["x", "y", "x"]))
+
     def test_constraint_outside_the_order_is_an_input_error(self):
         d = ParamDomain((lc({"x": 1, "y": 0}, ">=", 1),))
         with pytest.raises(InputError, match="missing parameter 'y'"):
@@ -411,6 +421,11 @@ class TestSynthesize:
     def test_box_must_cover_parameters(self, param_net):
         with pytest.raises(InputError):
             SynthesisProblem(param_net, parse_formula("EF[0,1](M(p2)>=1)"), {})
+
+    @pytest.mark.parametrize("bounds", [(0, 2.5), ("0", 2), (0, True), (0.0, 2)])
+    def test_a_box_bound_that_is_not_an_int_is_an_input_error(self, param_net, bounds):
+        with pytest.raises(InputError, match="bad box range for 'td'"):
+            SynthesisProblem(param_net, parse_formula("EF[0,1](M(p2)>=1)"), {"td": bounds})
 
 
 def memo_free(p):

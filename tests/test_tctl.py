@@ -35,9 +35,10 @@ from tpnsynth import (
     parse_gmec,
     replay,
 )
+from tpnsynth import oracle
 from tpnsynth.netfile import parse_net_file
 from tpnsynth.petri import INF
-from tpnsynth.semantics import Delay, Fire
+from tpnsynth.semantics import Delay, Fire, successors
 from tpnsynth.statespace import ExploreLimits
 from tpnsynth.petri import implicit_domain
 from tpnsynth.synthesis import enumerate_valuations
@@ -402,6 +403,30 @@ class TestDifferentialOracle:
         g = build(net)
         assert not check(net, g, phi).holds
 
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_each_until_walks_each_position_once(self, k, monkeypatch):
+        # k independent [0,2] transitions interleave in many orders; a walk
+        # of every simple path called successors 50,739 times at k = 6, and
+        # one that finishes each (state, capped time) pair once calls it at
+        # most (H+1) times per state
+        net = instantiate(
+            make_net([("q", 0)] + [(f"p{i}", 1) for i in range(k)], {f"t{i}": {"pre": {f"p{i}": 1}, "interval": (0, 2)} for i in range(k)}),
+            {},
+        )
+        states, calls = len(build(net)), []
+        monkeypatch.setattr(oracle, "successors", lambda n, s: calls.append(s) or successors(n, s))
+        for text, holds in [
+            ("EF[0,inf](M(q)>=1)", False),
+            ("AG[0,inf](M(q)=0)", True),
+            ("EF[0,3](M(q)>=1)", False),
+            ("EG[0,5](M(q)=0)", True),
+            (f"EF[1,4](M(p0)=0 & M(p{k - 1})=0)", True),
+            ("AF[0,inf](M(q)>=1)", False),
+        ]:
+            phi, calls[:] = parse_formula(text), []
+            assert brute_force_check(net, phi) == holds
+            assert len(calls) <= (phi.interval.horizon + 1) * states, text
+
     def test_net_a_examples(self, net_a):
         assert brute_force_check(net_a, parse_formula("EF[2,3](M(p2)>=1)"))
         assert not brute_force_check(net_a, parse_formula("EF[0,1](M(p2)>=1)"))
@@ -700,7 +725,7 @@ def test_check_leaves_no_predecessor_state_on_the_graph(net_a):
     g = build(net_a)
     assert check(net_a, g, parse_formula("EF[2,3](M(p2)>=1)")).witness
     assert check(net_a, g, parse_formula("AG[0,inf](M(p1)+M(p2)=1)")).holds
-    assert set(vars(g)) == {"net", "keys", "mids", "succ", "complete", "runs"}
+    assert set(vars(g)) == {"net", "keys", "mids", "succ", "complete", "inner"}
 
 
 class TestLazyCheck:
