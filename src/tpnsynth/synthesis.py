@@ -12,16 +12,14 @@ into one check plan (``SynthesisProblem.plan``), and every instance steps
 on the net's one table (``Net.steps``), so a valuation costs at most one
 instantiation, one graph and one check of what its verdict needs. The unit
 of work, a chunk of domain points (``check_chunk``, which takes no other
-valuation), reuses the verdict of a complete graph for every valuation that
-agrees with it on the parameters the graph reads, those bounding a
-transition one of its markings enables: such a valuation builds the same
-graph, so it needs no instance, build or check. It also checks each graph
-shape once, as valuations that differ in what a graph reads may still
-build one shape with other clock values.
+valuation), reuses the verdict of a complete graph for every valuation in
+the graph's range: one that agrees on the bounds of the transitions the
+graph fires and is no smaller on the lows of those it leaves enabled builds
+the same graph, so it needs no instance, build or check.
 
 Sweeps are embarrassingly parallel. Every worker count cuts the box into
 one chunk per worker, of at most ``CHUNK``, so a worker checks its share
-under one pair of memos. One worker runs here; more share one process pool
+under one memo. One worker runs here; more share one process pool
 kept per process, its modules imported by the first sweep that needs one;
 a problem, plan and warm table included, pickles whole, so the workers
 receive it with each chunk and hold no state between sweeps. Results are
@@ -31,7 +29,6 @@ merged in enumeration order, so the output is independent of worker count.
 from __future__ import annotations
 
 import atexit
-import marshal
 import os
 import sys
 from dataclasses import dataclass, field
@@ -66,7 +63,10 @@ class SynthesisProblem:
         unknown = [p for p in self.box if p not in self.net.parameters]
         if unknown:
             raise InputError(f"box mentions unknown parameters {unknown}")
-        for p, (lo, hi) in self.box.items():
+        for p, pair in self.box.items():
+            if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+                raise InputError(f"bad box range for {p!r}: {pair!r} is not a (low, high) pair")
+            lo, hi = pair
             if type(lo) is not int or type(hi) is not int or lo < 0 or lo > hi:
                 raise InputError(f"bad box range for {p!r}: {lo!r}..{hi!r}")
             if hi - lo >= sys.maxsize:  # refused as input; a shorter range is walked lazily
@@ -164,48 +164,48 @@ def check_chunk(p: SynthesisProblem, vals) -> list:
     """(holds, error) per valuation of ``vals``, in order, all on the one
     table of ``p.net``; exploration failures are data. Every valuation must
     be a point of ``enumerate_valuations(implicit_domain(p.net), p.box)``,
-    which always instantiates, because one answered from the first memo
-    below is not instantiated.
+    which always instantiates, because one answered from the memo below is
+    not instantiated.
 
-    Two memos, which die with the chunk, hold the verdicts of complete
-    graphs; incomplete graphs, which ``decide`` refuses, and valuations that
-    raise enter neither. The first is keyed by the values of the parameters
-    that bound a transition enabled at one of the graph's markings, and it
-    is exact. A build steps by the static intervals of the transitions that
-    the initial marking enables and of those a fire newly enables at its
-    successor's marking alone, and every successor a complete graph's build
-    computes is one of its nodes. A run's length, too, reads only the
-    clocks of the transitions its marking enables. So the build of a
-    valuation that agrees on those parameters visits the same states in the
-    same order, and makes the same ``succ``, weights included, and marking
-    ids. Its keys' fields agree too, as a clock counts elapsed time from 1;
-    only their width may differ, as it follows every interval of the
-    instance, and no memo reads a key.
+    One memo, which dies with the chunk, holds the verdict of each complete
+    graph with the range of valuations that build that graph; incomplete
+    graphs, which ``decide`` refuses, and valuations that raise enter none.
+    The graph fires the transitions that label its fire edges. Its range
+    pins each parameter that bounds one of them, and floors each other
+    parameter that is the low of a transition one of its markings enables:
+    a valuation is in the range when it agrees on the pins and is no
+    smaller on the floors. Every other parameter is free, including the
+    high of a transition that never fires.
 
-    The second is keyed by the shape, the marshal bytes (version 2, which
-    writes no back-references) of ``succ``, and catches graphs that differ
-    only in clock values: a verdict reads only the plan, ``succ``, the
-    initial node 0 and the constraints at each node's marking, and ``succ``
-    decides those markings, as node 0 holds the net's initial one, a delay
-    of any weight keeps a marking and a fire edge's transition decides the
-    next."""
-    reads = [iv.referenced_params() for iv in p.net.intervals]  # per transition
-    known, shapes, results = {}, {}, []  # known: parameter names -> {their values: verdict}
+    The range is exact. ``successor_keys`` lists every fireable transition,
+    so a transition that never fires kept its field below its low at every
+    node: its low only failed comparisons, and its high was never read, as
+    the ``continue`` comes before it. Nor was it the least in a
+    ``delay_run``: the least is fireable at the run's end, which is a node.
+    A larger low keeps all three, so the build visits the same states in
+    the same order and makes the same ``succ``, weights included, ``mids``,
+    ``inner`` and cap bookkeeping; only the key width may differ, and no
+    verdict reads a key. A verdict reads only the plan, ``succ``, node 0
+    and the markings, so the same verdict follows."""
+    params, ivs = p.net.parameters, p.net.intervals
+    reads = [iv.referenced_params() for iv in ivs]  # per transition
+    memo, results = {}, []  # (pin names, floor names) -> {pin values: [(floor values, verdict)]}
     for v in vals:
-        holds = _known(known, v)
+        holds = _in_range(memo, v)
         if holds is not None:
             results.append((holds, None))
             continue
         try:
             graph = build(instantiate(p.net, v), p.limits)
-            shape = graph.complete and marshal.dumps(graph.succ, 2)
-            holds = shapes.get(shape)
-            if holds is None:
-                holds = shapes[shape] = decide(graph, p.plan)
+            holds = decide(graph, p.plan)
             on = graph.net.steps.enabled_at  # per marking id
-            read = set().union(*[reads[t] for m in set(graph.mids) for t in on[m]])
-            names = tuple([x for x in p.net.parameters if x in read])
-            known.setdefault(names, {})[tuple([v[x] for x in names])] = holds
+            fired = {t for outs in graph.succ for t, _ in outs if t >= 0}
+            pinned = set().union(*[reads[t] for t in fired])
+            enabled_lows = {ivs[t].low for m in set(graph.mids) for t in on[m]}  # ints name no parameter
+            pins = tuple([x for x in params if x in pinned])
+            floors = tuple([x for x in params if x in enabled_lows and x not in pinned])
+            ranges = memo.setdefault((pins, floors), {}).setdefault(tuple([v[x] for x in pins]), [])
+            ranges.append((tuple([v[x] for x in floors]), holds))
             results.append((holds, None))
         except KBoundError as exc:
             results.append((False, f"k-bound: {exc}"))
@@ -214,18 +214,17 @@ def check_chunk(p: SynthesisProblem, vals) -> list:
     return results
 
 
-def _known(known: dict, v) -> Optional[bool]:
-    """The verdict memoised for a valuation that agrees with v on the
-    parameters its graph read, or None."""
-    for names, verdicts in known.items():
-        holds = verdicts.get(tuple([v[x] for x in names]))
-        if holds is not None:
-            return holds
+def _in_range(memo: dict, v) -> Optional[bool]:
+    """The verdict memoised for a range that holds v, or None."""
+    for (pins, floors), ranges in memo.items():
+        for lows, holds in ranges.get(tuple([v[x] for x in pins]), ()):
+            if all([v[x] >= low for x, low in zip(floors, lows)]):
+                return holds
     return None
 
 
 MAX_VALUATIONS = 100_000  # largest number of domain points a sweep checks
-CHUNK = 1024  # most valuations a worker checks under one pair of memos
+CHUNK = 1024  # most valuations a worker checks under one memo
 
 # The process's sweep pool, as (workers, executor), kept between calls: a
 # pool costs more to start than a small box costs to check.
@@ -276,8 +275,8 @@ def synthesize(p: SynthesisProblem, jobs: int = 1) -> SynthesisResult:
     is cut into chunks (``check_chunk``) of one worker's share, at most
     ``CHUNK``; one worker checks them here, more in the kept pool of their
     size, each chunk sent with the problem."""
-    if jobs < 1:
-        raise InputError(f"jobs must be at least 1, got {jobs}")
+    if type(jobs) is not int or jobs < 1:
+        raise InputError(f"jobs must be an int of at least 1, got {jobs!r}")
     points = enumerate_valuations(implicit_domain(p.net), p.box, order=p.net.parameters)
     vals = list(islice(points, MAX_VALUATIONS + 1))
     if len(vals) > MAX_VALUATIONS:

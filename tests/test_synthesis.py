@@ -25,6 +25,7 @@ from tpnsynth import (
     check,
     domain_contains,
     enabled_set,
+    fireable_set,
     instantiate,
     make_net,
     parse_formula,
@@ -317,6 +318,14 @@ class TestSynthesize:
         with pytest.raises(InputError):
             synthesize(problem, jobs=jobs)
 
+    @pytest.mark.parametrize("jobs", ["2", None, 2.5, True])
+    def test_a_job_count_that_is_not_an_int_is_an_input_error(self, monkeypatch, param_net, jobs):
+        # refused before the CPUs are counted: 2.5 would cut float chunks on 3 or more
+        monkeypatch.setattr(synthesis, "usable_cpus", lambda: 4)
+        problem = SynthesisProblem(param_net, parse_formula("EF[0,4](M(p2)>=1)"), {"td": (0, 8)})
+        with pytest.raises(InputError, match="jobs must be an int"):
+            synthesize(problem, jobs=jobs)
+
     def test_workers_capped_at_the_valuation_count(self, monkeypatch, param_net):
         started = in_process_pool(monkeypatch, cpus=64)
         problem = SynthesisProblem(param_net, parse_formula("EF[0,2](M(p2)>=1)"), {"td": (0, 3)})
@@ -422,30 +431,40 @@ class TestSynthesize:
         with pytest.raises(InputError):
             SynthesisProblem(param_net, parse_formula("EF[0,1](M(p2)>=1)"), {})
 
+    @pytest.mark.parametrize("entry", [5, None, (0, 1, 2)])
+    def test_a_box_entry_that_is_not_a_pair_is_an_input_error(self, param_net, entry):
+        with pytest.raises(InputError, match="bad box range for 'td'"):
+            SynthesisProblem(param_net, parse_formula("EF[0,1](M(p2)>=1)"), {"td": entry})
+
     @pytest.mark.parametrize("bounds", [(0, 2.5), ("0", 2), (0, True), (0.0, 2)])
     def test_a_box_bound_that_is_not_an_int_is_an_input_error(self, param_net, bounds):
         with pytest.raises(InputError, match="bad box range for 'td'"):
             SynthesisProblem(param_net, parse_formula("EF[0,1](M(p2)>=1)"), {"td": bounds})
 
 
-def memo_free(p):
-    """(satisfying, failures, explored) of a sweep that checks every graph:
-    instantiate, build and check per valuation, on a copy of the problem,
-    which shares no table with any other sweep."""
+def memo_free_results(p, vals):
+    """(holds, error) per valuation of ``vals`` from a loop that checks every
+    graph: instantiate, build and check per valuation, on a copy of the
+    problem, which shares no table with any other sweep."""
     p = pickle.loads(pickle.dumps(p))
-    vals = list(enumerate_valuations(implicit_domain(p.net), p.box, order=p.net.parameters))
-    satisfying, failures = [], []
+    results = []
     for v in vals:
         try:
             c = instantiate(p.net, v)
-            holds = check(c, build(c, p.limits), p.plan).holds
+            results.append((check(c, build(c, p.limits), p.plan).holds, None))
         except KBoundError as exc:
-            failures.append((v, f"k-bound: {exc}"))
+            results.append((False, f"k-bound: {exc}"))
         except TpnError as exc:
-            failures.append((v, f"{type(exc).__name__}: {exc}"))
-        else:
-            if holds:
-                satisfying.append(v)
+            results.append((False, f"{type(exc).__name__}: {exc}"))
+    return results
+
+
+def memo_free(p):
+    """(satisfying, failures, explored) of the memo-free loop over the box."""
+    vals = list(enumerate_valuations(implicit_domain(p.net), p.box, order=p.net.parameters))
+    results = memo_free_results(p, vals)
+    satisfying = [v for v, (holds, _) in zip(vals, results) if holds]  # a failure never holds
+    failures = [(v, err) for v, (_, err) in zip(vals, results) if err is not None]
     return satisfying, failures, len(vals)
 
 
@@ -462,13 +481,44 @@ def _race():
     )
 
 
-def read_values(net, v, limits=ExploreLimits()):
-    """The values at v of the parameters bounding a transition that some
-    marking of v's graph enables, found through the public API."""
-    g = build(instantiate(net, v), limits)
+def range_of(net, v, limits=ExploreLimits()):
+    """The range of v's graph, found through the public API, as (pins,
+    floors) of (parameter, value at v) pairs: the pins bound a transition
+    fireable at one of the graph's states, and the floors are the other
+    parameters that are the low of a transition one of its markings enables.
+    None when the graph is incomplete."""
+    c = instantiate(net, v)
+    g = build(c, limits)
+    if not g.complete:
+        return None
+    fired = set().union(*(fireable_set(c, s) for s in g.states))
     on = set().union(*(enabled_set(net, s.marking) for s in g.states))
-    read = set().union(*(iv.referenced_params() for t, iv in zip(net.transitions, net.intervals) if t in on))
-    return tuple(sorted((p, v[p]) for p in read))
+    ivs = dict(zip(net.transitions, net.intervals))
+    pinned = set().union(*(ivs[t].referenced_params() for t in fired))
+    floors = {ivs[t].low for t in on}.intersection(net.parameters) - pinned
+    return tuple(sorted((p, v[p]) for p in pinned)), tuple(sorted((p, v[p]) for p in floors))
+
+
+def in_range(v, r) -> bool:
+    """Whether v agrees with the range r on its pins and is no smaller on its floors."""
+    pins, floors = r
+    return all(v[p] == x for p, x in pins) and all(v[p] >= x for p, x in floors)
+
+
+def range_builds(net, vals, limits=ExploreLimits()) -> int:
+    """The builds of a range memo over vals, in order: a valuation in no range
+    met so far builds, and the range of its graph, when complete, joins them."""
+    ranges, builds = [], 0
+    for v in vals:
+        if not any(in_range(v, r) for r in ranges):
+            builds += 1
+            try:
+                r = range_of(net, v, limits)
+            except KBoundError:
+                continue
+            if r is not None:
+                ranges.append(r)
+    return builds
 
 
 def counting_builds(monkeypatch):
@@ -492,19 +542,28 @@ def _gated():
     )
 
 
+def draw_net(rng):
+    """A random, race or gated parametric net, and the width of its box."""
+    make, width = rng.choice([(random_race_net, 4), (random_parametric_net, 4), (random_gated_net, 3)])
+    return make(rng), width
+
+
+def draw_problem(rng):
+    """A problem over a drawn net, formula and state cap, on the net's box."""
+    net, width = draw_net(rng)
+    phi = random_formula(rng, list(net.places), depth=2, max_bound=4)
+    limits = ExploreLimits(k_bound=3, max_states=rng.choice([6, 40, 2000]))
+    return SynthesisProblem(net, phi, {p: (0, width) for p in net.parameters}, limits)
+
+
 class TestChunkMemo:
     @given(rng=st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
     def test_a_sweep_equals_the_memo_free_loop(self, rng):
         # incomplete graphs (a small state cap) and k-bound stops are never
-        # memoised; every other valuation is read off the values of the
-        # parameters its graph reads, or else off its graph's shape, at
-        # every worker count, whose chunks hold the memos
-        make, width = rng.choice([(random_race_net, 4), (random_parametric_net, 4), (random_gated_net, 3)])
-        net = make(rng)
-        phi = random_formula(rng, list(net.places), depth=2, max_bound=4)
-        limits = ExploreLimits(k_bound=3, max_states=rng.choice([6, 40, 2000]))
-        problem = SynthesisProblem(net, phi, {p: (0, width) for p in net.parameters}, limits)
+        # memoised; every other valuation is read off the range of a graph
+        # built before it, at every worker count, whose chunks hold the memos
+        problem = draw_problem(rng)
         expected = memo_free(problem)
         with pytest.MonkeyPatch.context() as m:
             in_process_pool(m)
@@ -512,16 +571,59 @@ class TestChunkMemo:
                 res = synthesize(problem, jobs=jobs)
                 assert (res.satisfying, res.failures, res.explored) == expected
 
-    def test_a_chunk_builds_once_per_distinct_read_values(self, monkeypatch):
+    @given(rng=st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_a_chunk_in_any_order_equals_the_memo_free_loop(self, rng):
+        # enumeration is ascending, so a floor met in a sweep is never above
+        # a later value; reversed and shuffled chunks meet floors from above,
+        # and build just where the public API finds no earlier range
+        problem = draw_problem(rng)
+        vals = list(enumerate_valuations(implicit_domain(problem.net), problem.box, order=problem.net.parameters))
+        vals = vals[::-1] if rng.random() < 0.5 else rng.sample(vals, len(vals))
+        with pytest.MonkeyPatch.context() as m:
+            built = counting_builds(m)
+            results = check_chunk(problem, vals)
+        assert results == memo_free_results(problem, vals)
+        assert len(built) == range_builds(problem.net, vals, problem.limits)
+
+    @given(rng=st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_a_valuation_in_a_range_builds_its_graph(self, rng):
+        net, width = draw_net(rng)
+        limits = ExploreLimits(k_bound=3, max_states=2000)
+        vals = list(enumerate_valuations(implicit_domain(net), {p: (0, width) for p in net.parameters}))
+        graphs = {}
+        for v in vals:
+            try:
+                g = build(instantiate(net, v), limits)
+            except KBoundError:
+                continue
+            if g.complete:
+                graphs[tuple(v.items())] = g
+        for key, g in graphs.items():
+            r = range_of(net, dict(key), limits)
+            for w in vals:
+                if in_range(w, r):
+                    other = graphs[tuple(w.items())]
+                    assert (other.succ, other.mids, other.inner) == (g.succ, g.mids, g.inner)
+
+    def test_a_chunk_builds_once_per_range(self, monkeypatch):
+        # open fires where a <= 2, and shut, which b bounds, after it: one
+        # build per (a, b) there; above, leave wins at 2, so open's low a is
+        # a floor and b is free, and the range of a = 3 holds a = 4
         problem = SynthesisProblem(_gated(), parse_formula("EF[0,4](M(done)>=1)"), {"a": (0, 4), "b": (0, 3)})
         vals = list(enumerate_valuations(implicit_domain(problem.net), problem.box, order=["a", "b"]))
-        distinct = {read_values(problem.net, v) for v in vals}
-        assert len(distinct) == 3 * 4 + 2  # (a, b) for a <= 2, a alone above
+        assert range_of(problem.net, {"a": 3, "b": 0}) == ((), (("a", 3),))
+        assert range_builds(problem.net, vals) == 3 * 4 + 1
         built = counting_builds(monkeypatch)
         results = check_chunk(problem, vals)
-        assert len(built) == len(distinct)
+        assert len(built) == 3 * 4 + 1
         satisfying = [v for v, (holds, _) in zip(vals, results) if holds]
         assert satisfying == [v for v in vals if v["a"] <= 2 and v["a"] + v["b"] <= 4] == memo_free(problem)[0]
+        # reversed, a = 4 is met first, and a floor of 4 does not hold a = 3
+        built.clear()
+        assert check_chunk(problem, vals[::-1]) == memo_free_results(problem, vals[::-1])
+        assert len(built) == range_builds(problem.net, vals[::-1]) == 3 * 4 + 2
 
     @pytest.mark.parametrize("stop", ["max_states", "k_bound"])
     def test_a_cut_graph_never_enters_the_memo(self, monkeypatch, stop):
@@ -554,16 +656,16 @@ class TestChunkMemo:
         )
         problem = SynthesisProblem(net, parse_formula("EF[0,1](M(q)>=1)"), {"a": (0, 2), "c": (0, 3)})
         vals = list(enumerate_valuations(implicit_domain(net), problem.box, order=["a", "c"]))
-        assert {read_values(net, v) for v in vals} == {(("a", a),) for a in range(3)}
+        assert {range_of(net, v) for v in vals} == {((("a", a),), ()) for a in range(3)}
         built = counting_builds(monkeypatch)
         results = check_chunk(problem, vals)
         assert len(built) == 3 and len(vals) == 11
         assert [v for v, (holds, _) in zip(vals, results) if holds] == [v for v in vals if v["a"] <= 1]
 
-    def test_check_runs_once_per_distinct_shape_in_a_chunk(self, monkeypatch):
+    def test_a_fired_bound_is_pinned_whatever_the_shape(self, monkeypatch):
         # y is the high bound of a transition that a [d,d] one disables:
         # every y >= d gives the same marking ids and edges, with other
-        # clock values in the keys
+        # clock values in the keys, but b fires at once, so y is pinned
         net = make_net(
             [("p", 1), ("q", 1), ("r", 0), ("s", 0)],
             {
@@ -582,7 +684,7 @@ class TestChunkMemo:
         checked = []
         monkeypatch.setattr(synthesis, "decide", lambda g, plan: checked.append(g) or tctl.decide(g, plan))
         results = check_chunk(problem, vals)
-        assert len(checked) == len(shapes)
+        assert len(checked) == len(vals) == range_builds(net, vals) == 10
         monkeypatch.undo()
         assert [holds for holds, _ in results] == [check(c, build(c), problem.plan).holds
                                                    for c in (instantiate(net, v) for v in vals)]
