@@ -30,7 +30,6 @@ _SECTIONS = ("pre", "post", "read", "inhibit", "interval")
 
 
 def parse_net(text: str) -> Net:
-    name = None
     places, params, constraints, domain_lines = [], [], [], []
     transitions, trans_lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -42,7 +41,6 @@ def parse_net(text: str) -> Net:
         if head == "net":
             if len(rest) != 1:
                 raise NetSyntaxError("net takes exactly one name", lineno)
-            name = rest[0]
         elif head == "place":
             if not rest or not NAME.fullmatch(rest[0]):
                 raise NetSyntaxError("place needs a name", lineno)
@@ -84,11 +82,7 @@ def parse_net(text: str) -> Net:
     _check_references(
         {p for p, _ in places}, set(params), transitions, trans_lines, zip(constraints, domain_lines)
     )
-    try:
-        net = make_net(places, transitions, parameters=params, constraints=constraints)
-    except InputError as exc:
-        raise InputError(f"invalid net{f' {name!r}' if name else ''}: {exc}")
-    return net
+    return make_net(places, transitions, parameters=params, constraints=constraints)
 
 
 def parse_net_file(path) -> Net:

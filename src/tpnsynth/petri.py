@@ -61,11 +61,11 @@ class TimeInterval:
     right_closed: bool = True
 
     def __post_init__(self):
-        if not isinstance(self.low, int) or self.low < 0:
+        if type(self.low) is not int or self.low < 0:
             raise InputError(f"interval low bound must be a natural number, got {self.low!r}")
         if self.high == INF:
             object.__setattr__(self, "right_closed", False)
-        elif not isinstance(self.high, int) or self.high < 0:
+        elif type(self.high) is not int or self.high < 0:
             raise InputError(f"interval high bound must be a natural number or inf, got {self.high!r}")
         elif self.low > self.high:
             raise IllFormedIntervalError(f"interval low {self.low} exceeds high {self.high}")
@@ -106,7 +106,7 @@ def _check_bound(b) -> None:
     if isinstance(b, str):
         if not NAME.fullmatch(b) or b == "inf":
             raise InputError(f"interval bound {b!r} is not a parameter name")
-    elif not isinstance(b, int) or b < 0:
+    elif type(b) is not int or b < 0:
         raise InputError(f"interval bound must be a natural number or a parameter name, got {b!r}")
 
 
@@ -326,7 +326,7 @@ def _dense(weights: Optional[Mapping[str, int]], places, what: str, trans: str):
     for p, w in weights.items():
         if p not in places:
             raise InputError(f"transition {trans!r}: {what} arc references unknown place {p!r}")
-        if not isinstance(w, int) or w < 0:
+        if type(w) is not int or w < 0:
             raise InputError(f"transition {trans!r}: {what} weight for {p!r} must be a natural number")
     return tuple(weights.get(p, 0) for p in places)
 
@@ -496,7 +496,7 @@ def validate_net(n: Net) -> list:
         diags.append("place and transition names must be disjoint")
     if len(n.initial) != np:
         diags.append("initial marking length does not match place count")
-    elif any((not isinstance(x, int)) or x < 0 for x in n.initial):
+    elif any(type(x) is not int or x < 0 for x in n.initial):
         diags.append("initial marking has a negative or non-integer count")
     for what, vecs in (("pre", n.pre), ("post", n.post), ("read", n.read), ("inhibit", n.inhibit)):
         if len(vecs) != nt:
@@ -505,7 +505,7 @@ def validate_net(n: Net) -> list:
         for t, vec in zip(n.transitions, vecs):
             if len(vec) != np:
                 diags.append(f"transition {t!r}: incomplete {what} weight vector")
-            elif any((not isinstance(w, int)) or w < 0 for w in vec):
+            elif any(type(w) is not int or w < 0 for w in vec):
                 diags.append(f"transition {t!r}: negative {what} weight")
     if len(n.intervals) != nt:
         diags.append("interval count does not match transition count")

@@ -64,7 +64,7 @@ class Delay:
     amount: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.amount, int) or self.amount < 1:
+        if type(self.amount) is not int or self.amount < 1:
             raise PreconditionError("delay labels require amount >= 1")
 
     def __str__(self):
@@ -104,7 +104,7 @@ def max_elapse(n: ConcreteNet, s: State):
 def elapse(n: ConcreteNet, s: State, d: int) -> State:
     """d time units pass: every remaining high drops by d, and every
     remaining low by d, stopping at 0. No enabled high may be below d."""
-    if not isinstance(d, int) or d < 1:
+    if type(d) is not int or d < 1:
         raise PreconditionError(f"delay must be a positive integer, got {d!r}")
     if d > max_elapse(n, s):
         raise TimeOverrunError(f"delay {d} exceeds max elapse {max_elapse(n, s)}")

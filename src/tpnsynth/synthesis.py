@@ -11,19 +11,20 @@ depend on the valuation is done once per problem: the formula is compiled
 into one check plan (``SynthesisProblem.plan``), and every instance steps
 on the net's one table (``Net.steps``), so a valuation costs at most one
 instantiation, one graph and one check of what its verdict needs. The unit
-of work, a chunk of domain points (``check_chunk``, which takes no other
-valuation), reuses the verdict of a complete graph for every valuation in
-the graph's range: one that agrees on the bounds of the transitions the
+of work, a worker's share of domain points (``check_chunk``, which takes no
+other valuation), reuses the verdict of a complete graph for every valuation
+in the graph's range: one that agrees on the bounds of the transitions the
 graph fires and is no smaller on the lows of those it leaves enabled builds
 the same graph, so it needs no instance, build or check.
 
-Sweeps are embarrassingly parallel. Every worker count cuts the box into
-one chunk per worker, of at most ``CHUNK``, so a worker checks its share
-under one memo. One worker runs here; more share one process pool
-kept per process, its modules imported by the first sweep that needs one;
-a problem, plan and warm table included, pickles whole, so the workers
-receive it with each chunk and hold no state between sweeps. Results are
-merged in enumeration order, so the output is independent of worker count.
+Sweeps are embarrassingly parallel. The box is cut into one contiguous
+share per worker, which checks it under one memo holding one entry per
+graph it builds. One worker checks the whole box here; more share one
+process pool kept per process, its modules imported by the first sweep that
+needs one; a problem, plan and warm table included, pickles whole, so the
+workers receive it with their share and hold no state between sweeps.
+Results are merged in enumeration order, so the output is independent of
+worker count.
 """
 
 from __future__ import annotations
@@ -160,6 +161,9 @@ def enumerate_valuations(d: ParamDomain, box: Mapping[str, tuple], order=None):
         yield from walk(0)
 
 
+_VERDICTS = ((False, None), (True, None))  # one shared result per verdict, whatever the box size
+
+
 def check_chunk(p: SynthesisProblem, vals) -> list:
     """(holds, error) per valuation of ``vals``, in order, all on the one
     table of ``p.net``; exploration failures are data. Every valuation must
@@ -167,8 +171,8 @@ def check_chunk(p: SynthesisProblem, vals) -> list:
     which always instantiates, because one answered from the memo below is
     not instantiated.
 
-    One memo, which dies with the chunk, holds the verdict of each complete
-    graph with the range of valuations that build that graph; incomplete
+    One memo spans ``vals``, with one entry per complete graph built: its
+    verdict with the range of valuations that build that graph; incomplete
     graphs, which ``decide`` refuses, and valuations that raise enter none.
     The graph fires the transitions that label its fire edges. Its range
     pins each parameter that bounds one of them, and floors each other
@@ -193,7 +197,7 @@ def check_chunk(p: SynthesisProblem, vals) -> list:
     for v in vals:
         holds = _in_range(memo, v)
         if holds is not None:
-            results.append((holds, None))
+            results.append(_VERDICTS[holds])
             continue
         try:
             graph = build(instantiate(p.net, v), p.limits)
@@ -206,7 +210,7 @@ def check_chunk(p: SynthesisProblem, vals) -> list:
             floors = tuple([x for x in params if x in enabled_lows and x not in pinned])
             ranges = memo.setdefault((pins, floors), {}).setdefault(tuple([v[x] for x in pins]), [])
             ranges.append((tuple([v[x] for x in floors]), holds))
-            results.append((holds, None))
+            results.append(_VERDICTS[holds])
         except KBoundError as exc:
             results.append((False, f"k-bound: {exc}"))
         except TpnError as exc:
@@ -224,7 +228,6 @@ def _in_range(memo: dict, v) -> Optional[bool]:
 
 
 MAX_VALUATIONS = 100_000  # largest number of domain points a sweep checks
-CHUNK = 1024  # most valuations a worker checks under one memo
 
 # The process's sweep pool, as (workers, executor), kept between calls: a
 # pool costs more to start than a small box costs to check.
@@ -272,9 +275,9 @@ def synthesize(p: SynthesisProblem, jobs: int = 1) -> SynthesisResult:
     usable CPU. A valuation whose check fails with a library error, such as
     a k-bound, is reported in ``failures`` rather than raised; a box of more
     than ``MAX_VALUATIONS`` is an InputError before any is checked. The box
-    is cut into chunks (``check_chunk``) of one worker's share, at most
-    ``CHUNK``; one worker checks them here, more in the kept pool of their
-    size, each chunk sent with the problem."""
+    is cut into one contiguous share (``check_chunk``) per worker; one
+    worker checks the whole box here, more their shares in the kept pool of
+    their size, each share sent with the problem."""
     if type(jobs) is not int or jobs < 1:
         raise InputError(f"jobs must be an int of at least 1, got {jobs!r}")
     points = enumerate_valuations(implicit_domain(p.net), p.box, order=p.net.parameters)
@@ -282,9 +285,11 @@ def synthesize(p: SynthesisProblem, jobs: int = 1) -> SynthesisResult:
     if len(vals) > MAX_VALUATIONS:
         raise InputError(f"the box has more than {MAX_VALUATIONS} valuations in the domain")
     workers = max(1, min(jobs, len(vals), usable_cpus()))
-    size = max(1, min(CHUNK, -(-len(vals) // workers)))
-    chunks = [vals[i : i + size] for i in range(0, len(vals), size)]
-    results = map(partial(check_chunk, p), chunks) if workers == 1 else _pool_map(p, chunks, workers)
+    if workers == 1:
+        results = [check_chunk(p, vals)]
+    else:
+        size = -(-len(vals) // workers)
+        results = _pool_map(p, [vals[i : i + size] for i in range(0, len(vals), size)], workers)
     satisfying, failures = [], []
     for v, (holds, err) in zip(vals, (r for chunk in results for r in chunk)):
         if err is not None:

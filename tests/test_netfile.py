@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tpnsynth import NetSyntaxError
+from tpnsynth import InputError, NetSyntaxError, make_net
 from tpnsynth.cli import main
 from tpnsynth.netfile import parse_net, serialize_net
 from tpnsynth.petri import LinearConstraint
@@ -103,6 +103,7 @@ trans t pre a*2 post b read c inhibit b*3 interval [0,inf)
             ("place p 1\nparam a\ndomain b >= 1\ntrans t pre p interval [a,a]", 3, "unknown parameters"),
             ("place p 1\ntrans t pre p interval", 2, "needs a [lo,hi]"),
             ("place p 1\ntrans t pre p*0 interval [0,1]", 2, "must be positive"),
+            ("place p 1\ntrans t pre p interval [5,3]", 2, "interval low exceeds high"),
             ("place p 1\nparam a\ndomain 1/0*a >= 1\ntrans t pre p interval [a,a]", 3, "bad coefficient"),
             ("place p 1\nparam a\ndomain a.b >= 1\ntrans t pre p interval [a,a]", 3, "bad parameter name"),
             ("place p 1\nparam a\ndomain + >= 1\ntrans t pre p interval [a,a]", 3, "no parameter terms"),
@@ -110,7 +111,7 @@ trans t pre a*2 post b read c inhibit b*3 interval [0,inf)
         ids=[
             "net-two-names", "place-no-name", "place-too-many-fields", "param-no-name", "param-duplicate",
             "trans-no-name", "trans-duplicate", "no-place", "no-transition", "trans-named-like-place",
-            "domain-undeclared-param", "interval-no-bound", "weight-zero", "coefficient-over-zero",
+            "domain-undeclared-param", "interval-no-bound", "weight-zero", "interval-low-over-high", "coefficient-over-zero",
             "constraint-bad-param-name", "constraint-no-param-term",
         ],
     )
@@ -176,6 +177,20 @@ class TestRoundTrip:
         with pytest.raises(NetSyntaxError) as exc:
             parse_net(f"place p 1\nplace q 0\nparam inf\ntrans t pre p post q interval {interval}")
         assert exc.value.line == 3
+
+    @pytest.mark.parametrize(
+        "places, interval, message",
+        [
+            ([("p", True)], (0, 3), "initial marking has a negative or non-integer count"),
+            ([("p", 1)], (True, 3), "interval bound must be a natural number"),
+        ],
+        ids=["initial-count", "interval-low"],
+    )
+    def test_a_bool_is_no_natural_so_no_unreadable_text_is_written(self, places, interval, message):
+        with pytest.raises(InputError, match=message):
+            make_net(places, {"t": {"pre": {"p": 1}, "interval": interval}})
+        ints = make_net([(p, int(n)) for p, n in places], {"t": {"pre": {"p": 1}, "interval": tuple(map(int, interval))}})
+        assert parse_net(serialize_net(ints)) == ints
 
     def test_serialization_is_stable(self):
         rng = random.Random(73)

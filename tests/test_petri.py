@@ -58,6 +58,10 @@ class TestConstraints:
         with pytest.raises(InputError):
             eval_constraint(lc({"x": 1}, ">=", 0), {})
 
+    def test_unknown_relation_is_an_input_error(self):
+        with pytest.raises(InputError, match="unknown relation '!='"):
+            lc({"a": 1}, "!=", 0)
+
     def test_rational_coefficients(self):
         c = lc({"x": "1/2"}, "<=", "3/2")
         assert eval_constraint(c, {"x": 3})
@@ -144,6 +148,14 @@ class TestIntervals:
         with pytest.raises(IllFormedIntervalError):
             TimeInterval(3, 2)
 
+    @pytest.mark.parametrize(
+        "low, high, message",
+        [(-1, 3, "low bound"), (True, 3, "low bound"), (0, -1, "high bound"), (0, 2.5, "high bound"), (0, True, "high bound")],
+    )
+    def test_a_bound_that_is_no_natural_is_refused(self, low, high, message):
+        with pytest.raises(InputError, match=f"^interval {message} must be a natural number"):
+            TimeInterval(low, high)
+
     def test_open_endpoints_shrink_integer_range(self):
         iv = TimeInterval(1, 4, left_closed=False, right_closed=False)
         assert iv.int_low() == 2 and iv.int_high() == 3
@@ -213,6 +225,15 @@ class TestInstantiate:
 class TestEnabled:
     def test_plain_arc(self, net_a):
         assert enabled_set(net_a, (1, 0)) == {"t1"}
+
+    def test_a_marking_of_another_length_is_an_input_error(self, net_a):
+        with pytest.raises(InputError, match="marking length does not match place count"):
+            enabled_set(net_a, (1, 0, 0))
+
+    def test_a_marking_naming_an_unknown_place_is_an_input_error(self, net_a):
+        assert net_a.marking({"p2": 1}) == (0, 1)
+        with pytest.raises(InputError, match="unknown place 'nope'"):
+            net_a.marking({"nope": 1})
 
     def test_inhibitor_blocks(self, net_b):
         assert enabled_set(net_b, (1, 1)) == {"t1"}
@@ -388,8 +409,10 @@ class TestValidate:
             ({"transitions": ("t1", "t1")}, "duplicate transition name"),
             ({"initial": (1,)}, "initial marking length does not match place count"),
             ({"initial": (1, -1)}, "initial marking has a negative or non-integer count"),
+            ({"initial": (1, True)}, "initial marking has a negative or non-integer count"),
             ({"post": ((0, 1),)}, "post vector count does not match transition count"),
             ({"read": ((0, -1), (0, 0))}, "transition 't1': negative read weight"),
+            ({"pre": ((True, 0), (0, 1))}, "transition 't1': negative pre weight"),
             ({"intervals": (ParamInterval(2, 3),)}, "interval count does not match transition count"),
             ({"intervals": (ParamInterval(5, 2), ParamInterval(1, 4))}, "transition 't1': interval low exceeds high"),
             (
@@ -403,7 +426,8 @@ class TestValidate:
             ),
         ],
         ids=[
-            "duplicate-transition", "initial-length", "initial-negative", "vector-count", "negative-weight",
+            "duplicate-transition", "initial-length", "initial-negative", "initial-bool", "vector-count",
+            "negative-weight", "bool-weight",
             "interval-count", "low-over-high", "concrete-interval", "bad-interval-object", "domain-unknown-param",
         ],
     )
@@ -425,6 +449,11 @@ class TestValidate:
     def test_make_net_rejects_unknown_place(self):
         with pytest.raises(InputError):
             make_net([("p", 0)], {"t": {"pre": {"nope": 1}, "interval": (0, 1)}})
+
+    @pytest.mark.parametrize("weight", [-1, True, 1.0])
+    def test_make_net_rejects_a_weight_that_is_no_natural(self, weight):
+        with pytest.raises(InputError, match="^transition 't': post weight for 'p' must be a natural number$"):
+            make_net([("p", 0)], {"t": {"post": {"p": weight}, "interval": (0, 1)}})
 
 
 class TestSharedStepTable:
@@ -531,7 +560,7 @@ def test_interval_horizon_saturates_membership(iv):
 
 
 def test_param_interval_rejects_bad_bounds():
-    for low, high in [(-1, 3), (0, -2), (1.5, 3), (0, 2.0), (None, 3), ("2_4", "2_4"), ("a-b", 3), (0, "t\n"), ("inf", "inf"), (0, "inf")]:
+    for low, high in [(-1, 3), (0, -2), (1.5, 3), (0, 2.0), (None, 3), ("2_4", "2_4"), ("a-b", 3), (0, "t\n"), ("inf", "inf"), (0, "inf"), (True, 3), (0, True)]:
         with pytest.raises(InputError):
             ParamInterval(low, high)
     assert ParamInterval("tau_g", INF) == ParamInterval("tau_g", None)

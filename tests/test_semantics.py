@@ -65,6 +65,13 @@ class TestElapse:
     def test_zero_delay_rejected(self, net_a):
         with pytest.raises(PreconditionError):
             elapse(net_a, initial_state(net_a), 0)
+        with pytest.raises(PreconditionError, match="got True"):
+            elapse(net_a, initial_state(net_a), True)
+
+    @pytest.mark.parametrize("amount", [0, -1, True, 1.0])
+    def test_a_delay_label_needs_a_positive_int(self, amount):
+        with pytest.raises(PreconditionError, match="amount >= 1"):
+            Delay(amount)
 
     def test_overrun_rejected(self, net_a):
         with pytest.raises(TimeOverrunError):

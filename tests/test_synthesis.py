@@ -29,9 +29,11 @@ from tpnsynth import (
     instantiate,
     make_net,
     parse_formula,
+    parse_formula_file,
     parse_gmec,
 )
 from tpnsynth import semantics, synthesis, tctl
+from tpnsynth.biomodels import ClockConfig, EventFlag, LightDuration, NightLight, apply_observer, build_circadian_clock
 from tpnsynth.cli import main
 from tpnsynth.netfile import serialize_net
 from tpnsynth.petri import implicit_domain
@@ -109,6 +111,11 @@ class TestEnumerate:
         d = ParamDomain((lc({"x": 1, "y": 0}, ">=", 1),))
         with pytest.raises(InputError, match="missing parameter 'y'"):
             list(enumerate_valuations(d, {"x": (0, 3), "y": (0, 3)}, order=["x"]))
+
+    def test_constraint_outside_the_box_is_an_input_error(self):
+        d = ParamDomain((lc({"z": 1}, ">=", 1),))
+        with pytest.raises(InputError, match="missing parameter 'z'"):
+            list(enumerate_valuations(d, {"x": (0, 3)}))
 
 
 @pytest.fixture
@@ -349,18 +356,17 @@ class TestSynthesize:
         assert started == [2, [50, 50]]
         assert res.satisfying == synthesize(problem, jobs=1).satisfying == [{"td": td} for td in range(1, 41)]
 
-    def test_no_chunk_holds_more_than_CHUNK(self, monkeypatch, param_net):
-        monkeypatch.setattr(synthesis, "CHUNK", 16)
-        started = in_process_pool(monkeypatch)
-        problem = SynthesisProblem(param_net, parse_formula("EF[0,40](M(p2)>=1)"), {"td": (0, 100)})
-        sizes, check_chunk = [], synthesis.check_chunk
-        with monkeypatch.context() as m:  # records the chunks of one process, which the pool cannot pickle
-            m.setattr(synthesis, "check_chunk", lambda p, vals: sizes.append(len(vals)) or check_chunk(p, vals))
-            serial = synthesize(problem, jobs=1)
-        res = synthesize(problem, jobs=2)
-        assert sizes == [16] * 6 + [4]
-        assert started == [2, [16] * 6 + [4]]
-        assert res.satisfying == serial.satisfying == [{"td": td} for td in range(1, 41)]
+    def test_one_worker_checks_the_whole_box_under_one_memo(self, monkeypatch):
+        # one share of 5,000 valuations under one memo: each range is built
+        # once, wherever in the box its valuations lie
+        problem = case_study_problem("gene-delay", gene_delays=(1, 200))
+        vals = list(enumerate_valuations(implicit_domain(problem.net), problem.box, order=problem.net.parameters))
+        assert len(vals) == 5000 and range_builds(problem.net, vals, problem.limits) == 46
+        shares, check_chunk = [], synthesis.check_chunk
+        monkeypatch.setattr(synthesis, "check_chunk", lambda p, share: shares.append(share) or check_chunk(p, share))
+        built = counting_builds(monkeypatch)
+        res = synthesize(problem, jobs=1)
+        assert len(built) == 46 and len(shares) == 1 and res.explored == 5000
 
     def test_pool_kept_per_worker_count_and_dropped_when_broken(self, monkeypatch, param_net):
         log, chunks = [], []
@@ -528,6 +534,31 @@ def counting_builds(monkeypatch):
     return built
 
 
+def case_study_problem(box, gene_delays=(1, 13)):
+    """A box of ``scripts/run_case_study.py``, built as it builds it: query
+    II, query III with tg 1..2, gene-delay with tau_g over ``gene_delays``,
+    or spare-decay."""
+    lim = ExploreLimits(k_bound=2, max_states=200_000)
+    queries = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "models", "queries")
+    dark = {"tau_on": (0, 24), "tau_off": (0, 24)}
+    if box == "query II":
+        net = apply_observer(build_circadian_clock(ClockConfig(tau_g=1, tau_a=7)), LightDuration("td"))
+        phi, box = "phi_i.tctl", {"td": (0, 24)}
+    elif box == "query III":
+        cfg = ClockConfig(light_start="off", tau_g="tg", tau_a=7)
+        net = apply_observer(build_circadian_clock(cfg), NightLight("t1", "t2", "t3"))
+        phi, box = "phi_i.tctl", {"tg": (1, 2), "t1": (0, 12), "t2": (0, 12), "t3": (0, 12)}
+    elif box == "gene-delay":
+        cfg = ClockConfig(tau_on="tau_on", tau_off="tau_off", tau_g="tau_g", tau_a=7)
+        net = apply_observer(build_circadian_clock(cfg), EventFlag("t_g"))
+        phi, box = "elicit_tg.tctl", {**dark, "tau_g": gene_delays}
+    else:
+        cfg = ClockConfig(tau_on="tau_on", tau_off="tau_off", tau_g=1, tau_a=7)
+        net = apply_observer(build_circadian_clock(cfg), EventFlag("t_a"))
+        phi, box = "elicit_ta.tctl", dark
+    return SynthesisProblem(net, parse_formula_file(os.path.join(queries, phi)), box, lim)
+
+
 def _gated():
     """The race's winner at time a opens the gate, and the gate's transition
     waits b: b is read only where a <= 2, when ``open`` can win."""
@@ -606,6 +637,15 @@ class TestChunkMemo:
                 if in_range(w, r):
                     other = graphs[tuple(w.items())]
                     assert (other.succ, other.mids, other.inner) == (g.succ, g.mids, g.inner)
+
+    @pytest.mark.parametrize(
+        "box, valuations, builds",
+        [("query II", 25, 25), ("query III", 182, 118), ("gene-delay", 325, 46), ("spare-decay", 25, 25)],
+    )
+    def test_a_case_study_box_builds_once_per_range(self, monkeypatch, box, valuations, builds):
+        built = counting_builds(monkeypatch)
+        assert synthesize(case_study_problem(box), jobs=1).explored == valuations
+        assert len(built) == builds
 
     def test_a_chunk_builds_once_per_range(self, monkeypatch):
         # open fires where a <= 2, and shut, which b bounds, after it: one

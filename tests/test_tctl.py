@@ -197,6 +197,18 @@ class TestParseFormula:
             parse_formula("EF[0,3 M(p)>=1")
         assert exc.value.pos == 7
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("EF 3 (M(p)>=1)", "expected a time interval (at column 4)"),
+            ("EF[5,3](M(p)>=1)", "interval low 5 exceeds high 3 (at column 7)"),
+        ],
+    )
+    def test_a_bad_interval_fails_at_its_column(self, text, message):
+        with pytest.raises(FormulaSyntaxError) as exc:
+            parse_formula(text)
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("text", ["true", "false", "EF[0,3](true) & !(false)"])
     def test_true_and_false_round_trip_through_formatter(self, text):
         phi = parse_formula(text)
