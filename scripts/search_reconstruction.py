@@ -21,11 +21,11 @@ from multiprocessing import Pool
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
-from tpnsynth import ExploreLimits, build, check, instantiate, make_net, parse_formula
-from tpnsynth.biomodels import EventFlag, apply_observer
+from tpnsynth import ExploreLimits, SynthesisProblem, build, check, instantiate, make_net, parse_formula, synthesize
+from tpnsynth.biomodels import ClockConfig, EventFlag, apply_observer, build_circadian_clock, flag_place
 from tpnsynth.cli import _count
 from tpnsynth.errors import TpnError
-from tpnsynth.petri import LinearConstraint
+from tpnsynth.petri import net_spec
 from tpnsynth.synthesis import usable_cpus
 
 LIM = ExploreLimits(k_bound=2, max_states=60_000)
@@ -40,6 +40,7 @@ PHI_B = parse_formula(
 
 TG_TARGET = set(range(7, 12)) | {23}
 TA_TARGET = {23, 24}
+DARK_BOX = {"tau_on": (0, 24), "tau_off": (0, 24)}  # the builder adds tau_on + tau_off = 24
 
 PC_DOWN_READS = [(), ("P_L0",), ("P_G0",), ("P_G1",), ("P_L1",)]
 GENE_UP_READS = [("P_L1",), (), ("P_L1", "P_PC0")]
@@ -64,63 +65,31 @@ def variants(quick=False):
 
 
 def clock_net(v, tau_on, tau_off, tau_g, tau_a):
+    """The shipped clock's builder with variant v's read arcs and t_a role."""
+    cfg = ClockConfig(
+        tau_on=tau_on, tau_off=tau_off, tau_01=v["d_c"], tau_10=v["d_f"], tau_b=v["d_b"], tau_g=tau_g, tau_a=tau_a
+    )
+    places, transitions, params, constraints = net_spec(build_circadian_clock(cfg))
     role, a_read = v["a_role"]
-    if role == "pc_down":
-        a_pre, a_post = {"P_PC1": 1}, {"P_PC0": 1}
-    else:
-        a_pre, a_post = {"P_G0": 1}, {"P_G1": 1}
-    transitions = {
-        "t_on": {"pre": {"P_L0": 1}, "post": {"P_L1": 1}, "interval": (tau_on, tau_on)},
-        "t_off": {"pre": {"P_L1": 1}, "post": {"P_L0": 1}, "interval": (tau_off, tau_off)},
-        "t_c": {
-            "pre": {"P_PC0": 1, "P_G1": 1},
-            "post": {"P_PC1": 1, "P_G0": 1},
-            "read": {"P_L0": 1},
-            "interval": (v["d_c"], v["d_c"]),
-        },
-        "t_f": {
-            "pre": {"P_PC1": 1},
-            "post": {"P_PC0": 1},
-            "read": {p: 1 for p in v["f_read"]},
-            "interval": (v["d_f"], v["d_f"]),
-        },
-        "t_b": {
-            "pre": {"P_G0": 1},
-            "post": {"P_G1": 1},
-            "read": {p: 1 for p in v["b_read"]},
-            "interval": (v["d_b"], v["d_b"]),
-        },
-        "t_g": {
-            "pre": {"P_G1": 1},
-            "post": {"P_G0": 1},
-            "read": {p: 1 for p in v["g_read"]},
-            "interval": (tau_g, tau_g),
-        },
-        "t_a": {
-            "pre": a_pre,
-            "post": a_post,
-            "read": {p: 1 for p in a_read},
-            "interval": (tau_a, tau_a),
-        },
-    }
-    places = [("P_L0", 0), ("P_L1", 1), ("P_G0", 1), ("P_G1", 0), ("P_PC0", 1), ("P_PC1", 0)]
-    return instantiate(make_net(places, transitions), {})
+    for t, read in (("t_f", v["f_read"]), ("t_b", v["b_read"]), ("t_g", v["g_read"]), ("t_a", a_read)):
+        transitions[t]["read"] = dict.fromkeys(read, 1)
+    if role == "gene_up":
+        transitions["t_a"].update(pre={"P_G0": 1}, post={"P_G1": 1})
+    return make_net(places, transitions, parameters=params, constraints=constraints)
 
 
-def holds(net, phi):
-    return check(net, build(net, LIM), phi).holds
+def flag_formula(transition):
+    return parse_formula(f"EF[0,inf](M({flag_place(transition)})>0)")
 
 
 def flag_holds(net, transition):
-    flagged = apply_observer(net, EventFlag(transition))
-    concrete = instantiate(flagged, {})
-    phi = parse_formula(f"EF[0,inf](M(p_O_{transition})>0)")
-    return holds(concrete, phi)
+    concrete = instantiate(apply_observer(net, EventFlag(transition)), {})
+    return check(concrete, build(concrete, LIM), flag_formula(transition)).holds
 
 
 def hard_filter(v):
     try:
-        nominal = clock_net(v, 12, 12, 1, 7)
+        nominal = instantiate(clock_net(v, 12, 12, 1, 7), {})
         g = build(nominal, SAFE)
         if not g.complete:
             return False
@@ -138,17 +107,16 @@ def hard_filter(v):
 
 
 def signature(v):
-    tg, ta = set(), set()
-    try:
-        for on in range(0, 25):
-            off = 24 - on
-            if flag_holds(clock_net(v, on, off, 1, 7), "t_g"):
-                tg.add(on)
-            if flag_holds(clock_net(v, on, off, 1, 7), "t_a"):
-                ta.add(on)
-    except TpnError:
-        return None
-    return tg, ta
+    """The darkness lengths tau_on in 0..24 at which t_g, and t_a, may fire;
+    None when a valuation fails."""
+    clock, sig = clock_net(v, "tau_on", "tau_off", 1, 7), []
+    for t in ("t_g", "t_a"):
+        problem = SynthesisProblem(apply_observer(clock, EventFlag(t)), flag_formula(t), DARK_BOX, LIM)
+        res = synthesize(problem)
+        if res.failures:
+            return None
+        sig.append({val["tau_on"] for val in res.satisfying})
+    return tuple(sig)
 
 
 def score(v):

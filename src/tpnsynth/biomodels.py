@@ -128,6 +128,19 @@ def apply_observer(n: Net, spec: ObserverSpec) -> Net:
         places.append((p, 1))
         inh[p] = 1
 
+    def chain(place_names, steps) -> list:
+        """Fresh places, the first one marked, and per step (name, delay,
+        light switch) a timed transition that moves the token one place on
+        and, given a switch (from, to), the light with it."""
+        names = [_fresh(p, taken) for p in place_names]
+        places.extend([(p, 1 if k == 0 else 0) for k, p in enumerate(names)])
+        for k, (name, d, switch) in enumerate(steps):
+            pre, post = {names[k]: 1}, {names[k + 1]: 1}
+            for side, p in zip((pre, post), switch):
+                side[p] = 1
+            transitions[_fresh(name, taken)] = {"pre": pre, "post": post, "interval": (d, d)}
+        return names
+
     if isinstance(spec, InhibitTransition):
         inhibit(spec.transition)
     elif isinstance(spec, KnockOut):
@@ -145,21 +158,16 @@ def apply_observer(n: Net, spec: ObserverSpec) -> Net:
         transitions[t_star] = {"pre": {"P_L1": 1}, "post": {"P_L0": 1}, "interval": (d, d)}
     elif isinstance(spec, NightLight):
         dawn = arcs("t_on", "inhibit")
-        names = [_fresh(p, taken) for p in ("p_night_wait", "p_night_lit", "p_night_late", "p_night_done")]
-        places.extend([(names[0], 1), (names[1], 0), (names[2], 0), (names[3], 0)])
-        for phase in names[:3]:
-            dawn[phase] = 1  # the natural dawn is blocked while the observer runs
         taus = (spec.tau1, spec.tau2, spec.tau3)
         delays = [_as_param(x, params) for x in taus]
         # light forced on, forced off, then the night ends: dawn is forced
         # and the inhibition token set drains
-        steps = (("o_force_on", "P_L0", "P_L1"), ("o_force_off", "P_L1", "P_L0"), ("o_night_end", "P_L0", "P_L1"))
-        for k, ((name, light_from, light_to), d) in enumerate(zip(steps, delays)):
-            transitions[_fresh(name, taken)] = {
-                "pre": {names[k]: 1, light_from: 1},
-                "post": {names[k + 1]: 1, light_to: 1},
-                "interval": (d, d),
-            }
+        switches = (("P_L0", "P_L1"), ("P_L1", "P_L0"), ("P_L0", "P_L1"))
+        names = chain(
+            ("p_night_wait", "p_night_lit", "p_night_late", "p_night_done"),
+            zip(("o_force_on", "o_force_off", "o_night_end"), delays, switches),
+        )
+        dawn.update(dict.fromkeys(names[:3], 1))  # the natural dawn is blocked while the observer runs
         lit = sum(x for x in taus if isinstance(x, int))
         sym = [x for x in taus if isinstance(x, str)]
         if sym:
@@ -167,19 +175,11 @@ def apply_observer(n: Net, spec: ObserverSpec) -> Net:
         elif lit != 12:
             raise InputError(f"night phases sum to {lit}, expected 12")
     elif isinstance(spec, JetLag):
-        names = [_fresh(p, taken) for p in ("p_jl_wait", "p_jl_hold", "p_jl_done")]
-        places.extend([(names[0], 1), (names[1], 0), (names[2], 0)])
-        transitions[_fresh("o_jl_start", taken)] = {
-            "pre": {names[0]: 1},
-            "post": {names[1]: 1},
-            "interval": (spec.normal, spec.normal),
-        }
+        names = chain(
+            ("p_jl_wait", "p_jl_hold", "p_jl_done"),
+            (("o_jl_start", spec.normal, ()), ("o_jl_release", spec.extended, ("P_L1", "P_L0"))),
+        )
         arcs("t_off", "inhibit")[names[1]] = 1
-        transitions[_fresh("o_jl_release", taken)] = {
-            "pre": {names[1]: 1, "P_L1": 1},
-            "post": {names[2]: 1, "P_L0": 1},
-            "interval": (spec.extended, spec.extended),
-        }
     else:
         raise InputError(f"unknown observer spec {spec!r}")
     return make_net(places, transitions, parameters=params, constraints=constraints)

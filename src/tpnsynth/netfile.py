@@ -85,13 +85,18 @@ def parse_net(text: str) -> Net:
     return make_net(places, transitions, parameters=params, constraints=constraints)
 
 
-def parse_net_file(path) -> Net:
+def read_utf8(path, kind: str) -> str:
+    """The text of a ``kind`` file (net, formula), less a leading BOM; an
+    InputError naming the first bad byte when it is not UTF-8."""
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read().removeprefix("\ufeff")  # a BOM is UTF-8; "utf-8-sig" would count error offsets past it
+            return fh.read().removeprefix("\ufeff")  # a BOM is UTF-8; "utf-8-sig" would count error offsets past it
     except UnicodeDecodeError as exc:
-        raise InputError(f"net file {str(path)!r} is not UTF-8: {exc.reason} at byte {exc.start}") from None
-    return parse_net(text)
+        raise InputError(f"{kind} file {str(path)!r} is not UTF-8: {exc.reason} at byte {exc.start}") from None
+
+
+def parse_net_file(path) -> Net:
+    return parse_net(read_utf8(path, "net"))
 
 
 def _check_references(places, params, transitions, lines, domain):
@@ -177,7 +182,7 @@ def _rational(text, what, lineno) -> Fraction:
 
 
 def _parse_constraint(text, lineno) -> LinearConstraint:
-    m = re.match(r"(.+?)(<=|>=|=|<|>)(.+)$", text)
+    m = re.match(r"(.*?)(<=|>=|=|<|>)(.+)$", text)
     if not m:
         raise NetSyntaxError("domain constraint needs a comparison", lineno)
     lhs, rel, rhs = m.group(1).strip(), m.group(2), m.group(3).strip()
@@ -207,14 +212,7 @@ def serialize_net(n: Net) -> str:
     places, transitions, params, constraints = net_spec(n)
     out = [f"place {p} {tokens}" for p, tokens in places]
     out += [f"param {p}" for p in params]
-    for c in constraints:
-        terms = []
-        for i, (p, coef) in enumerate(c.coeffs):
-            mag = coef if (coef >= 0 or i == 0) else -coef
-            prefix = "" if i == 0 else (" + " if coef >= 0 else " - ")
-            coef_txt = "" if mag == 1 else f"{mag}*"
-            terms.append(f"{prefix}{coef_txt}{p}")
-        out.append(f"domain {''.join(terms)} {c.rel} {c.bound}")
+    out += [f"domain {c}" for c in constraints]
     for t, spec in transitions.items():
         parts = [f"trans {t}"]
         for what in ("pre", "post", "read", "inhibit"):

@@ -183,8 +183,12 @@ class LinearConstraint:
         return {p for p, _ in self.coeffs}
 
     def __str__(self):
-        terms = " + ".join(f"{c}*{p}" for p, c in self.coeffs) or "0"
-        return f"{terms} {self.rel} {self.bound}"
+        """The ``.tpnet`` ``domain`` syntax: ``-1*x + 2*y - 1/2*z <= 3/2``."""
+        terms = []
+        for i, (p, c) in enumerate(self.coeffs):
+            sign, mag = ("", c) if i == 0 else (" - ", -c) if c < 0 else (" + ", c)
+            terms.append(f"{sign}{'' if mag == 1 else f'{mag}*'}{p}")
+        return f"{''.join(terms)} {self.rel} {self.bound}"
 
 
 @dataclass(frozen=True)
@@ -265,7 +269,8 @@ class StepTable:
 
     * ``need[t]``: (place, max(pre, read)) pairs with a positive weight;
     * ``inhibit[t]``: (place, threshold) pairs of its inhibitor arcs;
-    * ``delta[t]``: (place, post - pre) pairs where the change is nonzero.
+    * ``delta[t]``: (place, post - pre) pairs where the change is nonzero,
+      which ``fired`` adds to a marking.
 
     Nothing in a table depends on a valuation, so every instance of a
     parametric net (``instantiate``) steps on the net's own table, which is
@@ -310,6 +315,13 @@ class StepTable:
             self.enabled_at.append(tuple([t for t in range(self.nt) if self.enabled(m, t)]))
             self.peak.append(max(m, default=0))
         return mid
+
+    def fired(self, m, t: int) -> tuple:
+        """The marking that firing t at marking tuple m leads to."""
+        m2 = list(m)
+        for p, d in self.delta[t]:
+            m2[p] += d
+        return tuple(m2)
 
     def enabled(self, m, t: int) -> bool:
         for p, w in self.need[t]:
@@ -463,13 +475,6 @@ def enabled_set(n: Net, m: Marking) -> set:
     return {t for i, t in enumerate(n.transitions) if enabled(m, i)}
 
 
-def fire_marking(n: Net, m: Marking, ti: int) -> Marking:
-    m2 = list(m)
-    for p, d in n.steps.delta[ti]:
-        m2[p] += d
-    return tuple(m2)
-
-
 def newly_enabled_set(n: Net, m: Marking, fired: str) -> set:
     """Transitions whose enabling is created by firing ``fired`` from m:
     enabled at the successor marking and either equal to the fired
@@ -478,7 +483,7 @@ def newly_enabled_set(n: Net, m: Marking, fired: str) -> set:
     before = enabled_set(n, m)
     if fired not in before:
         raise PreconditionError(f"transition {fired!r} is not enabled at {m}")
-    after = enabled_set(n, fire_marking(n, m, ti))
+    after = enabled_set(n, n.steps.fired(m, ti))
     return (after - before) | ({fired} & after)
 
 
@@ -526,6 +531,8 @@ def validate_net(n: Net) -> list:
                 diags.append(f"transition {t!r}: bad interval object")
     declared = set(n.parameters)
     for c in n.domain.constraints:
+        if not c.coeffs:
+            diags.append("domain constraint has no parameter terms")  # the reader's rule: serialize_net round-trips
         for p in c.params():
             if p not in declared:
                 diags.append(f"domain constraint references unknown parameter {p!r}")

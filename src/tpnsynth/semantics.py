@@ -219,10 +219,7 @@ def _fire_masks(lay: Layout, mid: int, t: int) -> tuple:
     (marking, transition, width) and kept in the table's cache for the
     width."""
     tab, shifts, field = lay.tab, lay.shifts, lay.field
-    m2 = list(tab.markings[mid])
-    for p, d in tab.delta[t]:
-        m2[p] += d
-    mid2 = tab.intern(tuple(m2))
+    mid2 = tab.intern(tab.fired(tab.markings[mid], t))
     on, on2 = tab.enabled_at[mid], tab.enabled_at[mid2]
     keep, start = (1 << lay.shift) - 1, mid2 << lay.shift
     for u in on:

@@ -89,6 +89,7 @@ from .errors import (
     IncompleteGraphError,
     InputError,
 )
+from .netfile import read_utf8
 from .petri import INF, NAME, NAT, RELATIONS, ConcreteNet, Net, TimeInterval
 from .semantics import step_labels
 from .statespace import ReachGraph
@@ -362,7 +363,8 @@ class _Parser:
     def expect(self, kind):
         t = self.next()
         if t[0] != kind:
-            raise FormulaSyntaxError(f"expected {kind!r}, got {t[1]!r}", pos=t[2])
+            got = "the end of the formula" if t[0] == "EOF" else repr(t[1])
+            raise FormulaSyntaxError(f"expected {kind!r}, got {got}", pos=t[2])
         return t
 
     def lifts(self, t):
@@ -528,11 +530,7 @@ def parse_formula(text: str) -> Formula:
 
 def parse_formula_file(path) -> Formula:
     """Parse a .tctl file; lines starting with # are comments."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().removeprefix("\ufeff").splitlines()  # a BOM is UTF-8, as in parse_net_file
-    except UnicodeDecodeError as exc:
-        raise InputError(f"formula file {str(path)!r} is not UTF-8: {exc.reason} at byte {exc.start}") from None
+    lines = read_utf8(path, "formula").splitlines()
     return parse_formula("\n".join(line for line in lines if not line.lstrip().startswith("#")))
 
 

@@ -726,6 +726,20 @@ def test_case_study_prints_the_same_lines_at_one_and_two_jobs():
     )
 
 
+def test_quick_structure_search_prints_its_pinned_lines():
+    """scripts/search_reconstruction.py --quick at --jobs 1, whose progress
+    lines follow variant order: a change that alters a search line on
+    purpose updates this digest."""
+    proc = subprocess.run(
+        [sys.executable, os.path.join(SCRIPTS, "search_reconstruction.py"), "--quick", "--jobs", "1"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+        "43b35deec0a0e303d8cfa679df99f4a6062b326540f1e2d9b8f42c85ee7039b9"
+    )
+
+
 def _search_script():
     path = os.path.join(SCRIPTS, "search_reconstruction.py")
     spec = importlib.util.spec_from_file_location("search_reconstruction", path)
@@ -775,7 +789,7 @@ def test_structure_search_filter_keeps_the_shipped_clock():
         g_read=("P_PC1",), a_role=("pc_down", ("P_G1",)),
     )
     assert shipped in list(search.variants())
-    nominal = build(search.clock_net(shipped, 12, 12, 1, 7))
+    nominal = build(instantiate(search.clock_net(shipped, 12, 12, 1, 7), {}))
     assert nominal.keys == build(instantiate(build_circadian_clock(), {})).keys
     assert search.hard_filter(shipped)
     assert not search.hard_filter({**shipped, "d_c": 5})

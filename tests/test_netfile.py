@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from tpnsynth import InputError, NetSyntaxError, make_net
 from tpnsynth.cli import main
 from tpnsynth.netfile import parse_net, serialize_net
-from tpnsynth.petri import LinearConstraint
+from tpnsynth.petri import RELATIONS, LinearConstraint
 
 from _gen import mutate_text, random_parametric_net
 
@@ -107,12 +108,14 @@ trans t pre a*2 post b read c inhibit b*3 interval [0,inf)
             ("place p 1\nparam a\ndomain 1/0*a >= 1\ntrans t pre p interval [a,a]", 3, "bad coefficient"),
             ("place p 1\nparam a\ndomain a.b >= 1\ntrans t pre p interval [a,a]", 3, "bad parameter name"),
             ("place p 1\nparam a\ndomain + >= 1\ntrans t pre p interval [a,a]", 3, "no parameter terms"),
+            ("place p 1\nparam a\ndomain >= 1\ntrans t pre p interval [a,a]", 3, "constraint has no parameter terms"),
+            ("place p 1\nparam a\ndomain = 1\ntrans t pre p interval [a,a]", 3, "constraint has no parameter terms"),
         ],
         ids=[
             "net-two-names", "place-no-name", "place-too-many-fields", "param-no-name", "param-duplicate",
             "trans-no-name", "trans-duplicate", "no-place", "no-transition", "trans-named-like-place",
             "domain-undeclared-param", "interval-no-bound", "weight-zero", "interval-low-over-high", "coefficient-over-zero",
-            "constraint-bad-param-name", "constraint-no-param-term",
+            "constraint-bad-param-name", "constraint-no-param-term", "constraint-no-left-side", "equation-no-left-side",
         ],
     )
     def test_each_syntax_error_at_its_line(self, text, line, message, tmp_path, capsys):
@@ -191,6 +194,37 @@ class TestRoundTrip:
             make_net(places, {"t": {"pre": {"p": 1}, "interval": interval}})
         ints = make_net([(p, int(n)) for p, n in places], {"t": {"pre": {"p": 1}, "interval": tuple(map(int, interval))}})
         assert parse_net(serialize_net(ints)) == ints
+
+    def test_a_domain_constraint_needs_a_parameter_term_so_no_unreadable_text_is_written(self):
+        with pytest.raises(InputError, match="^domain constraint has no parameter terms$"):
+            make_net([("p", 1)], {"t": {"pre": {"p": 1}, "interval": (0, 1)}}, constraints=[LinearConstraint.make({}, ">=", 0)])
+
+    def test_a_domain_constraint_prints_as_its_domain_line(self):
+        c = LinearConstraint.make({"a": -1, "b": 1, "c": "-3/2", "d": 0, "e": 2}, "<", "-7/3")
+        assert str(c) == "-1*a + b - 3/2*c + 0*d + 2*e < -7/3"
+        net = make_net([("p", 1)], {"t": {"pre": {"p": 1}, "interval": (0, 1)}}, parameters="abcde", constraints=[c])
+        params = "".join(f"param {x}\n" for x in "abcde")
+        assert serialize_net(net) == f"place p 1\n{params}domain -1*a + b - 3/2*c + 0*d + 2*e < -7/3\ntrans t pre p interval [0,1]\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_rational_domain_constraints_roundtrip(self, data):
+        """Each constraint's one to three terms take rational coefficients,
+        -1 and 0 among them, the first one negative too, under every
+        relation and a rational bound, all printed by LinearConstraint."""
+        rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+        coefficients = st.one_of(st.sampled_from([Fraction(-1), Fraction(0), Fraction(1)]), rationals)
+        constraints = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            names = data.draw(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=3, unique=True))
+            coeffs = {p: data.draw(coefficients) for p in names}
+            constraints.append(LinearConstraint.make(coeffs, data.draw(st.sampled_from(sorted(RELATIONS))), data.draw(rationals)))
+        net = make_net(
+            [("p", 1)], {"t": {"pre": {"p": 1}, "interval": ("a", "b")}}, parameters=["a", "b", "c"], constraints=constraints
+        )
+        text = serialize_net(net)
+        assert [line for line in text.splitlines() if line.startswith("domain")] == [f"domain {c}" for c in constraints]
+        assert parse_net(text) == net
 
     def test_serialization_is_stable(self):
         rng = random.Random(73)

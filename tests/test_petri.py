@@ -28,7 +28,7 @@ from tpnsynth import (
     newly_enabled_set,
     validate_net,
 )
-from tpnsynth.petri import INF, RELATIONS, Net, StepTable, fire_marking, implicit_domain, net_spec
+from tpnsynth.petri import INF, RELATIONS, Net, StepTable, implicit_domain, net_spec
 from tpnsynth.semantics import layout
 
 from _gen import outcome, random_concrete_net, random_gated_net, random_parametric_net, reference_build
@@ -314,7 +314,7 @@ class TestNewlyEnabled:
             if not fireable:
                 continue
             t = rng.choice(fireable)
-            m2 = fire_marking(net, m, net.transition_index[t])
+            m2 = net.steps.fired(m, net.transition_index[t])
             assert newly_enabled_set(net, m, t) <= enabled_set(net, m2)
             checked += 1
 
@@ -424,11 +424,13 @@ class TestValidate:
                 {"domain": ParamDomain((lc({"x": 1}, ">=", 1),))},
                 "domain constraint references unknown parameter 'x'",
             ),
+            ({"domain": ParamDomain((lc({}, ">=", 0),))}, "domain constraint has no parameter terms"),
         ],
         ids=[
             "duplicate-transition", "initial-length", "initial-negative", "initial-bool", "vector-count",
             "negative-weight", "bool-weight",
             "interval-count", "low-over-high", "concrete-interval", "bad-interval-object", "domain-unknown-param",
+            "domain-no-term",
         ],
     )
     def test_each_diagnostic_of_a_net_built_directly(self, change, message):

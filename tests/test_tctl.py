@@ -209,6 +209,18 @@ class TestParseFormula:
             parse_formula(text)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("EF[0,inf](M(p)>=1", "expected ')', got the end of the formula (at column 18)"),
+            ("M(p)>=1 )", "expected 'EOF', got ')' (at column 9)"),
+        ],
+    )
+    def test_a_missing_token_is_named_at_its_column(self, text, message):
+        with pytest.raises(FormulaSyntaxError) as exc:
+            parse_formula(text)
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("text", ["true", "false", "EF[0,3](true) & !(false)"])
     def test_true_and_false_round_trip_through_formatter(self, text):
         phi = parse_formula(text)
