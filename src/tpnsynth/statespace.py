@@ -19,11 +19,12 @@ delay line is deterministic, so the BFS then chains the nodes on each line,
 a run ending at the next node on its line, and no node lies inside a run.
 
 The graph answers in unit steps: ``len(g)`` counts unit-step states, and
-``states``, ``edges`` and witnesses walk the unit positions of
-``ReachGraph.unit_view`` in the unfolded BFS order. ``max_states`` counts
-unit-step states, and a k-bound or state-cap stop is the unfolded BFS's
-own, partial graph included, as the folded BFS meets markings in another
-order.
+``states`` and ``edges`` walk the unit positions (``ReachGraph.positions``)
+in the unfolded BFS order; witnesses are searched over nodes, each run one
+jump, and expanded into unit steps along the path found (``tctl``).
+``max_states`` counts unit-step states, and a k-bound or state-cap stop is
+the unfolded BFS's own, partial graph included, as the folded BFS meets
+markings in another order.
 
 A node is its key, whose top bits hold the id of its marking in the net's
 step table; ``ReachGraph.mids`` lists those ids, one per node. The
@@ -80,32 +81,25 @@ class ReachGraph:
         """The number of unit-step states: the nodes and the states inside runs."""
         return len(self.keys) + self.inner
 
-    def unit_view(self):
-        """The unit-step graph the folded one stands for, as step(p): the unit
-        out-edges (t, q) of position p, fires in transition order, then the
-        delay, t = -1. A position is a node, or (k, o): o delays into k's run."""
-        succ = self.succ
-
-        def step(p):
-            if type(p) is int:
-                outs = succ[p]  # a run's edge is its source's only one
-                return [(-1, (p, 1))] if outs and outs[0][0] < -1 else outs
-            (k, o), (t, j) = p, succ[p[0]][0]
-            return [(-1, j if o + 1 == -t else (k, o + 1))]
-
-        return step
-
     def positions(self, outs=None) -> list:
         """The unit positions in unit-step BFS order: unit state i is at
-        ``positions()[i]``. No node lies inside a run, so a state there is met
-        once. When given, ``outs`` gets step(p) of each position in order."""
-        order, step = [0][: len(self.keys)], self.unit_view()
+        ``positions()[i]``. A position is a node, or (k, o): o delays into
+        k's run. No node lies inside a run, so a state there is met once.
+        When given, ``outs`` gets the unit out-edges (t, q) of each position
+        in order: fires in transition order, then the delay, t = -1."""
+        order, succ = [0][: len(self.keys)], self.succ
         seen = bytearray(len(self.keys))  # a flag per node met so far
         if order:
             seen[0] = 1
         keep = outs.append if outs is not None else None
         for p in order:  # grows while it is walked: the BFS queue
-            ps = step(p)
+            if type(p) is int:
+                ps = succ[p]  # a run's edge is its source's only one
+                if ps and ps[0][0] < -1:
+                    ps = [(-1, (p, 1))]
+            else:
+                (k, o), (t, j) = p, succ[p[0]][0]
+                ps = [(-1, j if o + 1 == -t else (k, o + 1))]
             if keep:
                 keep(ps)
             for _, q in ps:

@@ -64,8 +64,9 @@ run, phi at an offset and the set one offset on.
 lower bound typed in by a user; ``compile_plan`` refuses a larger a. On its
 first until, the checker derives its fire and delay predecessor lists and
 its runs from the graph's int edges (t = -1 a unit delay, t < -1 a run),
-and they die with it. Witnesses walk the unit-step positions
-(``ReachGraph.unit_view``), as on an unfolded graph.
+and they die with it. A witness is searched over (node, capped time)
+entries, a run one jump in unit-BFS order, and only the path found is
+expanded into unit-step labels (``_Checker.witness_eu``).
 
 Until is position-based: ``E phi U_I psi`` holds when some path reaches a
 psi-state at an accumulated time inside I with phi true at every strictly
@@ -77,7 +78,6 @@ from __future__ import annotations
 import operator
 import re
 from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
@@ -310,6 +310,7 @@ _SYMBOLS = [
     "*", "+", "-", "<", ">", "=", "&", "|", "!",
 ]
 _ALIASES = {"/\\": "&", "\\/": "|", "==": "="}
+_KINDS = {"EOF": "the end of the formula", "INT": "a natural number", "NAME": "a name"}  # as messages name them
 # one token after optional whitespace: the longest symbol, a natural or a
 # name (ASCII only, as in nets), any other character being an error
 _TOKEN = re.compile(
@@ -363,8 +364,8 @@ class _Parser:
     def expect(self, kind):
         t = self.next()
         if t[0] != kind:
-            got = "the end of the formula" if t[0] == "EOF" else repr(t[1])
-            raise FormulaSyntaxError(f"expected {kind!r}, got {got}", pos=t[2])
+            want, got = _KINDS.get(kind, repr(kind)), _KINDS["EOF"] if t[0] == "EOF" else repr(t[1])
+            raise FormulaSyntaxError(f"expected {want}, got {got}", pos=t[2])
         return t
 
     def lifts(self, t):
@@ -770,38 +771,70 @@ class _Checker:
         i at the initial node, where it holds; all pre-target positions
         satisfy its left operand. It reads only the operands' node sets
         (``nodes``, kept in ``sat``), so a root until that ``at_initial``
-        decided by its scan stays unlabelled. The search walks the
-        unit-step positions (``ReachGraph.unit_view``), where no node lies
-        inside a run: (k, o) is offset o of k's run."""
+        decided by its scan stays unlabelled.
+
+        The path is the unit-step BFS's over (position, time capped at the
+        interval's horizon) entries: the first target it dequeues, each
+        entry's parent the first entry dequeued with an edge into it. This
+        search finds the same path over (node, capped time) entries, a run
+        of w delays one jump of w unit steps, and expands only that path
+        into labels. Entries wait in buckets by unit depth, and a depth is
+        taken in the order of the child-index paths from the start, as the
+        BFS dequeues them: the key is an int whose digits are those
+        indices, a unit step inside a run having index 0. A run is looked
+        into only where a target may lie (psi's flips, within the
+        interval's bounds) and where phi breaks. Two chains of one run
+        source that meet at the horizon share their entries from there on;
+        the one dequeued first keeps them, and its target or arrival comes
+        before the other's."""
         _, left, iv, right = plan.ops[i]
-        step = self.g.unit_view()
-
-        def holds(s, p):  # node set s at unit position p, offset o of k's run (0 at node k)
-            k, o = (p, 0) if type(p) is int else p
-            return s[0][k] ^ (bisect_right(s[1].get(k, ()), o) & 1)
-
-        satphi, satpsi = self.nodes(plan, left, sat), self.nodes(plan, right, sat)
-        H = iv.horizon
+        psi, psiruns = self.nodes(plan, right, sat)
         start = (self.g.initial, 0)
-        parent = {start: None}
-        queue = deque([start])
-        while queue:
-            v, c = queue.popleft()
-            if iv.contains(c) and holds(satpsi, v):
-                labels, path = step_labels(self.g.net), []
-                cur = (v, c)
-                while parent[cur] is not None:
-                    cur, t = parent[cur]
-                    path.append(labels[t])
-                return path[::-1]
-            if not holds(satphi, v):
-                continue
-            for t, w in step(v):
-                nxt = (w, min(c + 1, H) if t < 0 else c)
-                if nxt not in parent:
-                    parent[nxt] = ((v, c), t)
-                    queue.append(nxt)
+        if iv.contains(0) and psi[start[0]]:  # the start is the target: no search
+            return []
+        phi, phiruns = self.nodes(plan, left, sat)
+        succ, labels = self.g.succ, step_labels(self.g.net)
+        H, lo, hi, bits = iv.horizon, iv.int_low(), iv.int_high(), len(labels).bit_length()
+        parent, buckets = {}, {0: [(0, start, None)]}  # unit depth -> [(key, entry, link from its parent)]
+        while buckets:
+            d = min(buckets)
+            for key, entry, via in sorted(buckets.pop(d), key=operator.itemgetter(0)):
+                if entry is None:  # a target inside the run from via[0], via[2] units on
+                    return _trail(parent, labels, *via)
+                if entry in parent:
+                    continue
+                parent[entry] = via
+                v, c = entry
+                if lo <= c <= hi and psi[v]:
+                    return _trail(parent, labels, entry, -1, 0)
+                if not phi[v]:
+                    continue
+                outs = succ[v]
+                if not (outs and outs[0][0] < -1):
+                    for x, (t, u) in enumerate(outs):
+                        buckets.setdefault(d + 1, []).append((key << bits | x, (u, min(c + 1, H) if t < 0 else c), (entry, t, 1)))
+                    continue
+                w, u = -outs[0][0], outs[0][1]  # a run of w delays into u
+                broken = phiruns.get(v, (w,))[0]  # the first offset where phi fails: met, not left
+                first, last = max(1, lo - c), min(broken, w - 1, hi - c)  # where a target may lie
+                flips = psiruns.get(v, ())
+                at = bisect_right(flips, first)
+                o = first if psi[v] ^ (at & 1) else flips[at] if at < len(flips) else INF
+                if o <= last:
+                    buckets.setdefault(d + o, []).append((key << bits * o, None, (entry, -1, o)))
+                elif broken == w:
+                    buckets.setdefault(d + w, []).append((key << bits * w, (u, min(c + w, H)), (entry, -1, w)))
         return None
+
+
+def _trail(parent: dict, labels: list, entry, t: int, n: int) -> list:
+    """The labels along the parent links from the start to ``entry``, then
+    n times labels[t]; a link is (entry, t, n) likewise."""
+    path = [labels[t]] * n
+    while parent[entry] is not None:
+        entry, t, n = parent[entry]
+        path += [labels[t]] * n
+    return path[::-1]
 
 
 def _flags(n: int, nodes) -> bytes:

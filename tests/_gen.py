@@ -1,10 +1,11 @@
 """Random net and formula generators shared by the property tests."""
 
 import random
+from bisect import bisect_right
 from collections import deque, namedtuple
 
 from tpnsynth import INF, ExploreLimits, KBoundError, LinearConstraint, TimeInterval, instantiate, make_net
-from tpnsynth.semantics import Delay, Fire, State
+from tpnsynth.semantics import Delay, Fire, State, step_labels
 from tpnsynth.statespace import ReachGraph
 from tpnsynth.tctl import (
     AF,
@@ -19,6 +20,7 @@ from tpnsynth.tctl import (
     LeadsTo,
     Not,
     Prop,
+    _Checker,
 )
 
 
@@ -286,18 +288,60 @@ def unit_graph(g: ReachGraph) -> ReachGraph:
 def _run_positions(g: ReachGraph):
     """Per run (k, w): the unit-step numbers of offsets 0..w-1 of the run
     of w delays from node k, and the number of each node."""
-    step = g.unit_view()
-    order = g.positions()
+    steps = []
+    order = g.positions(steps)
     number = {p: i for i, p in enumerate(order)}
+    step = dict(zip(order, steps))
     runs = {}
     for k, outs in enumerate(g.succ):
         if len(outs) == 1 and outs[0][0] < -1:
             p, at = k, []
             for _ in range(-outs[0][0]):
                 at.append(number[p])
-                p = step(p)[0][1]
+                p = step[p][0][1]
             runs[k] = at
     return runs, [number[k] for k in range(len(g.keys))]
+
+
+def unit_witness(g: ReachGraph, plan, sat: dict, i: int):
+    """The unit-step witness search, the reference of
+    ``_Checker.witness_eu``: a BFS over (unit position, time capped at the
+    interval's horizon) from the initial node, returning the labels to the
+    first target it dequeues (psi at a time inside the interval), each
+    entry's parent the first dequeued entry with an edge into it; an entry
+    where phi fails is not left. None when no target is met. The operands'
+    node sets come from ``_Checker.nodes``, kept in ``sat``."""
+    _, left, iv, right = plan.ops[i]
+    outs = []
+    step = dict(zip(g.positions(outs), outs))
+
+    def holds(s, p):  # node set s at unit position p, offset o of k's run (0 at node k)
+        k, o = (p, 0) if type(p) is int else p
+        return s[0][k] ^ (bisect_right(s[1].get(k, ()), o) & 1)
+
+    ch = _Checker(g)
+    satphi, satpsi = ch.nodes(plan, left, sat), ch.nodes(plan, right, sat)
+    H = iv.horizon
+    start = (g.initial, 0)
+    parent = {start: None}
+    queue = deque([start])
+    while queue:
+        v, c = queue.popleft()
+        if iv.contains(c) and holds(satpsi, v):
+            labels, path = step_labels(g.net), []
+            cur = (v, c)
+            while parent[cur] is not None:
+                cur, t = parent[cur]
+                path.append(labels[t])
+            return path[::-1]
+        if not holds(satphi, v):
+            continue
+        for t, w in step[v]:
+            nxt = (w, min(c + 1, H) if t < 0 else c)
+            if nxt not in parent:
+                parent[nxt] = ((v, c), t)
+                queue.append(nxt)
+    return None
 
 
 def node_numbers(g: ReachGraph) -> list:

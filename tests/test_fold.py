@@ -25,7 +25,8 @@ from tpnsynth import (
 from tpnsynth import biomodels as bio
 from tpnsynth import statespace
 from tpnsynth.petri import INF
-from tpnsynth.tctl import AU, EU, Not, _Checker, _until_run, compile_plan, desugar, eval_gmec
+from tpnsynth.semantics import Delay, Fire
+from tpnsynth.tctl import AG, AU, EF, EU, Not, _Checker, _until_run, compile_plan, desugar, eval_gmec
 
 from _gen import (
     outcome,
@@ -39,7 +40,28 @@ from _gen import (
     reference_build,
     reference_graph,
     unit_set,
+    unit_witness,
 )
+
+
+def _net_of(places, transitions, order=None):
+    """A concrete net of the given places and transitions, declared in
+    ``order`` (by name) when given."""
+    return instantiate(make_net(places, {t: transitions[t] for t in order or transitions}), {})
+
+
+def _shared_tail_net():
+    """t_a fires at any time in [0,5] while t_long waits 10, so each fire
+    lands on the delay line of the one before it: six delay-only nodes
+    10..5 delays before one target, chained so that each run ends at the
+    next node on the line."""
+    return _net_of(
+        [("p", 1), ("q", 1), ("r", 0)],
+        {
+            "t_long": {"pre": {"p": 1}, "post": {"r": 1}, "interval": (10, 10)},
+            "t_a": {"pre": {"q": 1}, "interval": (0, 5)},
+        },
+    )
 
 
 def _tail_net(rng: random.Random):
@@ -210,20 +232,7 @@ class TestFoldedDifferential:
                 assert len(g) == len(ref_graph.states) == lim.max_states
 
     def test_runs_that_share_a_tail(self):
-        # t_a fires at any time in [0,5] while t_long waits 10, so each fire
-        # lands on the delay line of the one before it: six delay-only nodes
-        # 10..5 delays before one target, chained so that each run ends at
-        # the next node on the line
-        net = instantiate(
-            make_net(
-                [("p", 1), ("q", 1), ("r", 0)],
-                {
-                    "t_long": {"pre": {"p": 1}, "post": {"r": 1}, "interval": (10, 10)},
-                    "t_a": {"pre": {"q": 1}, "interval": (0, 5)},
-                },
-            ),
-            {},
-        )
+        net = _shared_tail_net()
         g, ref = build(net), reference_build(net)
         unit = reference_graph(net, ref)
         chain = [1, 4, 7, 9, 11, 13]
@@ -266,6 +275,123 @@ class TestFoldedDifferential:
                     assert _until_run(0, (), 0, (), w, end, span) == _until_run(1, (), 1, (), w, end, span) == ()
 
 
+def _witness_entry(plan):
+    """The until entry whose witness ``check`` shows, and whether the
+    verdict must hold for it to show one: a root EU (holds) or a root Not
+    of an EU (fails); None for any other root."""
+    root, op = len(plan.ops) - 1, plan.ops[-1]
+    if op[0] is EU:
+        return root, True
+    if op[0] is Not and plan.ops[op[1]][0] is EU:
+        return op[1], False
+    return None, None
+
+
+class TestWitness:
+    """``check``'s witnesses, searched over nodes with runs as jumps, equal
+    the unit-step BFS's of ``_gen.unit_witness``: the same shortest path,
+    with the same tie-break."""
+
+    def _pinned(self, net, text, g=None):
+        """The witness of ``text`` on net's graph, once it is known equal to
+        the reference's."""
+        g = g or build(net)
+        plan = compile_plan(net, parse_formula(text))
+        v, (eu, holds) = check(net, g, plan), _witness_entry(plan)
+        sat = {}
+        _Checker(g).at_initial(plan, len(plan.ops) - 1, sat)
+        assert v.holds == holds
+        assert v.witness == unit_witness(g, plan, sat, eu)
+        return v.witness
+
+    @settings(max_examples=120, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["random", "race", "gated", "tail"]))
+    def test_witnesses_equal_the_unit_step_reference(self, seed, kind):
+        rng = random.Random(seed)
+        net = _net(rng, kind)
+        if net is None:
+            return
+        try:
+            g = build(net, ExploreLimits(3, 3000))
+        except KBoundError:
+            return
+        if not g.complete:
+            return
+        places = list(net.places)
+        x, y = (random_formula(rng, places, depth=rng.choice([0, 1]), max_bound=rng.choice([4, 12, 40])) for _ in range(2))
+        iv = lambda: random_interval(rng, rng.choice([6, 12, 40]))  # a > 0 and open endpoints included
+        formulas = [EU(x, iv(), y), EU(Not(x), iv(), x), EF(iv(), AU(x, iv(), y)), AG(iv(), x)]
+        formulas += [random_formula(rng, places, depth=2, max_bound=40), random_response(rng, places, max_bound=40)]
+        for f in formulas:
+            for reading in ("ag", "paper"):
+                plan = compile_plan(net, desugar(f, reading))
+                full = dict(enumerate(_Checker(g).label(plan)))
+                for i, op in enumerate(plan.ops):  # every until, nested ones too, holding or not
+                    if op[0] is EU:
+                        assert _Checker(g).witness_eu(plan, dict(full), i) == unit_witness(g, plan, dict(full), i)
+                v, (eu, holds) = check(net, g, plan), _witness_entry(plan)
+                shown = eu is not None and v.holds == holds
+                assert v.witness == (unit_witness(g, plan, full, eu) if shown else None)
+
+    def test_a_target_strictly_inside_a_run(self):
+        # AF[0,3](M(r)=1) flips 2 delays into the run of 5 from time 5 to
+        # t_long's fire at 10
+        assert self._pinned(_shared_tail_net(), "EF[0,inf](AF[0,3](M(r)=1))") == [Fire("t_a")] + [Delay(1)] * 7
+
+    def test_a_run_where_phi_breaks_is_not_crossed(self):
+        # through a, done comes after 10 delays, through b after 11; phi
+        # fails 6 to 8 delays into a's run and holds again at its end, so
+        # the witness goes through b
+        net = _net_of(
+            [("z", 1), ("a", 0), ("b", 0), ("done", 0)],
+            {
+                "t_a": {"pre": {"z": 1}, "post": {"a": 1}, "interval": (0, 0)},
+                "t_b": {"pre": {"z": 1}, "post": {"b": 1}, "interval": (0, 0)},
+                "t_x": {"pre": {"a": 1}, "post": {"done": 1}, "interval": (10, 10)},
+                "t_y": {"pre": {"b": 1}, "post": {"done": 1}, "interval": (11, 11)},
+            },
+        )
+        assert self._pinned(net, "EF[0,inf](M(done)=1)") == [Fire("t_a")] + [Delay(1)] * 10 + [Fire("t_x")]
+        text = "E (!(M(a)=1 & AF[0,4](M(done)=1) & !AF[0,1](M(done)=1))) U[0,inf] (M(done)=1)"
+        assert self._pinned(net, text) == [Fire("t_b")] + [Delay(1)] * 11 + [Fire("t_y")]
+
+    def test_a_run_and_a_fire_that_reach_a_node_at_one_depth(self):
+        # z1 & v's clock at 10 is reached 12 unit steps in by two fires and
+        # a run of 10, or by a fire, a run of 10 and t_m: the first one the
+        # unit BFS dequeues, by declaration order, is the parent
+        transitions = {
+            "t_a1": {"pre": {"z0": 1}, "post": {"z3": 1}, "interval": (0, 0)},
+            "t_a2": {"pre": {"z3": 1}, "post": {"z1": 1}, "interval": (0, 0)},
+            "t_b": {"pre": {"z0": 1}, "post": {"z2": 1}, "interval": (0, 0)},
+            "t_m": {"pre": {"z2": 1}, "post": {"z1": 1}, "interval": (10, 10)},
+            "t_long": {"pre": {"v": 1}, "post": {"r": 1}, "interval": (10, 10)},
+        }
+        places = [("v", 1), ("z0", 1), ("z1", 0), ("z2", 0), ("z3", 0), ("r", 0)]
+        run_last = _net_of(places, transitions)
+        fire_last = _net_of(places, transitions, ["t_b", "t_m", "t_a1", "t_a2", "t_long"])
+        assert self._pinned(run_last, "EF[10,10](M(z1)=1)") == [Fire("t_a1"), Fire("t_a2")] + [Delay(1)] * 10
+        assert self._pinned(fire_last, "EF[10,10](M(z1)=1)") == [Fire("t_b")] + [Delay(1)] * 10 + [Fire("t_m")]
+
+    def test_two_chains_of_one_run_source_meet_at_the_horizon(self):
+        # v is marked at time 0 by t_1, t_2 and at time 1 by a delay and
+        # t_3, both 2 unit steps in; with H = 4 the later chain reaches H 3
+        # delays into the run of 10 and the earlier one 4 delays in, where
+        # both arrive at one depth and the earlier one keeps the entry
+        net = _net_of(
+            [("s", 1), ("u", 0), ("v", 0), ("r", 0)],
+            {
+                "t_1": {"pre": {"s": 1}, "post": {"u": 1}, "interval": (0, 1)},
+                "t_2": {"pre": {"u": 1}, "post": {"v": 1}, "interval": (0, 0)},
+                "t_3": {"pre": {"s": 1}, "post": {"v": 1}, "interval": (1, 1)},
+                "t_long": {"pre": {"v": 1}, "post": {"r": 1}, "interval": (10, 10)},
+            },
+        )
+        assert compile_plan(net, parse_formula("EF[3,inf](M(r)=1)")).ops[-1][2].horizon == 4
+        want = [Fire("t_1"), Fire("t_2")] + [Delay(1)] * 10 + [Fire("t_long")]
+        assert self._pinned(net, "EF[3,inf](M(r)=1)") == want
+        assert self._pinned(net, "AG[3,inf](M(r)=0)") == want  # the counterexample of the dual
+
+
 CLOCK_LIMITS = ExploreLimits(k_bound=2, max_states=200_000)
 
 
@@ -275,7 +401,7 @@ class TestClockScale:
     counts of the cycle of 24s time units."""
 
     def test_ten_nodes_at_every_scale(self):
-        for s in (1, 10, 30):
+        for s in (1, 10, 30, 100):
             cfg = bio.ClockConfig(tau_on=12 * s, tau_off=12 * s, tau_01=6 * s, tau_10=6 * s, tau_b=0, tau_g=s, tau_a=7 * s)
             net = instantiate(bio.build_circadian_clock(cfg), {})
             g = build(net, CLOCK_LIMITS)
@@ -291,3 +417,4 @@ class TestClockScale:
                 v = check(net, g, parse_formula(text))
                 assert (v.holds, v.witness is not None) == (holds, witness)
                 assert v.witness == check(net, unit, parse_formula(text)).witness
+            assert len(v.witness) == 24 * s + 4  # the EF witness: 2,404 labels at x100

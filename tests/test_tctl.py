@@ -58,6 +58,7 @@ from _gen import (
     step_graph,
     unit_graph,
     unit_set,
+    unit_witness,
 )
 
 
@@ -213,7 +214,9 @@ class TestParseFormula:
         "text, message",
         [
             ("EF[0,inf](M(p)>=1", "expected ')', got the end of the formula (at column 18)"),
-            ("M(p)>=1 )", "expected 'EOF', got ')' (at column 9)"),
+            ("M(p)>=1 )", "expected the end of the formula, got ')' (at column 9)"),
+            ("EF[x,3](M(p)>=1)", "expected a natural number, got 'x' (at column 4)"),
+            ("M(3)>=1", "expected a name, got 3 (at column 3)"),
         ],
     )
     def test_a_missing_token_is_named_at_its_column(self, text, message):
@@ -781,7 +784,7 @@ class TestLazyCheck:
             v = check(c, g, plan)
             assert v.holds == decide(g, plan) == bool(full[root][0][g.initial]) == brute_force_check(c, phi)
             shown = eu is not None and full[eu][0][g.initial]  # check shows a witness of a holding until alone
-            assert v.witness == (ch.witness_eu(plan, dict(enumerate(full)), eu) if shown else None)
+            assert v.witness == (unit_witness(g, plan, dict(enumerate(full)), eu) if shown else None)
 
     def test_a_failing_conjunct_labels_no_until_of_the_next(self, net_a, monkeypatch):
         labelled = []
