@@ -17,14 +17,14 @@ its static high plus one refuses the delay, and an unbounded one stops
 counting at its static low plus one, past which time changes none of its
 futures (the clock cap of Alur & Dill's timed automata). A unit delay is
 one addition of the unit bits of the enabled bounded clocks and of the
-enabled unbounded ones still below their low. An instance's ``Layout``
-(made once per instance by ``layout``) holds only those two thresholds per
-transition and the field width, wide enough for the largest cap. A fire
-starts a clock at 1, whatever its interval, so it depends on the marking
-and the width alone: each
-(marking, transition) pair gets a keep and a start mask once per width
-(``_fire_masks``), kept in the table for every instance of that width, and a
-fire is ``key & keep | start``. The successor's marking, and which clocks
+enabled unbounded ones still below their low. A ``Layout`` holds only
+those two thresholds per transition and a field width wide enough for the
+largest cap: ``layout`` makes an instance's, and a synthesis sweep one for
+its box, whose thresholds it sets per valuation. A fire starts a clock at
+1, whatever its interval, so it depends on the marking and the width
+alone: each (marking, transition) pair gets a keep and a start mask once
+per width (``_fire_masks``), kept in the table for every layout of that
+width, and a fire is ``key & keep | start``. The successor's marking, and which clocks
 stop and start, are read off both markings' enabled transitions, tested
 once per marking when the table interns it (``StepTable.enabled_at``).
 ``successor_keys``, the one successor function of the explorer
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import InputError, PreconditionError, TimeOverrunError
-from .petri import INF, ConcreteNet, Marking, TimeInterval
+from .petri import INF, ConcreteNet, Marking, StepTable, TimeInterval
 
 
 @dataclass(frozen=True)
@@ -168,7 +168,8 @@ def replay(n: ConcreteNet, labels) -> list:
 
 
 class Layout:
-    """The packed key layout of one instance, made by ``layout``.
+    """A packed key layout on a net's step table ``tab``, with the bounds of
+    one instance.
 
     A clock that has run e time units since its transition was enabled
     holds e + 1, and stands for the dynamic interval (max(0, low - e),
@@ -176,25 +177,31 @@ class Layout:
     the least field at which it may fire, and ``highs[t]`` its static high
     plus one, the field at which it refuses the delay, or 0 when it is
     unbounded; a field stops at its high, or at its low when it is
-    unbounded. Those two tuples are all the instance owns. Every field is
-    ``width`` bits wide, enough for the largest of them, and t's sits
-    ``shifts[t] = t * width`` bits up; ``field`` masks one, and the marking
-    id sits ``shift`` bits up. ``masks``, the table's ``_fire_masks`` at this
-    width keyed by ``mid * nt + t``, and ``initial``, the initial state's
-    key, a 1 in each field that the initial marking enables, hang on the
-    width alone, so every instance of that width shares them. ``step``
-    bundles what ``successor_keys`` reads."""
+    unbounded. Those two tuples are all an instance owns. Every field is
+    ``width`` bits wide, enough for the largest bound the layout is made
+    with, and t's sits ``shifts[t] = t * width`` bits up; ``field`` masks
+    one, and the marking id sits ``shift`` bits up. ``masks``, the table's
+    ``_fire_masks`` at this width keyed by ``mid * nt + t``, and
+    ``initial``, the initial state's key, a 1 in each field that the
+    initial marking enables, hang on the width alone, so every layout of
+    that width shares them, and ``set_bounds`` changes the bounds alone.
+    ``step`` bundles what ``successor_keys`` reads."""
 
-    def __init__(self, n: ConcreteNet):
-        tab = self.tab = n.steps
-        lows = self.lows = tuple([iv.low + 1 for iv in n.intervals])
-        highs = self.highs = tuple([0 if iv.high == INF else iv.high + 1 for iv in n.intervals])
+    def __init__(self, tab: StepTable, lows: tuple, highs: tuple):
+        self.tab = tab
         w = self.width = max(lows + highs, default=1).bit_length()  # a bounded high is at least its low
         self.field, self.shift, self.shifts = (1 << w) - 1, tab.nt * w, tuple(range(0, tab.nt * w, w))
-        units = tuple([1 << sh for sh in self.shifts])  # one unit of each field
+        self.units = tuple([1 << sh for sh in self.shifts])  # one unit of each field
         self.masks = tab.masks.setdefault(w, {})
-        self.initial = sum([units[t] for t in tab.enabled_at[0]])
-        self.step = (self.shift, tab.enabled_at, tab.nt, self.shifts, self.field, lows, highs, self.masks, units)
+        self.initial = sum([self.units[t] for t in tab.enabled_at[0]])
+        self.set_bounds(lows, highs)
+
+    def set_bounds(self, lows: tuple, highs: tuple) -> None:
+        """Step the instance of these bounds, none above those the layout
+        was made with, so that every field fits its width."""
+        self.lows, self.highs = lows, highs
+        tab = self.tab
+        self.step = (self.shift, tab.enabled_at, tab.nt, self.shifts, self.field, lows, highs, self.masks, self.units)
 
 
 def layout(n: ConcreteNet) -> Layout:
@@ -203,8 +210,23 @@ def layout(n: ConcreteNet) -> Layout:
         raise InputError("a parametric net has no states: step instantiate(net, valuation)")
     lay = vars(n).get("layout")
     if lay is None:
-        lay = vars(n)["layout"] = Layout(n)
+        lay = vars(n)["layout"] = Layout(n.steps, *thresholds(n.intervals))
     return lay
+
+
+def thresholds(intervals) -> tuple:
+    """(lows, highs) of a ``Layout`` for the intervals: each low plus one,
+    and each high plus one, or 0 when unbounded; a parameter name stays a
+    name, for ``valued``."""
+    lows = tuple([iv.low if type(iv.low) is str else iv.low + 1 for iv in intervals])
+    highs = tuple([0 if iv.high is None or iv.high == INF else iv.high if type(iv.high) is str else iv.high + 1
+                   for iv in intervals])
+    return lows, highs
+
+
+def valued(bounds: tuple, v) -> tuple:
+    """``thresholds``' lows or highs at valuation v: a name is its value plus one."""
+    return tuple([b if type(b) is int else v[b] + 1 for b in bounds])
 
 
 def _fire_masks(lay: Layout, mid: int, t: int) -> tuple:

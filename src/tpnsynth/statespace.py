@@ -5,10 +5,13 @@ Breadth-first exploration with deterministic node numbering: the successor
 ordering contract (fires in transition order, then the delay) plus BFS
 makes two builds of the same net produce identical graphs.
 
-The search runs on packed keys (see ``semantics``): the BFS queue, the
-visited index and every hash are plain ints, one per state, and an edge is
-two ints, (transition index, target), with -1 for the unit delay; only
-``ReachGraph.edges`` and witnesses make labels (``semantics.step_labels``).
+The search (``explore``) runs on packed keys over a key layout (see
+``semantics``): the BFS queue, the visited index and every hash are plain
+ints, one per state, and an edge is two ints, (transition index, target),
+with -1 for the unit delay; only ``ReachGraph.edges`` and witnesses make
+labels (``semantics.step_labels``). ``build`` explores an instance on its
+own layout; a synthesis sweep explores each valuation of its box on the
+box's one layout, with no instance per valuation.
 At a key where no transition may fire, every enabled clock rises by one per
 delay and the marking stays, so the key rises by one fixed amount per delay
 until one may fire, ``semantics.delay_run`` delays on: such a node gets one
@@ -30,7 +33,7 @@ A node is its key, whose top bits hold the id of its marking in the net's
 step table; ``ReachGraph.mids`` lists those ids, one per node. The
 successors come from ``semantics.successor_keys``, which reads only the
 transitions the node's marking enables: a fire is two mask operations,
-whose masks the table keeps per key width for every instance of the net,
+whose masks the table keeps per key width for every layout of the net,
 and a delay is one addition, with no enabledness test, so that enabledness
 work grows with the markings, and a node's work with its enabled
 transitions, not with the net. The table records each marking's largest
@@ -46,8 +49,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InputError, KBoundError
-from .petri import ConcreteNet
-from .semantics import delay_run, layout, materialise, step_labels, successor_keys
+from .petri import ConcreteNet, Net
+from .semantics import Layout, delay_run, layout, materialise, step_labels, successor_keys
 
 
 @dataclass(frozen=True)
@@ -69,7 +72,7 @@ class ReachGraph:
     through the run's edge; ``tctl`` decides a root ``EF[0,inf)`` by that.
     No node lies inside a run, so a state inside one has one predecessor."""
 
-    net: ConcreteNet
+    net: Net  # the instance; a synthesis sweep's graph names the parametric net
     keys: list  # packed key per node index
     mids: list  # per node: the id of its marking in the net's step table
     succ: list  # per node: (t, target index) per out-edge, t a transition index, or -w for w unit delays
@@ -134,7 +137,8 @@ class ReachGraph:
 
 def build(n: ConcreteNet, lim: ExploreLimits = ExploreLimits()) -> ReachGraph:
     """BFS closure of the successor relation from the initial state, each
-    run of delays folded into one edge.
+    run of delays folded into one edge: ``explore`` on the instance's own
+    layout.
 
     An ill-formed net raises InputError (``Net.steps``). A marking
     exceeding ``k_bound`` raises KBoundError with the partial graph
@@ -143,11 +147,16 @@ def build(n: ConcreteNet, lim: ExploreLimits = ExploreLimits()) -> ReachGraph:
     partial graph included: the folded one meets markings in another
     order, so it hands such a net over to the unfolded one.
     """
-    return _explore(n, lim, True)
+    return explore(n, layout(n), lim)
 
 
-def _explore(n: ConcreteNet, lim: ExploreLimits, fold: bool) -> ReachGraph:
-    lay, k_bound = layout(n), lim.k_bound
+def explore(n: Net, lay: Layout, lim: ExploreLimits, fold: bool = True) -> ReachGraph:
+    """``build``'s BFS, folded or not, on ``lay``, which holds the bounds of
+    the instance explored; its graphs, partial ones included, name ``n``. A
+    synthesis sweep passes its parametric net and its box's layout, so no
+    instance is made and its graphs have no ``states``. A wider layout gives
+    other keys, but the same ``succ``, ``mids``, ``inner`` and ``complete``."""
+    k_bound = lim.k_bound
     markings, peak, shift = lay.tab.markings, lay.tab.peak, lay.shift
     k0 = lay.initial
     if peak[0] > k_bound:
@@ -165,20 +174,20 @@ def _explore(n: ConcreteNet, lim: ExploreLimits, fold: bool) -> ReachGraph:
             lines.setdefault(steps[0][1], []).append((w, key))  # the delay line into that target
             cap -= w - 1
             if len(keys) > cap:  # perhaps more unit-step states than max_states: the unfolded BFS decides
-                return _explore(n, lim, False)
+                return explore(n, lay, lim, False)
         for t, k2 in steps:
             j = index.get(k2)
             if j is None:
                 mid2 = k2 >> shift
                 if peak[mid2] > k_bound:
                     if fold:
-                        return _explore(n, lim, False)
+                        return explore(n, lay, lim, False)
                     m2 = markings[mid2]
                     partial = ReachGraph(n, keys, mids, succ, complete=False)
                     raise KBoundError(f"marking {m2} exceeds k-bound {k_bound}", partial=partial, marking=m2)
                 if len(keys) >= cap:
                     if fold:
-                        return _explore(n, lim, False)
+                        return explore(n, lay, lim, False)
                     complete = False
                     continue
                 j = index[k2] = len(keys)

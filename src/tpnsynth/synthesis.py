@@ -1,5 +1,5 @@
-"""Integer parameter synthesis: enumerate valuations in a box, check each
-instantiated net, and summarize the satisfying set.
+"""Integer parameter synthesis: enumerate valuations in a box, check the
+net at each, and summarize the satisfying set.
 
 Every integer point of the box that satisfies the net's domain constraints
 and gives every interval low <= high is checked. Enumeration is directed
@@ -8,14 +8,15 @@ the box ranges of the parameters still to assign, so only domain points
 are generated, in lexicographic order, and no box point is tested and
 thrown away; a sweep checks at most ``MAX_VALUATIONS``. What does not
 depend on the valuation is done once per problem: the formula is compiled
-into one check plan (``SynthesisProblem.plan``), and every instance steps
-on the net's one table (``Net.steps``), so a valuation costs at most one
-instantiation, one graph and one check of what its verdict needs. The unit
+into one check plan (``SynthesisProblem.plan``), and every valuation
+steps on the net's one table (``Net.steps``) and on one key layout per
+share of the box, made once, so a valuation costs its bounds, at most one
+graph and one check of what its verdict needs, and no instance. The unit
 of work, a worker's share of domain points (``check_chunk``, which takes no
 other valuation), reuses the verdict of a complete graph for every valuation
 in the graph's range: one that agrees on the bounds of the transitions the
 graph fires and is no smaller on the lows of those it leaves enabled builds
-the same graph, so it needs no instance, build or check.
+the same graph, so it needs no build or check.
 
 Sweeps are embarrassingly parallel. The box is cut into one contiguous
 share per worker, which checks it under one memo holding one entry per
@@ -38,8 +39,9 @@ from itertools import islice
 from typing import Mapping, Optional
 
 from .errors import InputError, KBoundError, TpnError
-from .petri import Net, ParamDomain, implicit_domain, instantiate
-from .statespace import ExploreLimits, build
+from .petri import Net, ParamDomain, implicit_domain
+from .semantics import Layout, thresholds, valued
+from .statespace import ExploreLimits, explore
 from .tctl import Formula, Plan, compile_plan, decide
 
 
@@ -47,10 +49,11 @@ from .tctl import Formula, Plan, compile_plan, decide
 class SynthesisProblem:
     """A parametric net, a formula, the box to sweep and the exploration
     limits. A response in the formula is read as "ag"; pass ``desugar(phi,
-    "paper")`` for the paper's reading. The formula is compiled into
-    ``plan`` on construction, so a formula the net cannot check is an
-    InputError here rather than a failure per valuation. A problem pickles
-    whole, plan included, so it can be sent to a worker process as it is."""
+    "paper")`` for the paper's reading. The net's step table is built and
+    the formula compiled into ``plan`` on construction, so an ill-formed net
+    or a formula the net cannot check is an InputError here rather than a
+    failure per valuation. A problem pickles whole, table and plan included,
+    so it can be sent to a worker process as it is."""
 
     net: Net
     formula: Formula
@@ -72,6 +75,7 @@ class SynthesisProblem:
                 raise InputError(f"bad box range for {p!r}: {lo!r}..{hi!r}")
             if hi - lo >= sys.maxsize:  # refused as input; a shorter range is walked lazily
                 raise InputError(f"box range for {p!r} has more than {sys.maxsize} points: {lo}..{hi}")
+        self.net.steps  # built now: an ill-formed net is an input error
         self.plan  # compiled now: a formula that does not compile is an input error
 
     @cached_property
@@ -167,9 +171,12 @@ _VERDICTS = ((False, None), (True, None))  # one shared result per verdict, what
 def check_chunk(p: SynthesisProblem, vals) -> list:
     """(holds, error) per valuation of ``vals``, in order, all on the one
     table of ``p.net``; exploration failures are data. Every valuation must
-    be a point of ``enumerate_valuations(implicit_domain(p.net), p.box)``,
-    which always instantiates, because one answered from the memo below is
-    not instantiated.
+    be a point of ``enumerate_valuations(implicit_domain(p.net), p.box)``:
+    it is stepped with no domain test, and its bounds fit the layout below.
+
+    No valuation is instantiated: one key layout serves ``vals``, made for
+    the box's upper corner, where no bound is smaller than at a box point,
+    and a valuation only sets its bounds into it (``Layout.set_bounds``).
 
     One memo spans ``vals``, with one entry per complete graph built: its
     verdict with the range of valuations that build that graph; incomplete
@@ -188,24 +195,29 @@ def check_chunk(p: SynthesisProblem, vals) -> list:
     ``delay_run``: the least is fireable at the run's end, which is a node.
     A larger low keeps all three, so the build visits the same states in
     the same order and makes the same ``succ``, weights included, ``mids``,
-    ``inner`` and cap bookkeeping; only the key width may differ, and no
-    verdict reads a key. A verdict reads only the plan, ``succ``, node 0
-    and the markings, so the same verdict follows."""
-    params, ivs = p.net.parameters, p.net.intervals
+    ``inner`` and cap bookkeeping. The keys are the same too, as every
+    graph of the sweep has the layout's width, and no verdict reads a key
+    anyway. A verdict reads only the plan, ``succ``, node 0 and the
+    markings, so the same verdict follows."""
+    net, tab = p.net, p.net.steps
+    params, ivs = net.parameters, net.intervals
     reads = [iv.referenced_params() for iv in ivs]  # per transition
+    lows, highs = thresholds(ivs)
+    top = {x: hi for x, (_, hi) in p.box.items()}  # the box's upper corner
+    lay = Layout(tab, valued(lows, top), valued(highs, top))
     memo, results = {}, []  # (pin names, floor names) -> {pin values: [(floor values, verdict)]}
     for v in vals:
         holds = _in_range(memo, v)
         if holds is not None:
             results.append(_VERDICTS[holds])
             continue
+        lay.set_bounds(valued(lows, v), valued(highs, v))
         try:
-            graph = build(instantiate(p.net, v), p.limits)
+            graph = explore(net, lay, p.limits)
             holds = decide(graph, p.plan)
-            on = graph.net.steps.enabled_at  # per marking id
             fired = {t for outs in graph.succ for t, _ in outs if t >= 0}
             pinned = set().union(*[reads[t] for t in fired])
-            enabled_lows = {ivs[t].low for m in set(graph.mids) for t in on[m]}  # ints name no parameter
+            enabled_lows = {ivs[t].low for m in set(graph.mids) for t in tab.enabled_at[m]}  # ints name no parameter
             pins = tuple([x for x in params if x in pinned])
             floors = tuple([x for x in params if x in enabled_lows and x not in pinned])
             ranges = memo.setdefault((pins, floors), {}).setdefault(tuple([v[x] for x in pins]), [])

@@ -146,7 +146,7 @@ class TestExitCodes:
             raise AssertionError("a graph was built")
 
         monkeypatch.setattr("tpnsynth.cli.build", no_build)
-        monkeypatch.setattr("tpnsynth.synthesis.build", no_build)
+        monkeypatch.setattr("tpnsynth.synthesis.explore", no_build)
         path = tmp_path / "p.tpnet"
         path.write_text(PARAM_NET)
         args = [net_file] if command == "check" else [str(path), "--box", "td=0..3", "--jobs", "1"]

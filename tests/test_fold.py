@@ -25,7 +25,7 @@ from tpnsynth import (
 from tpnsynth import biomodels as bio
 from tpnsynth import statespace
 from tpnsynth.petri import INF
-from tpnsynth.semantics import Delay, Fire
+from tpnsynth.semantics import Delay, Fire, layout
 from tpnsynth.tctl import AG, AU, EF, EU, Not, _Checker, _until_run, compile_plan, desugar, eval_gmec
 
 from _gen import (
@@ -160,7 +160,7 @@ class TestReachable:
         for lim in (ExploreLimits(3, 3000), ExploreLimits(k_bound, max_states)):
             for fold in (True, False):  # build's own graph, and the unfolded one it may fall back to
                 try:
-                    g = statespace._explore(net, lim, fold)
+                    g = statespace.explore(net, layout(net), lim, fold)
                 except KBoundError as exc:
                     g = exc.partial
                 seen = {0} if g.keys else set()

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import os
 import pickle
@@ -36,7 +37,9 @@ from tpnsynth import semantics, synthesis, tctl
 from tpnsynth.biomodels import ClockConfig, EventFlag, LightDuration, NightLight, apply_observer, build_circadian_clock
 from tpnsynth.cli import main
 from tpnsynth.netfile import serialize_net
-from tpnsynth.petri import implicit_domain
+from tpnsynth.petri import ConcreteNet, implicit_domain
+from tpnsynth.semantics import layout
+from tpnsynth.statespace import explore
 from tpnsynth.synthesis import (
     SynthesisProblem,
     check_chunk,
@@ -276,9 +279,10 @@ class TestSynthesize:
             serial.satisfying, serial.explored, serial.failures)
 
     def test_a_box_makes_one_mask_pair_per_marking_transition_and_width(self, monkeypatch):
-        # every instance steps on its net's table, and a fire reads no bound,
+        # every valuation steps on its net's table, and a fire reads no bound,
         # so the masks of a (marking, transition) pair are made once per key
-        # width for the whole box, k-bound stops included
+        # width for the whole box, k-bound stops included; a sweep has one
+        # width, that of its box's largest bounds (e = 4: 4 + 1 takes 3 bits)
         made = []
         fire_masks = semantics._fire_masks
 
@@ -291,7 +295,7 @@ class TestSynthesize:
         res = synthesize(problem, jobs=1)
         assert res.explored == 20 and res.failures and res.satisfying
         assert len(made) == len(set(made)) == sum(map(len, problem.net.steps.masks.values()))
-        assert len({w for _, _, w in made}) > 1
+        assert {w for _, _, w in made} == {3}
 
     def test_a_box_evaluates_each_constraint_once_per_marking(self, monkeypatch):
         # constraint values are cached per marking id in the net's table, so
@@ -415,6 +419,13 @@ class TestSynthesize:
         assert copy == problem and vars(copy)["plan"] == problem.plan
         assert synthesize(copy).satisfying == before.satisfying
 
+    def test_an_ill_formed_net_fails_on_construction(self):
+        net = make_net([("p", 1), ("q", 0)], {"t": {"pre": {"p": 1}, "post": {"q": 1}, "interval": ("a", "b")}},
+                       parameters=["a", "b"])
+        bad = dataclasses.replace(net, pre=((-1, 0),))
+        with pytest.raises(InputError, match="transition 't': negative pre weight"):
+            SynthesisProblem(bad, parse_formula("EF[0,3](M(q)>=1)"), {"a": (0, 1), "b": (2, 3)})
+
     def test_formula_that_does_not_compile_fails_on_construction(self, param_net):
         phi = LeadsTo(parse_gmec("M(p1)>=1"), TimeInterval(1, 3), parse_gmec("M(p2)>=1"))
         with pytest.raises(FormulaSyntaxError, match="closed 0"):
@@ -528,9 +539,10 @@ def range_builds(net, vals, limits=ExploreLimits()) -> int:
 
 
 def counting_builds(monkeypatch):
-    """The graphs ``check_chunk`` builds from now on, appended as built."""
+    """The bounds of each graph ``check_chunk`` builds from now on, appended
+    as built."""
     built = []
-    monkeypatch.setattr(synthesis, "build", lambda c, lim: built.append(c) or build(c, lim))
+    monkeypatch.setattr(synthesis, "explore", lambda n, lay, lim: built.append(lay.lows + lay.highs) or explore(n, lay, lim))
     return built
 
 
@@ -616,6 +628,65 @@ class TestChunkMemo:
             results = check_chunk(problem, vals)
         assert results == memo_free_results(problem, vals)
         assert len(built) == range_builds(problem.net, vals, problem.limits)
+
+    @given(rng=st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_every_graph_of_a_sweep_equals_its_instance_graph(self, rng):
+        # check_chunk explores each valuation on the box's one layout and
+        # makes no instance; its graphs, state-cap cuts and k-bound partial
+        # graphs included, equal those of build on the instance but for the
+        # keys, and fail with the same text
+        problem = draw_problem(rng)
+        vals = list(enumerate_valuations(implicit_domain(problem.net), problem.box, order=problem.net.parameters))
+        explored = []
+
+        def recording(n, lay, lim):
+            try:
+                g = explore(n, lay, lim)
+            except KBoundError as exc:
+                explored.append((lay.width, lay.lows, lay.highs, exc))
+                raise
+            explored.append((lay.width, lay.lows, lay.highs, g))
+            return g
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(synthesis, "explore", recording)
+            results = check_chunk(problem, vals)
+        assert results == memo_free_results(problem, vals)
+        instances = {}  # (lows, highs) -> an instance with those bounds
+        for v in vals:
+            c = instantiate(problem.net, v)
+            instances.setdefault((layout(c).lows, layout(c).highs), c)
+        assert len({w for w, _, _, _ in explored}) <= 1  # one width per sweep
+        assert all(layout(c).width <= w for c in instances.values() for w, _, _, _ in explored)
+        for _, lows, highs, got in explored:
+            c = instances[(lows, highs)]
+            try:
+                want = build(c, problem.limits)
+            except KBoundError as exc:
+                assert isinstance(got, KBoundError) and str(got) == str(exc)
+                got, want = got.partial, exc.partial
+            assert (got.succ, got.mids, got.inner, got.complete) == (want.succ, want.mids, want.inner, want.complete)
+
+    def test_a_sweep_makes_no_instance(self, monkeypatch):
+        # one layout per share, and no ConcreteNet, instantiate or instance layout per valuation
+        def refuse(*_, **__):
+            raise AssertionError("check_chunk made an instance")
+
+        layouts, make_layout = [], semantics.Layout.__init__
+        monkeypatch.setattr(semantics.Layout, "__init__", lambda lay, *a: layouts.append(lay) or make_layout(lay, *a))
+        for patched in ("tpnsynth.petri.instantiate", "tpnsynth.instantiate", "tpnsynth.semantics.layout",
+                        "tpnsynth.statespace.layout"):
+            monkeypatch.setattr(patched, refuse)
+        monkeypatch.setattr(ConcreteNet, "__init__", refuse)
+        problem = case_study_problem("query III")
+        with pytest.MonkeyPatch.context() as m:
+            in_process_pool(m)
+            results = [synthesize(problem, jobs=jobs) for jobs in (1, 2)]
+        assert len(layouts) == 3 and results[0].explored == 182
+        assert results[0] == results[1]
+        monkeypatch.undo()
+        assert (results[0].satisfying, results[0].failures, results[0].explored) == memo_free(problem)
 
     @given(rng=st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
