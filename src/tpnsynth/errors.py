@@ -26,14 +26,11 @@ class TimeOverrunError(TpnError):
 
 
 class KBoundError(TpnError):
-    """A reachable marking exceeded the per-place token bound.
+    """A reachable marking, ``marking``, exceeded the per-place token bound.
+    No graph is kept: the runs of the nodes still queued are unknown."""
 
-    Carries the partial graph explored so far in ``partial``.
-    """
-
-    def __init__(self, message, partial=None, marking=None):
+    def __init__(self, message, marking=None):
         super().__init__(message)
-        self.partial = partial
         self.marking = marking
 
 

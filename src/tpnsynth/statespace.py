@@ -23,11 +23,13 @@ a run ending at the next node on its line, and no node lies inside a run.
 
 The graph answers in unit steps: ``len(g)`` counts unit-step states, and
 ``states`` and ``edges`` walk the unit positions (``ReachGraph.positions``)
-in the unfolded BFS order; witnesses are searched over nodes, each run one
+in unit-step BFS order; witnesses are searched over nodes, each run one
 jump, and expanded into unit steps along the path found (``tctl``).
-``max_states`` counts unit-step states, and a k-bound or state-cap stop is
-the unfolded BFS's own, partial graph included, as the folded BFS meets
-markings in another order.
+The stops are the folded BFS's own: it lists at most ``max_states`` nodes,
+and a graph is complete only if it skipped none and holds at most
+``max_states`` unit-step states, so exactly when the unit-step BFS's is (a
+cut graph may hold more). A k-bound stop keeps no graph and may name
+another marking than the unit BFS; with both limits, either stop may show.
 
 A node is its key, whose top bits hold the id of its marking in the net's
 step table; ``ReachGraph.mids`` lists those ids, one per node. The
@@ -66,11 +68,11 @@ class ExploreLimits:
 @dataclass
 class ReachGraph:
     """A folded reachability graph (see the module notes). Every node of a
-    ``build`` graph, complete, cut by the state cap or left partial by a
-    k-bound stop, is reachable from node 0 along ``succ``: BFS numbers a
-    node when it lists the edge into it. So is every offset of every run,
-    through the run's edge; ``tctl`` decides a root ``EF[0,inf)`` by that.
-    No node lies inside a run, so a state inside one has one predecessor."""
+    ``build`` graph, complete or cut by the state cap, is reachable from
+    node 0 along ``succ``: BFS numbers a node when it lists the edge into
+    it. So is every offset of every run, through the run's edge; ``tctl``
+    decides a root ``EF[0,inf)`` by that. No node lies inside a run, so a
+    state inside one has one predecessor."""
 
     net: Net  # the instance; a synthesis sweep's graph names the parametric net
     keys: list  # packed key per node index
@@ -140,54 +142,39 @@ def build(n: ConcreteNet, lim: ExploreLimits = ExploreLimits()) -> ReachGraph:
     run of delays folded into one edge: ``explore`` on the instance's own
     layout.
 
-    An ill-formed net raises InputError (``Net.steps``). A marking
-    exceeding ``k_bound`` raises KBoundError with the partial graph
-    attached; more than ``max_states`` unit-step states return a graph
-    flagged ``complete=False``. Both stops are those of the unfolded BFS,
-    partial graph included: the folded one meets markings in another
-    order, so it hands such a net over to the unfolded one.
+    An ill-formed net raises InputError (``Net.steps``), a marking
+    exceeding ``k_bound`` KBoundError; more than ``max_states`` unit-step
+    states give a graph flagged ``complete=False`` (see the module notes).
     """
     return explore(n, layout(n), lim)
 
 
-def explore(n: Net, lay: Layout, lim: ExploreLimits, fold: bool = True) -> ReachGraph:
-    """``build``'s BFS, folded or not, on ``lay``, which holds the bounds of
-    the instance explored; its graphs, partial ones included, name ``n``. A
-    synthesis sweep passes its parametric net and its box's layout, so no
-    instance is made and its graphs have no ``states``. A wider layout gives
-    other keys, but the same ``succ``, ``mids``, ``inner`` and ``complete``."""
-    k_bound = lim.k_bound
-    markings, peak, shift = lay.tab.markings, lay.tab.peak, lay.shift
-    k0 = lay.initial
+def explore(n: Net, lay: Layout, lim: ExploreLimits) -> ReachGraph:
+    """``build``'s BFS on ``lay``, which holds the bounds of the instance
+    explored; its graphs name ``n``. A synthesis sweep passes its parametric
+    net and its box's layout, so no instance is made and its graphs have no
+    ``states``. A wider layout gives other keys, but the same ``succ``,
+    ``mids``, ``inner`` and ``complete``."""
+    k_bound, markings, peak, shift, k0 = lim.k_bound, lay.tab.markings, lay.tab.peak, lay.shift, lay.initial
     if peak[0] > k_bound:
-        empty = ReachGraph(n, [], [], [], complete=False)
-        raise KBoundError(f"initial marking exceeds k-bound {k_bound}", partial=empty, marking=markings[0])
+        raise KBoundError(f"initial marking exceeds k-bound {k_bound}", marking=markings[0])
     index = {k0: 0}
     keys, mids, succ = [k0], [0], [[]]  # a node's edge list is made when the node is found
-    complete = True
-    cap, lines = lim.max_states, {}  # cap: max_states less the states inside runs, a shared tail once per run
+    complete, lines = True, {}
     for key, outs in zip(keys, succ):  # both grow while they are walked: the BFS queue
         steps = successor_keys(lay, key)
-        if steps[0][0] < 0 and fold and steps[0][1] != key:  # no transition may fire until the run ends
+        if steps[0][0] < 0 and steps[0][1] != key:  # no transition may fire until the run ends
             w = delay_run(lay, key)
             steps = [(-w, key - (key - steps[0][1]) * w)]
             lines.setdefault(steps[0][1], []).append((w, key))  # the delay line into that target
-            cap -= w - 1
-            if len(keys) > cap:  # perhaps more unit-step states than max_states: the unfolded BFS decides
-                return explore(n, lay, lim, False)
         for t, k2 in steps:
             j = index.get(k2)
             if j is None:
                 mid2 = k2 >> shift
                 if peak[mid2] > k_bound:
-                    if fold:
-                        return explore(n, lay, lim, False)
                     m2 = markings[mid2]
-                    partial = ReachGraph(n, keys, mids, succ, complete=False)
-                    raise KBoundError(f"marking {m2} exceeds k-bound {k_bound}", partial=partial, marking=m2)
-                if len(keys) >= cap:
-                    if fold:
-                        return explore(n, lay, lim, False)
+                    raise KBoundError(f"marking {m2} exceeds k-bound {k_bound}", marking=m2)
+                if len(keys) >= lim.max_states:
                     complete = False
                     continue
                 j = index[k2] = len(keys)
@@ -195,13 +182,14 @@ def explore(n: Net, lay: Layout, lim: ExploreLimits, fold: bool = True) -> Reach
                 mids.append(mid2)
                 succ.append([])
             outs.append((t, j))
-    inner = lim.max_states - cap  # the sum of w - 1 over the runs, each shared tail less below
+    inner = 0  # the states inside runs: a line of nodes w_1 < ... < w_m delays before its target holds w_m - m
     for k2, line in lines.items():  # chain each delay line: a run ends at the next node on its line
-        if len(line) > 1:
-            last, j = 0, index[k2]
-            for w, key in sorted(line):
-                k = index[key]
-                succ[k][0] = (last - w, j)
-                inner -= last  # k's run stops at j: j and j's own run were counted in it
-                last, j = w, k
-    return ReachGraph(n, keys, mids, succ, complete, inner)
+        last, j = 0, index.get(k2)
+        if j is None:  # the target was cut: the line's nodes have no edge
+            continue
+        for w, key in sorted(line):
+            k = index[key]
+            succ[k][0] = (last - w, j)
+            last, j = w, k
+        inner += last - len(line)
+    return ReachGraph(n, keys, mids, succ, complete and len(keys) + inner <= lim.max_states, inner)

@@ -174,7 +174,9 @@ def reference_build(n, lim=ExploreLimits()) -> RefGraph:
     """The dense explorer kept as a reference: every enabledness test scans
     every place, states are dataclasses throughout, and nothing is shared
     with the library's step table or its key layout. A k-bound violation
-    carries the partial RefGraph."""
+    raises KBoundError naming the first over-bound marking it meets; a
+    state cap returns the first ``max_states`` states, flagged
+    incomplete."""
 
     def enabled(m, ti):
         return all(
@@ -214,7 +216,7 @@ def reference_build(n, lim=ExploreLimits()) -> RefGraph:
 
     s0 = State(n.initial, tuple(iv if enabled(n.initial, i) else None for i, iv in enumerate(n.intervals)))
     if any(x > lim.k_bound for x in s0.marking):
-        raise KBoundError("initial", partial=RefGraph([], [], False), marking=s0.marking)
+        raise KBoundError("initial", marking=s0.marking)
     index, states, succ, queue = {s0: 0}, [s0], [None], deque([0])
     complete = True
     while queue:
@@ -224,9 +226,7 @@ def reference_build(n, lim=ExploreLimits()) -> RefGraph:
             j = index.get(s2)
             if j is None:
                 if any(x > lim.k_bound for x in s2.marking):
-                    succ[i] = outs
-                    partial = RefGraph(states, [o if o is not None else [] for o in succ], False)
-                    raise KBoundError("k-bound", partial=partial, marking=s2.marking)
+                    raise KBoundError("k-bound", marking=s2.marking)
                 if len(states) >= lim.max_states:
                     complete = False
                     continue
@@ -253,15 +253,24 @@ def reference_graph(n, ref: RefGraph) -> ReachGraph:
 
 def outcome(builder, net, lim):
     """What ``builder`` (``build`` or ``reference_build``) gives under
-    ``lim``: states, labelled edges, complete flag, and the marking of a
-    k-bound stop (None without one), whose partial graph is the one
-    returned."""
+    ``lim``: the states and labelled edges of a complete graph, or None
+    when a limit stops it. The folded and the unit-step BFS stop on the
+    same nets, but may list other states before a stop, and with both
+    limits may report the other stop."""
     try:
         g = builder(net, lim)
-    except KBoundError as exc:
-        g = exc.partial
-        return g.states, g.edges, g.complete, exc.marking
-    return g.states, g.edges, g.complete, None
+    except KBoundError:
+        return None
+    return (g.states, g.edges) if g.complete else None
+
+
+def stop(builder, net, lim):
+    """The kind of stop ``builder`` makes under ``lim``: "k-bound", "cap",
+    or None for a complete graph."""
+    try:
+        return None if builder(net, lim).complete else "cap"
+    except KBoundError:
+        return "k-bound"
 
 
 def step_graph(succ) -> ReachGraph:

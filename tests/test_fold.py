@@ -3,9 +3,14 @@ transition may fire into one edge, and everything a graph answers in unit
 steps (its size, edges, states, constraint sets, verdicts and witnesses)
 must equal what the unit-step references give."""
 
+import io
+import os
 import random
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import compress
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,9 +28,10 @@ from tpnsynth import (
     states_satisfying,
 )
 from tpnsynth import biomodels as bio
-from tpnsynth import statespace
+from tpnsynth.cli import main
+from tpnsynth.netfile import serialize_net
 from tpnsynth.petri import INF
-from tpnsynth.semantics import Delay, Fire, layout
+from tpnsynth.semantics import Delay, Fire
 from tpnsynth.tctl import AG, AU, EF, EU, Not, _Checker, _until_run, compile_plan, desugar, eval_gmec
 
 from _gen import (
@@ -39,6 +45,7 @@ from _gen import (
     random_response,
     reference_build,
     reference_graph,
+    stop,
     unit_set,
     unit_witness,
 )
@@ -82,6 +89,9 @@ def _tail_net(rng: random.Random):
     return instantiate(make_net(places, transitions), {})
 
 
+ROOMY_K = 10_000  # a k-bound no net here reaches within 3,000 states: a fire adds at most 2 tokens per place
+
+
 def _net(rng: random.Random, kind: str):
     """A concrete net of the kind, with interval bounds up to 30: long runs
     of delays, and transitions whose wide intervals fire onto the delay
@@ -99,11 +109,18 @@ def _net(rng: random.Random, kind: str):
     return None
 
 
-def _stop_message(got, lim, marking) -> str:
-    """The message of the unit-step BFS's k-bound stop at ``marking``."""
-    if got[0] == []:
+def _stop_message(net, lim, marking) -> str:
+    """The message of a k-bound stop at ``marking``."""
+    if max(net.initial) > lim.k_bound:
         return f"initial marking exceeds k-bound {lim.k_bound}"
     return f"marking {marking} exceeds k-bound {lim.k_bound}"
+
+
+def _cut_invariants(g, lim):
+    """A graph, complete or cut, lists at most ``max_states`` nodes, and
+    walks and materialises each unit-step state it counts once."""
+    assert len(g.keys) <= lim.max_states
+    assert len(g) == len(g.positions()) == len(g.states)
 
 
 def _same_labels(g, unit, plan):
@@ -143,8 +160,7 @@ class TestReachable:
     """Every node of a ``build`` graph is reachable from node 0 along
     ``succ`` (each node is numbered when the edge into it is listed), as
     the checker's root scan of ``E true U[0,inf)`` assumes: complete
-    graphs, state-cap cuts, k-bound partial graphs and the unfolded
-    graph that a folded build falls back to."""
+    graphs and state-cap cuts alike."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -157,50 +173,54 @@ class TestReachable:
         net = _net(random.Random(seed), kind)
         if net is None:
             return
-        for lim in (ExploreLimits(3, 3000), ExploreLimits(k_bound, max_states)):
-            for fold in (True, False):  # build's own graph, and the unfolded one it may fall back to
-                try:
-                    g = statespace.explore(net, layout(net), lim, fold)
-                except KBoundError as exc:
-                    g = exc.partial
-                seen = {0} if g.keys else set()
-                todo = list(seen)
-                for u in todo:  # grows while it is walked
-                    for _, v in g.succ[u]:
-                        if v not in seen:
-                            seen.add(v)
-                            todo.append(v)
-                assert len(seen) == len(g.keys), (kind, lim, fold, g.complete)
+        for lim in (ExploreLimits(3, 3000), ExploreLimits(k_bound, max_states), ExploreLimits(100, max_states)):
+            try:
+                g = build(net, lim)
+            except KBoundError:
+                continue
+            seen = {0}
+            todo = list(seen)
+            for u in todo:  # grows while it is walked
+                for _, v in g.succ[u]:
+                    if v not in seen:
+                        seen.add(v)
+                        todo.append(v)
+            assert len(seen) == len(g.keys), (kind, lim, g.complete)
+            _cut_invariants(g, lim)
 
 
 class TestRunShape:
     """``build`` chains the delay-only nodes of one delay line, so no node
     key lies inside a run, and the unit-step states are the nodes and the
-    states inside runs, each counted once."""
+    states inside runs, each counted once: on complete graphs and on
+    state-cap cuts, where a node whose run target was cut has no edge."""
 
     @settings(max_examples=150, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         kind=st.sampled_from(["random", "race", "gated", "tail"]),
         k_bound=st.integers(1, 4),
+        max_states=st.integers(1, 300),
     )
-    def test_no_node_lies_inside_a_run(self, seed, kind, k_bound):
+    def test_no_node_lies_inside_a_run(self, seed, kind, k_bound, max_states):
         net = _net(random.Random(seed), kind)
         if net is None:
             return
-        try:
-            g = build(net, ExploreLimits(k_bound, 3000))
-        except KBoundError as exc:
-            g = exc.partial
-        keys, inner = set(g.keys), 0
-        for k, outs in enumerate(g.succ):
-            if outs and outs[0][0] < -1:
-                t, j = outs[0]
-                w = -t
-                dec = (g.keys[j] - g.keys[k]) // w
-                assert not any(g.keys[k] + dec * o in keys for o in range(1, w)), (kind, k, outs)
-                inner += w - 1
-        assert len(g) == len(g.keys) + inner
+        for lim in (ExploreLimits(k_bound, 3000), ExploreLimits(100, max_states)):
+            try:
+                g = build(net, lim)
+            except KBoundError:
+                continue
+            keys, inner = set(g.keys), 0
+            for k, outs in enumerate(g.succ):
+                if outs and outs[0][0] < -1:
+                    t, j = outs[0]
+                    w = -t
+                    dec = (g.keys[j] - g.keys[k]) // w
+                    assert not any(g.keys[k] + dec * o in keys for o in range(1, w)), (kind, k, outs)
+                    inner += w - 1
+            assert len(g) == len(g.keys) + inner
+            _cut_invariants(g, lim)
 
 
 class TestFoldedDifferential:
@@ -217,19 +237,15 @@ class TestFoldedDifferential:
         if net is None:
             return
         for lim in (ExploreLimits(3, 3000), ExploreLimits(k_bound, max_states)):
-            got, ref = outcome(build, net, lim), outcome(reference_build, net, lim)
-            assert got == ref  # states, edges and complete flag, and the stop's marking
+            assert outcome(build, net, lim) == outcome(reference_build, net, lim)  # one graph, or both stop
             try:
                 g = build(net, lim)
             except KBoundError as exc:
-                assert str(exc) == _stop_message(got, lim, got[3])
-                assert len(exc.partial) == len(got[0])
+                assert str(exc) == _stop_message(net, lim, exc.marking)
+                assert max(exc.marking) > lim.k_bound
                 continue
-            ref_graph = reference_build(net, lim)
             if g.complete:
-                _same_answers(net, g, ref_graph, rng, oracle=len(g) <= 25)
-            else:
-                assert len(g) == len(ref_graph.states) == lim.max_states
+                _same_answers(net, g, reference_build(net, lim), rng, oracle=len(g) <= 25)
 
     def test_runs_that_share_a_tail(self):
         net = _shared_tail_net()
@@ -273,6 +289,48 @@ class TestFoldedDifferential:
                     flip = end + w - span
                     assert _until_run(1, (), 0, (), w, end, span) == ((flip,) if 0 < flip < w else ())
                     assert _until_run(0, (), 0, (), w, end, span) == _until_run(1, (), 1, (), w, end, span) == ()
+
+
+class TestStops:
+    """The stops are the folded BFS's own, and it stops on exactly the nets
+    the unit-step reference stops on: with a state cap alone both cut the
+    same nets, with a k-bound alone both stop the same nets, at a marking
+    the net reaches (not always the reference's), with both limits both
+    stop or neither, and ``tpnsynth graph`` exits 3 on exactly those."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["random", "race", "gated", "tail"]),
+        k_bound=st.integers(1, 4),
+        max_states=st.integers(1, 300),
+    )
+    def test_the_folded_bfs_stops_where_the_unit_step_bfs_does(self, seed, kind, k_bound, max_states):
+        net = _net(random.Random(seed), kind)
+        if net is None:
+            return
+        cap_only = ExploreLimits(ROOMY_K, max_states)
+        assert stop(build, net, cap_only) == stop(reference_build, net, cap_only)
+        k_only = ExploreLimits(k_bound, 3000)
+        want = stop(reference_build, net, k_only)  # "cap" when 3,000 states are not roomy for this net
+        if want is None:
+            assert build(net, k_only).complete
+        elif want == "k-bound":
+            with pytest.raises(KBoundError) as exc:
+                build(net, k_only)
+            assert max(exc.value.marking) > k_bound
+            roomy = reference_build(net, ExploreLimits(ROOMY_K, 3000))
+            assert exc.value.marking in {s.marking for s in roomy.states} or not roomy.complete
+        both = ExploreLimits(k_bound, max_states)
+        want = stop(reference_build, net, both)
+        assert (stop(build, net, both) is None) == (want is None)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "net.tpnet")
+            with open(path, "w", encoding="utf-8") as f:
+                f.write(serialize_net(net))
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                code = main(["graph", path, "--k-bound", str(k_bound), "--max-states", str(max_states)])
+        assert code == (0 if want is None else 3)
 
 
 def _witness_entry(plan):

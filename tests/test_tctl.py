@@ -994,19 +994,18 @@ class TestHorizonGuards:
 
 class TestPropCache:
     def test_unknown_place_fails_on_a_graph_without_nodes(self):
-        # the initial marking exceeds the k-bound: the partial graph has no
-        # node, and the constraint is still compiled on its first sight
+        # on a graph with no node, the constraint is still compiled on its
+        # first sight
         from tpnsynth import states_satisfying
+        from tpnsynth.statespace import ReachGraph
 
         net = instantiate(make_net([("p", 3)], {"t": {"pre": {"p": 1}, "interval": (1, 1)}}), {})
-        with pytest.raises(KBoundError) as exc:
-            build(net, ExploreLimits(k_bound=2))
-        partial = exc.value.partial
-        assert len(partial) == 0
-        assert states_satisfying(partial, parse_gmec("M(p) >= 1")) == set()
+        empty = ReachGraph(net, [], [], [], complete=False)
+        assert len(empty) == 0
+        assert states_satisfying(empty, parse_gmec("M(p) >= 1")) == set()
         for _ in range(2):  # a failed compile leaves nothing cached
             with pytest.raises(InputError, match="nope"):
-                states_satisfying(partial, parse_gmec("M(nope) >= 1"))
+                states_satisfying(empty, parse_gmec("M(nope) >= 1"))
 
     def test_a_check_caches_only_its_graph_own_markings(self):
         # with x = 1 the token must go to q by time 1; with x = 5 it may go
